@@ -73,7 +73,7 @@ func buildInput(engine *core.Engine, ds *datasets.Dataset) *core.Input {
 		ld := prep.BuildLayer(coo, prep.FormatCSRCSC)
 		graphs[l-1] = &kernels.Graphs{CSR: ld.CSR, CSC: ld.CSC}
 	}
-	embed := prep.Lookup(ds.Features, res.Table)
+	embed := prep.Lookup(nil, ds.Features, res.Table)
 	x, err := engine.Upload(embed.Data, "x")
 	if err != nil {
 		panic(err)

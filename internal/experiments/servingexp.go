@@ -38,7 +38,7 @@ func runServing(cfg Config) (*Result, error) {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %-22s %5s %9s %9s %8s %9s %9s %6s %8s %7s\n",
-		"dataset", "config", "nrep", "batch", "qps", "speedup", "p50", "p99", "hit%", "acc", "logits")
+		"dataset", "config", "nrep", "batch", "host qps", "speedup", "host p50", "host p99", "hit%", "acc", "logits")
 	for _, name := range dsNames {
 		ds, err := loadDataset(cfg, name)
 		if err != nil {

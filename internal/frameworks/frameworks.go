@@ -403,27 +403,26 @@ type BatchStats struct {
 }
 
 // Prepare runs the framework's preprocessing for one batch of dst
-// vertices.
-func (t *Trainer) Prepare(dsts []graph.VID, tl *metrics.Timeline) (*prep.Batch, error) {
-	return t.PrepareInto(dsts, tl, nil)
+// vertices. The second parameter is ignored: it is kept only because the
+// frozen benchmark/ passes a literal nil there, until a benchmark PR drops
+// the argument.
+func (t *Trainer) Prepare(dsts []graph.VID, _ any) (*prep.Batch, error) {
+	return t.PrepareInto(dsts, nil, nil)
 }
 
 // PrepareInto is Prepare with the batch's storage drawn from a prefetch
 // ring slot — dense host buffers from its arena, producer structures
 // (sampler result, layer graphs, labels) from its structure pool. A nil
-// slot falls back to plain allocation (validation and probe batches).
-func (t *Trainer) PrepareInto(dsts []graph.VID, tl *metrics.Timeline, slot *pipeline.Slot) (*prep.Batch, error) {
-	var b *prep.Batch
-	var err error
+// slot falls back to plain allocation (validation and probe batches). The
+// second parameter is ignored, for the same reason as Prepare's.
+func (t *Trainer) PrepareInto(dsts []graph.VID, _ any, slot *pipeline.Slot) (*prep.Batch, error) {
 	if t.sched != nil {
-		b, err = t.sched.PrepareSlot(dsts, tl, slot)
-	} else {
-		b, err = prep.Serial(t.sampler, t.Dataset.Features, t.Dataset.Labels,
-			t.Engine.Dev, dsts,
-			prep.Config{Format: t.format, Pinned: t.pinned, Arena: slot.TensorArena(),
-				Structs: slot.StructPool(), HostOnly: t.group != nil, Cache: t.cache})
+		return t.sched.Prepare(dsts, slot)
 	}
-	return b, err
+	return prep.Serial(t.sampler, t.Dataset.Features, t.Dataset.Labels,
+		t.Engine.Dev, dsts,
+		prep.Config{Format: t.format, Pinned: t.pinned, Arena: slot.TensorArena(),
+			Structs: slot.StructPool(), HostOnly: t.group != nil, Cache: t.cache})
 }
 
 // PrepareTrainInto is PrepareInto for training batches: with a device group
@@ -445,18 +444,14 @@ func (t *Trainer) PrepareTrainInto(dsts []graph.VID, slot *pipeline.Slot) (*prep
 	return b, err
 }
 
-// NewRing builds this framework's prefetch ring over the dst lists:
+// NewRingN builds this framework's prefetch ring over n dst lists:
 // overlap-capable frameworks prepare PrefetchDepth batches ahead on a
 // background producer; the serial baselines get a synchronous depth-0 ring
-// so every framework trains through the same interface.
-func (t *Trainer) NewRing(lists [][]graph.VID) *pipeline.Ring {
-	return t.NewRingN(len(lists), func(i int) []graph.VID { return lists[i] })
-}
-
-// NewRingN is NewRing with the n dst lists drawn lazily from next, so long
-// schedules (the training driver feeds whole runs through one ring) never
-// materialize every batch's dst list up front. next runs on the ring's
-// producer goroutine; it must not be shared with concurrent dst drawing.
+// so every framework trains through the same interface. The lists are drawn
+// lazily from next, so long schedules (the training driver feeds whole runs
+// through one ring) never materialize every batch's dst list up front. next
+// runs on the ring's producer goroutine; it must not be shared with
+// concurrent dst drawing.
 func (t *Trainer) NewRingN(n int, next func(i int) []graph.VID) *pipeline.Ring {
 	depth := 0
 	if t.overlap {
@@ -468,9 +463,7 @@ func (t *Trainer) NewRingN(n int, next func(i int) []graph.VID) *pipeline.Ring {
 	if t.slots == nil {
 		t.slots = pipeline.NewSlotRing(depth + 2)
 	}
-	return pipeline.NewRingShared(depth, n, t.slots, next, func(d []graph.VID, s *pipeline.Slot) (*prep.Batch, error) {
-		return t.PrepareTrainInto(d, s)
-	})
+	return pipeline.NewRing(depth, n, t.slots, next, t.PrepareTrainInto)
 }
 
 // input converts a prepared batch to a model input.
@@ -634,7 +627,7 @@ func (t *Trainer) TrainEpoch(n int) (time.Duration, float64, error) {
 	for i := range dstLists {
 		dstLists[i] = t.nextDsts()
 	}
-	ring := t.NewRing(dstLists)
+	ring := t.NewRingN(n, func(i int) []graph.VID { return dstLists[i] })
 	defer ring.Stop()
 	return t.TrainStream(ring, n)
 }

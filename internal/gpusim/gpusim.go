@@ -78,6 +78,9 @@ type Device struct {
 	buffers map[int64]*Buffer
 	arena   *DeviceArena
 
+	// pcie is the device's one host→device link engine (see PCIe).
+	pcie PCIe
+
 	// smMu guards smFree, the pool of recycled SMContexts. Kernel launches
 	// are frequent (one per GNN stage per batch) and each needs NumSMs
 	// contexts with their cache maps and LRU nodes; recycling them across
@@ -112,7 +115,9 @@ func NewDevice(cfg Config) *Device {
 	if cfg.NumSMs <= 0 || cfg.CacheLineBytes <= 0 {
 		panic("gpusim: invalid config")
 	}
-	return &Device{cfg: cfg, buffers: map[int64]*Buffer{}}
+	d := &Device{cfg: cfg, buffers: map[int64]*Buffer{}}
+	d.pcie.dev = d
+	return d
 }
 
 // Config returns the device configuration.

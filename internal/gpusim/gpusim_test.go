@@ -116,15 +116,11 @@ func TestKernelAggregatesCounters(t *testing.T) {
 func TestPCIePinnedFaster(t *testing.T) {
 	d := NewDevice(DefaultConfig())
 	p := d.PCIe()
-	data := make([]float32, 10000)
-	dst := make([]float32, 10000)
-	pinned := p.account(40000, true)
-	pageable := p.account(40000, false)
+	pinned := p.TransferBytes(40000, true)
+	pageable := p.TransferBytes(40000, false)
 	if pageable <= pinned {
 		t.Errorf("pageable %v should exceed pinned %v", pageable, pinned)
 	}
-	_ = data
-	_ = dst
 }
 
 func TestEstimateMonotoneInFLOPs(t *testing.T) {

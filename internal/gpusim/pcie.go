@@ -5,11 +5,13 @@ import (
 	"time"
 )
 
-// PCIe models host→device data transfer (the T subtask of preprocessing).
-// Transfers both perform a real memory copy — so wall-clock pipelines see
-// genuine work — and accrue modeled transfer time under the configured link
-// bandwidth, with pageable buffers paying the driver staging overhead that
-// pinned (page-locked) buffers avoid (§V-B, SALIENT comparison in §VI-B).
+// PCIe models a device's host→device link (the T subtask of
+// preprocessing) on the modeled clock only. A transfer moves no data and
+// costs no wall time: it accrues modeled link time under the configured
+// bandwidth and latency, with pageable buffers paying the driver staging
+// overhead that pinned (page-locked) buffers avoid (§V-B, SALIENT
+// comparison in §VI-B). Each device owns one engine for its lifetime, so
+// what a prepare accrued is readable afterwards.
 type PCIe struct {
 	dev           *Device
 	modeledNs     atomic.Int64
@@ -18,49 +20,12 @@ type PCIe struct {
 }
 
 // PCIe returns the device's transfer engine.
-func (d *Device) PCIe() *PCIe { return &PCIe{dev: d} }
+func (d *Device) PCIe() *PCIe { return &d.pcie }
 
-// Transfer copies src into dst (a "device-resident" host slice backing a
-// Buffer) and accounts the modeled transfer time. pinned selects the
-// page-locked fast path. It returns the modeled duration.
-func (p *PCIe) Transfer(dst, src []float32, pinned bool) time.Duration {
-	copy(dst, src)
-	if !pinned {
-		// Pageable transfers stage through a driver bounce buffer: model it
-		// with a second copy so the host-side cost is physically real.
-		staging := make([]float32, len(src))
-		copy(staging, src)
-		_ = staging
-	}
-	return p.account(int64(len(src))*4, pinned)
-}
-
-// TransferBytes accounts a transfer of n bytes without moving real data;
-// used for index arrays whose payloads live inside graph structures.
+// TransferBytes accounts a transfer of n bytes and returns its modeled
+// duration. Callers pay only for what crosses the link: cache-resident
+// embedding rows are device-held and are left out of n.
 func (p *PCIe) TransferBytes(n int64, pinned bool) time.Duration {
-	return p.account(n, pinned)
-}
-
-// TransferStaged accounts a transfer whose destination copy the caller has
-// already performed, paying the link for n bytes of src only (the
-// cache-aware T task: resident rows are device-held and cross for free).
-// Pageable transfers still bounce the paid payload through a driver
-// staging buffer, keeping that host-side cost physically real exactly as
-// Transfer models it.
-func (p *PCIe) TransferStaged(src []float32, n int64, pinned bool) time.Duration {
-	if !pinned {
-		rows := int(n / 4)
-		if rows > len(src) {
-			rows = len(src)
-		}
-		staging := make([]float32, rows)
-		copy(staging, src[:rows])
-		_ = staging
-	}
-	return p.account(n, pinned)
-}
-
-func (p *PCIe) account(n int64, pinned bool) time.Duration {
 	cfg := p.dev.cfg
 	ns := cfg.TransferLatencyNs
 	if cfg.PCIeBytesPerSec > 0 {

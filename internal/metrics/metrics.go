@@ -1,6 +1,6 @@
 // Package metrics provides the measurement plumbing the experiment harness
-// shares: phase breakdowns (Fig 12a, Fig 16), progress timelines (Fig 20,
-// Fig 12b) and normalized series formatting for the figure reproductions.
+// shares: phase breakdowns (Fig 12a, Fig 16), lock-free latency rings and
+// normalized series formatting for the figure reproductions.
 package metrics
 
 import (
@@ -97,56 +97,6 @@ func (b *Breakdown) String() string {
 		fmt.Fprintf(&sb, "%-12s %12v (%5.1f%%)\n", n, d.Round(time.Microsecond), pct)
 	}
 	return sb.String()
-}
-
-// Timeline records progress events of named tasks against a shared clock —
-// the data behind the preprocessing timeline of Fig 20 ("% of handled
-// vertices vs time").
-type Timeline struct {
-	mu     sync.Mutex
-	start  time.Time
-	events []Event
-}
-
-// Event is one progress sample: at Elapsed since the timeline start, Task
-// had handled Done of Total units.
-type Event struct {
-	Task    string
-	Elapsed time.Duration
-	Done    int
-	Total   int
-}
-
-// NewTimeline starts a timeline clock.
-func NewTimeline() *Timeline { return &Timeline{start: time.Now()} }
-
-// Record adds a progress sample for task.
-func (t *Timeline) Record(task string, done, total int) {
-	now := time.Since(t.start)
-	t.mu.Lock()
-	t.events = append(t.events, Event{Task: task, Elapsed: now, Done: done, Total: total})
-	t.mu.Unlock()
-}
-
-// Events returns all samples sorted by elapsed time.
-func (t *Timeline) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := append([]Event(nil), t.events...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Elapsed < out[j].Elapsed })
-	return out
-}
-
-// Completion returns, per task, the elapsed time of its last sample (the
-// task completion time Fig 20 compares).
-func (t *Timeline) Completion() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for _, e := range t.Events() {
-		if e.Elapsed > out[e.Task] {
-			out[e.Task] = e.Elapsed
-		}
-	}
-	return out
 }
 
 // Series is a labeled numeric series normalized for figure output.

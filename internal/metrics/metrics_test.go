@@ -31,24 +31,6 @@ func TestBreakdownOrder(t *testing.T) {
 	}
 }
 
-func TestTimelineCompletion(t *testing.T) {
-	tl := NewTimeline()
-	tl.Record("task", 1, 10)
-	time.Sleep(time.Millisecond)
-	tl.Record("task", 10, 10)
-	comp := tl.Completion()
-	if comp["task"] == 0 {
-		t.Error("completion time not recorded")
-	}
-	events := tl.Events()
-	if len(events) != 2 {
-		t.Fatalf("expected 2 events, got %d", len(events))
-	}
-	if events[0].Elapsed > events[1].Elapsed {
-		t.Error("events not sorted by elapsed time")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	got := GeoMean([]float64{1, 4})
 	if math.Abs(got-2) > 1e-9 {

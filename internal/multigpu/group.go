@@ -47,7 +47,7 @@ type SubBatch struct {
 	// labels), the input to the PCIe scatter model.
 	HostBytes int64
 
-	// Retained structure storage for slot reuse (PartitionBatchReuse):
+	// Retained structure storage for slot reuse (PartitionBatchNodesReuse):
 	// locals[li] is layer li's localized CSR (aliased by Layers[li].CSR when
 	// the parent format ships CSR); srcs[li] is its local→global src map
 	// (srcs[0] doubles as XRows). Every retained buffer is fully rewritten
@@ -63,7 +63,7 @@ type SubBatch struct {
 // on the device count — and is attached to prep.Batch by the prefetch-ring
 // producer so partitioning overlaps the previous batch's compute. A plan
 // recycled through a ring slot (prep.Recycler) is rebuilt in place by
-// PartitionBatchReuse, retaining all of its structure storage.
+// PartitionBatchNodesReuse, retaining all of its structure storage.
 type BatchPlan struct {
 	Shards    int
 	Subs      []SubBatch
@@ -106,7 +106,7 @@ type BatchPlan struct {
 
 // Recycle implements prep.Recycler: a released batch's plan drops nothing —
 // its storage is plan-owned (no references into the batch survive) and is
-// fully rewritten by the slot's next PartitionBatchReuse.
+// fully rewritten by the slot's next PartitionBatchNodesReuse.
 func (p *BatchPlan) Recycle() {}
 
 // planOrder sorts (dst, degree) pairs by (degree desc, id asc) through
@@ -137,34 +137,19 @@ func (o *vidOrder) Len() int           { return len(o.s) }
 func (o *vidOrder) Less(i, j int) bool { return o.s[i] < o.s[j] }
 func (o *vidOrder) Swap(i, j int)      { o.s[i], o.s[j] = o.s[j], o.s[i] }
 
-// PartitionBatch carves a prepared batch into `shards` localized sub-batches
-// by balancing final-layer edges (AssignByEdges) and back-chaining each
-// shard's induced subgraph through every GNN layer.
-func PartitionBatch(b *prep.Batch, shards int) (*BatchPlan, error) {
-	return PartitionBatchNodesReuse(b, shards, 1, nil)
-}
-
-// PartitionBatchReuse is PartitionBatch rebuilding a recycled plan in place
-// (nil allocates a fresh one): the per-shard dst lists, localized layer
-// chains, src maps and label buffers all reuse the retained capacity of the
-// slot's previous batch. The partition — like the fresh one — is a pure
-// function of (batch shape, shards): reuse cannot change a single assigned
-// dst, edge or byte (guarded by TestPartitionBatchReuseBitwise).
-func PartitionBatchReuse(b *prep.Batch, shards int, plan *BatchPlan) (*BatchPlan, error) {
-	return PartitionBatchNodesReuse(b, shards, 1, plan)
-}
-
-// PartitionBatchNodes is PartitionBatch for a hierarchical group: the shard
-// partition is identical to the flat one (it depends on shards alone, so
-// the trajectory is unaffected), and the shards are then assigned to
-// `nodes` nodes by LPT over final-layer edges.
-func PartitionBatchNodes(b *prep.Batch, shards, nodes int) (*BatchPlan, error) {
-	return PartitionBatchNodesReuse(b, shards, nodes, nil)
-}
-
-// PartitionBatchNodesReuse is the full partitioning entry point: shard
-// partition plus node assignment, rebuilding a recycled plan fully in place
-// (nil allocates a fresh one).
+// PartitionBatchNodesReuse carves a prepared batch into `shards` localized
+// sub-batches by balancing final-layer edges (AssignByEdges) and
+// back-chaining each shard's induced subgraph through every GNN layer, then
+// assigns the shards to `nodes` nodes by LPT over final-layer edges (1 for
+// a flat group). The shard partition depends on shards alone, so the
+// trajectory is unaffected by the node count.
+//
+// plan is a recycled plan rebuilt fully in place (nil allocates a fresh
+// one): the per-shard dst lists, localized layer chains, src maps and label
+// buffers all reuse the retained capacity of the slot's previous batch. The
+// partition — like the fresh one — is a pure function of (batch shape,
+// shards, nodes): reuse cannot change a single assigned dst, edge or byte
+// (guarded by TestPartitionBatchReuseBitwise).
 func PartitionBatchNodesReuse(b *prep.Batch, shards, nodes int, plan *BatchPlan) (*BatchPlan, error) {
 	L := len(b.Layers)
 	if L == 0 {
@@ -238,29 +223,26 @@ func PartitionBatchNodesReuse(b *prep.Batch, shards, nodes int, plan *BatchPlan)
 		sub.HostBytes = prep.GraphBytes(sub.Layers) +
 			int64(len(sub.XRows))*int64(b.Embed.Dim)*4 + int64(len(sub.Labels))*4
 	}
-	plan.assignNodes(b, nodes)
+	plan.assignNodesMask(b, nodes, nil)
 	return plan, nil
 }
 
-// assignNodes maps shards to nodes with LPT over final-layer edges
+// assignNodesMask maps shards to nodes with LPT over final-layer edges
 // (heaviest shard to the lightest node, ties by lowest id) and computes the
 // per-node scatter payloads: each node pays its shards' graph and label
 // bytes plus one copy of every embedding row any of its shards touches —
 // the dedup that makes concentrating halo overlap inside a node shrink
-// cross-node scatter traffic. Pure function of (shard partition, nodes);
-// nodes <= 1 collapses to the single flat node, where the node layer is
-// inert — NodeOf/NodeBytes stay empty so the flat path never pays the
-// node-scratch allocations (the allocs/op ratchet holds it there).
-func (p *BatchPlan) assignNodes(b *prep.Batch, nodes int) {
-	p.assignNodesMask(b, nodes, nil)
-}
-
-// assignNodesMask is assignNodes restricted to an alive-node set (nil =
-// all alive): after a whole-node loss the group re-runs the assignment
-// over the survivors, so dead nodes draw no shards and no scatter payload.
-// Still a pure function — now of (shard partition, nodes, mask) — so a
-// degraded run's schedule replays bitwise; and like the unmasked form it
-// steers modeled scheduling and communication only, never the fold order.
+// cross-node scatter traffic. nodes <= 1 collapses to the single flat
+// node, where the node layer is inert — NodeOf/NodeBytes stay empty so the
+// flat path never pays the node-scratch allocations (the allocs/op ratchet
+// holds it there).
+//
+// alive restricts the assignment to an alive-node set (nil = all alive):
+// after a whole-node loss the group re-runs it over the survivors, so dead
+// nodes draw no shards and no scatter payload. Either way a pure function
+// of (shard partition, nodes, mask), so a degraded run's schedule replays
+// bitwise; it steers modeled scheduling and communication only, never the
+// fold order.
 func (p *BatchPlan) assignNodesMask(b *prep.Batch, nodes int, alive []bool) {
 	if nodes <= 1 {
 		p.Nodes = 1
@@ -503,8 +485,6 @@ type GroupDev struct {
 	// stay identical: every device applies the same folded gradients.
 	Model *core.Model
 
-	pcie *gpusim.PCIe
-
 	// id is the device's original group index — the coordinate the fault
 	// plan is consulted at. It survives group shrink (devs slide left when
 	// a dead device is dropped, ids do not renumber), so a plan targets
@@ -615,8 +595,8 @@ func (st GroupStats) String() string {
 // DeviceGroup is the data-parallel training engine: a persistent set of
 // simulated devices, each owning its kernel context, its batch-scoped
 // device arena and a model replica. Every batch is carved into a fixed
-// number of gradient shards (see PartitionBatch); devices process their
-// shards' forward+backward locally, weight gradients are all-reduced over
+// number of gradient shards (see PartitionBatchNodesReuse); devices process
+// their shards' forward+backward locally, weight gradients are all-reduced over
 // the PCIe model by folding per-shard partials in ascending shard order,
 // and every replica applies the same deterministic SGD step.
 //
@@ -747,7 +727,6 @@ func NewGroup(devices, shards int, cfg gpusim.Config, pinned bool,
 			Ctx:    kernels.NewCtx(dev),
 			Arena:  dev.NewArena(),
 			Model:  m,
-			pcie:   dev.PCIe(),
 			id:     i,
 			graphs: make([]kernels.Graphs, len(m.Layers)),
 			gptrs:  make([]*kernels.Graphs, len(m.Layers)),
@@ -1059,7 +1038,7 @@ func (g *DeviceGroup) runShard(d *GroupDev, s int, sub *SubBatch) error {
 	}
 	// The shard's payload crosses the link once per batch (pinned staging
 	// under the GraphTensor disciplines, pageable otherwise).
-	d.pcie.TransferBytes(sub.HostBytes, g.pinned)
+	d.Dev.PCIe().TransferBytes(sub.HostBytes, g.pinned)
 
 	xd, err := kernels.WrapDeviceMatrix(d.Dev, x, "shard-x")
 	if err != nil {
@@ -1118,7 +1097,7 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 	plan, _ := b.SubBatches.(*BatchPlan)
 	if plan == nil || plan.Shards != g.shards || plan.Nodes != g.nodes {
 		var err error
-		plan, err = PartitionBatchNodes(b, g.shards, g.nodes)
+		plan, err = PartitionBatchNodesReuse(b, g.shards, g.nodes, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -1213,8 +1192,8 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 		g.assignShards(plan)
 		for i, d := range g.devs {
 			d.err = nil
-			g.commBytes0[i] = d.pcie.BytesMoved()
-			g.commNs0[i] = d.pcie.ModeledTime()
+			g.commBytes0[i] = d.Dev.PCIe().BytesMoved()
+			g.commNs0[i] = d.Dev.PCIe().ModeledTime()
 			g.stall0[i] = d.Dev.StallTime()
 		}
 		if g.fplan != nil {
@@ -1321,8 +1300,8 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 		if est := d.Dev.Estimate(tm, d.cnt) + stall; est > st.MaxDeviceCompute {
 			st.MaxDeviceCompute = est
 		}
-		st.CommBytes += d.pcie.BytesMoved() - g.commBytes0[i]
-		if ct := d.pcie.ModeledTime() - g.commNs0[i]; ct > st.ScatterTime {
+		st.CommBytes += d.Dev.PCIe().BytesMoved() - g.commBytes0[i]
+		if ct := d.Dev.PCIe().ModeledTime() - g.commNs0[i]; ct > st.ScatterTime {
 			st.ScatterTime = ct
 		}
 	}

@@ -310,7 +310,7 @@ func TestPartitionBatchCoversBatch(t *testing.T) {
 	h := newGroupHarness(t, "gcn", prep.FormatCSRCSC)
 	b := h.batch(t, 0, 80)
 	defer b.Release()
-	plan, err := PartitionBatch(b, DefaultShards)
+	plan, err := PartitionBatchNodesReuse(b, DefaultShards, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func TestPartitionNodesImbalanceLPT(t *testing.T) {
 	for _, size := range []int{17, 80} { // 17 dsts under 16 shards skews hard
 		b := h.batch(t, 0, size)
 		for _, nodes := range []int{1, 2, 3, 4, 8} {
-			plan, err := PartitionBatchNodes(b, 16, nodes)
+			plan, err := PartitionBatchNodesReuse(b, 16, nodes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +266,7 @@ func TestPartitionBatchNodesReuseBitwise(t *testing.T) {
 	defer bA.Release()
 	defer bB.Release()
 
-	recycled, err := PartitionBatchNodes(bA, DefaultShards, 4)
+	recycled, err := PartitionBatchNodesReuse(bA, DefaultShards, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestPartitionBatchNodesReuseBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := PartitionBatchNodes(bB, DefaultShards, 2)
+	fresh, err := PartitionBatchNodesReuse(bB, DefaultShards, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

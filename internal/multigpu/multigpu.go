@@ -2,32 +2,14 @@
 // devices. It grew out of the ROC multi-GPU load-balancing design point
 // (§VII [19]) — a sampled subgraph's destination vertices partitioned
 // across N simulated GPUs so each device holds a roughly equal share of
-// the *edges* (not vertices), balancing the SpMM workload — and now
-// provides two layers on top of that partitioner:
-//
-//   - Plan / Plan.Forward: the original forward-only demo. A balanced
-//     partition of one subgraph, each partition running the NAPA forward on
-//     its own device, results reassembled into the global dst ordering.
-//   - DeviceGroup (group.go): the full data-parallel training engine. A
-//     persistent set of devices, each owning its kernels.Ctx and a
-//     batch-scoped device arena, training whole batches with forward +
-//     backward per device and a PCIe-modeled gradient all-reduce.
-//
-// ROC uses CSR only for this cross-GPU balancing, not for thread
-// scheduling, so it still pays format translation on each device — a point
-// the harness can measure by comparing the partitioned edge-wise
-// (Graph-approach) path against the partitioned NAPA path.
+// the *edges* (not vertices), balancing the SpMM workload. On top of that
+// partitioner (AssignByEdges) sits DeviceGroup (group.go), the data-parallel
+// training engine: a persistent set of devices, each owning its kernels.Ctx
+// and a batch-scoped device arena, training whole batches with forward +
+// backward per device and a PCIe-modeled gradient all-reduce.
 package multigpu
 
-import (
-	"sync"
-
-	"graphtensor/internal/gpusim"
-	"graphtensor/internal/graph"
-	"graphtensor/internal/kernels"
-	"graphtensor/internal/sched"
-	"graphtensor/internal/tensor"
-)
+import "graphtensor/internal/graph"
 
 // AssignByEdges partitions csr's dst vertices into n groups holding
 // near-equal edge counts, using longest-processing-time-first greedy bin
@@ -53,180 +35,4 @@ func AssignByEdges(csr *graph.BCSR, n int) ([][]graph.VID, float64) {
 		assign[g] = p.Subs[g].Dsts
 	}
 	return assign, p.Imbalance
-}
-
-// Partition is one GPU's share of the dst vertices and its local subgraph.
-type Partition struct {
-	Device *gpusim.Device
-	// Ctx is the partition's persistent kernel context (workspace + memos),
-	// reused across Forward calls instead of rebuilt per launch.
-	Ctx *kernels.Ctx
-	// DstIDs are the original (pre-partition) dst VIDs assigned here.
-	DstIDs []graph.VID
-	// Local is the induced bipartite subgraph on those dsts (src space is
-	// shared — every device can read any src embedding).
-	Local *graph.BCSR
-	Edges int
-}
-
-// Plan is a balanced assignment of a subgraph across N devices.
-type Plan struct {
-	Partitions []Partition
-	// Imbalance is maxEdges/meanEdges across partitions (1.0 = perfect).
-	Imbalance float64
-}
-
-// BalanceByEdges partitions csr's dst vertices across nGPU devices so each
-// device holds a near-equal edge count (see AssignByEdges).
-func BalanceByEdges(csr *graph.BCSR, nGPU int, cfg gpusim.Config) *Plan {
-	assign, imbalance := AssignByEdges(csr, nGPU)
-	plan := &Plan{Partitions: make([]Partition, len(assign)), Imbalance: imbalance}
-	for g := range assign {
-		local := inducedSubgraph(csr, assign[g])
-		dev := gpusim.NewDevice(cfg)
-		plan.Partitions[g] = Partition{
-			Device: dev,
-			Ctx:    kernels.NewCtx(dev),
-			DstIDs: assign[g],
-			Local:  local,
-			Edges:  local.NumEdges(),
-		}
-	}
-	return plan
-}
-
-// inducedSubgraph builds the bipartite CSR holding only the assigned dsts'
-// edges. Dst and src IDs keep their GLOBAL numbering (dsts and srcs share
-// the batch embedding table, so renumbering would break embedding lookup);
-// unassigned dsts simply have empty rows. The local NAPA forward therefore
-// computes correct rows for the assigned dsts and zero rows elsewhere. The
-// COO staging is pool-drawn and returned after the translation.
-func inducedSubgraph(csr *graph.BCSR, dsts []graph.VID) *graph.BCSR {
-	m := 0
-	for _, d := range dsts {
-		m += csr.Degree(d)
-	}
-	srcp, dstp := graph.GetVIDs(m), graph.GetVIDs(m)
-	coo := &graph.BCOO{NumDst: csr.NumDst, NumSrc: csr.NumSrc, Src: *srcp, Dst: *dstp}
-	e := 0
-	for _, origD := range dsts {
-		for _, s := range csr.Neighbors(origD) {
-			coo.Src[e] = s
-			coo.Dst[e] = origD
-			e++
-		}
-	}
-	out, _ := graph.BCOOToBCSR(coo)
-	graph.PutVIDs(srcp)
-	graph.PutVIDs(dstp)
-	return out
-}
-
-// ForwardResult holds per-device NAPA outputs reassembled into the global
-// dst ordering.
-type ForwardResult struct {
-	// Out[d] is the aggregation for original dst d. The storage is
-	// pool-drawn; call Release when done with it.
-	Out *tensor.Matrix
-	// PerDeviceFLOPs[g] is device g's FLOP count.
-	PerDeviceFLOPs []int64
-}
-
-// Release returns the reassembled output to the tensor pool.
-func (r *ForwardResult) Release() {
-	tensor.Put(r.Out)
-	r.Out = nil
-}
-
-// planRun carries one Plan.Forward dispatch onto the shared worker pool;
-// instances are pooled so steady-state calls allocate no dispatch state.
-type planRun struct {
-	p    *Plan
-	x    *tensor.Matrix
-	m    kernels.Modes
-	out  *tensor.Matrix
-	fl   []int64
-	errs []error
-}
-
-var planRunPool = sync.Pool{New: func() any { return new(planRun) }}
-
-// planForwardTask runs partitions [lo,hi): each claimed partition is
-// processed start to finish by exactly one participant, writing only its
-// own dst rows, FLOP slot and error slot.
-func planForwardTask(ctx any, lo, hi int) {
-	r := ctx.(*planRun)
-	for g := lo; g < hi; g++ {
-		part := &r.p.Partitions[g]
-		xc := tensor.Get(r.x.Rows, r.x.Cols)
-		copy(xc.Data, r.x.Data)
-		xd, err := kernels.WrapDeviceMatrix(part.Device, xc, "x")
-		if err != nil {
-			tensor.Put(xc)
-			r.errs[g] = err
-			continue
-		}
-		before := part.Device.Snapshot()
-		out, err := kernels.NAPA{}.Forward(part.Ctx, &kernels.Graphs{CSR: part.Local}, xd, r.m)
-		if err != nil {
-			xd.Free()
-			tensor.Put(xc)
-			r.errs[g] = err
-			continue
-		}
-		r.fl[g] = part.Device.Snapshot().Sub(before).FLOPs
-		// Local dst IDs are global; copy only the assigned rows.
-		for _, origD := range part.DstIDs {
-			copy(r.out.Row(int(origD)), out.M.Row(int(origD)))
-		}
-		out.Free()
-		xd.Free()
-		tensor.Put(xc)
-	}
-}
-
-// Forward runs NAPA.Forward on every partition — dispatched as one region
-// on the shared worker pool, not per-call goroutines — and reassembles the
-// results into a single pool-drawn matrix indexed by the original dst VID.
-// Forward calls on the same Plan must not overlap: each partition's
-// persistent Ctx (workspace + memos) is reused across calls.
-func (p *Plan) Forward(x *tensor.Matrix, m kernels.Modes) (*ForwardResult, error) {
-	nGPU := len(p.Partitions)
-	res := &ForwardResult{Out: tensor.Get(totalDsts(p), x.Cols), PerDeviceFLOPs: make([]int64, nGPU)}
-	r := planRunPool.Get().(*planRun)
-	r.p, r.x, r.m, r.out, r.fl = p, x, m, res.Out, res.PerDeviceFLOPs
-	if cap(r.errs) < nGPU {
-		r.errs = make([]error, nGPU)
-	}
-	r.errs = r.errs[:nGPU]
-	for i := range r.errs {
-		r.errs[i] = nil
-	}
-	sched.RunChunk(nGPU, 1, sched.Workers(nGPU), r, planForwardTask)
-	var err error
-	for _, e := range r.errs {
-		if e != nil {
-			err = e
-			break
-		}
-	}
-	*r = planRun{errs: r.errs[:0]}
-	planRunPool.Put(r)
-	if err != nil {
-		res.Release()
-		return nil, err
-	}
-	return res, nil
-}
-
-func totalDsts(p *Plan) int {
-	n := 0
-	for _, part := range p.Partitions {
-		for _, d := range part.DstIDs {
-			if int(d)+1 > n {
-				n = int(d) + 1
-			}
-		}
-	}
-	return n
 }

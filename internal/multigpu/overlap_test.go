@@ -129,7 +129,7 @@ func subBatchEqual(t *testing.T, tag string, a, b *SubBatch) {
 
 // TestPartitionBatchReuseBitwise: rebuilding a recycled plan in place over
 // a different batch must produce exactly the partition a fresh
-// PartitionBatch computes — shape-derived reuse, not shape-dependent drift.
+// partition computes — shape-derived reuse, not shape-dependent drift.
 func TestPartitionBatchReuseBitwise(t *testing.T) {
 	for _, format := range []prep.Format{prep.FormatCSRCSC, prep.FormatCOO} {
 		h := newGroupHarness(t, "gcn", format)
@@ -138,21 +138,21 @@ func TestPartitionBatchReuseBitwise(t *testing.T) {
 		defer bA.Release()
 		defer bB.Release()
 
-		recycled, err := PartitionBatch(bA, DefaultShards)
+		recycled, err := PartitionBatchNodesReuse(bA, DefaultShards, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		recycled.Recycle()
-		reused, err := PartitionBatchReuse(bB, DefaultShards, recycled)
+		reused, err := PartitionBatchNodesReuse(bB, DefaultShards, 1, recycled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := PartitionBatch(bB, DefaultShards)
+		fresh, err := PartitionBatchNodesReuse(bB, DefaultShards, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if reused != recycled {
-			t.Fatal("PartitionBatchReuse must rebuild the recycled plan in place")
+			t.Fatal("PartitionBatchNodesReuse must rebuild the recycled plan in place")
 		}
 		if reused.Shards != fresh.Shards || reused.Imbalance != fresh.Imbalance {
 			t.Fatalf("plan scalars differ: %d/%f vs %d/%f",

@@ -215,7 +215,7 @@ func TestAssignShardsNodeGlobalFallback(t *testing.T) {
 	}
 	b := h.batch(t, 0, 60)
 	defer b.Release()
-	plan, err := PartitionBatchNodes(b, DefaultShards, g.NumNodes())
+	plan, err := PartitionBatchNodesReuse(b, DefaultShards, g.NumNodes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,29 +118,14 @@ func (s *Scheduler) SetCache(c *cache.Cache) { s.cfg.Cache = c }
 // be in flight or follow. Long-lived trainer schedulers never need it.
 func (s *Scheduler) Close() { s.engine.close() }
 
-// Prepare runs the pipelined preprocessing for one batch. The optional
-// timeline receives progress events (Fig 20); pass nil to skip recording.
-func (s *Scheduler) Prepare(batchDsts []graph.VID, tl *metrics.Timeline) (*prep.Batch, error) {
-	return s.PrepareSlot(batchDsts, tl, nil)
-}
-
-// PrepareArena is Prepare with the batch's host embedding table drawn from
-// a batch-scoped arena (nil falls back to plain allocation).
-func (s *Scheduler) PrepareArena(batchDsts []graph.VID, tl *metrics.Timeline, arena *tensor.Arena) (*prep.Batch, error) {
-	return s.prepare(batchDsts, tl, arena, nil)
-}
-
-// PrepareSlot is Prepare drawing the batch's storage from a prefetch-ring
-// slot: the dense host buffers from the slot's arena, and the producer
-// structures (sampler result, per-layer graphs, labels) from its structure
-// pool — so steady-state preprocessing recycles everything it builds
-// instead of reallocating it. A nil slot falls back to plain allocation.
-func (s *Scheduler) PrepareSlot(batchDsts []graph.VID, tl *metrics.Timeline, slot *Slot) (*prep.Batch, error) {
-	return s.prepare(batchDsts, tl, slot.TensorArena(), slot.StructPool())
-}
-
-func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
-	arena *tensor.Arena, structs *prep.Structs) (*prep.Batch, error) {
+// Prepare runs the pipelined preprocessing for one batch, drawing the
+// batch's storage from a prefetch-ring slot: the dense host buffers from the
+// slot's arena, and the producer structures (sampler result, per-layer
+// graphs, labels) from its structure pool — so steady-state preprocessing
+// recycles everything it builds instead of reallocating it. A nil slot
+// falls back to plain allocation.
+func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, error) {
+	arena, structs := slot.TensorArena(), slot.StructPool()
 	bd := metrics.NewBreakdown()
 	L := s.cfg.Sampler.Layers
 	dim := s.features.Dim
@@ -150,7 +135,7 @@ func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
 	// goroutine, before any R subtask spawns — afterwards each R subtask
 	// touches only its own layer's entry and retained buffer.
 	s.engine.start()
-	r := s.engine.getRun(s, bd, tl, structs)
+	r := s.engine.getRun(s, bd, structs)
 	structs.EnsureLayers(L)
 	r.layers = structs.TakeLayerData(L)
 
@@ -168,7 +153,6 @@ func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
 		st := time.Now()
 		hop := run.Step()
 		bd.Add("sample", time.Since(st))
-		r.record("sample", res.FrontierSizes[t+1], -1)
 
 		// R_t: hop t (0-based) is processed by GNN layer L-t (1-based),
 		// i.e. layers[L-1-t].
@@ -215,12 +199,12 @@ func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
 	bd.Add("transfer", time.Since(st))
 
 	// Stream chunks as they land; the K subtasks keep producing while we
-	// transfer (Fig 14b overlap). A single throttle accrues the modeled
-	// link time across chunks, so the scheduler only pays the aggregate
-	// transfer latency once — and pays it while K keeps producing.
-	// Cache-resident rows are already device-held: each chunk pays the
-	// link for its misses only.
-	var link prep.LinkThrottle
+	// transfer (Fig 14b overlap). Each chunk's crossing is accounted on the
+	// device's link engine — modeled time only, the loop never waits on the
+	// link — and its staging buffer returns to the pool at once.
+	// Cache-resident rows are already device-held: each chunk pays the link
+	// for its misses only. With nothing staged the loop blocks on the run's
+	// wake token, which a landing chunk or a failing subtask signals.
 	transferred, cacheHits := 0, 0
 	for transferred < nTotal {
 		pending := r.takePending()
@@ -228,7 +212,7 @@ func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
 			if r.failed() {
 				break
 			}
-			runtime.Gosched()
+			<-r.wake
 			continue
 		}
 		for _, ch := range pending {
@@ -236,13 +220,12 @@ func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
 			rows := ch.hi - ch.lo
 			copy(embed.Data.Data[ch.lo*dim:ch.hi*dim], ch.data.Data[:rows*dim])
 			if !s.cfg.HostOnly {
-				link.Pay(pcie.TransferBytes(int64(rows-ch.hits)*int64(dim)*4, s.cfg.Pinned))
+				pcie.TransferBytes(int64(rows-ch.hits)*int64(dim)*4, s.cfg.Pinned)
 			}
 			tensor.Put(ch.data)
 			bd.Add("transfer", time.Since(st))
 			transferred += rows
 			cacheHits += ch.hits
-			r.record("transfer", transferred, nTotal)
 		}
 	}
 
@@ -266,12 +249,10 @@ func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
 			s.engine.putRun(r)
 			return nil, err
 		}
-		link.Pay(pcie.TransferBytes(gBytes, s.cfg.Pinned))
-		link.Flush()
+		pcie.TransferBytes(gBytes, s.cfg.Pinned)
 		bufs = []*gpusim.Buffer{ebuf, gbuf}
 	}
 	bd.Add("transfer", time.Since(st))
-	r.record("transfer", nTotal, nTotal)
 	s.engine.putRun(r)
 
 	batch := structs.TakeBatch()
@@ -290,31 +271,14 @@ func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
 }
 
 // Serial runs the fully serialized baseline chain (S → R → K → T) used by
-// the existing frameworks (Fig 12a). workers controls sampling threads: 1
-// reproduces PyG's single-threaded sampler, GOMAXPROCS the multi-threaded
-// variants.
+// the existing frameworks (Fig 12a) over a fresh sampler. samplerCfg.Workers
+// controls sampling threads: 1 reproduces PyG's single-threaded sampler,
+// GOMAXPROCS the multi-threaded variants; cfg carries format, pinning, arena
+// and host-only staging.
 func Serial(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
 	dev *gpusim.Device, batchDsts []graph.VID, samplerCfg sampling.Config,
-	format prep.Format, pinned bool) (*prep.Batch, error) {
-	return SerialArena(full, features, labels, dev, batchDsts, samplerCfg, format, pinned, nil)
-}
-
-// SerialArena is Serial with the batch's host buffers drawn from a
-// batch-scoped arena (nil falls back to plain allocation).
-func SerialArena(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
-	dev *gpusim.Device, batchDsts []graph.VID, samplerCfg sampling.Config,
-	format prep.Format, pinned bool, arena *tensor.Arena) (*prep.Batch, error) {
-	return SerialCfg(full, features, labels, dev, batchDsts, samplerCfg,
-		prep.Config{Format: format, Pinned: pinned, Arena: arena})
-}
-
-// SerialCfg is the serial chain with a full prep.Config (arena, pinning,
-// host-only staging).
-func SerialCfg(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
-	dev *gpusim.Device, batchDsts []graph.VID, samplerCfg sampling.Config,
 	cfg prep.Config) (*prep.Batch, error) {
-	sampler := sampling.New(full, samplerCfg)
-	return prep.Serial(sampler, features, labels, dev, batchDsts, cfg)
+	return prep.Serial(sampling.New(full, samplerCfg), features, labels, dev, batchDsts, cfg)
 }
 
 // String describes the scheduler configuration.

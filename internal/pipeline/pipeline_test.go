@@ -1,15 +1,19 @@
 package pipeline
 
 import (
+	"errors"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
+	"graphtensor/internal/cache"
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
-	"graphtensor/internal/metrics"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/sampling"
+	"graphtensor/internal/tensor"
 )
 
 func testDataset(t *testing.T) *datasets.Dataset {
@@ -36,7 +40,8 @@ func TestPipelinedEqualsSerial(t *testing.T) {
 	samplerCfg := sampling.DefaultConfig()
 	samplerCfg.Seed = 3
 
-	serialBatch, err := Serial(ds.Graph, ds.Features, ds.Labels, testDevice(), dsts, samplerCfg, prep.FormatCSRCSC, true)
+	serialBatch, err := Serial(ds.Graph, ds.Features, ds.Labels, testDevice(), dsts, samplerCfg,
+		prep.Config{Format: prep.FormatCSRCSC, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,25 +102,6 @@ func TestPipelinedEqualsSerial(t *testing.T) {
 
 func sortVIDs(v []graph.VID) { sort.Slice(v, func(i, j int) bool { return v[i] < v[j] }) }
 
-func TestPipelineTimelineRecordsAllTasks(t *testing.T) {
-	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.ChunkVertices = 32
-	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, testDevice(), cfg)
-	tl := metrics.NewTimeline()
-	b, err := sched.Prepare(ds.BatchDsts(30, 1), tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Release()
-	comp := tl.Completion()
-	for _, task := range []string{"sample", "reindex", "lookup", "transfer"} {
-		if _, ok := comp[task]; !ok {
-			t.Errorf("timeline missing task %q", task)
-		}
-	}
-}
-
 func TestSchedulerOOMPropagates(t *testing.T) {
 	ds := testDataset(t)
 	cfg := gpusim.DefaultConfig()
@@ -128,5 +114,114 @@ func TestSchedulerOOMPropagates(t *testing.T) {
 	}
 	if _, ok := err.(*gpusim.OOMError); !ok {
 		t.Fatalf("expected *gpusim.OOMError, got %T: %v", err, err)
+	}
+}
+
+// TestSchedulerLinkAccounting: the streamed T subtasks leave the batch's
+// modeled link traffic readable on the device's own engine — graphs plus
+// the embedding rows that actually cross (cache-resident rows are
+// device-held) — and a host-only scheduler never touches the link.
+func TestSchedulerLinkAccounting(t *testing.T) {
+	ds := testDataset(t)
+	dsts := ds.BatchDsts(30, 1)
+	prepare := func(mut func(*Config)) (*gpusim.Device, *prep.Batch) {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.ChunkVertices = 32
+		mut(&cfg)
+		dev := testDevice()
+		sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, dev, cfg)
+		t.Cleanup(sched.Close)
+		b, err := sched.Prepare(dsts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Release)
+		return dev, b
+	}
+
+	dev, plain := prepare(func(*Config) {})
+	want := prep.GraphBytes(plain.Layers) + prep.MissBytes(plain)
+	if got := dev.PCIe().BytesMoved(); got != want {
+		t.Errorf("link bytes %d, want graphs+misses %d", got, want)
+	}
+	if dev.PCIe().ModeledTime() <= 0 {
+		t.Error("a device prepare accrued no modeled link time")
+	}
+
+	dev, _ = prepare(func(c *Config) { c.HostOnly = true })
+	if dev.PCIe().BytesMoved() != 0 || dev.PCIe().ModeledTime() != 0 {
+		t.Errorf("host-only prepare touched the link: %d bytes, %v",
+			dev.PCIe().BytesMoved(), dev.PCIe().ModeledTime())
+	}
+
+	c := cache.New(ds.NumVertices()/4, cache.Degree, ds.Graph)
+	dev, cached := prepare(func(cfg *Config) { cfg.Cache = c })
+	if cached.CacheHits == 0 {
+		t.Fatal("cache produced no hits; the test needs some resident rows")
+	}
+	if got, saved := dev.PCIe().BytesMoved(), int64(cached.CacheHits)*int64(ds.Features.Dim)*4; got != want-saved {
+		t.Errorf("cached link bytes %d, want %d - %d hit bytes", got, want, saved)
+	}
+}
+
+// TestTransferLoopWakesOnFailure: the T loop blocks while nothing is staged,
+// so a subtask failure must wake it as surely as a landing chunk does. The
+// test plays the engine's workers itself: it withholds every subtask so the
+// loop parks with no chunk pending, records a failure, and only then stages
+// the K subtasks' chunks. Prepare has to come back with that error — not
+// hang — and every staged chunk has to be back in the tensor pool.
+func TestTransferLoopWakesOnFailure(t *testing.T) {
+	ds := testDataset(t)
+	cfg := DefaultConfig()
+	cfg.HostOnly = true
+	cfg.ChunkVertices = 1 << 30 // one K subtask per hop
+	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, nil, cfg)
+	sched.engine.spawn.Do(func() {}) // no workers: subtasks wait in the queue for the test
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := sched.Prepare(ds.BatchDsts(30, 1), nil)
+		done <- err
+	}()
+
+	// One R and one K subtask per hop, all queued before the T loop starts.
+	tasks := make([]*subtask, 2*cfg.Sampler.Layers)
+	for i := range tasks {
+		tasks[i] = <-sched.engine.tasks
+	}
+	r := tasks[0].r
+	runtime.Gosched() // let the loop reach its wait where the scheduler allows
+	boom := errors.New("boom")
+	r.setErr(boom)
+
+	// Stage each K subtask's chunk by hand — silently, so the failure's is
+	// the only wake-up the loop ever gets — keeping hold of the buffers:
+	// whether the loop streams one on its way out or the error path reclaims
+	// it, every one of them must be back in the pool when Prepare returns.
+	var staged []*tensor.Matrix
+	for _, st := range tasks {
+		if st.kind == taskLookup {
+			buf := tensor.Get(st.hi-st.lo, ds.Features.Dim)
+			r.mu.Lock()
+			r.chunks = append(r.chunks, embedChunk{lo: st.lo, hi: st.hi, data: buf})
+			r.mu.Unlock()
+			staged = append(staged, buf)
+		}
+		r.wg.Done()
+	}
+
+	select {
+	case err := <-done:
+		if !errors.Is(err, boom) {
+			t.Fatalf("Prepare returned %v, want the recorded failure", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Prepare still parked 10s after a subtask failed")
+	}
+	for i, m := range staged {
+		if m.Data != nil {
+			t.Errorf("staged chunk %d was not returned to the tensor pool", i)
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"graphtensor/internal/sampling"
 )
 
-// producerFixture returns a slot-aware prepare over the test dataset
-// (host-only, so no modeled transfer throttling slows the loop).
+// producerFixture returns a slot-aware host-only prepare over the test
+// dataset.
 func producerFixture(t *testing.T) (func([]graph.VID, *Slot) (*prep.Batch, error), func(i int) []graph.VID) {
 	t.Helper()
 	ds := testDataset(t)
@@ -106,7 +106,7 @@ func TestRingProducerAllocFlat(t *testing.T) {
 	ds := testDataset(t)
 	serialPrep, _ := producerFixture(t)
 	cfg := DefaultConfig()
-	cfg.HostOnly = true // no modeled transfer throttling in the loop
+	cfg.HostOnly = true
 	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, nil, cfg)
 
 	fixtures := []struct {
@@ -115,7 +115,7 @@ func TestRingProducerAllocFlat(t *testing.T) {
 	}{
 		{"serial", serialPrep},
 		{"scheduler", func(d []graph.VID, s *Slot) (*prep.Batch, error) {
-			return sched.PrepareSlot(d, nil, s)
+			return sched.Prepare(d, s)
 		}},
 	}
 	for _, fx := range fixtures {
@@ -125,7 +125,7 @@ func TestRingProducerAllocFlat(t *testing.T) {
 			dsts := ds.BatchDsts(20, 7)
 
 			epoch := func(batches int) {
-				ring := NewRingShared(0, batches, slots,
+				ring := NewRing(0, batches, slots,
 					func(int) []graph.VID { return dsts }, fx.prepare)
 				for i := 0; i < batches; i++ {
 					b, err := ring.Next()

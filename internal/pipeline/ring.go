@@ -19,7 +19,7 @@ import (
 // reallocated. A slot re-enters the rotation only after its batch's
 // Release, so no two in-flight batches ever alias storage.
 //
-// Lifecycle: NewRing starts the producer over the given dst lists; Next
+// Lifecycle: NewRing starts the producer over the dst-list schedule; Next
 // returns batches in order; Stop cancels outstanding work, releases any
 // prepared-but-undelivered batches and waits for the producer to exit.
 // Stop is idempotent and safe mid-stream, which is how the training driver
@@ -53,39 +53,29 @@ type ringItem struct {
 // delivered, or after Stop.
 var ErrRingDrained = errors.New("pipeline: prefetch ring drained")
 
-// NewRing builds a prefetch ring over the dst lists and starts preparing up
-// to depth batches ahead. depth 0 disables the background producer.
-func NewRing(depth int, lists [][]graph.VID,
-	prepare func([]graph.VID, *Slot) (*prep.Batch, error)) *Ring {
-	return NewRingFunc(depth, len(lists),
-		func(i int) []graph.VID { return lists[i] }, prepare)
-}
-
-// NewRingFunc is NewRing with the n dst lists drawn lazily, in order, from
-// next — batch i's list is requested only when its preparation starts, so a
-// long schedule (the training driver feeds whole runs through one ring)
-// never materializes every list up front. next runs on the producer
-// goroutine (or the caller's, at depth 0); it must tolerate not being
-// called for the tail of the schedule when the ring is stopped early.
-func NewRingFunc(depth, n int, next func(i int) []graph.VID,
+// NewRing builds a prefetch ring over n dst lists and starts preparing up
+// to depth batches ahead; depth 0 disables the background producer. The
+// lists are drawn lazily, in order, from next — batch i's list is requested
+// only when its preparation starts, so a long schedule (the training driver
+// feeds whole runs through one ring) never materializes every list up
+// front. next runs on the producer goroutine (or the caller's, at depth 0);
+// it must tolerate not being called for the tail of the schedule when the
+// ring is stopped early.
+//
+// slots is the rotation the ring draws from: a caller-owned free-list (see
+// NewSlotRing), or nil for depth+2 fresh slots. Successive rings built over
+// the same channel reuse the same slot storage — a trainer's steady-state
+// epochs allocate no new producer structures across rings. A slot still
+// lent to an outstanding batch of a previous (stopped) ring simply
+// re-enters the channel on that batch's Release; until then the new ring
+// runs with the remaining slots.
+func NewRing(depth, n int, slots chan *Slot, next func(i int) []graph.VID,
 	prepare func([]graph.VID, *Slot) (*prep.Batch, error)) *Ring {
 	if depth < 0 {
 		depth = 0
 	}
-	return NewRingShared(depth, n, NewSlotRing(depth+2), next, prepare)
-}
-
-// NewRingShared is NewRingFunc drawing its rotation from a caller-owned
-// slot free-list (see NewSlotRing) instead of fresh slots. Successive rings
-// built over the same channel reuse the same slot storage — a trainer's
-// steady-state epochs allocate no new producer structures across rings. A
-// slot still lent to an outstanding batch of a previous (stopped) ring
-// simply re-enters the channel on that batch's Release; until then the new
-// ring runs with the remaining slots.
-func NewRingShared(depth, n int, slots chan *Slot, next func(i int) []graph.VID,
-	prepare func([]graph.VID, *Slot) (*prep.Batch, error)) *Ring {
-	if depth < 0 {
-		depth = 0
+	if slots == nil {
+		slots = NewSlotRing(depth + 2)
 	}
 	r := &Ring{
 		prepare: prepare,

@@ -19,7 +19,7 @@ func ringFixture(t *testing.T, n, batch int) (func([]graph.VID, *Slot) (*prep.Ba
 	dev := testDevice()
 	samplerCfg := sampling.DefaultConfig()
 	prepare := func(d []graph.VID, s *Slot) (*prep.Batch, error) {
-		return SerialCfg(ds.Graph, ds.Features, ds.Labels, dev, d, samplerCfg,
+		return Serial(ds.Graph, ds.Features, ds.Labels, dev, d, samplerCfg,
 			prep.Config{Format: prep.FormatCSR, Arena: s.TensorArena(), Structs: s.StructPool()})
 	}
 	lists := make([][]graph.VID, n)
@@ -29,13 +29,18 @@ func ringFixture(t *testing.T, n, batch int) (func([]graph.VID, *Slot) (*prep.Ba
 	return prepare, lists
 }
 
+// at adapts materialized dst lists to the ring's lazy schedule.
+func at(lists [][]graph.VID) func(int) []graph.VID {
+	return func(i int) []graph.VID { return lists[i] }
+}
+
 // TestRingDeliversInOrder: batches come out of the ring in submission
 // order, for both the background-producer and the synchronous depth-0 mode.
 func TestRingDeliversInOrder(t *testing.T) {
 	for _, depth := range []int{0, 1, 3} {
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
 			prepare, lists := ringFixture(t, 6, 12)
-			ring := NewRing(depth, lists, prepare)
+			ring := NewRing(depth, len(lists), nil, at(lists), prepare)
 			defer ring.Stop()
 			for i := range lists {
 				b, err := ring.Next()
@@ -61,7 +66,7 @@ func TestRingDeliversInOrder(t *testing.T) {
 // storage, and releasing one must not disturb another.
 func TestRingNoAliasingAcrossInFlightBatches(t *testing.T) {
 	prepare, lists := ringFixture(t, 4, 15)
-	ring := NewRing(2, lists, prepare)
+	ring := NewRing(2, len(lists), nil, at(lists), prepare)
 	defer ring.Stop()
 
 	b1, err := ring.Next()
@@ -105,7 +110,7 @@ func TestRingNoAliasingAcrossInFlightBatches(t *testing.T) {
 // handed out stays usable.
 func TestRingStopMidStreamDrains(t *testing.T) {
 	prepare, lists := ringFixture(t, 6, 10)
-	ring := NewRing(3, lists, prepare)
+	ring := NewRing(3, len(lists), nil, at(lists), prepare)
 	b, err := ring.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +130,7 @@ func TestRingPropagatesPrepareError(t *testing.T) {
 	boom := errors.New("boom")
 	fail := func(d []graph.VID, s *Slot) (*prep.Batch, error) { return nil, boom }
 	for _, depth := range []int{0, 2} {
-		ring := NewRing(depth, [][]graph.VID{{1}, {2}}, fail)
+		ring := NewRing(depth, 2, nil, at([][]graph.VID{{1}, {2}}), fail)
 		if _, err := ring.Next(); !errors.Is(err, boom) {
 			t.Fatalf("depth %d: got %v, want prepare error", depth, err)
 		}

@@ -83,13 +83,12 @@ func (e *subtaskEngine) recycle(t *subtask) {
 }
 
 // getRun checks out a reset per-prepare run state.
-func (e *subtaskEngine) getRun(s *Scheduler, bd *metrics.Breakdown, tl *metrics.Timeline,
-	structs *prep.Structs) *prepRun {
+func (e *subtaskEngine) getRun(s *Scheduler, bd *metrics.Breakdown, structs *prep.Structs) *prepRun {
 	r, _ := e.runs.Get().(*prepRun)
 	if r == nil {
-		r = &prepRun{}
+		r = &prepRun{wake: make(chan struct{}, 1)}
 	}
-	r.s, r.bd, r.tl, r.structs = s, bd, tl, structs
+	r.s, r.bd, r.structs = s, bd, structs
 	r.chunks, r.drain = r.chunks[:0], r.drain[:0]
 	r.err = nil
 	return r
@@ -98,7 +97,7 @@ func (e *subtaskEngine) getRun(s *Scheduler, bd *metrics.Breakdown, tl *metrics.
 // putRun returns the run state to the pool. Only call once wg has drained —
 // no subtask may still hold the run.
 func (e *subtaskEngine) putRun(r *prepRun) {
-	r.s, r.bd, r.tl, r.structs, r.table, r.layers = nil, nil, nil, nil, nil, nil
+	r.s, r.bd, r.structs, r.table, r.layers = nil, nil, nil, nil, nil
 	for i := range r.chunks {
 		r.chunks[i] = embedChunk{}
 	}
@@ -116,7 +115,6 @@ func (e *subtaskEngine) putRun(r *prepRun) {
 type prepRun struct {
 	s       *Scheduler
 	bd      *metrics.Breakdown
-	tl      *metrics.Timeline
 	structs *prep.Structs
 	table   *vidmap.Table
 	layers  []prep.LayerData
@@ -129,6 +127,12 @@ type prepRun struct {
 
 	errMu sync.Mutex
 	err   error
+
+	// wake holds at most one token telling the T loop there is something
+	// to look at: a staged chunk or a recorded error. Signals never block
+	// (see notify), and a token left over from an earlier look costs the
+	// loop one empty pass, nothing more.
+	wake chan struct{}
 }
 
 // embedChunk is one gathered slice of the batch embedding table, staged by
@@ -139,9 +143,12 @@ type embedChunk struct {
 	data         *tensor.Matrix
 }
 
-func (r *prepRun) record(task string, done, total int) {
-	if r.tl != nil {
-		r.tl.Record(task, done, total)
+// notify wakes the T loop if it is parked. The token is buffered, so a
+// signal sent before the loop parks is not lost.
+func (r *prepRun) notify() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -151,6 +158,7 @@ func (r *prepRun) setErr(err error) {
 		r.err = err
 	}
 	r.errMu.Unlock()
+	r.notify()
 }
 
 func (r *prepRun) failed() bool {
@@ -235,7 +243,6 @@ func (t *subtask) reindex() {
 	}
 	r.layers[t.li] = ld
 	r.bd.Add("reindex", time.Since(st))
-	r.record("reindex", t.hop.NumSrc, -1)
 }
 
 // lookup is the K subtask: gather one chunk of embeddings into a pooled
@@ -258,8 +265,8 @@ func (t *subtask) lookup() {
 		hits, _ = s.cfg.Cache.CountResident(t.origs[t.lo:t.hi])
 	}
 	r.bd.Add("lookup", time.Since(st))
-	r.record("lookup", t.hi-t.lo, -1)
 	r.mu.Lock()
 	r.chunks = append(r.chunks, embedChunk{lo: t.lo, hi: t.hi, hits: hits, data: buf})
 	r.mu.Unlock()
+	r.notify()
 }

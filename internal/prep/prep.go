@@ -7,7 +7,6 @@ package prep
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"graphtensor/internal/cache"
@@ -152,15 +151,10 @@ func BuildLayer(coo *graph.BCOO, format Format) LayerData {
 	panic(fmt.Sprintf("prep: unknown format %d", int(format)))
 }
 
-// Lookup gathers the embeddings of every sampled vertex into a new table
-// indexed by new VID (the K task).
-func Lookup(features *graph.EmbeddingTable, table *vidmap.Table) *graph.EmbeddingTable {
-	return LookupArena(nil, features, table)
-}
-
-// LookupArena is Lookup with the output table drawn from a batch-scoped
-// arena (nil falls back to a plain allocation).
-func LookupArena(a *tensor.Arena, features *graph.EmbeddingTable, table *vidmap.Table) *graph.EmbeddingTable {
+// Lookup gathers the embeddings of every sampled vertex into a table
+// indexed by new VID (the K task), drawn from the batch-scoped arena a (nil
+// falls back to a plain allocation).
+func Lookup(a *tensor.Arena, features *graph.EmbeddingTable, table *vidmap.Table) *graph.EmbeddingTable {
 	vids := table.OrigSlice(0, table.Len())
 	out := graph.NewEmbeddingTableArena(a, len(vids), features.Dim)
 	features.GatherInto(out, vids, 0, len(vids))
@@ -240,7 +234,7 @@ func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 	bd.Add("reindex", time.Since(t0))
 
 	t0 = time.Now()
-	embed := LookupArena(cfg.Arena, features, res.Table)
+	embed := Lookup(cfg.Arena, features, res.Table)
 	var hits, missed int
 	if cfg.Cache != nil {
 		hits, missed = cfg.Cache.CountResident(res.Table.OrigSlice(0, res.Table.Len()))
@@ -258,7 +252,7 @@ func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 		}
 	}
 	if !cfg.HostOnly {
-		if err := TransferArena(batch, dev, cfg.Pinned, cfg.Arena); err != nil {
+		if err := Transfer(batch, dev, cfg.Pinned, cfg.Arena); err != nil {
 			return nil, err
 		}
 	}
@@ -267,19 +261,13 @@ func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 }
 
 // Transfer allocates device memory for the batch's graphs and embedding
-// table and copies them over the modeled PCIe link (the T task). The
-// modeled link time is paid to the wall clock through a LinkThrottle so
-// pipeline overlap experiments observe realistic transfer occupancy.
-func Transfer(b *Batch, dev *gpusim.Device, pinned bool) error {
-	return TransferArena(b, dev, pinned, nil)
-}
-
-// TransferArena is Transfer with the device-side host mirror drawn from a
-// batch-scoped arena (nil falls back to a plain allocation). Cache-resident
-// embedding rows (b.CacheHits of them) are already device-held and cross
-// the link for free; the host mirror is still fully populated, so batch
-// contents never depend on residency.
-func TransferArena(b *Batch, dev *gpusim.Device, pinned bool, a *tensor.Arena) error {
+// table and accounts their crossing of the modeled PCIe link on the
+// device's engine (the T task); no wall time is spent on the link. The
+// device-side host mirror is drawn from the batch-scoped arena a (nil falls
+// back to a plain allocation). Cache-resident embedding rows (b.CacheHits
+// of them) are already device-held and cross for free; the mirror is still
+// fully populated, so batch contents never depend on residency.
+func Transfer(b *Batch, dev *gpusim.Device, pinned bool, a *tensor.Arena) error {
 	pcie := dev.PCIe()
 	gBytes := GraphBytes(b.Layers)
 	gbuf, err := dev.Alloc(gBytes, "batch-graphs")
@@ -287,7 +275,7 @@ func TransferArena(b *Batch, dev *gpusim.Device, pinned bool, a *tensor.Arena) e
 		return err
 	}
 	b.DeviceBuffers = append(b.DeviceBuffers, gbuf)
-	d := pcie.TransferBytes(gBytes, pinned)
+	pcie.TransferBytes(gBytes, pinned)
 
 	ebuf, err := dev.Alloc(b.Embed.Bytes(), "batch-embeddings")
 	if err != nil {
@@ -296,11 +284,8 @@ func TransferArena(b *Batch, dev *gpusim.Device, pinned bool, a *tensor.Arena) e
 	b.DeviceBuffers = append(b.DeviceBuffers, ebuf)
 	deviceCopy := graph.NewEmbeddingTableArena(a, b.Embed.NumVertices(), b.Embed.Dim)
 	copy(deviceCopy.Data.Data, b.Embed.Data.Data)
-	d += pcie.TransferStaged(b.Embed.Data.Data, MissBytes(b), pinned)
+	pcie.TransferBytes(MissBytes(b), pinned)
 	b.Embed = deviceCopy
-	var link LinkThrottle
-	link.Pay(d)
-	link.Flush()
 	return nil
 }
 
@@ -313,55 +298,4 @@ func MissBytes(b *Batch) int64 {
 		rows = 0
 	}
 	return int64(rows) * int64(b.Embed.Dim) * 4
-}
-
-// LinkThrottle converts modeled PCIe transfer time into wall-clock delay.
-// DMA engines move data without occupying a CPU core, so the delay is a
-// sleep — concurrent preprocessing subtasks keep running during the
-// transfer, exactly the overlap the service-wide tensor scheduler
-// exploits. Because the host's sleep granularity is coarse (≈1 ms on small
-// VMs), the throttle accumulates debt and sleeps in large quanta; Flush
-// pays whatever remains.
-type LinkThrottle struct {
-	mu   sync.Mutex
-	debt time.Duration
-}
-
-// Quantum is the minimum sleep the throttle issues before Flush.
-const throttleQuantum = 2 * time.Millisecond
-
-// Pay accrues modeled transfer time, sleeping when enough debt gathered.
-func (l *LinkThrottle) Pay(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	l.mu.Lock()
-	l.debt += d
-	due := l.debt
-	if due < throttleQuantum {
-		l.mu.Unlock()
-		return
-	}
-	l.debt = 0
-	l.mu.Unlock()
-	sleepAccurate(due)
-}
-
-// Flush pays any remaining debt.
-func (l *LinkThrottle) Flush() {
-	l.mu.Lock()
-	due := l.debt
-	l.debt = 0
-	l.mu.Unlock()
-	sleepAccurate(due)
-}
-
-// sleepAccurate sleeps for d; overshoot from coarse host timers is
-// accepted — it affects every preprocessing discipline equally because all
-// of them pay the link through the same throttle quanta.
-func sleepAccurate(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	time.Sleep(d)
 }

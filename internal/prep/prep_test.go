@@ -3,6 +3,7 @@ package prep
 import (
 	"testing"
 
+	"graphtensor/internal/cache"
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
 	"graphtensor/internal/sampling"
@@ -95,10 +96,46 @@ func TestSerialOOM(t *testing.T) {
 	}
 }
 
-func TestLinkThrottleAccumulates(t *testing.T) {
-	var l LinkThrottle
-	// Small pays below the quantum should not block; Flush settles them.
-	l.Pay(100)
-	l.Pay(200)
-	l.Flush() // must not panic; debt cleared
+// TestSerialLinkAccounting: the T task's modeled link traffic stays readable
+// on the device's own engine after the prepare — graphs plus the embedding
+// rows that actually cross (cache-resident rows are device-held) — and a
+// host-only prepare never touches the link.
+func TestSerialLinkAccounting(t *testing.T) {
+	full := ring(120, 5)
+	feats := graph.RandomEmbeddingTableForTest(120, 8)
+	dsts := []graph.VID{4, 8, 12}
+	prepare := func(cfg Config) (*gpusim.Device, *Batch) {
+		t.Helper()
+		dev := gpusim.NewDevice(gpusim.DefaultConfig())
+		cfg.Format, cfg.Pinned = FormatCSRCSC, true
+		b, err := Serial(sampling.New(full, sampling.DefaultConfig()), feats, nil, dev, dsts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Release)
+		return dev, b
+	}
+
+	dev, plain := prepare(Config{})
+	want := GraphBytes(plain.Layers) + MissBytes(plain)
+	if got := dev.PCIe().BytesMoved(); got != want {
+		t.Errorf("link bytes %d, want graphs+misses %d", got, want)
+	}
+	if dev.PCIe().ModeledTime() <= 0 {
+		t.Error("a device prepare accrued no modeled link time")
+	}
+
+	dev, _ = prepare(Config{HostOnly: true})
+	if dev.PCIe().BytesMoved() != 0 || dev.PCIe().ModeledTime() != 0 {
+		t.Errorf("host-only prepare touched the link: %d bytes, %v",
+			dev.PCIe().BytesMoved(), dev.PCIe().ModeledTime())
+	}
+
+	dev, cached := prepare(Config{Cache: cache.New(40, cache.Degree, full)})
+	if cached.CacheHits == 0 {
+		t.Fatal("cache produced no hits; the test needs some resident rows")
+	}
+	if got, saved := dev.PCIe().BytesMoved(), int64(cached.CacheHits)*int64(feats.Dim)*4; got != want-saved {
+		t.Errorf("cached link bytes %d, want %d - %d hit bytes", got, want, saved)
+	}
 }

@@ -27,7 +27,6 @@ type replica struct {
 	ctx   *kernels.Ctx
 	arena *gpusim.DeviceArena
 	model *core.Model
-	pcie  *gpusim.PCIe
 
 	// slot is the replica's warm producer slot: its arena and structure
 	// pool recycle everything preparation builds, so a steady-state served
@@ -64,7 +63,6 @@ func newReplica(s *Server, id int) (*replica, error) {
 		ctx:    kernels.NewCtx(dev),
 		arena:  dev.NewArena(),
 		model:  m,
-		pcie:   dev.PCIe(),
 		slot:   pipeline.NewSlot(),
 		revive: make(chan struct{}, 1),
 	}, nil
@@ -282,7 +280,7 @@ func (r *replica) serveBatch(mb *microBatch) bool {
 			r.dev.Kill()
 		}
 	}
-	b, err := s.sched.PrepareSlot(mb.dsts, nil, r.slot)
+	b, err := s.sched.Prepare(mb.dsts, r.slot)
 	if err != nil {
 		s.complete(mb, time.Now(), err)
 		return true
@@ -319,14 +317,15 @@ func (r *replica) failover(mb *microBatch) bool {
 	return false
 }
 
-// inferBatch pays the batch's transfer, runs FWP on the replica's snapshot
-// and scatters each ticket's logit rows into its caller-owned buffer.
+// inferBatch accounts the batch's transfer, runs FWP on the replica's
+// snapshot and scatters each ticket's logit rows into its caller-owned
+// buffer.
 func (r *replica) inferBatch(b *prep.Batch, mb *microBatch) error {
-	// The batch staged host-only; this replica pays the host→device scatter
-	// for it — cache-resident embedding rows cross the link for free, the
-	// PaGraph discipline (§VII [38]).
-	var link prep.LinkThrottle
-	link.Pay(r.pcie.TransferBytes(prep.MissBytes(b)+prep.GraphBytes(b.Layers), r.srv.tr.Pinned()))
+	// The batch staged host-only; its host→device scatter is accounted on
+	// this replica's device link (modeled time only) — cache-resident
+	// embedding rows cross the link for free, the PaGraph discipline
+	// (§VII [38]).
+	r.dev.PCIe().TransferBytes(prep.MissBytes(b)+prep.GraphBytes(b.Layers), r.srv.tr.Pinned())
 
 	x, err := kernels.WrapDeviceMatrix(r.dev, b.Embed.Data, "serve-x")
 	if err != nil {
@@ -337,7 +336,6 @@ func (r *replica) inferBatch(b *prep.Batch, mb *microBatch) error {
 		return err
 	}
 	logits, err := r.infer.Infer(r.ctx, r.model, b, x)
-	link.Flush()
 	if err != nil {
 		x.Free()
 		r.endBatch()

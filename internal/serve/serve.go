@@ -29,7 +29,8 @@
 //   - Cache-aware prep: an optional PaGraph-style embedding cache
 //     (internal/cache) lets resident vertices skip the modeled host→device
 //     transfer; residency reads ride the cache's lock-free epoch snapshot,
-//     and each replica pays the miss-only scatter on its own PCIe engine.
+//     and each replica accounts the miss-only scatter on its own device's
+//     PCIe engine.
 //   - Replica scaling: N replicas — one simulated device, kernels.Ctx,
 //     device arena and weight snapshot each, the multigpu replica
 //     machinery — drain the micro-batch queues concurrently; their kernel
@@ -48,6 +49,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,6 +60,7 @@ import (
 	"graphtensor/internal/frameworks"
 	"graphtensor/internal/graph"
 	"graphtensor/internal/metrics"
+	"graphtensor/internal/multigpu"
 	"graphtensor/internal/pipeline"
 )
 
@@ -123,6 +126,11 @@ var ErrDeadlineExceeded = errors.New("serve: query deadline exceeded")
 // injection has killed every replica's device: with no surviving device the
 // server fails the work rather than strand its callers.
 var ErrReplicasLost = errors.New("serve: every replica's device was lost")
+
+// ErrInvalidVertex is returned for a query naming a dst vertex outside the
+// served graph. The query is refused at admission, before it can reach a
+// batch it would share with other callers.
+var ErrInvalidVertex = errors.New("serve: dst vertex out of range")
 
 // testHookServeBatch, when set (before the server starts — tests only),
 // runs at the head of every replica's serveBatch. The backpressure tests
@@ -259,7 +267,7 @@ type Server struct {
 	placements []dkp.Placement
 
 	// sched is the replicas' shared host-only preprocessing engine: its
-	// persistent sampler and subtask workers serve concurrent PrepareSlot
+	// persistent sampler and subtask workers serve concurrent Prepare
 	// calls, one per replica draining a batch.
 	sched    *pipeline.Scheduler
 	replicas []*replica
@@ -503,9 +511,25 @@ func (s *Server) SubmitCtx(ctx context.Context, dsts []graph.VID, out []float32)
 	return s.submit(ctx, deadline, dsts, out)
 }
 
+// checkDsts rejects a query holding any dst outside [0, NumVertices): the
+// sampler indexes the graph by dst unchecked, and a replica's panic would
+// take every coalesced co-tenant down with it.
+func (s *Server) checkDsts(dsts []graph.VID) error {
+	n := graph.VID(s.tr.Dataset.NumVertices())
+	for _, v := range dsts {
+		if v < 0 || v >= n {
+			return fmt.Errorf("%w: %d not in [0, %d)", ErrInvalidVertex, v, n)
+		}
+	}
+	return nil
+}
+
 func (s *Server) submit(ctx context.Context, deadline time.Time, dsts []graph.VID, out []float32) (*Ticket, error) {
 	if len(out) < len(dsts)*s.outDim {
 		return nil, errors.New("serve: logit buffer smaller than len(dsts) x OutDim")
+	}
+	if err := s.checkDsts(dsts); err != nil {
+		return nil, err
 	}
 	// Fast-path short-circuit: a query whose bound has already lapsed is
 	// refused before a ticket is even checked out — no shard queue, no
@@ -551,6 +575,9 @@ func (s *Server) SubmitMany(queries [][]graph.VID, outs [][]float32, tks []*Tick
 	for q := range queries {
 		if len(outs[q]) < len(queries[q])*s.outDim {
 			return errors.New("serve: logit buffer smaller than len(dsts) x OutDim")
+		}
+		if err := s.checkDsts(queries[q]); err != nil {
+			return err
 		}
 	}
 	sc, _ := s.scratch.Get().(*submitScratch)
@@ -975,10 +1002,9 @@ type Stats struct {
 	Placements []PlacementCount
 }
 
-// PlacementCount tallies served batches by kernel placement for one layer.
-type PlacementCount struct {
-	AggrFirst, CombFirst int
-}
+// PlacementCount tallies served batches by kernel placement for one layer —
+// the same per-layer tally the training group reports.
+type PlacementCount = multigpu.PlacementCount
 
 // Stats snapshots the server's cumulative report by merging the per-shard
 // counters and latency rings (the only place they are ever combined).

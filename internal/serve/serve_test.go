@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -621,5 +622,59 @@ func TestBlockedSubmitRacingClose(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("no query was admitted before Close — race not exercised")
+	}
+}
+
+// TestInvalidVertexRejected: a dst outside the served graph is a typed
+// error at admission — negative or past the last vertex, through Query or
+// anywhere inside a SubmitMany call (which then enqueues none of its
+// queries) — and the server keeps serving: a valid query submitted
+// alongside the hostile ones gets logits bitwise equal to a clean server's.
+func TestInvalidVertexRejected(t *testing.T) {
+	ds := testDS(t)
+	tr := testTrainer(t, frameworks.PreproGT, ds)
+	cfg := Config{MaxBatch: 64, MaxDelay: 20 * time.Millisecond, Replicas: 2, Shards: 2}
+	valid := ds.BatchDsts(20, 77)
+	want := queryLogits(t, tr, cfg, [][]graph.VID{valid}, false)[0]
+
+	s, err := NewServer(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		out := make([]float32, 2*s.OutDim())
+		for _, bad := range [][]graph.VID{{1 << 30}, {-1}, {3, graph.VID(ds.NumVertices())}} {
+			if err := s.Query(bad, out); !errors.Is(err, ErrInvalidVertex) {
+				t.Errorf("Query(%v) = %v, want ErrInvalidVertex", bad, err)
+			}
+		}
+		queries := [][]graph.VID{valid, {1 << 30}}
+		outs := [][]float32{make([]float32, len(valid)*s.OutDim()), out}
+		tks := make([]*Ticket, 2)
+		if err := s.SubmitMany(queries, outs, tks); !errors.Is(err, ErrInvalidVertex) {
+			t.Errorf("SubmitMany with one bad query = %v, want ErrInvalidVertex", err)
+		}
+		if tks[0] != nil || tks[1] != nil {
+			t.Error("SubmitMany handed out tickets for a refused call")
+		}
+	}()
+
+	got := make([]float32, len(valid)*s.OutDim())
+	if err := s.Query(valid, got); err != nil {
+		t.Fatalf("valid query beside hostile ones: %v", err)
+	}
+	wg.Wait()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("logit %d = %v, want %v (bitwise, clean server)", i, got[i], want[i])
+		}
+	}
+	if st := s.Stats(); st.Queries != 1 {
+		t.Errorf("server counted %d queries, want only the valid one", st.Queries)
 	}
 }

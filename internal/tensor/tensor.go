@@ -1,22 +1,21 @@
 // Package tensor provides float32 dense matrices and the parallel linear
 // algebra the GraphTensor combination stage (MLP forward and backward)
-// needs. It is the stand-in for the TensorFlow dense primitives
-// (tf.matmul, tf.nn.bias_add, tf.nn.relu) the paper's Apply uses.
+// needs. It is the stand-in for the TensorFlow dense primitive (tf.matmul)
+// the paper's Apply uses; bias and activation live with the instrumented
+// kernels (kernels.BiasReLU).
 //
 // All operations are deterministic; parallel kernels split work by rows so
 // results are bitwise identical regardless of worker count. Every kernel
-// exists in two forms: an allocating form (MatMul, Add, ...) kept for
-// convenience, and a destination-passing form (MatMulInto, AddInto, ...)
-// that writes into caller-owned storage — typically drawn from the pool in
-// pool.go — and performs no heap allocation on the serial path. The
+// exists in two forms: an allocating form (MatMul, Transpose, ...) kept for
+// convenience, and a destination-passing form (MatMulInto, TransposeInto,
+// ...) that writes into caller-owned storage — typically drawn from the pool
+// in pool.go — and performs no heap allocation on the serial path. The
 // allocating forms are thin wrappers over the Into forms, so the two are
 // always bitwise identical.
 package tensor
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
 
 	"graphtensor/internal/sched"
@@ -142,8 +141,6 @@ func rowWorkers(rows int) int {
 // them, keeping the dispatch closure-free.
 type pArgs struct {
 	dst, a, b *Matrix
-	s         float32
-	vec       []float32
 }
 
 var pArgsPool = sync.Pool{New: func() any { return new(pArgs) }}
@@ -153,7 +150,7 @@ var pArgsPool = sync.Pool{New: func() any { return new(pArgs) }}
 // so results are bitwise independent of the worker count.
 func runRows(rows, workers int, p *pArgs, fn func(ctx any, lo, hi int)) {
 	sched.Run(rows, workers, p, fn)
-	p.dst, p.a, p.b, p.s, p.vec = nil, nil, nil, 0, nil
+	p.dst, p.a, p.b = nil, nil, nil
 	pArgsPool.Put(p)
 }
 
@@ -181,28 +178,6 @@ func tMatMulTask(ctx any, lo, hi int) {
 func transposeTask(ctx any, lo, hi int) {
 	p := ctx.(*pArgs)
 	transposeRange(p.dst, p.a, lo, hi)
-}
-
-func addBiasTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	bias := p.vec
-	for i := lo; i < hi; i++ {
-		row := p.dst.Row(i)
-		for j := range row {
-			row[j] += bias[j]
-		}
-	}
-}
-
-func sumRowsTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	m, dst := p.a, p.vec
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := lo; j < hi; j++ {
-			dst[j] += row[j]
-		}
-	}
 }
 
 // gemmKBlock is the inner-dimension tile of the blocked GEMM kernels: a
@@ -437,180 +412,5 @@ func transposeRange(dst, m *Matrix, lo, hi int) {
 				}
 			}
 		}
-	}
-}
-
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	return AddInto(New(a.Rows, a.Cols), a, b)
-}
-
-// AddInto computes dst = a+b elementwise and returns dst. dst must match
-// the operand shape; it may alias a or b.
-func AddInto(dst, a, b *Matrix) *Matrix {
-	mustSameShape("add", a, b)
-	mustSameShape("add dst", dst, a)
-	bd := b.Data
-	for i, v := range a.Data {
-		dst.Data[i] = v + bd[i]
-	}
-	return dst
-}
-
-// Sub returns a−b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	return SubInto(New(a.Rows, a.Cols), a, b)
-}
-
-// SubInto computes dst = a−b elementwise and returns dst. dst must match
-// the operand shape; it may alias a or b.
-func SubInto(dst, a, b *Matrix) *Matrix {
-	mustSameShape("sub", a, b)
-	mustSameShape("sub dst", dst, a)
-	bd := b.Data
-	for i, v := range a.Data {
-		dst.Data[i] = v - bd[i]
-	}
-	return dst
-}
-
-// Hadamard returns a⊙b (elementwise product).
-func Hadamard(a, b *Matrix) *Matrix {
-	return HadamardInto(New(a.Rows, a.Cols), a, b)
-}
-
-// HadamardInto computes dst = a⊙b elementwise and returns dst. dst must
-// match the operand shape; it may alias a or b.
-func HadamardInto(dst, a, b *Matrix) *Matrix {
-	mustSameShape("hadamard", a, b)
-	mustSameShape("hadamard dst", dst, a)
-	bd := b.Data
-	for i, v := range a.Data {
-		dst.Data[i] = v * bd[i]
-	}
-	return dst
-}
-
-// Scale returns s·m.
-func Scale(m *Matrix, s float32) *Matrix {
-	return ScaleInto(New(m.Rows, m.Cols), m, s)
-}
-
-// ScaleInto computes dst = s·m and returns dst. dst must match m's shape;
-// it may alias m.
-func ScaleInto(dst, m *Matrix, s float32) *Matrix {
-	mustSameShape("scale dst", dst, m)
-	for i, v := range m.Data {
-		dst.Data[i] = v * s
-	}
-	return dst
-}
-
-// AddBias adds bias (1×Cols or len Cols) to every row of m in place and
-// returns m.
-func AddBias(m *Matrix, bias []float32) *Matrix {
-	if len(bias) != m.Cols {
-		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), m.Cols))
-	}
-	if workers := rowWorkers(m.Rows); workers > 1 {
-		p := getPArgs(m, nil, nil)
-		p.vec = bias
-		runRows(m.Rows, workers, p, addBiasTask)
-		return m
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += bias[j]
-		}
-	}
-	return m
-}
-
-// ReLU returns max(0, m) elementwise.
-func ReLU(m *Matrix) *Matrix {
-	return ReLUInto(New(m.Rows, m.Cols), m)
-}
-
-// ReLUInto computes dst = max(0, m) elementwise and returns dst. dst must
-// match m's shape; it may alias m.
-func ReLUInto(dst, m *Matrix) *Matrix {
-	mustSameShape("relu dst", dst, m)
-	for i, v := range m.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
-	}
-	return dst
-}
-
-// ReLUGrad returns grad⊙(pre > 0): the backward pass of ReLU given the
-// pre-activation values.
-func ReLUGrad(grad, pre *Matrix) *Matrix {
-	return ReLUGradInto(New(grad.Rows, grad.Cols), grad, pre)
-}
-
-// ReLUGradInto computes dst = grad⊙(pre > 0) and returns dst. dst must
-// match the operand shape; it may alias grad.
-func ReLUGradInto(dst, grad, pre *Matrix) *Matrix {
-	mustSameShape("relugrad", grad, pre)
-	mustSameShape("relugrad dst", dst, grad)
-	gd := grad.Data
-	for i, v := range pre.Data {
-		if v > 0 {
-			dst.Data[i] = gd[i]
-		} else {
-			dst.Data[i] = 0
-		}
-	}
-	return dst
-}
-
-// SumRows returns the column-wise sum of m as a length-Cols slice (the
-// bias gradient of an MLP layer).
-func SumRows(m *Matrix) []float32 {
-	return SumRowsInto(make([]float32, m.Cols), m)
-}
-
-// SumRowsInto accumulates the column-wise sum of m into dst (len m.Cols,
-// overwritten) and returns dst. Rows are added in ascending order per
-// column; the parallel split is by columns, so the result is bitwise
-// independent of worker count.
-func SumRowsInto(dst []float32, m *Matrix) []float32 {
-	if len(dst) != m.Cols {
-		panic(fmt.Sprintf("tensor: sumrows dst length %d != cols %d", len(dst), m.Cols))
-	}
-	clear(dst)
-	// The parallel split is by columns, so gate on a column floor (matching
-	// the 64-row kernel threshold) plus enough rows to amortize dispatch.
-	if m.Rows >= 256 && m.Cols >= 64 && runtime.GOMAXPROCS(0) > 1 {
-		p := getPArgs(nil, m, nil)
-		p.vec = dst
-		runRows(m.Cols, sched.Workers(m.Cols), p, sumRowsTask)
-		return dst
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += v
-		}
-	}
-	return dst
-}
-
-// FrobeniusNorm returns sqrt(Σ m_ij²).
-func FrobeniusNorm(m *Matrix) float64 {
-	var acc float64
-	for _, v := range m.Data {
-		acc += float64(v) * float64(v)
-	}
-	return math.Sqrt(acc)
-}
-
-func mustSameShape(op string, a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 }

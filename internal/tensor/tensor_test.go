@@ -61,55 +61,6 @@ func TestTMatMulEqualsTransposeMatMul(t *testing.T) {
 	}
 }
 
-func TestAddSubInverse(t *testing.T) {
-	rng := NewRNG(6)
-	a := Random(6, 6, 1, rng)
-	b := Random(6, 6, 1, rng)
-	if diff := Sub(Add(a, b), b).MaxAbsDiff(a); diff > 1e-6 {
-		t.Errorf("(A+B)-B != A: %g", diff)
-	}
-}
-
-func TestReLUAndGrad(t *testing.T) {
-	m := FromSlice(1, 4, []float32{-2, -0.1, 0.1, 3})
-	r := ReLU(m)
-	want := []float32{0, 0, 0.1, 3}
-	for i, v := range r.Data {
-		if math.Abs(float64(v-want[i])) > 1e-6 {
-			t.Errorf("relu[%d]=%g want %g", i, v, want[i])
-		}
-	}
-	grad := FromSlice(1, 4, []float32{1, 1, 1, 1})
-	g := ReLUGrad(grad, m)
-	wantG := []float32{0, 0, 1, 1}
-	for i, v := range g.Data {
-		if v != wantG[i] {
-			t.Errorf("relugrad[%d]=%g want %g", i, v, wantG[i])
-		}
-	}
-}
-
-func TestAddBias(t *testing.T) {
-	m := New(3, 2)
-	AddBias(m, []float32{1, 2})
-	for i := 0; i < 3; i++ {
-		if m.At(i, 0) != 1 || m.At(i, 1) != 2 {
-			t.Errorf("row %d not biased", i)
-		}
-	}
-}
-
-func TestSumRows(t *testing.T) {
-	m := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	got := SumRows(m)
-	want := []float32{5, 7, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sum[%d]=%g want %g", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMatMulPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -183,13 +134,6 @@ func TestGlorotUniformScale(t *testing.T) {
 		if v < -limit || v > limit {
 			t.Fatalf("glorot value %g outside ±%g", v, limit)
 		}
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromSlice(1, 2, []float32{3, 4})
-	if n := FrobeniusNorm(m); math.Abs(n-5) > 1e-6 {
-		t.Errorf("norm=%g want 5", n)
 	}
 }
 
