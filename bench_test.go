@@ -114,6 +114,10 @@ func BenchmarkDLApproachForwardNGCF(b *testing.B) {
 	benchStrategyForward(b, kernels.DLApproach{}, kernels.NGCFModes())
 }
 
+// BenchmarkMatMul measures the GEMM the engines run: kernels.Linear (and,
+// through it, every model forward, serving replica and dkp.Calibrate)
+// computes through tensor.MatMulInto. A fresh destination per iteration, as
+// Linear allocates its output (2 allocs/op: header + payload).
 func BenchmarkMatMul(b *testing.B) {
 	rng := tensor.NewRNG(2)
 	x := tensor.Random(512, 128, 1, rng)
@@ -121,7 +125,7 @@ func BenchmarkMatMul(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(x, w)
+		_ = tensor.MatMulInto(tensor.New(512, 64), x, w)
 	}
 }
 

@@ -33,9 +33,6 @@ func NewEngine(cfg gpusim.Config) *Engine {
 	return &Engine{Dev: dev, Ctx: kernels.NewCtx(dev)}
 }
 
-// ResetPhases clears the accumulated kernel-phase breakdown (Fig 16 data).
-func (e *Engine) ResetPhases() { e.Ctx.Phases = metrics.NewBreakdown() }
-
 // Phases returns the kernel-time breakdown accumulated so far.
 func (e *Engine) Phases() *metrics.Breakdown { return e.Ctx.Phases }
 

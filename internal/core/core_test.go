@@ -204,31 +204,3 @@ func TestSoftmaxCrossEntropyGradient(t *testing.T) {
 		}
 	}
 }
-
-func TestDFGRewriteInModel(t *testing.T) {
-	model, err := NewModel(Config{
-		Strategy:  kernels.NAPA{},
-		Specs:     modelSpecs(kernels.GCNModes(), 8, 4, 2),
-		EnableDKP: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range model.Layers {
-		if l.DFG.Find(0) == nil { // OpInput
-			t.Fatalf("layer %d: missing input node", i)
-		}
-		found := false
-		for _, n := range l.DFG.Topo() {
-			if n.Kind.String() == "Cost-DKP" {
-				found = true
-			}
-			if n.Kind.String() == "MatMul" || n.Kind.String() == "Pull" {
-				t.Errorf("layer %d: %s survived the DKP rewrite", i, n.Kind)
-			}
-		}
-		if !found {
-			t.Errorf("layer %d: Cost-DKP node not installed", i)
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"graphtensor/internal/dfg"
 	"graphtensor/internal/dkp"
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/tensor"
@@ -20,17 +19,14 @@ type LayerSpec struct {
 	Activation bool
 }
 
-// Layer is one instantiated GNN layer with its MLP parameters, gradients
-// and host-side dataflow graph.
+// Layer is one instantiated GNN layer with its MLP parameters and
+// gradients.
 type Layer struct {
 	Spec LayerSpec
 	W    *tensor.Matrix
 	B    []float32
 	DW   *tensor.Matrix
 	DB   []float32
-	// DFG is the layer's dataflow graph; when DKP is enabled the Pull and
-	// MatMul nodes have been replaced by a Cost-DKP node (Fig 11c).
-	DFG *dfg.Graph
 }
 
 // Config assembles a model.
@@ -40,8 +36,8 @@ type Config struct {
 	Strategy kernels.Strategy
 	Specs    []LayerSpec
 	Seed     uint64
-	// EnableDKP installs the Cost-DKP rewrite and lets the policy choose
-	// placements per layer shape (Dynamic-GT). Without it every layer
+	// EnableDKP lets the policy choose placements per layer shape
+	// (Dynamic-GT; see Model.Placement). Without it every layer
 	// runs aggregation-first (Base-GT and the baselines' default).
 	EnableDKP bool
 	// Policy decides placements when EnableDKP is set. Nil falls back to a
@@ -66,8 +62,7 @@ type Model struct {
 	dkpOn      bool
 }
 
-// NewModel initializes layer parameters (Glorot uniform) and builds the
-// per-layer DFGs, applying the Cost-DKP rewrite when DKP is enabled.
+// NewModel initializes layer parameters (Glorot uniform).
 func NewModel(cfg Config) (*Model, error) {
 	if cfg.Strategy == nil {
 		cfg.Strategy = kernels.NAPA{}
@@ -94,10 +89,6 @@ func NewModel(cfg Config) (*Model, error) {
 			B:    make([]float32, spec.OutDim),
 			DW:   tensor.New(spec.InDim, spec.OutDim),
 			DB:   make([]float32, spec.OutDim),
-			DFG:  dfg.BuildLayer(spec.Modes.HasEdgeWeight()),
-		}
-		if cfg.EnableDKP {
-			l.DFG.RewriteDKP()
 		}
 		m.Layers = append(m.Layers, l)
 	}
@@ -134,11 +125,6 @@ func (m *Model) rearrangeable(l *Layer) bool {
 	return isNAPA
 }
 
-// SetForcePlacement overrides (or, with nil, releases) the placement
-// decision for subsequent batches, for the manual pinned-placement
-// baselines and the placement-equivalence tests.
-func (m *Model) SetForcePlacement(p *dkp.Placement) { m.force = p }
-
 // SetLayerPlacements pins one placement per layer. Serving snapshots use
 // this to fix placements at construction time — a pure function of the
 // trainer's profile and layer specs — so the logits a query receives are
@@ -171,9 +157,12 @@ func (m *Model) LayerPlacements() []dkp.Placement {
 func (m *Model) Policy() *dkp.Policy { return m.policy }
 
 // Placement returns the execution order layer index li will use for the
-// given layer graph dimensions. The decision is a pure function of the
-// policy's fitted profile and the layer shape — never of measured wall
-// time — so every replica evaluating the same shard shape agrees.
+// given layer graph dimensions. This, with the switch on its result in
+// Forward, is the Cost-DKP node of §V-A (Fig 11c): the layer's Pull and
+// MatMul collapse into one node that picks their order per batch from the
+// cost model. The decision is a pure function of the policy's fitted
+// profile and the layer shape — never of measured wall time — so every
+// replica evaluating the same shard shape agrees.
 func (m *Model) Placement(li int, g *kernels.Graphs) dkp.Placement {
 	l := m.Layers[li]
 	if m.force != nil {

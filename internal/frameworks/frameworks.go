@@ -99,13 +99,6 @@ type Options struct {
 	Device    gpusim.Config
 	// LearningRate for TrainBatch's SGD step.
 	LearningRate float32
-	// PrefetchDepth is how many batches ahead the prefetch ring prepares
-	// for overlap-capable frameworks (<=0 defaults to 2). Ignored by the
-	// serial baselines. Device footprint: up to depth+2 batches hold
-	// device buffers at once (prepared-ahead + in-compute), plus one more
-	// during a concurrent validation Prepare — size gpusim memory (or
-	// lower the depth) accordingly.
-	PrefetchDepth int
 	// NumDevices selects the data-parallel engine: 0 (default) trains on
 	// the classic single-device engine; >=1 trains through a
 	// multigpu.DeviceGroup of that many devices. Every batch is carved into
@@ -139,17 +132,23 @@ type Options struct {
 // the datasets.
 func DefaultOptions() Options {
 	return Options{
-		Model:         "gcn",
-		Hidden:        8, // paper's 64 divided by the feature scale (8)
-		Layers:        2,
-		BatchSize:     300,
-		Fanout:        4,
-		Seed:          1,
-		Device:        gpusim.DefaultConfig(),
-		LearningRate:  0.05,
-		PrefetchDepth: 2,
+		Model:        "gcn",
+		Hidden:       8, // paper's 64 divided by the feature scale (8)
+		Layers:       2,
+		BatchSize:    300,
+		Fanout:       4,
+		Seed:         1,
+		Device:       gpusim.DefaultConfig(),
+		LearningRate: 0.05,
 	}
 }
+
+// prefetchDepth is how many batches ahead the prefetch ring prepares for
+// overlap-capable frameworks (the serial baselines run at depth 0). Device
+// footprint: up to prefetchDepth+2 batches hold device buffers at once
+// (prepared-ahead + in-compute), plus one more during a concurrent
+// validation Prepare — size gpusim memory accordingly.
+const prefetchDepth = 2
 
 // Trainer is one framework build bound to a dataset.
 type Trainer struct {
@@ -445,7 +444,7 @@ func (t *Trainer) PrepareTrainInto(dsts []graph.VID, slot *pipeline.Slot) (*prep
 }
 
 // NewRingN builds this framework's prefetch ring over n dst lists:
-// overlap-capable frameworks prepare PrefetchDepth batches ahead on a
+// overlap-capable frameworks prepare prefetchDepth batches ahead on a
 // background producer; the serial baselines get a synchronous depth-0 ring
 // so every framework trains through the same interface. The lists are drawn
 // lazily from next, so long schedules (the training driver feeds whole runs
@@ -455,10 +454,7 @@ func (t *Trainer) PrepareTrainInto(dsts []graph.VID, slot *pipeline.Slot) (*prep
 func (t *Trainer) NewRingN(n int, next func(i int) []graph.VID) *pipeline.Ring {
 	depth := 0
 	if t.overlap {
-		depth = t.Opt.PrefetchDepth
-		if depth <= 0 {
-			depth = 2
-		}
+		depth = prefetchDepth
 	}
 	if t.slots == nil {
 		t.slots = pipeline.NewSlotRing(depth + 2)

@@ -372,16 +372,6 @@ func (c Counters) Add(o Counters) Counters {
 	}
 }
 
-// ResetCounters zeroes the device-wide counters.
-func (d *Device) ResetCounters() {
-	d.flops.Store(0)
-	d.globalLoads.Store(0)
-	d.globalStores.Store(0)
-	d.cacheHits.Store(0)
-	d.cacheBytes.Store(0)
-	d.launches.Store(0)
-}
-
 // Kill marks the device dead: every subsequent Alloc fails with
 // *DeviceLostError. Killing twice is a no-op; engines drop the device and
 // degrade to the surviving set until Revive re-admits it.

@@ -48,18 +48,6 @@ func RandomEmbeddingTableForTest(n, dim int) *EmbeddingTable {
 	return t
 }
 
-// RandomEmbeddingTable fills a table with deterministic uniform features,
-// mirroring the paper's synthetic embeddings for datasets that ship none
-// ("we create the embeddings whose dimensionality is the same as what the
-// industry uses", §VI).
-func RandomEmbeddingTable(n, dim int, rng *tensor.RNG) *EmbeddingTable {
-	t := NewEmbeddingTable(n, dim)
-	for i := range t.Data.Data {
-		t.Data.Data[i] = rng.Float32()*2 - 1
-	}
-	return t
-}
-
 // NumVertices returns the number of rows in the table.
 func (t *EmbeddingTable) NumVertices() int { return t.Data.Rows }
 

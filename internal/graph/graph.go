@@ -2,7 +2,9 @@
 // the paper builds on (§II-A, Fig 1): coordinate list (COO), compressed
 // sparse row (CSR) and compressed sparse column (CSC), plus the format
 // translations whose cost the Graph-approach pays (Fig 5c), degree
-// statistics (Fig 8) and the embedding table (Fig 1c).
+// statistics (Fig 8) and the embedding table (Fig 1c). The full graph is
+// held as COO/CSR (sampling walks in-neighbors); all three formats exist
+// for the sampled bipartite layer graphs (bipartite.go).
 //
 // Conventions: an edge (src → dst) contributes src's embedding to dst's
 // aggregation. CSR is indexed by dst VID and lists src VIDs per dst (this is
@@ -38,29 +40,14 @@ type CSR struct {
 	Srcs        []VID
 }
 
-// CSC is the vertex-centric compressed-sparse-column format used by
-// backward propagation: for each src vertex s, Dsts[Ptr[s]:Ptr[s+1]] are
-// the dst VIDs that s's embedding flowed into.
-type CSC struct {
-	NumVertices int
-	Ptr         []int32 // len NumVertices+1, indexed by src VID
-	Dsts        []VID
-}
-
 // NumEdges returns the edge count of the COO graph.
 func (g *COO) NumEdges() int { return len(g.Src) }
 
 // NumEdges returns the edge count of the CSR graph.
 func (g *CSR) NumEdges() int { return len(g.Srcs) }
 
-// NumEdges returns the edge count of the CSC graph.
-func (g *CSC) NumEdges() int { return len(g.Dsts) }
-
 // Neighbors returns the src VIDs of dst vertex d.
 func (g *CSR) Neighbors(d VID) []VID { return g.Srcs[g.Ptr[d]:g.Ptr[d+1]] }
-
-// Neighbors returns the dst VIDs of src vertex s.
-func (g *CSC) Neighbors(s VID) []VID { return g.Dsts[g.Ptr[s]:g.Ptr[s+1]] }
 
 // Degree returns the in-degree of dst vertex d.
 func (g *CSR) Degree(d VID) int { return int(g.Ptr[d+1] - g.Ptr[d]) }
@@ -103,27 +90,6 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// Validate checks structural invariants of the CSC graph.
-func (g *CSC) Validate() error {
-	if len(g.Ptr) != g.NumVertices+1 {
-		return fmt.Errorf("graph: CSC ptr length %d != vertices+1 %d", len(g.Ptr), g.NumVertices+1)
-	}
-	if g.Ptr[0] != 0 || int(g.Ptr[g.NumVertices]) != len(g.Dsts) {
-		return errors.New("graph: CSC ptr endpoints invalid")
-	}
-	for i := 0; i < g.NumVertices; i++ {
-		if g.Ptr[i] > g.Ptr[i+1] {
-			return fmt.Errorf("graph: CSC ptr not monotone at %d", i)
-		}
-	}
-	for i, d := range g.Dsts {
-		if d < 0 || int(d) >= g.NumVertices {
-			return fmt.Errorf("graph: CSC dst %d at %d out of range", d, i)
-		}
-	}
-	return nil
-}
-
 // TranslationStats records the work a COO→CSR/CSC translation performed, so
 // the Graph-approach baselines can charge its true cost (Fig 5c: sorting the
 // edge arrays plus building the pointer array, with extra GPU buffers).
@@ -154,81 +120,6 @@ func COOToCSR(g *COO) (*CSR, TranslationStats) {
 	countingSortByKey(g.Dst, g.Src, csr.Srcs, n, csr.Ptr)
 	stats.BufferBytes += int64(n) * 4 // cursor array
 	return csr, stats
-}
-
-// COOToCSC translates COO into src-indexed CSC (the BWP layout) by the same
-// counting-sort construction keyed on src.
-func COOToCSC(g *COO) (*CSC, TranslationStats) {
-	n := g.NumVertices
-	m := len(g.Src)
-	stats := TranslationStats{
-		EdgesSorted:     m,
-		PointerBuilt:    n + 1,
-		BufferBytes:     int64(m)*8 + int64(n)*4,
-		ComparisonsUsed: sortCost(m),
-	}
-	csc := &CSC{NumVertices: n, Ptr: make([]int32, n+1), Dsts: make([]VID, m)}
-	countingSortByKey(g.Src, g.Dst, csc.Dsts, n, csc.Ptr)
-	return csc, stats
-}
-
-// CSRToCOO expands a CSR graph back to edge list form (dst-major edge
-// order). ROC-style frameworks pay this before SDDMM.
-func CSRToCOO(g *CSR) *COO {
-	coo := &COO{NumVertices: g.NumVertices, Src: make([]VID, g.NumEdges()), Dst: make([]VID, g.NumEdges())}
-	e := 0
-	for d := 0; d < g.NumVertices; d++ {
-		for _, s := range g.Neighbors(VID(d)) {
-			coo.Src[e] = s
-			coo.Dst[e] = VID(d)
-			e++
-		}
-	}
-	return coo
-}
-
-// CSRToCSC converts the FWP layout directly to the BWP layout (GraphTensor
-// prepares both during preprocessing so training never translates on the
-// critical path).
-func CSRToCSC(g *CSR) *CSC {
-	n := g.NumVertices
-	csc := &CSC{NumVertices: n, Ptr: make([]int32, n+1), Dsts: make([]VID, g.NumEdges())}
-	for _, s := range g.Srcs {
-		csc.Ptr[s+1]++
-	}
-	for i := 0; i < n; i++ {
-		csc.Ptr[i+1] += csc.Ptr[i]
-	}
-	cursor := make([]int32, n)
-	copy(cursor, csc.Ptr[:n])
-	for d := 0; d < n; d++ {
-		for _, s := range g.Neighbors(VID(d)) {
-			csc.Dsts[cursor[s]] = VID(d)
-			cursor[s]++
-		}
-	}
-	return csc
-}
-
-// CSCToCSR is the inverse of CSRToCSC.
-func CSCToCSR(g *CSC) *CSR {
-	n := g.NumVertices
-	csr := &CSR{NumVertices: n, Ptr: make([]int32, n+1), Srcs: make([]VID, g.NumEdges())}
-	for _, d := range g.Dsts {
-		csr.Ptr[d+1]++
-	}
-	for i := 0; i < n; i++ {
-		csr.Ptr[i+1] += csr.Ptr[i]
-	}
-	cursor := make([]int32, n)
-	copy(cursor, csr.Ptr[:n])
-	for s := 0; s < n; s++ {
-		for _, d := range g.Neighbors(VID(s)) {
-			csr.Srcs[cursor[d]] = VID(s)
-			cursor[d]++
-		}
-	}
-	return csr
 }
 
 // sortCost returns the n·log2(n) comparison bound charged to a sort of n

@@ -58,57 +58,6 @@ func TestCOOToCSRPreservesEdges(t *testing.T) {
 	}
 }
 
-func TestCSRCSCRoundTrip(t *testing.T) {
-	coo := randomCOO(2, 15, 40)
-	csr, _ := COOToCSR(coo)
-	back := CSCToCSR(CSRToCSC(csr))
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < csr.NumVertices; d++ {
-		a := sortedNeighbors(csr.Neighbors(VID(d)))
-		b := sortedNeighbors(back.Neighbors(VID(d)))
-		if len(a) != len(b) {
-			t.Fatalf("dst %d: %d vs %d", d, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("dst %d neighbor mismatch after CSR->CSC->CSR", d)
-			}
-		}
-	}
-}
-
-func TestCOOToCSCMatchesTranspose(t *testing.T) {
-	coo := randomCOO(3, 12, 30)
-	csc, _ := COOToCSC(coo)
-	if err := csc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := map[VID][]VID{}
-	for i := range coo.Src {
-		want[coo.Src[i]] = append(want[coo.Src[i]], coo.Dst[i])
-	}
-	for s := 0; s < csc.NumVertices; s++ {
-		got := sortedNeighbors(csc.Neighbors(VID(s)))
-		w := sortedNeighbors(want[VID(s)])
-		if len(got) != len(w) {
-			t.Fatalf("src %d out-degree %d != %d", s, len(got), len(w))
-		}
-	}
-}
-
-func TestCSRToCOORoundTrip(t *testing.T) {
-	coo := randomCOO(4, 10, 25)
-	csr, _ := COOToCSR(coo)
-	back, _ := COOToCSR(CSRToCOO(csr))
-	for d := 0; d < csr.NumVertices; d++ {
-		if csr.Degree(VID(d)) != back.Degree(VID(d)) {
-			t.Fatalf("dst %d degree changed", d)
-		}
-	}
-}
-
 func TestDegreeStats(t *testing.T) {
 	// A graph where vertex 0 has degree 3, others 0.
 	coo := &COO{NumVertices: 4, Src: []VID{1, 2, 3}, Dst: []VID{0, 0, 0}}

@@ -54,23 +54,19 @@ func TestParallelTranslationMatchesSerial(t *testing.T) {
 }
 
 // TestParallelUnipartiteTranslationMatchesSerial covers the unipartite
-// COO→CSR/CSC pair with the same bitwise requirement.
+// COO→CSR translation with the same bitwise requirement.
 func TestParallelUnipartiteTranslationMatchesSerial(t *testing.T) {
 	b := bigBCOO(2*parSortMinEdges, 900, 900)
 	g := &COO{NumVertices: 900, Src: b.Src, Dst: b.Dst}
 
 	prev := runtime.GOMAXPROCS(1)
 	serialCSR, _ := COOToCSR(g)
-	serialCSC, _ := COOToCSC(g)
 	runtime.GOMAXPROCS(8)
 	parCSR, _ := COOToCSR(g)
-	parCSC, _ := COOToCSC(g)
 	runtime.GOMAXPROCS(prev)
 
 	requireSameI32(t, "CSR.Ptr", serialCSR.Ptr, parCSR.Ptr)
 	requireSameI32(t, "CSR.Srcs", serialCSR.Srcs, parCSR.Srcs)
-	requireSameI32(t, "CSC.Ptr", serialCSC.Ptr, parCSC.Ptr)
-	requireSameI32(t, "CSC.Dsts", serialCSC.Dsts, parCSC.Dsts)
 }
 
 func requireSameI32(t *testing.T, name string, a, b []int32) {

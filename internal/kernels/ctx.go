@@ -6,6 +6,7 @@ import (
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
 	"graphtensor/internal/metrics"
+	"graphtensor/internal/tensor"
 )
 
 // Phase names used in the kernel-time breakdown (Fig 16).
@@ -39,6 +40,9 @@ type Ctx struct {
 	msgViews [][]float32
 	wBuf     []float32
 	wViews   [][]float32
+
+	// dwBuf is LinearBackward's retained Xᵀ·dY product buffer.
+	dwBuf tensor.Matrix
 
 	// acc is the reusable flat-indexed partial accumulator the
 	// Graph-approach kernels use in place of per-SM partial maps. Launches
@@ -179,6 +183,17 @@ func (c *Ctx) partials(numSMs, rows, dim, perSM int) *flatAccum {
 // cols. Distinct from msgScratch so one kernel may hold both.
 func (c *Ctx) wScratch(numSMs, cols int) [][]float32 {
 	return growScratch(&c.wBuf, &c.wViews, numSMs, cols)
+}
+
+// dwScratch returns the Ctx's retained rows×cols product buffer (contents
+// undefined; the GEMM fully overwrites it).
+func (c *Ctx) dwScratch(rows, cols int) *tensor.Matrix {
+	n := rows * cols
+	if cap(c.dwBuf.Data) < n {
+		c.dwBuf.Data = make([]float32, n)
+	}
+	c.dwBuf.Rows, c.dwBuf.Cols, c.dwBuf.Data = rows, cols, c.dwBuf.Data[:n]
+	return &c.dwBuf
 }
 
 func growScratch(buf *[]float32, views *[][]float32, n, dim int) [][]float32 {

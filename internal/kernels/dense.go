@@ -10,10 +10,20 @@ import (
 // rearranges, §V-A Fig 11c) and BiasReLU (σ(·+b), which always runs after
 // aggregation in both placements).
 
-// Linear computes Y = X·W on device, modeling the access pattern of a tiled
-// GEMM: output rows are chunked across SMs; each SM streams its X rows and
-// reuses W out of cache. Weights are model parameters resident on device
-// for the whole training run, so they are not allocated per call.
+// weightsAddr is the reserved device region model weights live in: they
+// are resident for the whole run, so they are not allocated per call.
+const weightsAddr = 0x7f000000
+
+// Linear and LinearBackward are two passes each: the numerics run through
+// the one blocked GEMM family (tensor.*Into), and a trace pass replays the
+// access pattern a tiled device GEMM would issue into the per-SM cache
+// model. The trace reads no value except where one decides an access, so
+// the counters are a function of shapes, addresses and (for dW) x's zero
+// pattern only.
+
+// Linear computes Y = X·W on device. Trace: output rows are chunked across
+// SMs; each SM pulls the weight tile once (it stays cached), streams its X
+// rows and writes its Y rows.
 func Linear(ctx *Ctx, x *DeviceMatrix, w *tensor.Matrix, label string) (*DeviceMatrix, error) {
 	var out *DeviceMatrix
 	err := ctx.track(PhaseCombination, func() error {
@@ -22,37 +32,17 @@ func Linear(ctx *Ctx, x *DeviceMatrix, w *tensor.Matrix, label string) (*DeviceM
 		if err != nil {
 			return err
 		}
-		k := ctx.Dev.StartKernel("linear")
-		rowFLOPs := int64(2 * x.M.Cols * w.Cols)
-		wBytes := int64(w.Rows) * int64(w.Cols) * 4
-		runSMsChunked(k, x.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			// Each SM pulls the weight tile once; it stays cached.
-			sm.Read(0x7f000000, wBytes) // weights live in a reserved region
-			for i := lo; i < hi; i++ {
-				sm.Read(x.RowAddr(i), x.RowBytes())
-				xrow := x.M.Row(i)
-				orow := out.M.Row(i)
-				for kk, xv := range xrow {
-					if xv == 0 {
-						continue
-					}
-					wrow := w.Row(kk)
-					for j, wv := range wrow {
-						orow[j] += xv * wv
-					}
-				}
-				sm.AddFLOPs(rowFLOPs)
-				sm.Write(out.RowAddr(i), out.RowBytes())
-			}
-		})
-		k.Finish()
+		tensor.MatMulInto(out.M, x.M, w)
+		traceRowGEMM(ctx, "linear", x, out, w)
 		return nil
 	})
 	return out, err
 }
 
 // LinearBackward computes dX = dY·Wᵀ and accumulates dW += Xᵀ·dY. It
-// returns dX; dW is written into the caller-owned gradient matrix.
+// returns dX; dW is written into the caller-owned gradient matrix. The
+// product Xᵀ·dY is formed in the Ctx's retained scratch and added in one
+// step, so onto a zero dW the result is the product itself, bit for bit.
 func LinearBackward(ctx *Ctx, x, dy *DeviceMatrix, w, dw *tensor.Matrix, label string) (*DeviceMatrix, error) {
 	var dx *DeviceMatrix
 	err := ctx.track(PhaseCombination, func() error {
@@ -61,53 +51,51 @@ func LinearBackward(ctx *Ctx, x, dy *DeviceMatrix, w, dw *tensor.Matrix, label s
 		if err != nil {
 			return err
 		}
-		k := ctx.Dev.StartKernel("linear-bwp-dx")
-		rowFLOPs := int64(2 * w.Rows * w.Cols)
-		wBytes := int64(w.Rows) * int64(w.Cols) * 4
-		runSMsChunked(k, dy.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			sm.Read(0x7f000000, wBytes)
-			for i := lo; i < hi; i++ {
-				sm.Read(dy.RowAddr(i), dy.RowBytes())
-				dyrow := dy.M.Row(i)
-				dxrow := dx.M.Row(i)
-				for r := 0; r < w.Rows; r++ {
-					wrow := w.Row(r)
-					var acc float32
-					for j, dv := range dyrow {
-						acc += dv * wrow[j]
+		tensor.MatMulTInto(dx.M, dy.M, w)
+		traceRowGEMM(ctx, "linear-bwp-dx", dy, dx, w)
+
+		prod := tensor.TMatMulInto(ctx.dwScratch(w.Rows, w.Cols), x.M, dy.M)
+		for i, v := range prod.Data {
+			dw.Data[i] += v
+		}
+		// Trace: one dW row per unit, reduced serially over the batch (the
+		// real framework uses a reduction tree); a zero activation
+		// contributes nothing, so its dY row is never fetched.
+		k := ctx.Dev.StartKernel("linear-bwp-dw")
+		rowFLOPs := int64(2 * x.M.Rows * w.Cols)
+		runSMsChunked(k, w.Rows, func(sm *gpusim.SMContext, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				for i := 0; i < x.M.Rows; i++ {
+					if x.M.At(i, r) != 0 {
+						sm.Read(dy.RowAddr(i), dy.RowBytes())
 					}
-					dxrow[r] = acc
 				}
 				sm.AddFLOPs(rowFLOPs)
-				sm.Write(dx.RowAddr(i), dx.RowBytes())
 			}
 		})
 		k.Finish()
-
-		// dW = Xᵀ·dY; accumulate serially per output row of dW to stay
-		// deterministic (the real framework uses a reduction tree).
-		k2 := ctx.Dev.StartKernel("linear-bwp-dw")
-		runSMsChunked(k2, w.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				dwrow := dw.Row(r)
-				for i := 0; i < x.M.Rows; i++ {
-					xv := x.M.At(i, r)
-					if xv == 0 {
-						continue
-					}
-					sm.Read(dy.RowAddr(i), dy.RowBytes())
-					dyrow := dy.M.Row(i)
-					for j, dv := range dyrow {
-						dwrow[j] += xv * dv
-					}
-				}
-				sm.AddFLOPs(int64(2 * x.M.Rows * w.Cols))
-			}
-		})
-		k2.Finish()
 		return nil
 	})
 	return dx, err
+}
+
+// traceRowGEMM replays the access stream of a row-parallel GEMM against the
+// resident weights w: per SM one read of the weight tile, then per row a
+// read of the input row, the row's multiply-adds and a write of the output
+// row.
+func traceRowGEMM(ctx *Ctx, name string, in, out *DeviceMatrix, w *tensor.Matrix) {
+	k := ctx.Dev.StartKernel(name)
+	rowFLOPs := int64(2 * w.Rows * w.Cols)
+	wBytes := int64(w.Rows) * int64(w.Cols) * 4
+	runSMsChunked(k, in.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
+		sm.Read(weightsAddr, wBytes)
+		for i := lo; i < hi; i++ {
+			sm.Read(in.RowAddr(i), in.RowBytes())
+			sm.AddFLOPs(rowFLOPs)
+			sm.Write(out.RowAddr(i), out.RowBytes())
+		}
+	})
+	k.Finish()
 }
 
 // BiasReLU applies y = max(0, x + b) in place on device and returns the

@@ -1,0 +1,218 @@
+package kernels
+
+import (
+	"math"
+	"testing"
+
+	"graphtensor/internal/gpusim"
+	"graphtensor/internal/tensor"
+)
+
+// Naive references for the dense kernels: the textbook triple loops, one
+// accumulator per output element in ascending inner index. They share no
+// code with tensor.*Into, so comparing against them is not comparing the
+// implementation with itself.
+
+// naiveMatMul returns a·b.
+func naiveMatMul(a, b *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var acc float32
+			for k := 0; k < a.Cols; k++ {
+				acc += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, acc)
+		}
+	}
+	return out
+}
+
+// naiveMatMulT returns a·bᵀ.
+func naiveMatMulT(a, b *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var acc float32
+			for k := 0; k < a.Cols; k++ {
+				acc += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, acc)
+		}
+	}
+	return out
+}
+
+// naiveTMatMulOnto accumulates aᵀ·b term by term onto dst (the association
+// LinearBackward had when it updated dW in place: dst + t₀ + t₁ + …).
+func naiveTMatMulOnto(dst, a, b *tensor.Matrix) {
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			acc := dst.At(i, j)
+			for k := 0; k < a.Rows; k++ {
+				acc += a.At(k, i) * b.At(k, j)
+			}
+			dst.Set(i, j, acc)
+		}
+	}
+}
+
+// reluSparse returns a rows×cols matrix with roughly half its entries zero,
+// the shape of a post-ReLU activation.
+func reluSparse(rows, cols int, rng *tensor.RNG) *tensor.Matrix {
+	m := tensor.Random(rows, cols, 1, rng)
+	for i, v := range m.Data {
+		if v < 0 {
+			m.Data[i] = 0
+		}
+	}
+	return m
+}
+
+func requireBitwise(t *testing.T, name string, got, want *tensor.Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range got.Data {
+		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %g (%#x), want %g (%#x)", name, i,
+				v, math.Float32bits(v), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+// denseCase is one Linear/LinearBackward problem on a fresh test device.
+type denseCase struct {
+	name     string
+	x, w, dy *tensor.Matrix
+	fwd, bwd gpusim.Counters // golden access trace (see TestDenseTraceUnchanged)
+
+	// Set by run.
+	ctx            *Ctx
+	xd, dyd        *DeviceMatrix
+	gotFwd, gotBwd gpusim.Counters
+}
+
+func denseCases() []*denseCase {
+	rng := tensor.NewRNG(101)
+	cases := []*denseCase{
+		{ // x, y and dx rows are whole cache lines (64 B / 32 B lines)
+			name: "aligned", x: tensor.Random(70, 16, 1, rng), w: tensor.Random(16, 8, 1, rng),
+			fwd: gpusim.Counters{FLOPs: 17920, GlobalLoads: 268, GlobalStores: 70, CacheHits: 0},
+			bwd: gpusim.Counters{FLOPs: 35840, GlobalLoads: 758, GlobalStores: 140, CacheHits: 560},
+		},
+		{ // 52 B and 28 B rows straddle line boundaries
+			name: "unaligned", x: tensor.Random(37, 13, 1, rng), w: tensor.Random(13, 7, 1, rng),
+			fwd: gpusim.Counters{FLOPs: 6734, GlobalLoads: 164, GlobalStores: 65, CacheHits: 25},
+			bwd: gpusim.Counters{FLOPs: 13468, GlobalLoads: 367, GlobalStores: 93, CacheHits: 639},
+		},
+		{ // post-ReLU x: dW's trace skips the dy rows of zero activations
+			name: "relu-sparse", x: reluSparse(90, 24, rng), w: tensor.Random(24, 10, 1, rng),
+			fwd: gpusim.Counters{FLOPs: 43200, GlobalLoads: 510, GlobalStores: 180, CacheHits: 0},
+			bwd: gpusim.Counters{FLOPs: 86400, GlobalLoads: 1201, GlobalStores: 270, CacheHits: 1469},
+		},
+	}
+	for _, c := range cases {
+		c.dy = tensor.Random(c.x.Rows, c.w.Cols, 1, rng)
+	}
+	return cases
+}
+
+// run executes Linear then LinearBackward (onto dw) and records the
+// counters each added.
+func (c *denseCase) run(t *testing.T, dw *tensor.Matrix) (y, dx *DeviceMatrix) {
+	t.Helper()
+	dev := testDevice()
+	c.ctx = NewCtx(dev)
+	c.xd, _ = WrapDeviceMatrix(dev, c.x, "x")
+	c.dyd, _ = WrapDeviceMatrix(dev, c.dy, "dy")
+	s0 := dev.Snapshot()
+	y, err := Linear(c.ctx, c.xd, c.w, "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := dev.Snapshot()
+	dx, err = LinearBackward(c.ctx, c.xd, c.dyd, c.w, dw, "dx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.gotFwd, c.gotBwd = s1.Sub(s0), dev.Snapshot().Sub(s1)
+	return y, dx
+}
+
+// TestDenseTraceUnchanged pins the access trace of the dense kernels — the
+// per-SM Read/AddFLOPs/Write stream that feeds every modeled counter,
+// dkp.Calibrate fit and modeled step time — to the values the kernels
+// produced when numerics and trace shared one loop (golden, captured at
+// commit eda0b54). The trace is a pass of its own now; it must not drift
+// when the numeric pass changes.
+func TestDenseTraceUnchanged(t *testing.T) {
+	for _, c := range denseCases() {
+		c.run(t, tensor.New(c.w.Rows, c.w.Cols))
+		for _, p := range []struct {
+			pass      string
+			got, want gpusim.Counters
+		}{{"Linear", c.gotFwd, c.fwd}, {"LinearBackward", c.gotBwd, c.bwd}} {
+			g, w := p.got, p.want
+			if g.FLOPs != w.FLOPs || g.GlobalLoads != w.GlobalLoads ||
+				g.GlobalStores != w.GlobalStores || g.CacheHits != w.CacheHits {
+				t.Errorf("%s %s: FLOPs/loads/stores/hits = %d/%d/%d/%d, golden %d/%d/%d/%d", c.name, p.pass,
+					g.FLOPs, g.GlobalLoads, g.GlobalStores, g.CacheHits,
+					w.FLOPs, w.GlobalLoads, w.GlobalStores, w.CacheHits)
+			}
+		}
+	}
+}
+
+// TestLinearBitwiseVsNaive: Y, dX and dW (onto a zero dW) equal the naive
+// triple loops bit for bit, zeros in x included — the blocked GEMM
+// accumulates each element in the same ascending order, and adding a ±0
+// product never changes a sum that started at +0. Run at -cpu 1,4: rows
+// split across workers, elements never do.
+func TestLinearBitwiseVsNaive(t *testing.T) {
+	for _, c := range denseCases() {
+		dw := tensor.New(c.w.Rows, c.w.Cols)
+		y, dx := c.run(t, dw)
+		requireBitwise(t, c.name+" Y", y.M, naiveMatMul(c.x, c.w))
+		requireBitwise(t, c.name+" dX", dx.M, naiveMatMulT(c.dy, c.w))
+		wantDW := tensor.New(c.w.Rows, c.w.Cols)
+		naiveTMatMulOnto(wantDW, c.x, c.dy)
+		requireBitwise(t, c.name+" dW", dw, wantDW)
+
+		// Accumulating onto a non-zero dW (the NGCF combination-first
+		// backward's second call) adds the finished product in one step
+		// instead of term by term: same value up to rounding of the sum.
+		dw2 := tensor.Random(c.w.Rows, c.w.Cols, 1, tensor.NewRNG(7))
+		want2 := dw2.Clone()
+		naiveTMatMulOnto(want2, c.x, c.dy)
+		c.run(t, dw2)
+		for i, v := range dw2.Data {
+			tol := 8 * float64(c.x.Rows) * (math.Abs(float64(want2.Data[i])) + 1) * (1.0 / (1 << 24))
+			if d := math.Abs(float64(v - want2.Data[i])); d > tol {
+				t.Fatalf("%s dW+=: element %d = %g, want %g (|diff| %g > %g)", c.name, i, v, want2.Data[i], d, tol)
+			}
+		}
+	}
+}
+
+// TestLinearBackwardAllocFloor: the dW scratch is retained on the Ctx, so
+// routing dW through the GEMM costs no allocation over the in-place loop it
+// replaced (13 per call at commit eda0b54: dx's matrix, buffer and wrapper
+// plus the launch closures).
+func TestLinearBackwardAllocFloor(t *testing.T) {
+	c := denseCases()[2]
+	dw := tensor.New(c.w.Rows, c.w.Cols)
+	c.run(t, dw)
+	allocs := testing.AllocsPerRun(50, func() {
+		dx, err := LinearBackward(c.ctx, c.xd, c.dyd, c.w, dw, "dx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dx.Free()
+	})
+	const parent = 13
+	if allocs > parent {
+		t.Errorf("LinearBackward allocates %.0f per call, parent %d", allocs, parent)
+	}
+}

@@ -34,16 +34,6 @@ type DeviceMatrix struct {
 	Buf *gpusim.Buffer
 }
 
-// NewDeviceMatrix allocates a rows×cols device matrix. It panics on OOM;
-// use AllocDeviceMatrix where OOM is a legitimate outcome.
-func NewDeviceMatrix(dev *gpusim.Device, rows, cols int, label string) *DeviceMatrix {
-	dm, err := AllocDeviceMatrix(dev, rows, cols, label)
-	if err != nil {
-		panic(err)
-	}
-	return dm
-}
-
 // AllocDeviceMatrix allocates a rows×cols device matrix, propagating OOM.
 func AllocDeviceMatrix(dev *gpusim.Device, rows, cols int, label string) (*DeviceMatrix, error) {
 	m := tensor.New(rows, cols)

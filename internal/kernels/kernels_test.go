@@ -228,7 +228,7 @@ func TestLinearMatchesMatMul(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	x := tensor.Random(37, 13, 1, rng)
 	w := tensor.Random(13, 8, 1, rng)
-	want := tensor.MatMul(x, w)
+	want := naiveMatMul(x, w)
 	dev := testDevice()
 	ctx := NewCtx(dev)
 	xd, _ := WrapDeviceMatrix(dev, x.Clone(), "x")
@@ -246,8 +246,9 @@ func TestLinearBackward(t *testing.T) {
 	x := tensor.Random(19, 11, 1, rng)
 	w := tensor.Random(11, 6, 1, rng)
 	dy := tensor.Random(19, 6, 1, rng)
-	wantDX := tensor.MatMul(dy, tensor.Transpose(w)) // dY·Wᵀ
-	wantDW := tensor.TMatMul(x, dy)
+	wantDX := naiveMatMulT(dy, w) // dY·Wᵀ
+	wantDW := tensor.New(w.Rows, w.Cols)
+	naiveTMatMulOnto(wantDW, x, dy) // Xᵀ·dY
 
 	dev := testDevice()
 	ctx := NewCtx(dev)

@@ -3,7 +3,7 @@ package multigpu
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"graphtensor/internal/core"
@@ -85,20 +85,17 @@ type BatchPlan struct {
 	NodeBytes     []int64
 	NodeImbalance float64
 
-	// Retained assignment scratch (LPT order, per-shard loads), the
-	// host-side CSR index of COO-format parents, and the per-layer
-	// partitioning-CSR view.
-	order  planOrder
-	vo     vidOrder
+	// Retained assignment scratch (LPT order — dsts over shards, then
+	// shards over nodes — and per-shard loads), the host-side CSR index of
+	// COO-format parents, and the per-layer partitioning-CSR view.
+	order  []lptItem
 	loads  []int
 	csrIdx []*graph.BCSR
 	csrs   []*graph.BCSR
 
-	// Retained node-assignment scratch: LPT order over shards, per-node
-	// edge loads, and the embedding-row stamp array behind the NodeBytes
-	// dedup (stamp[v] == nodeGen marks row v already counted for the node
-	// being scanned).
-	nodeOrder planOrder
+	// Retained node-assignment scratch: per-node edge loads and the
+	// embedding-row stamp array behind the NodeBytes dedup (stamp[v] ==
+	// nodeGen marks row v already counted for the node being scanned).
 	nodeLoads []int
 	nodeStamp []int32
 	nodeGen   int32
@@ -109,33 +106,20 @@ type BatchPlan struct {
 // fully rewritten by the slot's next PartitionBatchNodesReuse.
 func (p *BatchPlan) Recycle() {}
 
-// planOrder sorts (dst, degree) pairs by (degree desc, id asc) through
-// sort.Sort on a retained receiver — sort.Slice would allocate its swapper
-// and less-closure on every batch.
-type planOrder struct {
-	d   []graph.VID
-	deg []int
-}
+// lptItem is one unit of a longest-processing-time-first assignment: a dst
+// weighted by its degree, or a shard weighted by its final-layer edges.
+type lptItem struct{ id, weight int }
 
-func (o *planOrder) Len() int { return len(o.d) }
-func (o *planOrder) Less(i, j int) bool {
-	if o.deg[i] != o.deg[j] {
-		return o.deg[i] > o.deg[j]
-	}
-	return o.d[i] < o.d[j]
+// sortLPT orders items heaviest first, ties by lowest id. The key is total
+// (ids are unique), so the order does not depend on the sort algorithm.
+func sortLPT(items []lptItem) {
+	slices.SortFunc(items, func(a, b lptItem) int {
+		if a.weight != b.weight {
+			return b.weight - a.weight
+		}
+		return a.id - b.id
+	})
 }
-func (o *planOrder) Swap(i, j int) {
-	o.d[i], o.d[j] = o.d[j], o.d[i]
-	o.deg[i], o.deg[j] = o.deg[j], o.deg[i]
-}
-
-// vidOrder sorts a []graph.VID ascending via sort.Sort on a retained
-// receiver (allocation-free).
-type vidOrder struct{ s []graph.VID }
-
-func (o *vidOrder) Len() int           { return len(o.s) }
-func (o *vidOrder) Less(i, j int) bool { return o.s[i] < o.s[j] }
-func (o *vidOrder) Swap(i, j int)      { o.s[i], o.s[j] = o.s[j], o.s[i] }
 
 // PartitionBatchNodesReuse carves a prepared batch into `shards` localized
 // sub-batches by balancing final-layer edges (AssignByEdges) and
@@ -263,17 +247,12 @@ func (p *BatchPlan) assignNodesMask(b *prep.Batch, nodes int, alive []bool) {
 	p.NodeBytes = p.NodeBytes[:nodes]
 
 	// LPT over shard edge counts (ties by lowest shard id, matching the
-	// shard-level discipline), via the retained sorter.
-	p.nodeOrder.d = graph.GrowVIDs(p.nodeOrder.d, ns)
-	if cap(p.nodeOrder.deg) < ns {
-		p.nodeOrder.deg = make([]int, ns)
-	}
-	p.nodeOrder.deg = p.nodeOrder.deg[:ns]
+	// shard-level discipline).
+	p.order = slices.Grow(p.order[:0], ns)[:ns]
 	for s := range p.Subs {
-		p.nodeOrder.d[s] = graph.VID(s)
-		p.nodeOrder.deg[s] = p.Subs[s].Edges
+		p.order[s] = lptItem{s, p.Subs[s].Edges}
 	}
-	sort.Sort(&p.nodeOrder)
+	sortLPT(p.order)
 	if cap(p.nodeLoads) < nodes {
 		p.nodeLoads = make([]int, nodes)
 	}
@@ -281,7 +260,7 @@ func (p *BatchPlan) assignNodesMask(b *prep.Batch, nodes int, alive []bool) {
 	for j := range p.nodeLoads {
 		p.nodeLoads[j] = 0
 	}
-	for i := 0; i < ns; i++ {
+	for _, o := range p.order {
 		min := -1
 		for j := 0; j < nodes; j++ {
 			if alive != nil && !alive[j] {
@@ -294,8 +273,8 @@ func (p *BatchPlan) assignNodesMask(b *prep.Batch, nodes int, alive []bool) {
 		if min < 0 {
 			min = 0 // no alive node: degenerate, callers guarantee survivors
 		}
-		p.NodeOf[p.nodeOrder.d[i]] = min
-		p.nodeLoads[min] += p.nodeOrder.deg[i]
+		p.NodeOf[o.id] = min
+		p.nodeLoads[min] += o.weight
 	}
 	maxEdges, total, aliveN := 0, 0, 0
 	for j := 0; j < nodes; j++ {
@@ -346,17 +325,11 @@ func (p *BatchPlan) assignNodesMask(b *prep.Batch, nodes int, alive []bool) {
 // wraps it): dsts balanced over final-layer degrees into the plan's
 // retained Subs[].Dsts, ties by lowest id, each group's dst list ascending.
 func (p *BatchPlan) assignByEdges(csr *graph.BCSR, n int) {
-	nd := csr.NumDst
-	p.order.d = graph.GrowVIDs(p.order.d, nd)
-	if cap(p.order.deg) < nd {
-		p.order.deg = make([]int, nd)
+	p.order = slices.Grow(p.order[:0], csr.NumDst)[:csr.NumDst]
+	for d := range p.order {
+		p.order[d] = lptItem{d, csr.Degree(graph.VID(d))}
 	}
-	p.order.deg = p.order.deg[:nd]
-	for d := 0; d < nd; d++ {
-		p.order.d[d] = graph.VID(d)
-		p.order.deg[d] = csr.Degree(graph.VID(d))
-	}
-	sort.Sort(&p.order)
+	sortLPT(p.order)
 	if cap(p.loads) < n {
 		p.loads = make([]int, n)
 	}
@@ -367,26 +340,24 @@ func (p *BatchPlan) assignByEdges(csr *graph.BCSR, n int) {
 	for s := range p.Subs {
 		p.Subs[s].Dsts = p.Subs[s].Dsts[:0]
 	}
-	for i := 0; i < nd; i++ {
+	for _, o := range p.order {
 		min := 0
 		for g := 1; g < n; g++ {
 			if p.loads[g] < p.loads[min] {
 				min = g
 			}
 		}
-		p.Subs[min].Dsts = append(p.Subs[min].Dsts, p.order.d[i])
-		p.loads[min] += p.order.deg[i]
+		p.Subs[min].Dsts = append(p.Subs[min].Dsts, graph.VID(o.id))
+		p.loads[min] += o.weight
 	}
 	maxEdges, total := 0, 0
 	for g := 0; g < n; g++ {
-		p.vo.s = p.Subs[g].Dsts
-		sort.Sort(&p.vo)
+		slices.Sort(p.Subs[g].Dsts)
 		total += p.loads[g]
 		if p.loads[g] > maxEdges {
 			maxEdges = p.loads[g]
 		}
 	}
-	p.vo.s = nil
 	p.Imbalance = 0
 	if total > 0 {
 		p.Imbalance = float64(maxEdges) / (float64(total) / float64(n))
@@ -490,6 +461,15 @@ type GroupDev struct {
 	// a dead device is dropped, ids do not renumber), so a plan targets
 	// the same physical device across failovers.
 	id int
+
+	// Per-dispatch baselines and LPT load, written by the group between
+	// dispatches: the link engine's bytes/modeled time and the device's
+	// stall clock before the batch's shards run (account reads the deltas),
+	// and the final-layer edges assignShards has handed the device so far.
+	commBytes0 int64
+	commNs0    time.Duration
+	stall0     time.Duration
+	load       int
 
 	// Per-batch state, touched only by this device's worker.
 	shards []int
@@ -635,18 +615,14 @@ type DeviceGroup struct {
 	foldDW    []*tensor.Matrix
 	foldDB    [][]float32
 
-	// Per-batch run state (one TrainBatch at a time). The scratch slices
-	// (and the sorter behind the LPT assignment) are sized once in
-	// NewGroup, so the dispatch bookkeeping of a steady-state TrainBatch
-	// adds no per-batch slice or closure churn.
+	// Per-batch run state (one TrainBatch at a time). shardOrder is the
+	// LPT scratch of assignShards, sized once in NewGroup, so the dispatch
+	// bookkeeping of a steady-state TrainBatch adds no per-batch slice or
+	// closure churn.
 	plan       *BatchPlan
 	batch      *prep.Batch
 	norm       int
-	commBytes0 []int64
-	commNs0    []time.Duration
-	stall0     []time.Duration
-	shardOrder shardSorter
-	devLoads   []int
+	shardOrder []lptItem
 	// plStats is the preallocated per-layer placement tally GroupStats
 	// exposes (overwritten each step; no per-batch allocation).
 	plStats []PlacementCount
@@ -657,9 +633,7 @@ type DeviceGroup struct {
 	// count. deadPool holds dropped devices intact — replica, context,
 	// arena — so an elastic rejoin re-admits the original identity;
 	// rejoinedSum is the lifetime rejoin count. nodeAlive is the retained
-	// alive-node mask renodeSurvivors rebuilds after a whole-node loss, and
-	// renodeHops the cross-node scatter hop count while that mask is in
-	// force (-1 = default, plan.Nodes-1).
+	// alive-node mask renodeSurvivors rebuilds after a whole-node loss.
 	fplan       *fault.Plan
 	step        int
 	deadDevs    int
@@ -667,27 +641,9 @@ type DeviceGroup struct {
 	deadPool    []*GroupDev
 	rejoinedSum int
 	nodeAlive   []bool
-	renodeHops  int
 
 	stats GroupStats
 }
-
-// shardLoad pairs a shard id with its balance weight for LPT assignment.
-type shardLoad struct{ s, edges int }
-
-// shardSorter orders shards by (edges desc, id asc) through sort.Sort on a
-// preallocated receiver — sort.Slice would allocate its swapper and
-// less-closure on every batch.
-type shardSorter struct{ s []shardLoad }
-
-func (x *shardSorter) Len() int { return len(x.s) }
-func (x *shardSorter) Less(i, j int) bool {
-	if x.s[i].edges != x.s[j].edges {
-		return x.s[i].edges > x.s[j].edges
-	}
-	return x.s[i].s < x.s[j].s
-}
-func (x *shardSorter) Swap(i, j int) { x.s[i], x.s[j] = x.s[j], x.s[i] }
 
 // NewGroup builds a data-parallel group of `devices` simulated devices
 // (cfg each), with the batch partition fixed at `shards` gradient shards
@@ -743,11 +699,7 @@ func NewGroup(devices, shards int, cfg gpusim.Config, pinned bool,
 			return nil, errors.New("multigpu: model factory is not deterministic; replicas differ at init")
 		}
 	}
-	g.commBytes0 = make([]int64, devices)
-	g.commNs0 = make([]time.Duration, devices)
-	g.stall0 = make([]time.Duration, devices)
-	g.shardOrder.s = make([]shardLoad, shards)
-	g.devLoads = make([]int, devices)
+	g.shardOrder = make([]lptItem, shards)
 	g.grads = make([][]shardGrad, shards)
 	g.foldDW = make([]*tensor.Matrix, len(ref.Layers))
 	g.foldDB = make([][]float32, len(ref.Layers))
@@ -832,10 +784,9 @@ func (g *DeviceGroup) Rejoined() int { return g.rejoinedSum }
 // dropDead removes killed devices from the group, shrinking it to the
 // surviving set: their replicas go stale (replicas are identical before
 // every Step, so nothing is lost — a later rejoin reinstalls the
-// survivors' weights) and the per-device scratch re-slices to the new
-// size. Dropped devices park in deadPool keeping their identity, so an
-// elastic rejoin re-admits the same id into the same node. Returns false
-// when no device survives.
+// survivors' weights). Dropped devices park in deadPool keeping their
+// identity, so an elastic rejoin re-admits the same id into the same node.
+// Returns false when no device survives.
 func (g *DeviceGroup) dropDead() bool {
 	keep := g.devs[:0]
 	for _, d := range g.devs {
@@ -850,10 +801,6 @@ func (g *DeviceGroup) dropDead() bool {
 		return false // device-lost error without a dead device: not ours to retry
 	}
 	g.devs = keep
-	g.devLoads = g.devLoads[:len(keep)]
-	g.commBytes0 = g.commBytes0[:len(keep)]
-	g.commNs0 = g.commNs0[:len(keep)]
-	g.stall0 = g.stall0[:len(keep)]
 	return len(keep) > 0
 }
 
@@ -882,25 +829,21 @@ func (d *GroupDev) clearGrads() {
 // cannot affect results — every shard's computation and the fold order are
 // independent of which device runs it.
 func (g *DeviceGroup) assignShards(plan *BatchPlan) {
-	order := g.shardOrder.s
+	order := g.shardOrder
 	for s := range plan.Subs {
-		order[s] = shardLoad{s, plan.Subs[s].Edges}
+		order[s] = lptItem{s, plan.Subs[s].Edges}
 	}
-	sort.Sort(&g.shardOrder)
-	loads := g.devLoads
-	for i := range loads {
-		loads[i] = 0
-	}
+	sortLPT(order)
 	for _, d := range g.devs {
-		d.shards = d.shards[:0]
+		d.shards, d.load = d.shards[:0], 0
 	}
-	nodeAware := g.devsPerNode > 0 && g.nodes > 1 && plan.Nodes == g.nodes
+	nodeAware := g.hierarchical()
 	if nodeAware {
 		for j := range g.nodeDevs {
 			g.nodeDevs[j] = g.nodeDevs[j][:0]
 		}
 		for i, d := range g.devs {
-			if j := d.id / g.devsPerNode; j < len(g.nodeDevs) {
+			if j := g.nodeOf(d); j < len(g.nodeDevs) {
 				g.nodeDevs[j] = append(g.nodeDevs[j], i)
 			}
 		}
@@ -908,10 +851,10 @@ func (g *DeviceGroup) assignShards(plan *BatchPlan) {
 	for _, o := range order {
 		min := -1
 		if nodeAware {
-			if cand := g.nodeDevs[plan.NodeOf[o.s]]; len(cand) > 0 {
+			if cand := g.nodeDevs[plan.NodeOf[o.id]]; len(cand) > 0 {
 				min = cand[0]
 				for _, i := range cand[1:] {
-					if loads[i] < loads[min] {
+					if g.devs[i].load < g.devs[min].load {
 						min = i
 					}
 				}
@@ -919,39 +862,39 @@ func (g *DeviceGroup) assignShards(plan *BatchPlan) {
 		}
 		if min < 0 {
 			min = 0
-			for i := 1; i < len(loads); i++ {
-				if loads[i] < loads[min] {
+			for i, d := range g.devs {
+				if d.load < g.devs[min].load {
 					min = i
 				}
 			}
 		}
-		g.devs[min].shards = append(g.devs[min].shards, o.s)
-		loads[min] += o.edges
+		g.devs[min].shards = append(g.devs[min].shards, o.id)
+		g.devs[min].load += o.weight
 	}
 	for _, d := range g.devs {
-		// Ascending shard order per device; the lists are tiny (≤ shards),
-		// so an allocation-free insertion sort beats sort.Ints here.
-		for i := 1; i < len(d.shards); i++ {
-			v := d.shards[i]
-			j := i - 1
-			for j >= 0 && d.shards[j] > v {
-				d.shards[j+1] = d.shards[j]
-				j--
-			}
-			d.shards[j+1] = v
-		}
+		slices.Sort(d.shards)
 	}
 }
+
+// hierarchical reports whether the group spans more than one node of a
+// two-tier fabric (false on every flat fabric). TrainBatch only runs plans
+// built for the group's node count, so on a hierarchical group the plan in
+// hand always carries a node assignment (NodeOf, NodeBytes).
+func (g *DeviceGroup) hierarchical() bool { return g.devsPerNode > 0 && g.nodes > 1 }
+
+// nodeOf returns the node device d sits in (devsPerNode > 0 only). Ids never
+// renumber, so a device's node never moves.
+func (g *DeviceGroup) nodeOf(d *GroupDev) int { return d.id / g.devsPerNode }
 
 // renodeSurvivors re-runs the plan's node assignment over the alive node
 // set when a whole node has died: dead nodes draw no shards and no scatter
 // payload, and the cross-node scatter pays one hop per surviving remote
-// node (renodeHops). The masked assignment is still a pure function of
+// node (the returned count). The masked assignment is still a pure function of
 // (batch shape, nodes, mask) — it steers modeled scheduling and
 // communication only, so the degraded run's trajectory stays bitwise
 // identical to the fault-free reference. Called only while the dead pool
 // is non-empty; the fault-free path never reaches it.
-func (g *DeviceGroup) renodeSurvivors(plan *BatchPlan, b *prep.Batch) {
+func (g *DeviceGroup) renodeSurvivors(plan *BatchPlan, b *prep.Batch) (hops int) {
 	if cap(g.nodeAlive) < g.nodes {
 		g.nodeAlive = make([]bool, g.nodes)
 	}
@@ -960,23 +903,22 @@ func (g *DeviceGroup) renodeSurvivors(plan *BatchPlan, b *prep.Batch) {
 		g.nodeAlive[j] = false
 	}
 	for _, d := range g.devs {
-		if j := d.id / g.devsPerNode; j < g.nodes {
+		if j := g.nodeOf(d); j < g.nodes {
 			g.nodeAlive[j] = true
 		}
 	}
-	allAlive, remote := true, 0
+	allAlive := true
 	for j, a := range g.nodeAlive {
 		if !a {
 			allAlive = false
 		} else if j > 0 {
-			remote++
+			hops++
 		}
 	}
-	if allAlive {
-		return // dead devices, but every node still has survivors
+	if !allAlive { // else: dead devices, but every node still has survivors
+		plan.assignNodesMask(b, g.nodes, g.nodeAlive)
 	}
-	plan.assignNodesMask(b, g.nodes, g.nodeAlive)
-	g.renodeHops = remote
+	return hops
 }
 
 // groupDeviceTask is the worker-pool entry: each claimed device index runs
@@ -1089,10 +1031,12 @@ func (g *DeviceGroup) runShard(d *GroupDev, s int, sub *SubBatch) error {
 	return nil
 }
 
-// TrainBatch runs one data-parallel training step over a prepared batch:
-// shard dispatch on the shared worker pool, per-shard forward+backward,
-// PCIe-modeled gradient all-reduce, one deterministic SGD step on every
-// replica. It returns the batch loss (identical at any device count).
+// TrainBatch runs one data-parallel training step over a prepared batch in
+// four legs: admitRejoiners (membership, at the batch boundary) → dispatch
+// (shards onto devices, replaying the batch on a device loss) →
+// foldAndStep (ascending-shard gradient fold, modeled all-reduce, one
+// deterministic SGD step on every replica) → account (GroupStats). It
+// returns the batch loss (identical at any device count).
 func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 	plan, _ := b.SubBatches.(*BatchPlan)
 	if plan == nil || plan.Shards != g.shards || plan.Nodes != g.nodes {
@@ -1111,90 +1055,98 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 	// rejoin broadcast so the weight reinstall shows up in the accounting.
 	icBytes0 := g.ic.BytesMoved()
 
-	// Elastic membership, consulted once per batch boundary (nil plan =
-	// one predicted branch): dead devices the plan rejoins re-enter the
-	// group *before* any shard is assigned — revived, handed the
-	// survivors' weight snapshot (paid as a modeled broadcast on the tier
-	// the device sits across), gradients cleared — so the rejoined replica
-	// is bitwise identical to the survivors and the trajectory never sees
-	// the membership change. The network tier's degradation state is
-	// refreshed from the plan at the same boundary.
-	var rejoined int
-	var bcastIntra, bcastInter time.Duration
-	if g.fplan != nil {
-		if len(g.deadPool) > 0 && len(g.devs) > 0 {
-			pool := g.deadPool[:0]
-			for _, d := range g.deadPool {
-				if !g.fplan.DeviceRejoins(d.id, step) {
-					pool = append(pool, d)
-					continue
-				}
-				d.Dev.Revive()
-				ref := g.devs[0]
-				var wb int64
-				for li, l := range ref.Model.Layers {
-					dst := d.Model.Layers[li]
-					copy(dst.W.Data, l.W.Data)
-					copy(dst.B, l.B)
-					wb += int64(len(l.W.Data)+len(l.B)) * 4
-				}
-				d.clearGrads()
-				crossNode := g.devsPerNode > 0 && g.nodes > 1 &&
-					d.id/g.devsPerNode != ref.id/g.devsPerNode
-				dur := g.ic.Broadcast(wb, crossNode, g.pinned)
-				if crossNode {
-					bcastInter += dur
-				} else {
-					bcastIntra += dur
-				}
-				// Re-insert in ascending id order: ids never renumber, so
-				// the rejoined device lands back in its original slot and
-				// node.
-				pos := len(g.devs)
-				for i, gd := range g.devs {
-					if gd.id > d.id {
-						pos = i
-						break
-					}
-				}
-				g.devs = append(g.devs, nil)
-				copy(g.devs[pos+1:], g.devs[pos:])
-				g.devs[pos] = d
-				rejoined++
-			}
-			g.deadPool = pool
-			if rejoined > 0 {
-				n := len(g.devs)
-				g.devLoads = g.devLoads[:n]
-				g.commBytes0 = g.commBytes0[:n]
-				g.commNs0 = g.commNs0[:n]
-				g.stall0 = g.stall0[:n]
-				g.rejoinedSum += rejoined
-			}
-		}
-		f, extra := g.fplan.LinkDegraded(step)
-		g.ic.SetLinkDegradation(f, extra)
+	st := GroupStats{Shards: g.shards, Imbalance: plan.Imbalance,
+		Nodes: plan.Nodes, NodeImbalance: plan.NodeImbalance, Placements: g.plStats}
+	t := stepTerms{pendingIntra: g.pendingIntraDrain, pendingInter: g.pendingInterDrain,
+		intraContention: g.ic.OverlapContention(), netContention: g.ic.NetworkContention()}
+	if g.fplan != nil { // nil plan = one predicted branch per batch
+		st.Rejoined, t.bcastIntra, t.bcastInter = g.admitRejoiners(step)
 	}
+	retries, hops, err := g.dispatch(step)
+	if err != nil {
+		g.plan, g.batch = nil, nil
+		return 0, err
+	}
+	st.Retries = retries
+	var loss float64
+	loss, t.arIntra, t.arInter = g.foldAndStep(lr)
+	g.account(&st, t, hops, icBytes0)
+	g.pendingIntraDrain, g.pendingInterDrain = t.arIntra, t.arInter
+	g.stats = st
+	g.plan, g.batch = nil, nil
+	return loss, nil
+}
 
-	// Dispatch with deterministic fault injection and batch-granularity
-	// failover: a device the plan kills fails its next shard at its first
-	// allocation, the dead device is dropped, and the *whole* batch
-	// replays on the survivors. The shard partition and fold order are
-	// fixed by the batch shape — not the device count — and no replica
-	// has applied a Step yet, so a retry is numerically invisible: the
-	// loss/weight trajectory is bitwise identical to a fault-free run.
-	retries := 0
-	for {
-		g.renodeHops = -1
-		if g.devsPerNode > 0 && g.nodes > 1 && plan.Nodes == g.nodes && len(g.deadPool) > 0 {
-			g.renodeSurvivors(plan, b)
+// admitRejoiners is the elastic-membership leg, consulted once per batch
+// boundary: dead devices the fault plan rejoins at this step re-enter the
+// group *before* any shard is assigned — revived, handed the survivors'
+// weight snapshot (paid as a modeled broadcast on the tier the device sits
+// across), gradients cleared — so the rejoined replica is bitwise identical
+// to the survivors and the trajectory never sees the membership change. The
+// network tier's degradation state is refreshed from the plan at the same
+// boundary. It returns the rejoin count and the broadcast time per tier.
+func (g *DeviceGroup) admitRejoiners(step int) (rejoined int, bcastIntra, bcastInter time.Duration) {
+	if len(g.deadPool) > 0 && len(g.devs) > 0 {
+		pool := g.deadPool[:0]
+		for _, d := range g.deadPool {
+			if !g.fplan.DeviceRejoins(d.id, step) {
+				pool = append(pool, d)
+				continue
+			}
+			d.Dev.Revive()
+			ref := g.devs[0]
+			var wb int64
+			for li, l := range ref.Model.Layers {
+				dst := d.Model.Layers[li]
+				copy(dst.W.Data, l.W.Data)
+				copy(dst.B, l.B)
+				wb += int64(len(l.W.Data)+len(l.B)) * 4
+			}
+			d.clearGrads()
+			crossNode := g.hierarchical() && g.nodeOf(d) != g.nodeOf(ref)
+			dur := g.ic.Broadcast(wb, crossNode, g.pinned)
+			if crossNode {
+				bcastInter += dur
+			} else {
+				bcastIntra += dur
+			}
+			// Re-insert in ascending id order: ids never renumber, so the
+			// rejoined device lands back in its original slot and node.
+			pos, _ := slices.BinarySearchFunc(g.devs, d.id, func(gd *GroupDev, id int) int { return gd.id - id })
+			g.devs = slices.Insert(g.devs, pos, d)
+			rejoined++
 		}
-		g.assignShards(plan)
-		for i, d := range g.devs {
+		g.deadPool = pool
+		g.rejoinedSum += rejoined
+	}
+	f, extra := g.fplan.LinkDegraded(step)
+	g.ic.SetLinkDegradation(f, extra)
+	return rejoined, bcastIntra, bcastInter
+}
+
+// dispatch is the execution leg: shards are assigned to the current
+// devices and run on the shared worker pool, with deterministic fault
+// injection and batch-granularity failover — a device the plan kills fails
+// its next shard at its first allocation, the dead device is dropped, and
+// the *whole* batch replays on the survivors. The shard partition and fold
+// order are fixed by the batch shape — not the device count — and no
+// replica has applied a Step yet, so a retry is numerically invisible: the
+// loss/weight trajectory is bitwise identical to a fault-free run. It
+// returns the replay count and the cross-node scatter hop count of the
+// assignment that completed (one per remote node; after a whole-node loss,
+// one per surviving remote node).
+func (g *DeviceGroup) dispatch(step int) (retries, hops int, err error) {
+	for {
+		hops = g.plan.Nodes - 1
+		if g.hierarchical() && len(g.deadPool) > 0 {
+			hops = g.renodeSurvivors(g.plan, g.batch)
+		}
+		g.assignShards(g.plan)
+		for _, d := range g.devs {
 			d.err = nil
-			g.commBytes0[i] = d.Dev.PCIe().BytesMoved()
-			g.commNs0[i] = d.Dev.PCIe().ModeledTime()
-			g.stall0[i] = d.Dev.StallTime()
+			d.commBytes0 = d.Dev.PCIe().BytesMoved()
+			d.commNs0 = d.Dev.PCIe().ModeledTime()
+			d.stall0 = d.Dev.StallTime()
 		}
 		if g.fplan != nil {
 			for _, d := range g.devs {
@@ -1204,7 +1156,7 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 				if g.fplan.DeviceDies(d.id, step) {
 					d.Dev.Kill()
 				}
-				if g.devsPerNode > 0 && g.fplan.NodeDies(d.id/g.devsPerNode, step) {
+				if g.devsPerNode > 0 && g.fplan.NodeDies(g.nodeOf(d), step) {
 					d.Dev.Kill()
 				}
 			}
@@ -1220,11 +1172,10 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 			}
 		}
 		if devErr == nil {
-			break
+			return retries, hops, nil
 		}
 		if !gpusim.IsDeviceLost(devErr) || !g.dropDead() {
-			g.plan, g.batch = nil, nil
-			return 0, devErr
+			return retries, hops, devErr
 		}
 		for _, d := range g.devs {
 			d.clearGrads()
@@ -1232,16 +1183,18 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 		retries++
 		g.retriesSum++
 	}
+}
 
-	// All-reduce: fold per-shard partials in ascending shard order — the
-	// order is fixed by the plan, not by devices — and hand every replica
-	// the identical result. The collective's modeled cost (a ring of
-	// 2·(N−1) steps of size/N per device) is paid on the group's
-	// interconnect, whose topology decides both its latency and how much of
-	// the next batch's scatter can hide under it.
-	ref := g.devs[0].Model
+// foldAndStep is the reduction leg: per-shard partials fold in ascending
+// shard order — the order is fixed by the plan, not by devices — and every
+// replica receives the identical result and applies the same SGD step. The
+// collective's modeled cost (a ring of 2·(N−1) steps of size/N per device)
+// is paid on the group's interconnect, whose topology decides both its
+// latency and how much of the next batch's scatter can hide under it. It
+// returns the batch loss and the all-reduce time per tier.
+func (g *DeviceGroup) foldAndStep(lr float32) (loss float64, arIntra, arInter time.Duration) {
 	var gradBytes int64
-	for li := range ref.Layers {
+	for li := range g.foldDW {
 		fd, fb := g.foldDW[li], g.foldDB[li]
 		copy(fd.Data, g.grads[0][li].dw.Data)
 		copy(fb, g.grads[0][li].db)
@@ -1257,14 +1210,11 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 		}
 		gradBytes += int64(len(fd.Data)+len(fb)) * 4
 	}
-	arIntra, arInter := g.ic.AllReduceTiers(gradBytes, len(g.devs), g.pinned)
-	arTime := arIntra + arInter
+	arIntra, arInter = g.ic.AllReduceTiers(gradBytes, len(g.devs), g.pinned)
 	var lossSum float64
 	for s := 0; s < g.shards; s++ {
 		lossSum += g.lossParts[s]
 	}
-	loss := lossSum / float64(g.norm)
-
 	for _, d := range g.devs {
 		for li, l := range d.Model.Layers {
 			copy(l.DW.Data, g.foldDW[li].Data)
@@ -1272,19 +1222,20 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 		}
 		d.Model.Step(lr)
 	}
+	return lossSum / float64(g.norm), arIntra, arInter
+}
 
-	// Step statistics: compute scales with the busiest device; the scatter
-	// is the slowest device's modeled host→device time; the all-reduce
-	// rides the interconnect.
-	st := GroupStats{Devices: len(g.devs), Shards: g.shards, Imbalance: plan.Imbalance,
-		Nodes: plan.Nodes, NodeImbalance: plan.NodeImbalance,
-		DeadDevices: g.deadDevs, Retries: retries, Placements: g.plStats,
-		Rejoined: rejoined, RejoinBcastTime: bcastIntra + bcastInter}
+// account is the statistics leg: it merges the devices' per-batch counters
+// into st, prices the cross-node scatter (hops uplink hops) and composes
+// the step's modeled times from t. Compute scales with the busiest device;
+// the device scatter is the slowest device's modeled host→device time.
+func (g *DeviceGroup) account(st *GroupStats, t stepTerms, hops int, icBytes0 int64) {
+	st.Devices, st.DeadDevices = len(g.devs), g.deadDevs
 	tm := gpusim.DefaultKernelTimeModel()
 	for li := range g.plStats {
 		g.plStats[li] = PlacementCount{}
 	}
-	for i, d := range g.devs {
+	for _, d := range g.devs {
 		for li := range d.plc {
 			g.plStats[li].AggrFirst += d.plc[li].AggrFirst
 			g.plStats[li].CombFirst += d.plc[li].CombFirst
@@ -1293,72 +1244,75 @@ func (g *DeviceGroup) TrainBatch(b *prep.Batch, lr float32) (float64, error) {
 		if d.cnt.FLOPs > st.PeakDeviceFLOPs {
 			st.PeakDeviceFLOPs = d.cnt.FLOPs
 		}
-		stall := d.Dev.StallTime() - g.stall0[i]
+		stall := d.Dev.StallTime() - d.stall0
 		if stall > st.StallTime {
 			st.StallTime = stall
 		}
-		if est := d.Dev.Estimate(tm, d.cnt) + stall; est > st.MaxDeviceCompute {
-			st.MaxDeviceCompute = est
+		if est := d.Dev.Estimate(tm, d.cnt) + stall; est > t.compute {
+			t.compute = est
 		}
-		st.CommBytes += d.Dev.PCIe().BytesMoved() - g.commBytes0[i]
-		if ct := d.Dev.PCIe().ModeledTime() - g.commNs0[i]; ct > st.ScatterTime {
-			st.ScatterTime = ct
+		st.CommBytes += d.Dev.PCIe().BytesMoved() - d.commBytes0
+		if ct := d.Dev.PCIe().ModeledTime() - d.commNs0; ct > t.devScatter {
+			t.devScatter = ct
 		}
 	}
 	// Cross-node scatter: every node past the producer's receives its
 	// deduplicated payload over the network before its devices' PCIe
 	// copies, serialized on the producer node's uplink (one hop per remote
 	// node).
-	devScatter := st.ScatterTime
-	var netScatter time.Duration
-	if plan.Nodes > 1 {
-		for j := 1; j < len(plan.NodeBytes); j++ {
-			st.CrossNodeBytes += plan.NodeBytes[j]
+	if g.plan.Nodes > 1 {
+		for j := 1; j < len(g.plan.NodeBytes); j++ {
+			st.CrossNodeBytes += g.plan.NodeBytes[j]
 		}
-		hops := plan.Nodes - 1
-		if g.renodeHops >= 0 {
-			// A whole-node loss re-noded the plan over the survivors: only
-			// the alive remote nodes draw scatter hops.
-			hops = g.renodeHops
-		}
-		netScatter = g.ic.InterScatter(st.CrossNodeBytes, hops)
+		t.netScatter = g.ic.InterScatter(st.CrossNodeBytes, hops)
 	}
-	st.ScatterTime = netScatter + devScatter
-	st.AllReduceTime = arTime
-	st.IntraNodeTime = devScatter + arIntra + bcastIntra
-	st.InterNodeTime = netScatter + arInter + bcastInter
 	// Fabric traffic beyond the per-device PCIe scatters: whatever the
 	// interconnect accrued this step (collective steps on both tiers, the
 	// cross-node scatter payload, and any rejoin weight broadcast).
 	st.CommBytes += g.ic.BytesMoved() - icBytes0
+	st.setStepTimes(t)
+}
+
+// stepTerms are the modeled durations one training step is composed from.
+type stepTerms struct {
+	devScatter, netScatter     time.Duration // slowest device's PCIe scatter; cross-node scatter
+	compute                    time.Duration // busiest device's kernels plus injected stall
+	arIntra, arInter           time.Duration // this step's all-reduce, per tier
+	bcastIntra, bcastInter     time.Duration // rejoin weight broadcasts, per tier
+	pendingIntra, pendingInter time.Duration // previous step's all-reduce drain, per tier
+	// Fraction of a tier's bandwidth a draining collective takes from a
+	// concurrent scatter on that tier.
+	intraContention, netContention float64
+}
+
+// setStepTimes composes the step's modeled time fields from t — the one
+// place the serial and overlapped schedules are derived; a pure function of
+// its argument.
+//
+// Serial: rejoin broadcast, scatter, compute and all-reduce end to end.
+// Overlapped: this batch's scatter was issued while the previous step's
+// all-reduce drained, tier by tier. During the drain window a tier's
+// scatter progresses at (1 − contention) of its full rate, so up to
+// drain·(1−c) of scatter work leaves the critical path on each tier; the
+// exposed remainder serializes before compute as usual. On a flat fabric
+// the inter terms are zero and this is exactly the single-tier schedule.
+// The rejoin broadcast happens at the boundary, before the scatter can
+// start, so it is always fully exposed.
+func (st *GroupStats) setStepTimes(t stepTerms) {
+	st.MaxDeviceCompute = t.compute
+	st.ScatterTime = t.netScatter + t.devScatter
+	st.AllReduceTime = t.arIntra + t.arInter
+	st.RejoinBcastTime = t.bcastIntra + t.bcastInter
+	st.IntraNodeTime = t.devScatter + t.arIntra + t.bcastIntra
+	st.InterNodeTime = t.netScatter + t.arInter + t.bcastInter
 	st.CommTime = st.ScatterTime + st.AllReduceTime + st.RejoinBcastTime
 	st.StepTimeSerial = st.MaxDeviceCompute + st.CommTime
 
-	// Overlapped schedule: this batch's scatter was issued while the
-	// previous step's all-reduce drained, tier by tier. During the drain
-	// window a tier's scatter progresses at (1 − contention) of its full
-	// rate, so up to drain·(1−c) of scatter work leaves the critical path
-	// on each tier; the exposed remainder serializes before compute as
-	// usual. On a flat fabric the inter terms are zero and this is exactly
-	// the single-tier schedule.
-	hiddenIntra := time.Duration(float64(g.pendingIntraDrain) * (1 - g.ic.OverlapContention()))
-	if hiddenIntra > devScatter {
-		hiddenIntra = devScatter
-	}
-	hiddenInter := time.Duration(float64(g.pendingInterDrain) * (1 - g.ic.NetworkContention()))
-	if hiddenInter > netScatter {
-		hiddenInter = netScatter
-	}
-	hidden := hiddenIntra + hiddenInter
+	hidden := min(time.Duration(float64(t.pendingIntra)*(1-t.intraContention)), t.devScatter) +
+		min(time.Duration(float64(t.pendingInter)*(1-t.netContention)), t.netScatter)
+	st.OverlapEfficiency = 0
 	if st.ScatterTime > 0 {
 		st.OverlapEfficiency = float64(hidden) / float64(st.ScatterTime)
 	}
-	// The rejoin broadcast happens at the boundary, before the scatter can
-	// start, so it is fully exposed on the step's critical path.
 	st.StepTime = st.RejoinBcastTime + (st.ScatterTime - hidden) + st.MaxDeviceCompute + st.AllReduceTime
-	g.pendingIntraDrain, g.pendingInterDrain = arIntra, arInter
-
-	g.stats = st
-	g.plan, g.batch = nil, nil
-	return loss, nil
 }

@@ -2,6 +2,7 @@ package multigpu
 
 import (
 	"testing"
+	"time"
 
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/prep"
@@ -161,5 +162,71 @@ func TestPartitionBatchReuseBitwise(t *testing.T) {
 		for s := range fresh.Subs {
 			subBatchEqual(t, format.String(), &reused.Subs[s], &fresh.Subs[s])
 		}
+	}
+}
+
+// TestStepTimeClosedForms checks the step-time composition on its own — no
+// group, no training — against the closed forms of the schedule.
+func TestStepTimeClosedForms(t *testing.T) {
+	const us = time.Microsecond
+	base := stepTerms{
+		devScatter: 40 * us, netScatter: 25 * us, compute: 300 * us,
+		arIntra: 60 * us, arInter: 90 * us,
+		intraContention: 0.25, netContention: 0.5,
+	}
+	times := func(tm stepTerms) GroupStats {
+		var st GroupStats
+		st.setStepTimes(tm)
+		if st.IntraNodeTime+st.InterNodeTime != st.CommTime {
+			t.Errorf("intra %v + inter %v != comm %v", st.IntraNodeTime, st.InterNodeTime, st.CommTime)
+		}
+		return st
+	}
+
+	// No pending drain: nothing to hide behind, overlapped == serial.
+	st := times(base)
+	if st.StepTime != st.StepTimeSerial || st.OverlapEfficiency != 0 {
+		t.Errorf("no drain: step %v serial %v overlap %v", st.StepTime, st.StepTimeSerial, st.OverlapEfficiency)
+	}
+	if want := (40 + 25 + 300 + 60 + 90) * us; st.StepTimeSerial != want {
+		t.Errorf("serial %v, want %v", st.StepTimeSerial, want)
+	}
+
+	// drain·(1−c) ≥ scatter on both tiers: the scatter is fully hidden.
+	tm := base
+	tm.pendingIntra, tm.pendingInter = 54*us, 50*us // 54·0.75 = 40.5 ≥ 40, 50·0.5 = 25 ≥ 25
+	st = times(tm)
+	if st.OverlapEfficiency != 1 || st.StepTime != st.StepTimeSerial-st.ScatterTime {
+		t.Errorf("full drain: overlap %v step %v serial %v scatter %v",
+			st.OverlapEfficiency, st.StepTime, st.StepTimeSerial, st.ScatterTime)
+	}
+
+	// A tier's drain hides only its own tier's scatter: a long intra drain
+	// leaves the cross-node scatter exposed.
+	tm = base
+	tm.pendingIntra = time.Second
+	st = times(tm)
+	if st.StepTime != st.StepTimeSerial-tm.devScatter {
+		t.Errorf("intra-only drain: step %v, want serial %v − device scatter %v", st.StepTime, st.StepTimeSerial, tm.devScatter)
+	}
+
+	// Flat fabric: every inter term is zero and IntraNodeTime is CommTime.
+	tm = stepTerms{devScatter: 40 * us, compute: 300 * us, arIntra: 60 * us,
+		pendingIntra: 20 * us, intraContention: 0.25, netContention: 0.5}
+	st = times(tm)
+	if st.InterNodeTime != 0 || st.IntraNodeTime != st.CommTime {
+		t.Errorf("flat: inter %v intra %v comm %v", st.InterNodeTime, st.IntraNodeTime, st.CommTime)
+	}
+	if want := st.StepTimeSerial - 15*us; st.StepTime != want { // 20·0.75 hidden
+		t.Errorf("flat: step %v, want %v", st.StepTime, want)
+	}
+
+	// The rejoin broadcast is paid at the boundary: no drain hides it.
+	tm = base
+	tm.bcastIntra, tm.bcastInter = 7*us, 11*us
+	tm.pendingIntra, tm.pendingInter = time.Second, time.Second
+	st = times(tm)
+	if want := (7 + 11 + 300 + 60 + 90) * us; st.StepTime != want || st.RejoinBcastTime != 18*us {
+		t.Errorf("rejoin: step %v, want %v (bcast %v)", st.StepTime, want, st.RejoinBcastTime)
 	}
 }

@@ -54,10 +54,6 @@ type Config struct {
 	// table as they land. A HostOnly scheduler never touches its device and
 	// may be built with a nil one.
 	HostOnly bool
-	// Workers bounds the scheduler's concurrent subtasks (0 = GOMAXPROCS):
-	// it is the size of the persistent subtask-engine worker set all
-	// Prepare calls on the scheduler share.
-	Workers int
 	// Cache, when non-nil, is the PaGraph-style embedding cache the K and T
 	// subtasks consult: resident vertices are gathered into the staging
 	// table as usual (batch contents never depend on residency) but skip
@@ -99,14 +95,13 @@ func NewScheduler(full *graph.CSR, features *graph.EmbeddingTable, labels []int3
 	if cfg.ChunkVertices <= 0 {
 		cfg.ChunkVertices = 512
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if !cfg.RelaxContention {
 		cfg.Sampler.Mode = sampling.ModeShared
 	}
+	// The subtask engine — the persistent worker set all Prepare calls on
+	// the scheduler share — is sized to the processor count.
 	return &Scheduler{cfg: cfg, full: full, features: features, labels: labels, dev: dev,
-		sampler: sampling.New(full, cfg.Sampler), engine: newSubtaskEngine(cfg.Workers)}
+		sampler: sampling.New(full, cfg.Sampler), engine: newSubtaskEngine(runtime.GOMAXPROCS(0))}
 }
 
 // SetCache installs (or, with nil, removes) the embedding cache the K/T

@@ -126,14 +126,6 @@ func ReindexCOO(hop *sampling.Hop, table *vidmap.Table) (*graph.BCOO, error) {
 	return out, nil
 }
 
-// ReindexRange renumbers the edge subrange [lo,hi) of a hop into the
-// preallocated dst arrays — the chunk primitive the pipelined scheduler
-// uses to parallelize R across threads.
-func ReindexRange(hop *sampling.Hop, table *vidmap.Table, dst *graph.BCOO, lo, hi int) {
-	table.LookupBatch(hop.SrcOrig[lo:hi], dst.Src[lo:hi])
-	table.LookupBatch(hop.DstOrig[lo:hi], dst.Dst[lo:hi])
-}
-
 // BuildLayer converts a reindexed COO hop into the requested device format.
 // The translation cost is real work performed here (counting sort), exactly
 // the work the Graph-approach defers to kernel time.

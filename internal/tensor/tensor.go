@@ -5,13 +5,11 @@
 // kernels (kernels.BiasReLU).
 //
 // All operations are deterministic; parallel kernels split work by rows so
-// results are bitwise identical regardless of worker count. Every kernel
-// exists in two forms: an allocating form (MatMul, Transpose, ...) kept for
-// convenience, and a destination-passing form (MatMulInto, TransposeInto,
-// ...) that writes into caller-owned storage — typically drawn from the pool
-// in pool.go — and performs no heap allocation on the serial path. The
-// allocating forms are thin wrappers over the Into forms, so the two are
-// always bitwise identical.
+// results are bitwise identical regardless of worker count. The three GEMM
+// kernels (MatMulInto, MatMulTInto, TMatMulInto) are destination-passing:
+// they write into caller-owned storage — typically drawn from the pool in
+// pool.go — and perform no heap allocation. They are the GEMM every engine
+// runs: kernels.Linear and LinearBackward compute through them.
 package tensor
 
 import (
@@ -175,24 +173,14 @@ func tMatMulTask(ctx any, lo, hi int) {
 	tMatMulRange(p.dst, p.a, p.b, lo, hi)
 }
 
-func transposeTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	transposeRange(p.dst, p.a, lo, hi)
-}
-
 // gemmKBlock is the inner-dimension tile of the blocked GEMM kernels: a
 // tile of that many B rows (gemmKBlock × Cols floats) is streamed once and
 // reused across every output row a worker owns, keeping it cache-resident.
 const gemmKBlock = 128
 
-// MatMul returns a×b. Panics on inner-dimension mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	return MatMulInto(New(a.Rows, b.Cols), a, b)
-}
-
 // MatMulInto computes dst = a×b into caller-owned storage and returns dst.
 // dst must be a.Rows×b.Cols and must not alias a or b; its prior contents
-// are overwritten. The kernel is cache-blocked over the inner dimension
+// are overwritten. Panics on a shape mismatch. The kernel is cache-blocked over the inner dimension
 // and accumulates each output element strictly in ascending-k order, so
 // results are bitwise identical to the naive triple loop regardless of
 // worker count. The serial path performs no heap allocation.
@@ -260,11 +248,6 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulT returns a×bᵀ.
-func MatMulT(a, b *Matrix) *Matrix {
-	return MatMulTInto(New(a.Rows, b.Rows), a, b)
-}
-
 // MatMulTInto computes dst = a×bᵀ into caller-owned storage and returns
 // dst. dst must be a.Rows×b.Rows and must not alias a or b. Each output
 // element is one dot product accumulated in ascending-k order; four b rows
@@ -315,11 +298,6 @@ func matMulTRange(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// TMatMul returns aᵀ×b.
-func TMatMul(a, b *Matrix) *Matrix {
-	return TMatMulInto(New(a.Cols, b.Cols), a, b)
-}
-
 // TMatMulInto computes dst = aᵀ×b into caller-owned storage and returns
 // dst. dst must be a.Cols×b.Cols and must not alias a or b. Work splits by
 // output rows (a's columns) so accumulation stays deterministic; the inner
@@ -363,52 +341,6 @@ func tMatMulRange(dst, a, b *Matrix, lo, hi int) {
 				brow := b.Row(k)[:len(orow)]
 				for j := range orow {
 					orow[j] += av * brow[j]
-				}
-			}
-		}
-	}
-}
-
-// transposeTile is the square tile edge of the blocked transpose.
-const transposeTile = 32
-
-// Transpose returns mᵀ as a new matrix.
-func Transpose(m *Matrix) *Matrix {
-	return TransposeInto(New(m.Cols, m.Rows), m)
-}
-
-// TransposeInto computes dst = mᵀ into caller-owned storage and returns
-// dst. dst must be m.Cols×m.Rows and must not alias m. The kernel is
-// tiled so both the read and write sides stay within cache lines, and
-// parallel across source-row bands (each band writes a disjoint element
-// set, so the result is independent of worker count).
-func TransposeInto(dst, m *Matrix) *Matrix {
-	if dst.Rows != m.Cols || dst.Cols != m.Rows {
-		panic(fmt.Sprintf("tensor: transpose dst %dx%d != %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
-	}
-	if workers := rowWorkers(m.Rows); workers > 1 {
-		runRows(m.Rows, workers, getPArgs(dst, m, nil), transposeTask)
-		return dst
-	}
-	transposeRange(dst, m, 0, m.Rows)
-	return dst
-}
-
-func transposeRange(dst, m *Matrix, lo, hi int) {
-	for i0 := lo; i0 < hi; i0 += transposeTile {
-		i1 := i0 + transposeTile
-		if i1 > hi {
-			i1 = hi
-		}
-		for j0 := 0; j0 < m.Cols; j0 += transposeTile {
-			j1 := j0 + transposeTile
-			if j1 > m.Cols {
-				j1 = m.Cols
-			}
-			for i := i0; i < i1; i++ {
-				row := m.Row(i)
-				for j := j0; j < j1; j++ {
-					dst.Data[j*m.Rows+i] = row[j]
 				}
 			}
 		}

@@ -105,9 +105,8 @@ func NewDriver(tr *frameworks.Trainer, cfg Config, valDsts []graph.VID) *Driver 
 // compute tail of epoch e and continues through validation pauses. On early
 // stopping the deferred Stop abandons and drains whatever the ring prepared
 // ahead. Peak device residency is correspondingly higher than the old
-// epoch-bounded prefetcher: up to PrefetchDepth+2 training batches plus the
-// validation batch can hold device buffers at once (see
-// frameworks.Options.PrefetchDepth).
+// epoch-bounded prefetcher: the ring's prefetch depth + 2 training batches
+// plus the validation batch can hold device buffers at once.
 func (d *Driver) Run() (*History, error) {
 	// Apply the run's learning-rate override for the duration of the run
 	// only; the trainer's configured rate is restored on return.
@@ -169,10 +168,6 @@ func (d *Driver) Run() (*History, error) {
 		loss, err := d.tr.TrainStreamHook(ring, nb, after)
 		if err != nil {
 			return nil, err
-		}
-		// After the first epoch, fit the DKP cost model (paper's schedule).
-		if e == 0 {
-			_ = d.tr.Warmup(0) // fit from observations if DKP is enabled
 		}
 		res := EpochResult{Epoch: e, MeanLoss: loss, Wall: time.Since(t0)}
 		if g := d.tr.Group(); g != nil {

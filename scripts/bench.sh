@@ -10,6 +10,10 @@
 #   scripts/bench.sh                  # writes the next BENCH_<n>.json, 5 samples
 #   OUT=mybench.json scripts/bench.sh # explicit output path (no auto-numbering)
 #   COUNT=10 scripts/bench.sh         # more samples per benchmark
+#   GOMAXPROCS=1 COUNT=20 scripts/bench.sh  # how the committed snapshots are
+#                                     # captured: the harness inherits
+#                                     # GOMAXPROCS, and allocs/op are only
+#                                     # comparable at the same setting
 set -eu
 cd "$(dirname "$0")/.."
 
