@@ -1,6 +1,6 @@
 // Command gttrain trains a GNN model on a synthetic dataset under any of
-// the framework builds and reports per-batch latency, loss and device
-// counters.
+// the framework builds and reports per-batch latency on both clocks (host
+// wall time of this box; modeled device time), loss and device counters.
 //
 // Usage:
 //
@@ -20,22 +20,11 @@ import (
 	"graphtensor/internal/multigpu"
 )
 
-var kindNames = map[string]frameworks.Kind{
-	"dgl":        frameworks.DGL,
-	"pyg":        frameworks.PyG,
-	"pyg-mt":     frameworks.PyGMT,
-	"gnnadvisor": frameworks.GNNAdvisor,
-	"salient":    frameworks.SALIENT,
-	"base-gt":    frameworks.BaseGT,
-	"dynamic-gt": frameworks.DynamicGT,
-	"prepro-gt":  frameworks.PreproGT,
-}
-
 func main() {
 	var (
 		dataset = flag.String("dataset", "products", "dataset name")
 		model   = flag.String("model", "gcn", "gcn|ngcf|graphsage|gat")
-		fwName  = flag.String("framework", "prepro-gt", "framework build")
+		fwName  = flag.String("framework", "prepro-gt", "framework build (a Table III name, any case)")
 		batches = flag.Int("batches", 8, "training batches")
 		batchSz = flag.Int("batch-size", 300, "dst vertices per batch")
 		hidden  = flag.Int("hidden", 16, "hidden dimension")
@@ -47,8 +36,13 @@ func main() {
 	)
 	flag.Parse()
 
-	kind, ok := kindNames[strings.ToLower(*fwName)]
-	if !ok {
+	kind := frameworks.Kind(-1)
+	for _, k := range frameworks.Kinds() {
+		if strings.EqualFold(k.String(), *fwName) {
+			kind = k
+		}
+	}
+	if kind < 0 {
 		fmt.Fprintf(os.Stderr, "gttrain: unknown framework %q\n", *fwName)
 		os.Exit(2)
 	}
@@ -83,6 +77,7 @@ func main() {
 		fmt.Printf("DKP cost model fitted offline for device class %s (%.1f%% error)\n",
 			prof.Class, 100*prof.FitErr)
 	}
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	start := time.Now()
 	for i := 0; i < *batches; i++ {
 		st, err := tr.TrainBatch()
@@ -90,8 +85,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gttrain: batch %d: %v\n", i, err)
 			os.Exit(1)
 		}
-		fmt.Printf("batch %2d  loss %.4f  prep %8v  compute %8v  flops %d\n",
-			i, st.Loss, st.Prep.Round(time.Microsecond), st.Compute.Round(time.Microsecond), st.Counters.FLOPs)
+		fmt.Printf("batch %2d  loss %.4f  host: prep %8v compute %8v  modeled: prep %8v compute %8v step %8v  flops %d\n",
+			i, st.Loss, us(st.Prep), us(st.Compute),
+			us(st.ModeledPrep), us(st.ModeledCompute), us(st.ModeledStep), st.Counters.FLOPs)
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
 	if g := tr.Group(); g != nil {

@@ -64,14 +64,13 @@ func main() {
 func buildInput(engine *core.Engine, ds *datasets.Dataset) *core.Input {
 	sampler := sampling.New(ds.Graph, sampling.DefaultConfig())
 	res := sampler.Sample(ds.BatchDsts(200, 1))
-	graphs := make([]*kernels.Graphs, len(res.Hops))
+	graphs := make([]kernels.Graphs, len(res.Hops))
 	for l := 1; l <= len(res.Hops); l++ {
 		coo, err := prep.ReindexCOO(res.ForLayer(l), res.Table)
 		if err != nil {
 			panic(err)
 		}
-		ld := prep.BuildLayer(coo, prep.FormatCSRCSC)
-		graphs[l-1] = &kernels.Graphs{CSR: ld.CSR, CSC: ld.CSC}
+		graphs[l-1] = prep.BuildLayer(coo, prep.FormatCSRCSC)
 	}
 	embed := prep.Lookup(nil, ds.Features, res.Table)
 	x, err := engine.Upload(embed.Data, "x")

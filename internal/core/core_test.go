@@ -22,7 +22,7 @@ func testDevice() *gpusim.Device {
 func buildInput(t *testing.T, dev *gpusim.Device, nBatch, nMid, nSrc, dim int, seed uint64) *Input {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
-	mk := func(nDst, nSrc, fanout int) *kernels.Graphs {
+	mk := func(nDst, nSrc, fanout int) kernels.Graphs {
 		coo := &graph.BCOO{NumDst: nDst, NumSrc: nSrc}
 		for d := 0; d < nDst; d++ {
 			// Self edge plus random neighbors, like the sampler emits.
@@ -34,7 +34,7 @@ func buildInput(t *testing.T, dev *gpusim.Device, nBatch, nMid, nSrc, dim int, s
 			}
 		}
 		csr, _ := graph.BCOOToBCSR(coo)
-		return &kernels.Graphs{CSR: csr, CSC: graph.BCSRToBCSC(csr)}
+		return kernels.Graphs{CSR: csr, CSC: graph.BCSRToBCSC(csr)}
 	}
 	x := tensor.Random(nSrc, dim, 1, rng)
 	xd, err := kernels.WrapDeviceMatrix(dev, x, "x")
@@ -46,7 +46,7 @@ func buildInput(t *testing.T, dev *gpusim.Device, nBatch, nMid, nSrc, dim int, s
 		labels[i] = int32(rng.Intn(3))
 	}
 	return &Input{
-		Graphs: []*kernels.Graphs{mk(nMid, nSrc, 3), mk(nBatch, nMid, 3)},
+		Graphs: []kernels.Graphs{mk(nMid, nSrc, 3), mk(nBatch, nMid, 3)},
 		X:      xd,
 		Labels: labels,
 	}
@@ -78,14 +78,14 @@ func TestPlacementEquivalence(t *testing.T) {
 				ctx := kernels.NewCtx(dev)
 				in := buildInput(t, dev, 6, 14, 25, 10, 42)
 				model, err := NewModel(Config{
-					Strategy:       kernels.NAPA{},
-					Specs:          modelSpecs(tc.modes, 10, 8, 3),
-					Seed:           7,
-					ForcePlacement: &p,
+					Strategy: kernels.NAPA{},
+					Specs:    modelSpecs(tc.modes, 10, 8, 3),
+					Seed:     7,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				model.SetLayerPlacements([]dkp.Placement{p, p})
 				fr, err := model.Forward(ctx, in)
 				if err != nil {
 					t.Fatal(err)

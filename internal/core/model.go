@@ -43,10 +43,6 @@ type Config struct {
 	// Policy decides placements when EnableDKP is set. Nil falls back to a
 	// policy over the paper's Table I coefficients.
 	Policy *dkp.Policy
-	// ForcePlacement overrides the placement decision for every layer
-	// (used for the manual combination-first baseline variants whose
-	// spread Fig 15 shows as error bars). Nil means no override.
-	ForcePlacement *dkp.Placement
 }
 
 // Model is a multi-layer GNN bound to a kernel strategy.
@@ -54,7 +50,6 @@ type Model struct {
 	Strategy kernels.Strategy
 	Layers   []*Layer
 	policy   *dkp.Policy
-	force    *dkp.Placement
 	// layerForce pins one placement per layer (serving snapshots fix their
 	// placements at construction so a query's logits cannot depend on how
 	// the query was batched). Nil means decide per batch shape.
@@ -75,7 +70,7 @@ func NewModel(cfg Config) (*Model, error) {
 	if pol == nil {
 		pol = dkp.NewPolicy(nil)
 	}
-	m := &Model{Strategy: cfg.Strategy, policy: pol, force: cfg.ForcePlacement, dkpOn: cfg.EnableDKP}
+	m := &Model{Strategy: cfg.Strategy, policy: pol, dkpOn: cfg.EnableDKP}
 	for i, spec := range cfg.Specs {
 		if err := spec.Modes.Validate(); err != nil {
 			return nil, fmt.Errorf("core: layer %d: %w", i, err)
@@ -97,8 +92,10 @@ func NewModel(cfg Config) (*Model, error) {
 
 // Input is one prepared batch on device, ready for a training step.
 type Input struct {
-	// Graphs[i] is the subgraph layer i (0-based, first executed) runs on.
-	Graphs []*kernels.Graphs
+	// Graphs[i] is the subgraph layer i (0-based, first executed) runs on —
+	// a prepared batch's (or gradient shard's) Layers, passed as they are.
+	// A strategy that translates a missing format writes it back here.
+	Graphs []kernels.Graphs
 	// X is the batch embedding table (row = new VID).
 	X *kernels.DeviceMatrix
 	// Labels are the classes of the batch dst vertices (new VIDs 0..n-1).
@@ -165,12 +162,6 @@ func (m *Model) Policy() *dkp.Policy { return m.policy }
 // replica evaluating the same shard shape agrees.
 func (m *Model) Placement(li int, g *kernels.Graphs) dkp.Placement {
 	l := m.Layers[li]
-	if m.force != nil {
-		if *m.force == dkp.CombFirst && !m.rearrangeable(l) {
-			return dkp.AggrFirst
-		}
-		return *m.force
-	}
 	if m.layerForce != nil {
 		if p := m.layerForce[li]; p != dkp.CombFirst || m.rearrangeable(l) {
 			return p
@@ -223,7 +214,7 @@ func (m *Model) Forward(ctx *kernels.Ctx, in *Input) (*ForwardResult, error) {
 	fr := &ForwardResult{caches: make([]layerCache, len(m.Layers))}
 	x := in.X
 	for li, l := range m.Layers {
-		g := in.Graphs[li]
+		g := &in.Graphs[li]
 		cache := &fr.caches[li]
 		cache.x = x
 		cache.placement = m.Placement(li, g)
@@ -300,7 +291,7 @@ func (m *Model) Backward(ctx *kernels.Ctx, in *Input, fr *ForwardResult, dLogits
 	for li := len(m.Layers) - 1; li >= 0; li-- {
 		l := m.Layers[li]
 		cache := &fr.caches[li]
-		g := in.Graphs[li]
+		g := &in.Graphs[li]
 
 		if l.Spec.Activation {
 			if err := kernels.BiasReLUBackward(ctx, dOut, cache.pre, l.DB); err != nil {

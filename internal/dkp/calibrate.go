@@ -402,8 +402,8 @@ func (p *Profile) Recommend() Recommendation {
 	// in-flight batch it would have widened.
 	edges := maxBatch * (recFanout + recFanout*recFanout) // 2-hop sampled edges
 	verts := maxBatch * (1 + recFanout + recFanout*recFanout)
-	prep := pipeline.DefaultPrepCostModel().Serial(
-		pipeline.DefaultPrepCostModel().EstimateTasks(edges, verts, recFeat, false))
+	cm := pipeline.DefaultPrepCostModel()
+	prep := cm.Schedule(pipeline.SerialPrep, cm.EstimateTasks(edges, verts, recFeat, false)).Latency()
 	delay := 2 * (time.Duration((fixed+float64(maxBatch)*perDst)*1e3) + prep)
 	if delay < 500*time.Microsecond {
 		delay = 500 * time.Microsecond

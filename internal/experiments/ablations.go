@@ -14,8 +14,8 @@ import (
 	"graphtensor/internal/sampling"
 )
 
-// allSets, loadDataset, samplerFor, layerGraphs, prepareKernelBatch are
-// defined in sibling files of this package.
+// allSets, loadDataset, samplerFor, prepareKernelBatch are defined in
+// sibling files of this package.
 
 // The ablations quantify the individual design choices DESIGN.md §5 calls
 // out. Each isolates one mechanism and measures the quantity it targets.
@@ -80,7 +80,7 @@ func prepOneLayer(cfg Config, name string) (*gpusim.Device, *kernels.Graphs, *ke
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	return dev, layerGraphs(b)[0], x, b.Embed.Bytes(), nil
+	return dev, &b.Layers[0], x, b.Embed.Bytes(), nil
 }
 
 // ablScheduling compares the cache traffic of feature-wise (NAPA) vs

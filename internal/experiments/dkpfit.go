@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"graphtensor/internal/dkp"
-	"graphtensor/internal/metrics"
 )
 
 func init() {
@@ -40,7 +39,6 @@ func runDKPFit(cfg Config) (*Result, error) {
 	var totAggr, totComb, totPol time.Duration
 	beatsAggr := false
 	var violations []string
-	series := metrics.Series{Label: "policy/min-pinned ratio"}
 	for _, sc := range costs {
 		choice := pol.Decide(sc.Dims, false, 0)
 		tPol := sc.AggrFirst
@@ -61,8 +59,6 @@ func runDKPFit(cfg Config) (*Result, error) {
 			violations = append(violations,
 				fmt.Sprintf("shape %+v: policy chose %s (%v) but %v was available", sc.Dims, choice, tPol, best))
 		}
-		shape := fmt.Sprintf("%dx%dx%d/%dx%d", sc.NSrc, sc.NDst, sc.NEdge, sc.NFeat, sc.NHid)
-		series.Points = append(series.Points, metrics.Point{X: shape, Value: float64(tPol) / float64(best)})
 		fmt.Fprintf(&sb, "%6d %6d %8d %6d %6d %12v %12v %12v %10s\n",
 			sc.NSrc, sc.NDst, sc.NEdge, sc.NFeat, sc.NHid, sc.AggrFirst, sc.CombFirst, tPol, choice)
 	}
@@ -79,5 +75,5 @@ func runDKPFit(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("dkpfit: policy never strictly beat pinned aggregation-first over the sweep")
 	}
 	sb.WriteString("policy matched the better pinned order on every shape and strictly beat aggr-first on at least one.\n")
-	return &Result{Text: sb.String(), Series: []metrics.Series{series}}, nil
+	return &Result{Text: sb.String()}, nil
 }

@@ -25,7 +25,6 @@ var e2eFrameworks = []frameworks.Kind{
 // as in the paper.
 func runFig19(cfg Config) (*Result, error) {
 	var sb strings.Builder
-	var series []metrics.Series
 	for _, model := range []string{"gcn", "ngcf"} {
 		fmt.Fprintf(&sb, "--- %s (normalized end-to-end latency, Dynamic-GT = 100) ---\n", strings.ToUpper(model))
 		fmt.Fprintf(&sb, "%-12s", "dataset")
@@ -33,10 +32,6 @@ func runFig19(cfg Config) (*Result, error) {
 			fmt.Fprintf(&sb, "%12s", k)
 		}
 		sb.WriteByte('\n')
-		perFw := map[frameworks.Kind]*metrics.Series{}
-		for _, k := range e2eFrameworks {
-			perFw[k] = &metrics.Series{Label: fmt.Sprintf("%s/%s", k, model)}
-		}
 		for _, name := range allSets(cfg) {
 			ds, err := loadDataset(cfg, name)
 			if err != nil {
@@ -74,34 +69,28 @@ func runFig19(cfg Config) (*Result, error) {
 			for _, k := range e2eFrameworks {
 				if oom[k] {
 					fmt.Fprintf(&sb, "%12s", "OOM")
-					perFw[k].Points = append(perFw[k].Points, metrics.Point{X: name, Value: -1})
 					continue
 				}
-				norm := 100 * float64(wall[k]) / float64(base)
-				perFw[k].Points = append(perFw[k].Points, metrics.Point{X: name, Value: norm})
-				fmt.Fprintf(&sb, "%12.1f", norm)
+				fmt.Fprintf(&sb, "%12.1f", 100*float64(wall[k])/float64(base))
 			}
 			sb.WriteByte('\n')
-		}
-		for _, k := range e2eFrameworks {
-			series = append(series, *perFw[k])
 		}
 		sb.WriteByte('\n')
 	}
 	sb.WriteString("Paper: SALIENT cuts end-to-end latency 19.7% (light) / 51.1% (heavy)\n")
 	sb.WriteString("below DGL/PyG-MT; Prepro-GT is a further 1.7x below Dynamic-GT on\n")
 	sb.WriteString("average (2.4x vs the multi-threaded baselines overall).\n")
-	return &Result{Text: sb.String(), Series: series}, nil
+	return &Result{Text: sb.String()}, nil
 }
 
 // runFig20 traces the modeled preprocessing timeline (per-task completion)
 // for the two representative workloads under the serialized discipline
 // (prior) and the service-wide tensor scheduler (Prepro-GT). Completion
-// times come from the pipeline cost model's schedule, which places K
-// overlapping the tail of S and T streaming behind K on pinned buffers.
+// times are the pipeline cost model's schedule (PrepCostModel.Schedule),
+// which places K overlapping the tail of S and T streaming behind K on
+// pinned buffers.
 func runFig20(cfg Config) (*Result, error) {
 	var sb strings.Builder
-	tasks := []string{"sample", "reindex", "lookup", "transfer"}
 	var shortenings []float64
 	cm := pipeline.DefaultPrepCostModel()
 	for _, name := range []string{"products", "wiki-talk"} {
@@ -117,40 +106,24 @@ func runFig20(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Task times are shared; the completion schedule differs.
-		ttPinned := cm.Model(b.Sample, ds.FeatureDim, true)
-		ttSerial := cm.Model(b.Sample, ds.FeatureDim, false)
+		// Task times are shared up to the transfer buffers (prior: serial
+		// chain with hash contention, pageable; Prepro-GT: pinned); the
+		// completion schedule differs.
+		prior := cm.Schedule(pipeline.SerialPrep, cm.Model(b.Sample, ds.FeatureDim, false))
+		ours := cm.Schedule(pipeline.PipelinedPrep, cm.Model(b.Sample, ds.FeatureDim, true))
 		b.Release()
-
-		// Prior: serial chain with hash contention, pageable transfer.
-		cont := time.Duration(float64(ttSerial.Sample+ttSerial.Reindex) * cm.HashContention)
-		priorDone := map[string]time.Duration{}
-		priorDone["sample"] = ttSerial.Sample + cont/2
-		priorDone["reindex"] = priorDone["sample"] + ttSerial.Reindex + cont/2
-		priorDone["lookup"] = priorDone["reindex"] + ttSerial.Lookup
-		priorDone["transfer"] = priorDone["lookup"] + ttSerial.Transfer
-
-		// Prepro-GT: A/H split removes contention; K overlaps S's tail, T
-		// streams behind K on pinned buffers.
-		oursDone := map[string]time.Duration{}
-		oursDone["sample"] = ttPinned.Sample
-		oursDone["reindex"] = ttPinned.Sample + ttPinned.Reindex
-		kStart := ttPinned.Sample / 2
-		oursDone["lookup"] = kStart + ttPinned.Lookup
-		tEnd := kStart + ttPinned.Transfer
-		if oursDone["lookup"] > tEnd {
-			tEnd = oursDone["lookup"]
-		}
-		oursDone["transfer"] = tEnd
 
 		fmt.Fprintf(&sb, "--- %s (modeled per-task completion time) ---\n", name)
 		fmt.Fprintf(&sb, "%-10s %16s %16s\n", "task", "prior (serial)", "Prepro-GT")
-		for _, task := range tasks {
-			fmt.Fprintf(&sb, "%-10s %16v %16v\n", task,
-				priorDone[task].Round(time.Microsecond), oursDone[task].Round(time.Microsecond))
+		row := func(task string, p, o time.Duration) {
+			fmt.Fprintf(&sb, "%-10s %16v %16v\n", task, p.Round(time.Microsecond), o.Round(time.Microsecond))
 		}
-		priorTotal := priorDone["transfer"]
-		oursTotal := oursDone["transfer"]
+		row("sample", prior.Sample, ours.Sample)
+		row("reindex", prior.Reindex, ours.Reindex)
+		row("lookup", prior.Lookup, ours.Lookup)
+		row("transfer", prior.Transfer, ours.Transfer)
+		// TOTAL is when the batch is on the device: the T task's completion.
+		priorTotal, oursTotal := prior.Transfer, ours.Transfer
 		shorten := 100 * (1 - float64(oursTotal)/float64(priorTotal))
 		shortenings = append(shortenings, shorten)
 		fmt.Fprintf(&sb, "%-10s %16v %16v   (shortened %.1f%%)\n\n", "TOTAL",

@@ -11,11 +11,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/frameworks"
 	"graphtensor/internal/gpusim"
-	"graphtensor/internal/metrics"
 )
 
 // Config shapes an experiment run.
@@ -45,10 +45,9 @@ func (c Config) device() gpusim.Config {
 
 // Result is one regenerated table or figure.
 type Result struct {
-	ID     string
-	Title  string
-	Text   string
-	Series []metrics.Series
+	ID    string
+	Title string
+	Text  string
 }
 
 // runner is an experiment entry point.
@@ -118,13 +117,32 @@ func (c Config) batches(def int) int {
 	return def
 }
 
-// loadDataset generates a dataset at the config scale.
+// loaded memoises loadDataset per (name, scale) for the life of the process:
+// generation is deterministic, datasets are read-only once built, and the
+// experiments ask for the same handful dozens of times.
+var loaded sync.Map // datasetKey → *datasets.Dataset
+
+type datasetKey struct {
+	name  string
+	scale datasets.Scale
+}
+
+// loadDataset returns the dataset generated at the config scale.
 func loadDataset(cfg Config, name string) (*datasets.Dataset, error) {
 	sc := cfg.Scale
 	if sc.VertexDivisor == 0 {
 		sc = datasets.DefaultScale()
 	}
-	return datasets.Generate(name, sc)
+	key := datasetKey{name, sc}
+	if ds, ok := loaded.Load(key); ok {
+		return ds.(*datasets.Dataset), nil
+	}
+	ds, err := datasets.Generate(name, sc)
+	if err != nil {
+		return nil, err
+	}
+	loaded.Store(key, ds)
+	return ds, nil
 }
 
 // newTrainer builds a framework trainer with the experiment defaults.

@@ -40,20 +40,14 @@ func TestUnknownExperiment(t *testing.T) {
 }
 
 func TestFig6aReportsBloat(t *testing.T) {
+	// The DL-approach footprint must exceed the input table (>1x): fig6a
+	// errors itself on any dataset where it does not.
 	res, err := Run("fig6a", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The DL-approach footprint must exceed the input table (>1x).
 	if !strings.Contains(res.Text, "average memory bloat") {
 		t.Error("fig6a missing average line")
-	}
-	for _, s := range res.Series {
-		for _, p := range s.Points {
-			if p.Value <= 1 {
-				t.Errorf("fig6a footprint %g not > 1x", p.Value)
-			}
-		}
 	}
 }
 

@@ -4,17 +4,8 @@
 // — Base-GT (NAPA only), Dynamic-GT (NAPA + DKP) and Prepro-GT (NAPA +
 // DKP + service-wide tensor scheduler). Each trainer binds a kernel
 // scheduling strategy, an initial graph format, a sampling discipline and
-// a preprocessing pipeline, per Table III:
-//
-//	framework    strategy        format   prep              pinned  DKP
-//	DGL          Graph-approach  COO      serial, MT        no      no
-//	PyG          DL-approach     CSR      serial, 1 thread  no      no
-//	PyG-MT       DL-approach     CSR      serial, MT        no      no
-//	GNNAdvisor   Advisor         CSR      serial, MT        no      no
-//	SALIENT      DL-approach     CSR      serial, MT        yes     no
-//	Base-GT      NAPA            CSR+CSC  serial, MT        yes     no
-//	Dynamic-GT   NAPA            CSR+CSC  serial, MT        yes     yes
-//	Prepro-GT    NAPA            CSR+CSC  pipelined         yes     yes
+// a preprocessing pipeline; the paper's Table III is the table3 variable
+// below, and nothing else in the package branches on the framework kind.
 package frameworks
 
 import (
@@ -60,32 +51,47 @@ const (
 	PreproGT
 )
 
+// spec is one row of Table III: everything that tells one framework build
+// from another.
+type spec struct {
+	name     string
+	strategy kernels.Strategy
+	format   prep.Format
+	pinned   bool // page-locked staging buffers for the T task
+	overlap  bool // preprocessing overlaps GPU compute across batches
+	dkp      bool // dynamic kernel placement
+	samplers int  // sampling threads; 0 means GOMAXPROCS
+	prep     pipeline.Discipline
+}
+
+// table3 is the paper's Table III, indexed by Kind. Columns: name, strategy,
+// format, pinned, overlap, dkp, samplers, prep.
+var table3 = [...]spec{
+	DGL:        {"DGL", kernels.GraphApproach{}, prep.FormatCOO, false, true, false, 0, pipeline.SerialPrep},
+	PyG:        {"PyG", kernels.DLApproach{}, prep.FormatCSR, false, false, false, 1, pipeline.SerialPrep},
+	PyGMT:      {"PyG-MT", kernels.DLApproach{}, prep.FormatCSR, false, false, false, 0, pipeline.SerialPrep},
+	GNNAdvisor: {"GNNAdvisor", kernels.Advisor{}, prep.FormatCSR, false, false, false, 0, pipeline.SerialPrep},
+	SALIENT:    {"SALIENT", kernels.DLApproach{}, prep.FormatCSR, true, true, false, 0, pipeline.SALIENTPrep},
+	BaseGT:     {"Base-GT", kernels.NAPA{}, prep.FormatCSRCSC, true, true, false, 0, pipeline.SerialPrep},
+	DynamicGT:  {"Dynamic-GT", kernels.NAPA{}, prep.FormatCSRCSC, true, true, true, 0, pipeline.SerialPrep},
+	PreproGT:   {"Prepro-GT", kernels.NAPA{}, prep.FormatCSRCSC, true, true, true, 0, pipeline.PipelinedPrep},
+}
+
 // String names the framework as the figures label it.
 func (k Kind) String() string {
-	switch k {
-	case DGL:
-		return "DGL"
-	case PyG:
-		return "PyG"
-	case PyGMT:
-		return "PyG-MT"
-	case GNNAdvisor:
-		return "GNNAdvisor"
-	case SALIENT:
-		return "SALIENT"
-	case BaseGT:
-		return "Base-GT"
-	case DynamicGT:
-		return "Dynamic-GT"
-	case PreproGT:
-		return "Prepro-GT"
+	if k < 0 || int(k) >= len(table3) {
+		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-	return fmt.Sprintf("Kind(%d)", int(k))
+	return table3[k].name
 }
 
 // Kinds lists all framework builds in figure order.
 func Kinds() []Kind {
-	return []Kind{DGL, PyG, PyGMT, GNNAdvisor, SALIENT, BaseGT, DynamicGT, PreproGT}
+	ks := make([]Kind, len(table3))
+	for i := range ks {
+		ks[i] = Kind(i)
+	}
+	return ks
 }
 
 // Options configures a trainer.
@@ -158,10 +164,7 @@ type Trainer struct {
 	Engine  *core.Engine
 	Model   *core.Model
 
-	strategy   kernels.Strategy
-	format     prep.Format
-	pinned     bool
-	overlap    bool
+	spec       // the framework's Table III row
 	samplerCfg sampling.Config
 	sampler    *sampling.Sampler
 	sched      *pipeline.Scheduler
@@ -171,11 +174,6 @@ type Trainer struct {
 	// policy is the shared shape-keyed placement policy of DKP frameworks
 	// (nil otherwise), fitted offline for the trainer's device class.
 	policy *dkp.Policy
-
-	// infer is the retained FWP-only dispatch state of InferBatch: the
-	// layer-graph views and the input header are rebuilt in place per
-	// served batch instead of reallocated.
-	infer InferDispatch
 
 	// slots is the trainer's persistent prefetch-slot rotation: every ring
 	// the trainer builds draws from this free-list, so slot storage (arenas
@@ -215,34 +213,21 @@ func (t *Trainer) Cache() *cache.Cache { return t.cache }
 
 // New assembles a trainer for the framework kind over the dataset.
 func New(kind Kind, ds *datasets.Dataset, opt Options) (*Trainer, error) {
-	t := &Trainer{Kind: kind, Opt: opt, Dataset: ds}
+	if kind < 0 || int(kind) >= len(table3) {
+		return nil, fmt.Errorf("frameworks: unknown framework %v", kind)
+	}
+	t := &Trainer{Kind: kind, Opt: opt, Dataset: ds, spec: table3[kind]}
 	t.Engine = core.NewEngine(opt.Device)
 
-	switch kind {
-	case DGL:
-		t.strategy, t.format = kernels.GraphApproach{}, prep.FormatCOO
-	case PyG, PyGMT, SALIENT:
-		t.strategy, t.format = kernels.DLApproach{}, prep.FormatCSR
-	case GNNAdvisor:
-		t.strategy, t.format = kernels.Advisor{}, prep.FormatCSR
-	default:
-		t.strategy, t.format = kernels.NAPA{}, prep.FormatCSRCSC
-	}
-	t.pinned = kind == SALIENT || kind == BaseGT || kind == DynamicGT || kind == PreproGT
-	t.overlap = kind == DGL || kind == SALIENT || kind == BaseGT || kind == DynamicGT || kind == PreproGT
-
 	t.samplerCfg = sampling.Config{
-		Fanout:      opt.Fanout,
-		Layers:      opt.Layers,
-		IncludeSelf: true,
-		Seed:        opt.Seed,
-		Mode:        sampling.ModeSplit,
-	}
-	if kind == PyG {
-		t.samplerCfg.Workers = 1
+		Fanout:  opt.Fanout,
+		Layers:  opt.Layers,
+		Workers: t.samplers,
+		Seed:    opt.Seed,
+		Mode:    sampling.ModeSplit,
 	}
 
-	if kind == DynamicGT || kind == PreproGT {
+	if t.dkp {
 		// The placement policy is fitted offline per device class from
 		// modeled kernel times; one instance is shared by every replica
 		// (decisions are pure functions of the profile, so sharing is an
@@ -282,7 +267,7 @@ func New(kind Kind, ds *datasets.Dataset, opt Options) (*Trainer, error) {
 		t.Model = model
 	}
 
-	if kind == PreproGT {
+	if t.prep == pipeline.PipelinedPrep {
 		cfg := pipeline.DefaultConfig()
 		cfg.Sampler = t.samplerCfg
 		cfg.Format = t.format
@@ -308,7 +293,7 @@ func (t *Trainer) modelParams() models.Params {
 		Layers:    t.Opt.Layers,
 		Seed:      t.Opt.Seed,
 		Strategy:  t.strategy,
-		EnableDKP: t.Kind == DynamicGT || t.Kind == PreproGT,
+		EnableDKP: t.dkp,
 		Policy:    t.policy,
 	}
 }
@@ -390,15 +375,28 @@ func (t *Trainer) servingDims(li int) dkp.Dims {
 	}
 }
 
-// BatchStats reports one end-to-end training batch.
+// BatchStats reports one end-to-end training batch on both clocks.
 type BatchStats struct {
+	// Host clock: wall time of this box (the simulator executes kernels on
+	// the host CPU, orders of magnitude above the modeled device).
 	Prep      time.Duration
 	Compute   time.Duration
 	Total     time.Duration
 	Loss      float64
 	PrepParts *metrics.Breakdown
-	// Counters is the device work performed during compute.
+	// Counters is the device work performed during compute (summed over
+	// the devices of a group).
 	Counters gpusim.Counters
+
+	// Modeled clock. ModeledPrep is ModeledPrep(b); ModeledCompute is the
+	// kernel-time model's estimate of Counters (gpusim.KernelTimeModel) —
+	// on a device group the busiest device's, GroupStats.MaxDeviceCompute;
+	// ModeledStep is the batch's step latency: pipeline.StepLatency of the
+	// two on one device, GroupStats.StepTime (which carries the fabric and
+	// prepares host-only) on a group. End-to-end comparisons read these.
+	ModeledPrep    time.Duration
+	ModeledCompute time.Duration
+	ModeledStep    time.Duration
 }
 
 // Prepare runs the framework's preprocessing for one batch of dst
@@ -462,19 +460,6 @@ func (t *Trainer) NewRingN(n int, next func(i int) []graph.VID) *pipeline.Ring {
 	return pipeline.NewRing(depth, n, t.slots, next, t.PrepareTrainInto)
 }
 
-// input converts a prepared batch to a model input.
-func (t *Trainer) input(b *prep.Batch) (*core.Input, error) {
-	graphs := make([]*kernels.Graphs, len(b.Layers))
-	for i, l := range b.Layers {
-		graphs[i] = &kernels.Graphs{COO: l.COO, CSR: l.CSR, CSC: l.CSC}
-	}
-	x, err := t.Engine.Upload(b.Embed.Data, "batch-x")
-	if err != nil {
-		return nil, err
-	}
-	return &core.Input{Graphs: graphs, X: x, Labels: b.Labels}, nil
-}
-
 // Compute runs FWP + BWP + update on a prepared batch and returns the
 // loss; the caller owns releasing the batch. With NumDevices set the step
 // dispatches to the data-parallel device group instead of the single
@@ -483,66 +468,32 @@ func (t *Trainer) Compute(b *prep.Batch) (float64, error) {
 	if t.group != nil {
 		return t.group.TrainBatch(b, t.Opt.LearningRate)
 	}
-	in, err := t.input(b)
+	x, err := t.Engine.Upload(b.Embed.Data, "batch-x")
 	if err != nil {
 		return 0, err
 	}
-	loss, err := t.Model.TrainStep(t.Engine.Ctx, in, t.Opt.LearningRate)
-	in.X.Free()
+	in := core.Input{Graphs: b.Layers, X: x, Labels: b.Labels}
+	loss, err := t.Model.TrainStep(t.Engine.Ctx, &in, t.Opt.LearningRate)
+	x.Free()
 	// The batch's graphs are released by the caller; drop the per-graph
 	// memos so they do not pin the graph storage.
 	t.Engine.Ctx.EndBatch()
 	return loss, err
 }
 
-// InferDispatch is retained FWP-only dispatch state: the layer graph
-// views, their pointer directory and the input header are rebuilt in place
-// for every served batch instead of reallocated (the GroupDev discipline,
-// applied to inference). The trainer's fast path and every serving replica
-// own one; a dispatch serves one inference at a time (replicas never share
-// theirs).
-type InferDispatch struct {
-	graphs []kernels.Graphs
-	gptrs  []*kernels.Graphs
-	input  core.Input
-}
-
-// Infer runs forward propagation only — no gradients, no update — for the
-// prepared batch on the given kernel context and model, with x the batch's
-// device-held feature matrix (the caller uploads/wraps it and frees it
-// afterwards, alongside the returned logits). The dispatch state is rebuilt
-// in place, so a warm inference adds no per-batch allocations of its own.
-func (d *InferDispatch) Infer(ctx *kernels.Ctx, m *core.Model, b *prep.Batch, x *kernels.DeviceMatrix) (*kernels.DeviceMatrix, error) {
-	if cap(d.graphs) < len(b.Layers) {
-		d.graphs = make([]kernels.Graphs, len(b.Layers))
-		d.gptrs = make([]*kernels.Graphs, len(b.Layers))
-		for i := range d.graphs {
-			d.gptrs[i] = &d.graphs[i]
-		}
-	}
-	d.graphs = d.graphs[:cap(d.graphs)]
-	for i, l := range b.Layers {
-		d.graphs[i] = kernels.Graphs{COO: l.COO, CSR: l.CSR, CSC: l.CSC}
-	}
-	d.input = core.Input{Graphs: d.gptrs[:len(b.Layers)], X: x, Labels: b.Labels}
-	logits, err := m.Infer(ctx, &d.input)
-	d.input = core.Input{}
-	return logits, err
-}
-
 // InferBatch runs forward propagation only — no gradients, no update — on a
-// prepared batch through the trainer's retained inference dispatch and
-// returns the logits (device-held; the caller frees them). Under a device
-// group the canonical replica-0 weights are used. This is the serving fast
-// path: no gradient shards, no label buffers, no backward workspaces ever
-// exist, and with a warm slot feeding PrepareInto a served batch allocates
-// a small constant (BenchmarkServeQuery guards it).
+// prepared batch and returns the logits (device-held; the caller frees
+// them). Under a device group the canonical replica-0 weights are used.
+// This is the serving fast path: no gradient shards, no label buffers, no
+// backward workspaces ever exist, and with a warm slot feeding PrepareInto
+// a served batch allocates a small constant (BenchmarkServeQuery guards it).
 func (t *Trainer) InferBatch(b *prep.Batch) (*kernels.DeviceMatrix, error) {
 	x, err := t.Engine.Upload(b.Embed.Data, "serve-x")
 	if err != nil {
 		return nil, err
 	}
-	logits, err := t.infer.Infer(t.Engine.Ctx, t.Model, b, x)
+	in := core.Input{Graphs: b.Layers, X: x, Labels: b.Labels}
+	logits, err := t.Model.Infer(t.Engine.Ctx, &in)
 	x.Free()
 	t.Engine.Ctx.EndBatch()
 	return logits, err
@@ -568,18 +519,17 @@ func (t *Trainer) Serve(dsts []graph.VID, slot *pipeline.Slot) (*kernels.DeviceM
 // Evaluate runs inference on a prepared batch and returns classification
 // accuracy (no gradient update). The caller owns releasing the batch.
 func (t *Trainer) Evaluate(b *prep.Batch) (float64, error) {
-	in, err := t.input(b)
+	logits, err := t.InferBatch(b)
 	if err != nil {
 		return 0, err
 	}
-	acc, err := t.Model.Evaluate(t.Engine.Ctx, in)
-	in.X.Free()
-	t.Engine.Ctx.EndBatch()
-	return acc, err
+	acc := core.Accuracy(logits.M, b.Labels)
+	logits.Free()
+	return acc, nil
 }
 
 // TrainBatch runs one full batch (prep + compute) without cross-batch
-// overlap and reports its stats.
+// overlap on the host and reports its stats on both clocks.
 func (t *Trainer) TrainBatch() (*BatchStats, error) {
 	dsts := t.nextDsts()
 	st := &BatchStats{}
@@ -602,10 +552,14 @@ func (t *Trainer) TrainBatch() (*BatchStats, error) {
 		return nil, err
 	}
 	st.Compute = time.Since(t1)
+	st.ModeledPrep = t.ModeledPrep(b)
 	if t.group != nil {
-		st.Counters = t.group.LastStats().Counters
+		gs := t.group.LastStats()
+		st.Counters, st.ModeledCompute, st.ModeledStep = gs.Counters, gs.MaxDeviceCompute, gs.StepTime
 	} else {
 		st.Counters = t.Engine.Dev.Snapshot().Sub(before)
+		st.ModeledCompute = t.Engine.Dev.Estimate(gpusim.DefaultKernelTimeModel(), st.Counters)
+		st.ModeledStep = pipeline.StepLatency(st.ModeledPrep, st.ModeledCompute, t.overlap)
 	}
 	st.Total = time.Since(t0)
 	b.Release()
@@ -643,20 +597,11 @@ func (t *Trainer) TrainStream(ring *pipeline.Ring, n int) (time.Duration, float6
 }
 
 // ModeledPrep returns the modeled preprocessing latency of one batch under
-// this framework's scheduling discipline. Like ModeledCompute, it is
+// this framework's scheduling discipline (its Table III row). It is
 // independent of the simulator's host: it evaluates the pipeline cost model
 // on the batch's sampled-subgraph shape (see internal/pipeline.PrepCostModel).
 func (t *Trainer) ModeledPrep(b *prep.Batch) time.Duration {
-	cm := pipeline.DefaultPrepCostModel()
-	tt := cm.ModelBatch(b, t.Dataset.FeatureDim, t.pinned)
-	switch t.Kind {
-	case PreproGT:
-		return cm.Pipelined(tt)
-	case SALIENT:
-		return cm.SALIENT(tt)
-	default:
-		return cm.Serial(tt)
-	}
+	return pipeline.DefaultPrepCostModel().Schedule(t.prep, t.ModeledTaskTimes(b)).Latency()
 }
 
 // ModeledTaskTimes returns the per-task modeled preprocessing times for a
@@ -666,50 +611,19 @@ func (t *Trainer) ModeledTaskTimes(b *prep.Batch) pipeline.TaskTimes {
 	return pipeline.DefaultPrepCostModel().ModelBatch(b, t.Dataset.FeatureDim, t.pinned)
 }
 
-// ModeledCompute estimates the GPU time of one training batch's kernels
-// under the device kernel-time model: the simulator executes kernels on
-// the host CPU, so wall-clock compute is orders of magnitude above what
-// the modeled RTX 3090 would take; end-to-end comparisons use this
-// estimate (see gpusim.KernelTimeModel).
-func (t *Trainer) ModeledCompute(st *BatchStats) time.Duration {
-	return t.Engine.Dev.Estimate(gpusim.DefaultKernelTimeModel(), st.Counters)
-}
-
-// SimulatedEpoch runs n batches and returns the simulated end-to-end
-// latency: modeled preprocessing time (under this framework's scheduling
-// discipline) combined with modeled GPU compute time. Frameworks that
-// overlap preprocessing with GPU compute pay the larger of the two per
-// batch; the others pay their sum. Both components are modeled rather than
-// wall-clock measured, because the simulator runs kernels on the host CPU
-// and the host core count would otherwise distort the comparison.
+// SimulatedEpoch trains n batches and returns their simulated end-to-end
+// latency: the sum of each batch's modeled step (BatchStats.ModeledStep).
+// Both components are modeled rather than wall-clock measured, because the
+// simulator runs kernels on the host CPU and the host core count would
+// otherwise distort the comparison.
 func (t *Trainer) SimulatedEpoch(n int) (time.Duration, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	st, err := t.TrainBatch()
-	if err != nil {
-		return 0, err
-	}
-	compute := t.ModeledCompute(st)
 	var total time.Duration
 	for i := 0; i < n; i++ {
-		b, err := t.Prepare(t.nextDsts(), nil)
+		st, err := t.TrainBatch()
 		if err != nil {
 			return 0, err
 		}
-		prep := t.ModeledPrep(b)
-		b.Release()
-		if t.overlap {
-			// Preprocessing and GPU compute overlap across batches; the
-			// batch latency is the larger of the two.
-			if prep > compute {
-				total += prep
-			} else {
-				total += compute
-			}
-		} else {
-			total += prep + compute
-		}
+		total += st.ModeledStep
 	}
 	return total, nil
 }

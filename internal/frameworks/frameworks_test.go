@@ -2,9 +2,11 @@ package frameworks
 
 import (
 	"testing"
+	"time"
 
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/gpusim"
+	"graphtensor/internal/kernels"
 )
 
 func quickOpts() Options {
@@ -129,5 +131,115 @@ func TestSimulatedEpochMonotone(t *testing.T) {
 	}
 	if d2 <= d1 {
 		t.Errorf("2 batches (%v) should take longer than 1 (%v)", d2, d1)
+	}
+	// Every batch is charged its own modeled step: a twin trainer's three
+	// batches are the 1-batch epoch, then the 2-batch one.
+	twin, _ := New(BaseGT, ds, quickOpts())
+	var steps [3]time.Duration
+	for i := range steps {
+		st, err := twin.TrainBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps[i] = st.ModeledStep
+	}
+	if d1 != steps[0] || d2 != steps[1]+steps[2] {
+		t.Errorf("epochs %v, %v are not the per-batch steps %v", d1, d2, steps)
+	}
+}
+
+// TestBatchStatsModeledClock: TrainBatch reports the modeled trio the frozen
+// benchmark derives by hand (benchmark/train.go) — ModeledPrep of the batch,
+// the kernel-time model's estimate of its counters, and their step: the
+// larger of the two where preprocessing overlaps compute (Prepro-GT), the
+// sum where it does not (PyG); on a device group, the group's own figures.
+func TestBatchStatsModeledClock(t *testing.T) {
+	ds := testDS(t)
+	for _, k := range []Kind{PyG, PreproGT} {
+		tr, _ := New(k, ds, quickOpts())
+		twin, _ := New(k, ds, quickOpts())
+		st, err := tr.TrainBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := twin.Prepare(twin.NextDsts(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep := twin.ModeledPrep(b)
+		b.Release()
+		compute := tr.Engine.Dev.Estimate(gpusim.DefaultKernelTimeModel(), st.Counters)
+		step := prep + compute
+		if k == PreproGT {
+			step = max(prep, compute)
+		}
+		if prep <= 0 || compute <= 0 || st.ModeledPrep != prep || st.ModeledCompute != compute || st.ModeledStep != step {
+			t.Errorf("%s: modeled prep/compute/step %v/%v/%v, want %v/%v/%v", k,
+				st.ModeledPrep, st.ModeledCompute, st.ModeledStep, prep, compute, step)
+		}
+	}
+
+	opt := quickOpts()
+	opt.NumDevices = 2
+	tr, err := New(PreproGT, ds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tr.TrainBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := tr.Group().LastStats()
+	if gs.StepTime <= 0 || st.ModeledStep != gs.StepTime || st.ModeledCompute != gs.MaxDeviceCompute || st.Counters != gs.Counters {
+		t.Errorf("group arm: step/compute %v/%v, LastStats has %v/%v", st.ModeledStep, st.ModeledCompute, gs.StepTime, gs.MaxDeviceCompute)
+	}
+}
+
+// TestCOOBatchTranslatesOnce: a batch's layer graphs are the model's input as
+// they stand, so a format a strategy translates on demand stays on the batch
+// until release — a COO batch pays PhaseTranslation once per layer and
+// format, however many passes run over it.
+func TestCOOBatchTranslatesOnce(t *testing.T) {
+	ds := testDS(t)
+	tr, _ := New(DGL, ds, quickOpts())
+	b, err := tr.Prepare(ds.BatchDsts(30, 5), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	translated := func(pass func() error) time.Duration {
+		t.Helper()
+		if err := pass(); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Engine.Phases().Get(kernels.PhaseTranslation)
+	}
+	infer := func() error {
+		logits, err := tr.InferBatch(b)
+		if err == nil {
+			logits.Free()
+		}
+		return err
+	}
+	train := func() error { _, err := tr.Compute(b); return err }
+
+	fwp := translated(infer)
+	if fwp <= 0 {
+		t.Fatal("the first forward pass over a COO batch translated nothing")
+	}
+	for li, l := range b.Layers {
+		if l.COO == nil || l.CSR == nil {
+			t.Errorf("layer %d: COO %v, CSR %v after FWP; want both", li, l.COO != nil, l.CSR != nil)
+		}
+	}
+	if again := translated(infer); again != fwp {
+		t.Errorf("second forward pass translated again: %v -> %v", fwp, again)
+	}
+	bwp := translated(train)
+	if bwp <= fwp {
+		t.Error("the first backward pass over a COO batch translated nothing (CSC)")
+	}
+	if again := translated(train); again != bwp {
+		t.Errorf("second training pass translated again: %v -> %v", bwp, again)
 	}
 }

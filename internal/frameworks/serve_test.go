@@ -3,6 +3,8 @@ package frameworks
 import (
 	"testing"
 
+	"graphtensor/internal/core"
+	"graphtensor/internal/kernels"
 	"graphtensor/internal/pipeline"
 )
 
@@ -45,8 +47,9 @@ func TestServeWarmSlotAllocFlat(t *testing.T) {
 	}
 }
 
-// TestInferBatchMatchesClassicPath: the pooled FWP-only fast path must
-// compute bitwise the logits the classic allocating input path computes.
+// TestInferBatchMatchesClassicPath: the FWP-only fast path must compute
+// bitwise the logits of a model input assembled by hand over copies of the
+// batch's layer graphs.
 func TestInferBatchMatchesClassicPath(t *testing.T) {
 	ds := testDS(t)
 	tr, err := New(BaseGT, ds, quickOpts())
@@ -74,10 +77,11 @@ func TestInferBatchMatchesClassicPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := tr.input(b2)
+	x, err := tr.Engine.Upload(b2.Embed.Data, "batch-x")
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := &core.Input{Graphs: append([]kernels.Graphs(nil), b2.Layers...), X: x, Labels: b2.Labels}
 	ref, err := tr.Model.Infer(tr.Engine.Ctx, in)
 	if err != nil {
 		t.Fatal(err)

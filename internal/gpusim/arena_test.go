@@ -14,8 +14,8 @@ func TestDeviceArenaReleasesLeaks(t *testing.T) {
 	_ = dev.MustAlloc(2048, "leaked")
 	b1.Free() // batch code freeing its own buffers is fine
 
-	if got := a.Outstanding(); got != 1 {
-		t.Fatalf("outstanding %d, want 1 (the leaked buffer)", got)
+	if got := dev.MemInUse(); got != 2048 {
+		t.Fatalf("MemInUse %d before release, want 2048 (the leaked buffer)", got)
 	}
 	a.Release()
 	if got := dev.MemInUse(); got != 0 {

@@ -240,30 +240,6 @@ func (a *DeviceArena) Release() {
 	a.bufs = a.bufs[:0]
 }
 
-// Outstanding reports how many recorded buffers are still allocated (for
-// tests and leak diagnostics).
-func (a *DeviceArena) Outstanding() int {
-	n := 0
-	a.dev.mu.Lock()
-	defer a.dev.mu.Unlock()
-	for _, b := range a.bufs {
-		if !b.freed {
-			n++
-		}
-	}
-	return n
-}
-
-// MustAlloc is Alloc but panics on OOM; used where the paper's workloads
-// cannot OOM by construction.
-func (d *Device) MustAlloc(size int64, label string) *Buffer {
-	b, err := d.Alloc(size, label)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Free releases the buffer. Freeing twice is a no-op.
 func (b *Buffer) Free() {
 	if b == nil || b.freed {
@@ -297,9 +273,11 @@ func (d *Device) MemInUse() int64 {
 	return d.inUse
 }
 
-// BuffersInUse returns how many live allocations carry the label. Tests use
-// it to assert a subsystem released everything it allocated (e.g. that the
-// prefetch ring's drain freed every batch buffer).
+// BuffersInUse returns how many live allocations carry the label. The drain
+// tests of internal/train and internal/frameworks use it to assert that a
+// stopped prefetch ring freed every batch buffer on the engine device, whose
+// MemInUse is not zero between batches (see ROADMAP: layer outputs and
+// translated formats stay accounted there; only group devices run an arena).
 func (d *Device) BuffersInUse(label string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

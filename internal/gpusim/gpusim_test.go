@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// MustAlloc is Alloc for tests whose sizes cannot OOM.
+func (d *Device) MustAlloc(size int64, label string) *Buffer {
+	b, err := d.Alloc(size, label)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestAllocAndFree(t *testing.T) {
 	d := NewDevice(DefaultConfig())
 	b, err := d.Alloc(1024, "x")

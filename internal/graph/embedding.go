@@ -33,21 +33,6 @@ func NewEmbeddingTableArena(a *tensor.Arena, n, dim int) *EmbeddingTable {
 	return &EmbeddingTable{Dim: dim, Data: a.Get(n, dim)}
 }
 
-// RandomEmbeddingTableForTest fills a table with a simple deterministic
-// pattern (row v, column c = v + c/100) so tests can construct embeddings
-// without importing the tensor RNG. It is exported for use by sibling
-// package tests.
-func RandomEmbeddingTableForTest(n, dim int) *EmbeddingTable {
-	t := NewEmbeddingTable(n, dim)
-	for v := 0; v < n; v++ {
-		row := t.Data.Row(v)
-		for c := range row {
-			row[c] = float32(v) + float32(c)/100
-		}
-	}
-	return t
-}
-
 // NumVertices returns the number of rows in the table.
 func (t *EmbeddingTable) NumVertices() int { return t.Data.Rows }
 
@@ -62,19 +47,10 @@ func (t *EmbeddingTable) Row(v VID) []float32 {
 // Bytes reports the payload size of the table.
 func (t *EmbeddingTable) Bytes() int64 { return t.Data.Bytes() }
 
-// Gather builds a new table whose row i is the embedding of vids[i]. This
-// is the embedding-lookup (K) primitive of GNN preprocessing (§II-B).
-func (t *EmbeddingTable) Gather(vids []VID) *EmbeddingTable {
-	out := NewEmbeddingTable(len(vids), t.Dim)
-	for i, v := range vids {
-		copy(out.Data.Row(i), t.Row(v))
-	}
-	return out
-}
-
-// GatherInto copies rows vids[lo:hi] into dst starting at row lo. It lets
-// the pipelined scheduler fill one pinned buffer from several goroutines
-// without overlap.
+// GatherInto copies rows vids[lo:hi] into dst starting at row lo — the
+// embedding-lookup (K) primitive of GNN preprocessing (§II-B). The range
+// lets the pipelined scheduler fill one pinned buffer from several
+// goroutines without overlap.
 func (t *EmbeddingTable) GatherInto(dst *EmbeddingTable, vids []VID, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		copy(dst.Data.Row(i), t.Row(vids[i]))

@@ -116,7 +116,8 @@ func TestEmbeddingGather(t *testing.T) {
 		tbl.Row(VID(v))[0] = float32(v)
 		tbl.Row(VID(v))[1] = float32(v * 10)
 	}
-	sub := tbl.Gather([]VID{3, 1, 4})
+	sub := NewEmbeddingTable(3, 2)
+	tbl.GatherInto(sub, []VID{3, 1, 4}, 0, 3)
 	if sub.Row(0)[0] != 3 || sub.Row(1)[0] != 1 || sub.Row(2)[0] != 4 {
 		t.Error("gather did not select the right rows")
 	}

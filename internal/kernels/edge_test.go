@@ -34,7 +34,7 @@ func TestIsolatedDstProducesZero(t *testing.T) {
 func TestSingleVertexSelfLoop(t *testing.T) {
 	coo := &graph.BCOO{NumDst: 1, NumSrc: 1, Src: []graph.VID{0}, Dst: []graph.VID{0}}
 	csr, _ := graph.BCOOToBCSR(coo)
-	x := tensor.FromSlice(1, 3, []float32{1, 2, 3})
+	x := &tensor.Matrix{Rows: 1, Cols: 3, Data: []float32{1, 2, 3}}
 	dev := testDevice()
 	ctx := NewCtx(dev)
 	xd, _ := WrapDeviceMatrix(dev, x.Clone(), "x")

@@ -51,28 +51,3 @@ func TestFusedReducesGlobalStores(t *testing.T) {
 		t.Error("fused NAPA should store fewer bytes than unfused")
 	}
 }
-
-func TestFusedCPUMatchesReference(t *testing.T) {
-	rng := tensor.NewRNG(505)
-	for _, m := range allModes {
-		csr := randomBipartite(10, 18, 4, rng)
-		x := tensor.Random(18, 6, 1, rng)
-		want := refForward(csr, x, m)
-		view := ViewFromMatrix(x.Rows, x.Cols, x.Data)
-		got, flops := FusedCPU(csr, view, m)
-		if flops <= 0 {
-			t.Error("FusedCPU reported no FLOPs")
-		}
-		for i := 0; i < want.Rows; i++ {
-			for j := 0; j < want.Cols; j++ {
-				d := got.Row(i)[j] - want.At(i, j)
-				if d < 0 {
-					d = -d
-				}
-				if d > 2e-5 {
-					t.Fatalf("modes %v: FusedCPU[%d][%d] off by %g", m, i, j, d)
-				}
-			}
-		}
-	}
-}

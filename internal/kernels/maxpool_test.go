@@ -105,10 +105,7 @@ func TestSAGEPoolBackwardFiniteDifference(t *testing.T) {
 }
 
 func TestMaxModeString(t *testing.T) {
-	if AggrMax.String() != "max" || !AggrMax.IsMax() {
+	if AggrMax.String() != "max" {
 		t.Error("AggrMax mode metadata wrong")
-	}
-	if AggrMean.IsMax() {
-		t.Error("mean should not report IsMax")
 	}
 }

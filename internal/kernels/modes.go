@@ -31,10 +31,6 @@ func (m AggrMode) String() string {
 	return fmt.Sprintf("AggrMode(%d)", int(m))
 }
 
-// Reduction reports whether the aggregation is the non-linear max pooling
-// (which needs arg-max tracking) rather than a linear sum/mean.
-func (m AggrMode) IsMax() bool { return m == AggrMax }
-
 // WeightMode is the edge weight function g of §II-A: computed from the src
 // and dst embeddings of each edge.
 type WeightMode int

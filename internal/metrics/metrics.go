@@ -61,24 +61,6 @@ func (b *Breakdown) Names() []string {
 	return append([]string(nil), b.order...)
 }
 
-// Fractions returns each part as a fraction of the total, in first-added
-// order.
-func (b *Breakdown) Fractions() map[string]float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t time.Duration
-	for _, d := range b.parts {
-		t += d
-	}
-	out := make(map[string]float64, len(b.parts))
-	for n, d := range b.parts {
-		if t > 0 {
-			out[n] = float64(d) / float64(t)
-		}
-	}
-	return out
-}
-
 // String renders the breakdown as "name: dur (pct%)" lines.
 func (b *Breakdown) String() string {
 	b.mu.Lock()
@@ -95,45 +77,6 @@ func (b *Breakdown) String() string {
 			pct = 100 * float64(d) / float64(t)
 		}
 		fmt.Fprintf(&sb, "%-12s %12v (%5.1f%%)\n", n, d.Round(time.Microsecond), pct)
-	}
-	return sb.String()
-}
-
-// Series is a labeled numeric series normalized for figure output.
-type Series struct {
-	Label  string
-	Points []Point
-}
-
-// Point is one (x-label, value) pair of a figure series.
-type Point struct {
-	X     string
-	Value float64
-}
-
-// FormatTable renders series side by side as an ASCII table, one row per X
-// label, matching the row/series layout of the paper figures.
-func FormatTable(title string, series []Series) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s ==\n", title)
-	if len(series) == 0 {
-		return sb.String()
-	}
-	fmt.Fprintf(&sb, "%-14s", "")
-	for _, s := range series {
-		fmt.Fprintf(&sb, "%14s", s.Label)
-	}
-	sb.WriteByte('\n')
-	for i, p := range series[0].Points {
-		fmt.Fprintf(&sb, "%-14s", p.X)
-		for _, s := range series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&sb, "%14.3f", s.Points[i].Value)
-			} else {
-				fmt.Fprintf(&sb, "%14s", "-")
-			}
-		}
-		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
@@ -204,9 +147,6 @@ func (r *LatencyRing) Len() int {
 	}
 	return int(n)
 }
-
-// Cap returns the ring capacity.
-func (r *LatencyRing) Cap() int { return len(r.slots) }
 
 // AppendTo appends the retained window to dst and returns it (merging the
 // per-shard rings of a sharded server into one sample costs one append per

@@ -24,11 +24,9 @@ type Params struct {
 	Strategy kernels.Strategy
 	// EnableDKP turns on dynamic kernel placement (Dynamic-GT); Policy
 	// supplies the fitted cost model it decides from (nil falls back to
-	// the paper's Table I coefficients). ForcePlacement pins a static
-	// order instead.
-	EnableDKP      bool
-	Policy         *dkp.Policy
-	ForcePlacement *dkp.Placement
+	// the paper's Table I coefficients).
+	EnableDKP bool
+	Policy    *dkp.Policy
 }
 
 func (p Params) specs(m kernels.Modes) ([]core.LayerSpec, error) {
@@ -59,12 +57,11 @@ func (p Params) build(m kernels.Modes) (*core.Model, error) {
 		return nil, err
 	}
 	return core.NewModel(core.Config{
-		Strategy:       p.Strategy,
-		Specs:          specs,
-		Seed:           p.Seed,
-		EnableDKP:      p.EnableDKP,
-		Policy:         p.Policy,
-		ForcePlacement: p.ForcePlacement,
+		Strategy:  p.Strategy,
+		Specs:     specs,
+		Seed:      p.Seed,
+		EnableDKP: p.EnableDKP,
+		Policy:    p.Policy,
 	})
 }
 

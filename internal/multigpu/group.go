@@ -309,7 +309,10 @@ func (p *BatchPlan) assignNodesMask(b *prep.Batch, nodes int, alive []bool) {
 				continue
 			}
 			sub := &p.Subs[s]
-			bytes += prep.GraphBytes(sub.Layers) + int64(len(sub.Labels))*4
+			// Graphs + labels as partitioned (HostBytes minus the rows
+			// deduplicated below) — not GraphBytes(sub.Layers), which by a
+			// replay may have grown by the formats a strategy translated.
+			bytes += sub.HostBytes - int64(len(sub.XRows))*rowBytes
 			for _, v := range sub.XRows {
 				if p.nodeStamp[v] != gen {
 					p.nodeStamp[v] = gen
@@ -475,9 +478,6 @@ type GroupDev struct {
 	shards []int
 	err    error
 	cnt    gpusim.Counters
-	graphs []kernels.Graphs
-	gptrs  []*kernels.Graphs
-	input  core.Input
 	// plc counts this batch's per-layer placement decisions across the
 	// device's shards (merged into GroupStats after the barrier, per the
 	// per-shard-accumulate / merge-in-Stats rule).
@@ -679,18 +679,13 @@ func NewGroup(devices, shards int, cfg gpusim.Config, pinned bool,
 		}
 		dev := gpusim.NewDevice(cfg)
 		gd := &GroupDev{
-			Dev:    dev,
-			Ctx:    kernels.NewCtx(dev),
-			Arena:  dev.NewArena(),
-			Model:  m,
-			id:     i,
-			graphs: make([]kernels.Graphs, len(m.Layers)),
-			gptrs:  make([]*kernels.Graphs, len(m.Layers)),
+			Dev:   dev,
+			Ctx:   kernels.NewCtx(dev),
+			Arena: dev.NewArena(),
+			Model: m,
+			id:    i,
+			plc:   make([]PlacementCount, len(m.Layers)),
 		}
-		for li := range gd.graphs {
-			gd.gptrs[li] = &gd.graphs[li]
-		}
-		gd.plc = make([]PlacementCount, len(m.Layers))
 		g.devs = append(g.devs, gd)
 	}
 	ref := g.devs[0].Model
@@ -987,14 +982,9 @@ func (g *DeviceGroup) runShard(d *GroupDev, s int, sub *SubBatch) error {
 		tensor.Put(x)
 		return err
 	}
-	for li := range sub.Layers {
-		d.graphs[li] = kernels.Graphs{COO: sub.Layers[li].COO, CSR: sub.Layers[li].CSR, CSC: sub.Layers[li].CSC}
-	}
-	d.input.Graphs = d.gptrs
-	d.input.X = xd
-	d.input.Labels = sub.Labels
+	in := core.Input{Graphs: sub.Layers, X: xd, Labels: sub.Labels}
 
-	fr, err := d.Model.Forward(d.Ctx, &d.input)
+	fr, err := d.Model.Forward(d.Ctx, &in)
 	if err != nil {
 		return err
 	}
@@ -1007,7 +997,7 @@ func (g *DeviceGroup) runShard(d *GroupDev, s int, sub *SubBatch) error {
 	}
 	lossSum, dLogits := core.SoftmaxCrossEntropySum(fr.Logits.M, sub.Labels, g.norm)
 	g.lossParts[s] = lossSum
-	err = d.Model.Backward(d.Ctx, &d.input, fr, dLogits)
+	err = d.Model.Backward(d.Ctx, &in, fr, dLogits)
 	tensor.Put(dLogits)
 	fr.Logits.Free()
 	xd.Free()

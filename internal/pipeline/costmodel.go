@@ -90,46 +90,66 @@ func (m PrepCostModel) ModelBatch(b *prep.Batch, featureDim int, pinned bool) Ta
 	return t
 }
 
-// Serial returns the modeled latency of the serialized S→R→K→T chain (the
-// existing frameworks' discipline): tasks run one after another, and the
-// shared hash table forces S and R to contend.
-func (m PrepCostModel) Serial(t TaskTimes) time.Duration {
-	contention := time.Duration(float64(t.Sample+t.Reindex) * m.HashContention)
-	return t.Sample + t.Reindex + t.Lookup + t.Transfer + contention
+// Discipline is how a framework schedules a batch's four preprocessing
+// tasks — the "prep" column of the paper's Table III.
+type Discipline int
+
+const (
+	// SerialPrep is the existing frameworks' S→R→K→T chain: tasks run one
+	// after another and the shared hash table makes S and R contend.
+	SerialPrep Discipline = iota
+	// SALIENTPrep keeps S/R/K serial and contended but runs T from pinned
+	// memory concurrently with them (it hides behind the next batch's
+	// sampling), so T completes on its own clock.
+	SALIENTPrep
+	// PipelinedPrep is the service-wide tensor scheduler: S and R still
+	// chain (R needs the sampled graph) but the A/H split removes their
+	// contention; K starts while the last sampling hop finishes — modeled
+	// as overlapping half of S — and T streams behind K on pinned buffers.
+	PipelinedPrep
+)
+
+// Completions holds the modeled time, from the batch's start, at which each
+// preprocessing task finishes under a discipline (the Fig 20 timeline).
+type Completions TaskTimes
+
+// Latency is the batch's modeled preprocessing latency: the latest task.
+func (c Completions) Latency() time.Duration {
+	return max(c.Sample, c.Reindex, c.Lookup, c.Transfer)
 }
 
-// Pipelined returns the modeled latency of the service-wide tensor
-// scheduler: S and R still chain (R needs the sampled graph) but the A/H
-// split removes their lock contention; K overlaps the tail of S; and T
-// overlaps K (pipelined chunk transfers on pinned buffers). The critical
-// path is therefore the S→R spine plus whichever of K and T extends past
-// it, not their sum.
-func (m PrepCostModel) Pipelined(t TaskTimes) time.Duration {
-	spine := t.Sample + t.Reindex // contention relaxed: no extra term
-	// K starts while the last sampling hop finishes; model it as
-	// overlapping half of S. T streams behind K on pinned buffers.
-	kStart := t.Sample / 2
-	kEnd := kStart + t.Lookup
-	tEnd := kStart + t.Transfer // T chunks follow K chunks closely
-	if kEnd > tEnd {
-		tEnd = kEnd
+// Schedule places the four tasks under discipline d. It is the one place
+// modeled preprocessing time is composed: every figure and every trainer
+// reads its completions or their Latency.
+func (m PrepCostModel) Schedule(d Discipline, t TaskTimes) Completions {
+	if d == PipelinedPrep {
+		kStart := t.Sample / 2
+		lookup := kStart + t.Lookup
+		return Completions{
+			Sample:   t.Sample,
+			Reindex:  t.Sample + t.Reindex,
+			Lookup:   lookup,
+			Transfer: max(lookup, kStart+t.Transfer),
+		}
 	}
-	prep := spine
-	if tEnd > prep {
-		prep = tEnd
+	// The contention stall is spread over S and R; half has been paid when
+	// S completes, all of it when R does.
+	contention := time.Duration(float64(t.Sample+t.Reindex) * m.HashContention)
+	c := Completions{Sample: t.Sample + contention/2, Reindex: t.Sample + t.Reindex + contention}
+	c.Lookup = c.Reindex + t.Lookup
+	c.Transfer = c.Lookup + t.Transfer
+	if d == SALIENTPrep {
+		c.Transfer = t.Transfer
 	}
-	return prep
+	return c
 }
 
-// SALIENT returns the modeled latency of a SALIENT-style preprocessor:
-// serial S/R/K, but T overlaps compute and uses pinned memory, so the
-// transfer's pinned speedup is realized and T hides behind the next
-// batch's sampling. We credit the pinned speedup and overlap T with S.
-func (m PrepCostModel) SALIENT(t TaskTimes) time.Duration {
-	contention := time.Duration(float64(t.Sample+t.Reindex) * m.HashContention)
-	core := t.Sample + t.Reindex + t.Lookup + contention
-	if t.Transfer > core {
-		return t.Transfer
+// StepLatency composes one batch's modeled step from its preprocessing and
+// compute latencies: a framework that overlaps preprocessing with GPU
+// compute across batches pays the larger of the two, the others their sum.
+func StepLatency(prep, compute time.Duration, overlap bool) time.Duration {
+	if overlap {
+		return max(prep, compute)
 	}
-	return core
+	return prep + compute
 }

@@ -21,7 +21,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
@@ -38,10 +37,6 @@ import (
 type Config struct {
 	Sampler sampling.Config
 	Format  prep.Format
-	// Pinned uses page-locked staging for T (GraphTensor always does).
-	Pinned bool
-	// ChunkVertices is the K→T pipelining granularity.
-	ChunkVertices int
 	// RelaxContention enables the A/H split and S/R serialization against
 	// the hash table (Fig 14c). Disabling it reproduces the contended
 	// discipline of Fig 14a.
@@ -67,11 +62,13 @@ func DefaultConfig() Config {
 	return Config{
 		Sampler:         sampling.DefaultConfig(),
 		Format:          prep.FormatCSRCSC,
-		Pinned:          true,
-		ChunkVertices:   512,
 		RelaxContention: true,
 	}
 }
+
+// chunkVertices is the K→T pipelining granularity: embedding rows gathered
+// per K subtask and streamed per T chunk.
+const chunkVertices = 512
 
 // Scheduler prepares training batches with pipelined preprocessing. The
 // sampler is persistent (it owns the pooled per-hop worker scratch), the
@@ -86,22 +83,21 @@ type Scheduler struct {
 	dev      *gpusim.Device
 	sampler  *sampling.Sampler
 	engine   *subtaskEngine
+	chunk    int // chunkVertices; a field only so tests can force many or one chunk
 }
 
 // NewScheduler builds a scheduler over a dataset's full graph and features.
 // dev may be nil for a HostOnly scheduler.
 func NewScheduler(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
 	dev *gpusim.Device, cfg Config) *Scheduler {
-	if cfg.ChunkVertices <= 0 {
-		cfg.ChunkVertices = 512
-	}
 	if !cfg.RelaxContention {
 		cfg.Sampler.Mode = sampling.ModeShared
 	}
 	// The subtask engine — the persistent worker set all Prepare calls on
 	// the scheduler share — is sized to the processor count.
 	return &Scheduler{cfg: cfg, full: full, features: features, labels: labels, dev: dev,
-		sampler: sampling.New(full, cfg.Sampler), engine: newSubtaskEngine(runtime.GOMAXPROCS(0))}
+		sampler: sampling.New(full, cfg.Sampler), engine: newSubtaskEngine(runtime.GOMAXPROCS(0)),
+		chunk: chunkVertices}
 }
 
 // SetCache installs (or, with nil, removes) the embedding cache the K/T
@@ -163,8 +159,8 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 			lo = 0 // include the batch vertices themselves
 		}
 		origs := res.Table.OrigSlice(0, res.Table.Len())
-		for c := lo; c < hi; c += s.cfg.ChunkVertices {
-			cHi := c + s.cfg.ChunkVertices
+		for c := lo; c < hi; c += s.chunk {
+			cHi := c + s.chunk
 			if cHi > hi {
 				cHi = hi
 			}
@@ -173,7 +169,8 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 	}
 
 	// --- T: every hop is sampled; allocate device memory and stream the
-	// chunks (pinned) plus the graph structures while the K subtasks drain.
+	// chunks plus the graph structures — from page-locked staging, as
+	// GraphTensor always does — while the K subtasks drain.
 	nTotal := res.NumVertices()
 
 	st := time.Now()
@@ -215,7 +212,7 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 			rows := ch.hi - ch.lo
 			copy(embed.Data.Data[ch.lo*dim:ch.hi*dim], ch.data.Data[:rows*dim])
 			if !s.cfg.HostOnly {
-				pcie.TransferBytes(int64(rows-ch.hits)*int64(dim)*4, s.cfg.Pinned)
+				pcie.TransferBytes(int64(rows-ch.hits)*int64(dim)*4, true)
 			}
 			tensor.Put(ch.data)
 			bd.Add("transfer", time.Since(st))
@@ -244,7 +241,7 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 			s.engine.putRun(r)
 			return nil, err
 		}
-		pcie.TransferBytes(gBytes, s.cfg.Pinned)
+		pcie.TransferBytes(gBytes, true)
 		bufs = []*gpusim.Buffer{ebuf, gbuf}
 	}
 	bd.Add("transfer", time.Since(st))
@@ -274,10 +271,4 @@ func Serial(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
 	dev *gpusim.Device, batchDsts []graph.VID, samplerCfg sampling.Config,
 	cfg prep.Config) (*prep.Batch, error) {
 	return prep.Serial(sampling.New(full, samplerCfg), features, labels, dev, batchDsts, cfg)
-}
-
-// String describes the scheduler configuration.
-func (s *Scheduler) String() string {
-	return fmt.Sprintf("pipeline.Scheduler{layers=%d fanout=%d format=%v pinned=%v chunk=%d relaxed=%v}",
-		s.cfg.Sampler.Layers, s.cfg.Sampler.Fanout, s.cfg.Format, s.cfg.Pinned, s.cfg.ChunkVertices, s.cfg.RelaxContention)
 }

@@ -48,8 +48,8 @@ func TestPipelinedEqualsSerial(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Sampler = samplerCfg
-	cfg.ChunkVertices = 64
 	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, testDevice(), cfg)
+	sched.chunk = 64
 	pipeBatch, err := sched.Prepare(dsts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +127,10 @@ func TestSchedulerLinkAccounting(t *testing.T) {
 	prepare := func(mut func(*Config)) (*gpusim.Device, *prep.Batch) {
 		t.Helper()
 		cfg := DefaultConfig()
-		cfg.ChunkVertices = 32
 		mut(&cfg)
 		dev := testDevice()
 		sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, dev, cfg)
+		sched.chunk = 32
 		t.Cleanup(sched.Close)
 		b, err := sched.Prepare(dsts, nil)
 		if err != nil {
@@ -175,8 +175,8 @@ func TestTransferLoopWakesOnFailure(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
 	cfg.HostOnly = true
-	cfg.ChunkVertices = 1 << 30 // one K subtask per hop
 	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, nil, cfg)
+	sched.chunk = 1 << 30            // one K subtask per hop
 	sched.engine.spawn.Do(func() {}) // no workers: subtasks wait in the queue for the test
 
 	done := make(chan error, 1)

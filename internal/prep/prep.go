@@ -12,6 +12,7 @@ import (
 	"graphtensor/internal/cache"
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/kernels"
 	"graphtensor/internal/metrics"
 	"graphtensor/internal/sampling"
 	"graphtensor/internal/tensor"
@@ -47,12 +48,11 @@ func (f Format) String() string {
 }
 
 // LayerData is the device-resident graph structure of one GNN layer; which
-// fields are populated depends on the requested Format.
-type LayerData struct {
-	COO *graph.BCOO
-	CSR *graph.BCSR
-	CSC *graph.BCSC
-}
+// fields are populated depends on the requested Format. It is the kernel
+// layer's own type, so a batch's Layers are a model's input as they stand
+// (core.Input.Graphs) — including the formats a strategy translates on
+// demand, which stay on the batch's entry until the batch is released.
+type LayerData = kernels.Graphs
 
 // Batch is a fully prepared training batch: per-layer device graphs plus
 // the gathered per-batch embedding table.

@@ -21,6 +21,19 @@ func ring(n, deg int) *graph.CSR {
 	return csr
 }
 
+// patternTable fills an n×dim embedding table with the deterministic
+// pattern row v, column c = v + c/100.
+func patternTable(n, dim int) *graph.EmbeddingTable {
+	t := graph.NewEmbeddingTable(n, dim)
+	for v := 0; v < n; v++ {
+		row := t.Data.Row(v)
+		for c := range row {
+			row[c] = float32(v) + float32(c)/100
+		}
+	}
+	return t
+}
+
 func TestReindexWithinBounds(t *testing.T) {
 	full := ring(100, 5)
 	res := sampling.New(full, sampling.DefaultConfig()).Sample([]graph.VID{3, 6, 9})
@@ -54,7 +67,7 @@ func TestBuildLayerFormats(t *testing.T) {
 
 func TestSerialPreparesCompleteBatch(t *testing.T) {
 	full := ring(120, 5)
-	feats := graph.RandomEmbeddingTableForTest(120, 8)
+	feats := patternTable(120, 8)
 	dev := gpusim.NewDevice(gpusim.DefaultConfig())
 	sampler := sampling.New(full, sampling.DefaultConfig())
 	labels := make([]int32, 120)
@@ -85,7 +98,7 @@ func TestSerialPreparesCompleteBatch(t *testing.T) {
 
 func TestSerialOOM(t *testing.T) {
 	full := ring(120, 5)
-	feats := graph.RandomEmbeddingTableForTest(120, 64)
+	feats := patternTable(120, 64)
 	cfg := gpusim.DefaultConfig()
 	cfg.MemoryBytes = 32
 	dev := gpusim.NewDevice(cfg)
@@ -102,7 +115,7 @@ func TestSerialOOM(t *testing.T) {
 // host-only prepare never touches the link.
 func TestSerialLinkAccounting(t *testing.T) {
 	full := ring(120, 5)
-	feats := graph.RandomEmbeddingTableForTest(120, 8)
+	feats := patternTable(120, 8)
 	dsts := []graph.VID{4, 8, 12}
 	prepare := func(cfg Config) (*gpusim.Device, *Batch) {
 		t.Helper()

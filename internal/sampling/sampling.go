@@ -42,18 +42,17 @@ const (
 
 // Config parameterizes the sampler.
 type Config struct {
-	Fanout      int  // neighbors sampled per dst vertex (paper's n)
-	Layers      int  // GNN depth L (one hop per layer)
-	IncludeSelf bool // add a self edge per dst (GCN-style aggregation)
-	Workers     int  // sampling threads; 0 means GOMAXPROCS
-	Mode        Mode
-	Seed        uint64
+	Fanout  int // neighbors sampled per dst vertex (paper's n)
+	Layers  int // GNN depth L (one hop per layer)
+	Workers int // sampling threads; 0 means GOMAXPROCS
+	Mode    Mode
+	Seed    uint64
 }
 
 // DefaultConfig matches the paper's setup: batchwise 2-layer sampling with
-// a small fanout and self edges.
+// a small fanout (every dst also keeps a self edge, GCN-style).
 func DefaultConfig() Config {
-	return Config{Fanout: 4, Layers: 2, IncludeSelf: true, Mode: ModeSplit}
+	return Config{Fanout: 4, Layers: 2, Mode: ModeSplit}
 }
 
 // Hop is one sampled hop in original-VID space, before reindexing.
@@ -281,13 +280,11 @@ func (s *Sampler) sampleHop(dsts []graph.VID, src, dst []graph.VID) ([]graph.VID
 // the (src, dst) pairs onto the worker chunk.
 func (s *Sampler) appendNeighbors(d graph.VID, c *hopChunk) {
 	adj := s.full.Neighbors(d)
-	if s.cfg.IncludeSelf {
-		c.src = append(c.src, d)
-		c.dst = append(c.dst, d)
-	}
+	c.src = append(c.src, d)
+	c.dst = append(c.dst, d)
 	if len(adj) <= s.cfg.Fanout {
 		for _, n := range adj {
-			if n != d || !s.cfg.IncludeSelf {
+			if n != d {
 				c.src = append(c.src, n)
 				c.dst = append(c.dst, d)
 			}
@@ -309,7 +306,7 @@ func (s *Sampler) appendNeighbors(d graph.VID, c *hopChunk) {
 		}
 		c.chosen = append(c.chosen, t)
 		n := adj[t]
-		if n == d && s.cfg.IncludeSelf {
+		if n == d {
 			continue
 		}
 		c.src = append(c.src, n)

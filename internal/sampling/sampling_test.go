@@ -105,7 +105,6 @@ func TestFanoutBounded(t *testing.T) {
 	full := ring(200, 20) // high degree
 	cfg := DefaultConfig()
 	cfg.Fanout = 3
-	cfg.IncludeSelf = true
 	cfg.Layers = 1
 	res := New(full, cfg).Sample([]graph.VID{10, 20})
 	// Build per-dst degree and check <= fanout+1 (self edge).

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"graphtensor/internal/core"
-	"graphtensor/internal/frameworks"
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/pipeline"
@@ -32,10 +31,6 @@ type replica struct {
 	// pool recycle everything preparation builds, so a steady-state served
 	// batch allocates a small constant.
 	slot *pipeline.Slot
-
-	// infer is the retained FWP dispatch state (the GroupDev discipline):
-	// layer-graph views and the input header rebuilt in place per batch.
-	infer frameworks.InferDispatch
 
 	// attempt counts batches this replica has started — the step index the
 	// fault plan's death/stall events are consulted at. dead flips when
@@ -335,7 +330,8 @@ func (r *replica) inferBatch(b *prep.Batch, mb *microBatch) error {
 		r.endBatch()
 		return err
 	}
-	logits, err := r.infer.Infer(r.ctx, r.model, b, x)
+	in := core.Input{Graphs: b.Layers, X: x, Labels: b.Labels}
+	logits, err := r.model.Infer(r.ctx, &in)
 	if err != nil {
 		x.Free()
 		r.endBatch()

@@ -374,7 +374,6 @@ func NewServer(tr *frameworks.Trainer, cfg Config) (*Server, error) {
 	pcfg := pipeline.DefaultConfig()
 	pcfg.Sampler = tr.SamplerConfig()
 	pcfg.Format = tr.Format()
-	pcfg.Pinned = tr.Pinned()
 	pcfg.HostOnly = true // each replica pays its own miss-only scatter
 	pcfg.Cache = cfg.Cache
 	s.sched = pipeline.NewScheduler(tr.Dataset.Graph, tr.Dataset.Features, tr.Dataset.Labels,

@@ -33,14 +33,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromSlice wraps data (row-major) as a rows×cols matrix without copying.
-func FromSlice(rows, cols int, data []float32) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
@@ -65,23 +57,6 @@ func (m *Matrix) Fill(v float32) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
-}
-
-// Equal reports whether m and o have identical shape and elements within eps.
-func (m *Matrix) Equal(o *Matrix, eps float32) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		d := v - o.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > eps {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between m

@@ -30,7 +30,7 @@ func TestMatMulIdentity(t *testing.T) {
 		id.Set(i, i, 1)
 	}
 	got := matMul(a, id)
-	if !got.Equal(a, 1e-6) {
+	if got.MaxAbsDiff(a) > 1e-6 {
 		t.Error("A·I != A")
 	}
 }

@@ -30,7 +30,6 @@ type Table struct {
 	order []graph.VID // new VID -> original VID, in allocation order
 
 	lockWaitNs atomic.Int64
-	lockOps    atomic.Int64
 }
 
 // New returns an empty table with capacity hint n.
@@ -38,14 +37,19 @@ func New(n int) *Table {
 	return &Table{m: make(map[graph.VID]graph.VID, n), order: make([]graph.VID, 0, n)}
 }
 
+// lock acquires the table lock on a data-path operation, recording how long
+// the caller waited for it.
+func (t *Table) lock() {
+	start := time.Now()
+	t.mu.Lock()
+	t.lockWaitNs.Add(int64(time.Since(start)))
+}
+
 // GetOrAssign returns the new VID for orig, allocating the next VID if orig
 // is unseen. fresh reports whether an allocation happened. Safe for
 // concurrent use; lock wait time is recorded.
 func (t *Table) GetOrAssign(orig graph.VID) (nv graph.VID, fresh bool) {
-	start := time.Now()
-	t.mu.Lock()
-	t.lockWaitNs.Add(int64(time.Since(start)))
-	t.lockOps.Add(1)
+	t.lock()
 	defer t.mu.Unlock()
 	if nv, ok := t.m[orig]; ok {
 		return nv, false
@@ -58,10 +62,7 @@ func (t *Table) GetOrAssign(orig graph.VID) (nv graph.VID, fresh bool) {
 
 // Lookup returns the new VID for orig without allocating.
 func (t *Table) Lookup(orig graph.VID) (graph.VID, bool) {
-	start := time.Now()
-	t.mu.Lock()
-	t.lockWaitNs.Add(int64(time.Since(start)))
-	t.lockOps.Add(1)
+	t.lock()
 	defer t.mu.Unlock()
 	nv, ok := t.m[orig]
 	return nv, ok
@@ -71,10 +72,7 @@ func (t *Table) Lookup(orig graph.VID) (graph.VID, bool) {
 // a single lock acquisition — the reindexing fast path once the table is
 // frozen. Unknown VIDs map to -1.
 func (t *Table) LookupBatch(origs []graph.VID, out []graph.VID) {
-	start := time.Now()
-	t.mu.Lock()
-	t.lockWaitNs.Add(int64(time.Since(start)))
-	t.lockOps.Add(1)
+	t.lock()
 	defer t.mu.Unlock()
 	for i, o := range origs {
 		if nv, ok := t.m[o]; ok {
@@ -91,10 +89,7 @@ func (t *Table) LookupBatch(origs []graph.VID, out []graph.VID) {
 // arrange that only one AssignBatch runs at a time, so the lock is
 // uncontended by construction.
 func (t *Table) AssignBatch(origs []graph.VID) []graph.VID {
-	start := time.Now()
-	t.mu.Lock()
-	t.lockWaitNs.Add(int64(time.Since(start)))
-	t.lockOps.Add(1)
+	t.lock()
 	defer t.mu.Unlock()
 	out := make([]graph.VID, len(origs))
 	for i, o := range origs {
@@ -115,10 +110,7 @@ func (t *Table) AssignBatch(origs []graph.VID) []graph.VID {
 // acquisition but materializes no result slice, so the steady-state
 // sampling path allocates nothing here.
 func (t *Table) InsertBatch(origs []graph.VID) {
-	start := time.Now()
-	t.mu.Lock()
-	t.lockWaitNs.Add(int64(time.Since(start)))
-	t.lockOps.Add(1)
+	t.lock()
 	defer t.mu.Unlock()
 	for _, o := range origs {
 		if _, ok := t.m[o]; ok {
@@ -172,6 +164,3 @@ func (t *Table) OrigVIDs() []graph.VID {
 // LockWait returns the cumulative time goroutines spent waiting to acquire
 // the table lock — the contention figure of Fig 14a.
 func (t *Table) LockWait() time.Duration { return time.Duration(t.lockWaitNs.Load()) }
-
-// LockOps returns the number of lock acquisitions performed.
-func (t *Table) LockOps() int64 { return t.lockOps.Load() }

@@ -82,9 +82,6 @@ func TestConcurrentGetOrAssignLinearizable(t *testing.T) {
 	if tb.Len() != 600 {
 		t.Errorf("len %d want 600 distinct vertices", tb.Len())
 	}
-	if tb.LockOps() == 0 {
-		t.Error("no lock operations recorded")
-	}
 }
 
 func TestLockWaitRecorded(t *testing.T) {
@@ -92,8 +89,5 @@ func TestLockWaitRecorded(t *testing.T) {
 	tb.GetOrAssign(1)
 	if tb.LockWait() < 0 {
 		t.Error("negative lock wait")
-	}
-	if tb.LockOps() == 0 {
-		t.Error("lock ops not counted")
 	}
 }

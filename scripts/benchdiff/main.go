@@ -1,37 +1,27 @@
 // Command benchdiff compares two BENCH_<n>.json snapshots produced by
-// `gtbench -micro` / scripts/bench.sh and prints the per-benchmark delta in
-// best ns/op, B/op and allocs/op. It exits non-zero when any benchmark
-// present in both snapshots regressed beyond a gate, making it usable as a
-// CI gate on the perf trajectory. Two gates apply:
+// `gtbench -micro` / scripts/bench.sh, prints the per-benchmark delta in
+// best ns/op, B/op and allocs/op, and exits non-zero when any benchmark
+// present in both snapshots grew its allocs/op beyond
+// max(-allocslack, -allocnoise percent of the old count). That is its one
+// job: the allocation disciplines (arena, worker pool, device arena) are a
+// ratcheted invariant and allocs/op is machine-independent, so CI can hold
+// it on every push. ns/op is printed as context and never gated — the
+// committed snapshots come from a different machine each time, and no box
+// this repo runs on repeats wall time to better than 10-25 %.
 //
-//   - ns/op: a regression of more than -threshold percent (default 15%).
-//   - allocs/op: growth beyond max(-allocslack, -allocnoise percent of the
-//     old count) — the allocation disciplines (arena, worker pool, device
-//     arena) are a ratcheted invariant, so new steady-state allocations fail
-//     the diff. The absolute slack (default 2) keeps near-zero floors exact;
-//     the proportional term (default 0.5%) exists because the concurrent
-//     benchmarks (server contention, multi-device training) run thousands of
-//     allocs/op and goroutine scheduling shifts that count by a handful
-//     between otherwise identical runs. A real regression scales with the
-//     per-op work (one alloc per query/shard/batch adds tens to hundreds),
-//     so it still trips the proportional gate. Benchmarks that legitimately
-//     change shape get headroom via a larger -allocslack, not by dropping
-//     the gate.
+// The absolute slack (default 2) keeps near-zero floors exact; the
+// proportional term (default 0.5%) exists because the concurrent benchmarks
+// (server contention, multi-device training) run thousands of allocs/op and
+// goroutine scheduling shifts that count by a handful between otherwise
+// identical runs. A real regression scales with the per-op work (one alloc
+// per query/shard/batch adds tens to hundreds), so it still trips the
+// proportional gate. Benchmarks that legitimately change shape get headroom
+// via a larger -allocslack, not by dropping the gate.
 //
 // Usage:
 //
 //	go run ./scripts/benchdiff BENCH_1.json BENCH_2.json
-//	go run ./scripts/benchdiff -threshold 10 -allocslack 0 BENCH_1.json BENCH_2.json
-//	go run ./scripts/benchdiff -smoke BENCH_1.json BENCH_2.json       # never fails
-//	go run ./scripts/benchdiff -allocsonly BENCH_1.json BENCH_2.json  # gate allocs/op only
-//
-// -smoke prints the comparison but always exits 0. -allocsonly keeps the
-// allocs/op gate hard but prints ns/op deltas without gating them: CI runs
-// it because allocs/op is machine-independent (the committed snapshots come
-// from a different machine class than the runner), so the pooled
-// steady-state allocation floor stays a ratcheted invariant on every push
-// while wall-clock noise cannot fail unrelated changes. Local runs keep
-// both hard gates.
+//	go run ./scripts/benchdiff -allocslack 0 BENCH_1.json BENCH_2.json
 package main
 
 import (
@@ -73,14 +63,11 @@ func load(path string) (*benchFile, error) {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 15, "max allowed ns/op regression in percent before failing")
 	allocSlack := flag.Int64("allocslack", 2, "max allowed allocs/op growth before failing (small allowance for benchmarks that legitimately change)")
 	allocNoise := flag.Float64("allocnoise", 0.5, "scheduler-noise allowance in percent of old allocs/op; the effective slack per benchmark is max(allocslack, ceil(allocnoise*old/100))")
-	smoke := flag.Bool("smoke", false, "print the diff but always exit 0 (CI smoke mode)")
-	allocsOnly := flag.Bool("allocsonly", false, "gate allocs/op only; ns/op deltas are printed but never fail (for CI, where snapshots come from a different machine class)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-allocslack n] [-smoke] [-allocsonly] OLD.json NEW.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-allocslack n] [-allocnoise pct] OLD.json NEW.json")
 		os.Exit(2)
 	}
 	oldF, err := load(flag.Arg(0))
@@ -113,18 +100,13 @@ func main() {
 		delete(oldBy, nb.Name)
 		compared++
 		pct := (nb.NsPerOpBest - ob.NsPerOpBest) / ob.NsPerOpBest * 100
-		mark := ""
-		if pct > *threshold && !*allocsOnly {
-			mark = "  REGRESSION"
-		}
 		slack := *allocSlack
 		if prop := int64(math.Ceil(*allocNoise * float64(ob.AllocsPerOp) / 100)); prop > slack {
 			slack = prop
 		}
+		mark := ""
 		if nb.AllocsPerOp > ob.AllocsPerOp+slack {
-			mark += "  ALLOC-REGRESSION"
-		}
-		if mark != "" {
+			mark = "  ALLOC-REGRESSION"
 			regressed++
 		}
 		fmt.Printf("%-38s %14.0f %14.0f %8.1f%% %12d %12d%s\n",
@@ -134,9 +116,9 @@ func main() {
 	for name := range oldBy {
 		fmt.Printf("%-38s  (dropped from new snapshot)\n", name)
 	}
-	fmt.Printf("%d benchmarks compared, %d regressed (ns/op gate %.0f%%, allocs/op slack max(%d, %.2g%%))\n",
-		compared, regressed, *threshold, *allocSlack, *allocNoise)
-	if regressed > 0 && !*smoke {
+	fmt.Printf("%d benchmarks compared, %d regressed (allocs/op slack max(%d, %.2g%%); ns/op not gated)\n",
+		compared, regressed, *allocSlack, *allocNoise)
+	if regressed > 0 {
 		os.Exit(1)
 	}
 }
