@@ -91,7 +91,7 @@ func benchStrategyForward(b *testing.B, s kernels.Strategy, modes kernels.Modes)
 	for i := 0; i < b.N; i++ {
 		ctx := kernels.NewCtx(dev)
 		gg := &kernels.Graphs{CSR: g.CSR, CSC: g.CSC}
-		xd, _ := kernels.WrapDeviceMatrix(dev, x.Clone(), "x")
+		xd, _ := kernels.WrapDeviceMatrix(ctx, x.Clone(), "x")
 		out, err := s.Forward(ctx, gg, xd, modes)
 		if err != nil {
 			b.Fatal(err)

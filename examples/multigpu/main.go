@@ -18,8 +18,9 @@
 //     network between nodes, and a two-tier collective whose slow-tier step
 //     count grows with nodes, not devices — the per-tier split is reported
 //     below from the gpusim interconnect model.
-//  3. Hygiene. Each device owns a batch-scoped arena; after every batch —
-//     and after the run — every device reports MemInUse() == 0.
+//  3. Hygiene. A batch's device memory is scoped to its executor; after
+//     every batch — and after the run — every device reports
+//     MemInUse() == 0.
 //
 // Run it with:
 //
@@ -121,7 +122,7 @@ func main() {
 			st16.Placements[li].AggrFirst, st16.Placements[li].CombFirst)
 	}
 
-	fmt.Println("\nper-device memory after training (device-arena discipline):")
+	fmt.Println("\nper-device memory after training (batch-scoped executors):")
 	for _, tr := range []*frameworks.Trainer{oneTr, fourTr, hierTr} {
 		inUse := int64(0)
 		for _, d := range tr.Group().Devices() {

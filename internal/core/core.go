@@ -1,16 +1,18 @@
 // Package core is GraphTensor's frontend and execution engine: the NAPA
-// (NeighborApply–Pull-and-Apply) programming model of §IV-B, the per-layer
-// dataflow graphs, and the training engine that integrates the dynamic
-// kernel placement orchestrator of §V-A.
+// (NeighborApply–Pull-and-Apply) programming model of §IV-B and the
+// executor that runs a model's FWP/BWP over a prepared batch with the
+// dynamic kernel placement orchestrator of §V-A.
 //
-// The three NAPA primitives mirror the paper's Fig 10 API:
+// The NAPA primitives mirror the paper's Fig 10 API:
 //
 //	edge := engine.NeighborApply(csr, embed, modes) // g per edge
 //	aggr := engine.Pull(csr, embed, edge, modes)    // h then f per dst
-//	out  := engine.Apply(aggr, W, b, relu)          // MLP combination
 //
-// Models composed from LayerSpecs run through Model.TrainStep, which
-// executes FWP and BWP under the configured kernel strategy and placement.
+// Models composed from LayerSpecs run through an Engine — the one executor
+// every training and serving engine of the repo drives its device with:
+// the classic trainer runs whole batches on one (TrainStep, Infer), a
+// device group runs gradient shards on one per device (ForwardBackward)
+// and a serving replica runs coalesced queries on its own (Infer).
 package core
 
 import (
@@ -21,10 +23,15 @@ import (
 	"graphtensor/internal/tensor"
 )
 
-// Engine owns a simulated device and the kernel context models execute in.
+// Engine is one executor: a simulated device and the kernel context — the
+// batch scope — models execute in. Between batches (after EndBatch, and
+// with no prepared batch outstanding on the device) Dev.MemInUse() is zero.
 type Engine struct {
 	Dev *gpusim.Device
 	Ctx *kernels.Ctx
+	// Pinned says the host buffers this engine receives batches from are
+	// page-locked (the link model charges pageable staging otherwise).
+	Pinned bool
 }
 
 // NewEngine creates an engine on a fresh simulated device.
@@ -36,10 +43,65 @@ func NewEngine(cfg gpusim.Config) *Engine {
 // Phases returns the kernel-time breakdown accumulated so far.
 func (e *Engine) Phases() *metrics.Breakdown { return e.Ctx.Phases }
 
-// Upload registers a host matrix as device-resident and returns the device
-// handle kernels operate on.
+// Upload registers a host matrix as device-resident in the engine's batch
+// scope and returns the device handle kernels operate on.
 func (e *Engine) Upload(m *tensor.Matrix, label string) (*kernels.DeviceMatrix, error) {
-	return kernels.WrapDeviceMatrix(e.Dev, m, label)
+	return kernels.WrapDeviceMatrix(e.Ctx, m, label)
+}
+
+// EndBatch closes the batch scope (kernels.Ctx.EndBatch): memos dropped,
+// every device buffer the batch's kernels left is freed.
+func (e *Engine) EndBatch() { e.Ctx.EndBatch() }
+
+// stage brings one host-resident batch (or gradient shard) onto the device.
+// linkBytes is the part of its payload that has yet to cross the
+// host→device link — zero when the producer's T task already moved it — and
+// is accounted on the device's link engine (modeled time only); x becomes
+// device-resident in the batch scope.
+func (e *Engine) stage(graphs []kernels.Graphs, x *tensor.Matrix, labels []int32, linkBytes int64) (Input, error) {
+	if linkBytes > 0 {
+		e.Dev.PCIe().TransferBytes(linkBytes, e.Pinned)
+	}
+	xd, err := e.Upload(x, "batch-x")
+	return Input{Graphs: graphs, X: xd, Labels: labels}, err
+}
+
+// Infer runs forward propagation only over one batch — graphs are its layer
+// subgraphs, x its embedding rows — and closes the batch scope. The
+// returned logits' device buffer is already released; their host matrix
+// stays readable.
+func (e *Engine) Infer(m *Model, graphs []kernels.Graphs, x *tensor.Matrix, linkBytes int64) (*kernels.DeviceMatrix, error) {
+	defer e.EndBatch()
+	in, err := e.stage(graphs, x, nil, linkBytes)
+	if err != nil {
+		return nil, err
+	}
+	return m.Infer(e.Ctx, &in)
+}
+
+// ForwardBackward stages one batch or gradient shard and runs
+// Model.ForwardBackward on it. The batch scope stays open — a device runs
+// several shards inside one batch — so the shard's rows are released here
+// and the caller calls EndBatch after the last shard, on failure too.
+func (e *Engine) ForwardBackward(m *Model, graphs []kernels.Graphs, x *tensor.Matrix, labels []int32, norm int, linkBytes int64) (float64, *ForwardResult, error) {
+	in, err := e.stage(graphs, x, labels, linkBytes)
+	if err != nil {
+		return 0, nil, err
+	}
+	lossSum, fr, err := m.ForwardBackward(e.Ctx, &in, norm)
+	in.X.Free()
+	return lossSum, fr, err
+}
+
+// TrainStep runs one whole training batch the producer already moved to
+// the device — Model.TrainStep — and closes the batch scope.
+func (e *Engine) TrainStep(m *Model, graphs []kernels.Graphs, x *tensor.Matrix, labels []int32, lr float32) (float64, error) {
+	defer e.EndBatch()
+	in, err := e.stage(graphs, x, labels, 0)
+	if err != nil {
+		return 0, err
+	}
+	return m.TrainStep(e.Ctx, &in, lr)
 }
 
 // NeighborApply is the NAPA edge-weighting primitive: it computes the
@@ -55,25 +117,4 @@ func (e *Engine) NeighborApply(csr *graph.BCSR, embed *kernels.DeviceMatrix, m k
 // rows. edge may be nil for unweighted modes.
 func (e *Engine) Pull(csr *graph.BCSR, embed, edge *kernels.DeviceMatrix, m kernels.Modes) (*kernels.DeviceMatrix, error) {
 	return kernels.PullKernel(e.Ctx, csr, embed, edge, m)
-}
-
-// Apply is the NAPA combination primitive: the dense MLP transformation
-// y = σ(x·W + b), leveraging conventional dense kernels. Set relu to false
-// for the final (logit) layer.
-func (e *Engine) Apply(x *kernels.DeviceMatrix, w *tensor.Matrix, b []float32, relu bool) (*kernels.DeviceMatrix, error) {
-	out, err := kernels.Linear(e.Ctx, x, w, "apply-out")
-	if err != nil {
-		return nil, err
-	}
-	if b != nil {
-		pre, err := kernels.BiasReLU(e.Ctx, out, b)
-		if err != nil {
-			return nil, err
-		}
-		if !relu {
-			// Undo the clamping: keep the pre-activation values.
-			copy(out.M.Data, pre.Data)
-		}
-	}
-	return out, nil
 }

@@ -19,7 +19,7 @@ func testDevice() *gpusim.Device {
 
 // buildInput makes a 2-layer sampled-batch-shaped input: layer 0 aggregates
 // nSrc→nMid, layer 1 aggregates nMid→nBatch.
-func buildInput(t *testing.T, dev *gpusim.Device, nBatch, nMid, nSrc, dim int, seed uint64) *Input {
+func buildInput(t *testing.T, ctx *kernels.Ctx, nBatch, nMid, nSrc, dim int, seed uint64) *Input {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
 	mk := func(nDst, nSrc, fanout int) kernels.Graphs {
@@ -37,7 +37,7 @@ func buildInput(t *testing.T, dev *gpusim.Device, nBatch, nMid, nSrc, dim int, s
 		return kernels.Graphs{CSR: csr, CSC: graph.BCSRToBCSC(csr)}
 	}
 	x := tensor.Random(nSrc, dim, 1, rng)
-	xd, err := kernels.WrapDeviceMatrix(dev, x, "x")
+	xd, err := kernels.WrapDeviceMatrix(ctx, x, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPlacementEquivalence(t *testing.T) {
 			run := func(p dkp.Placement) (*tensor.Matrix, *tensor.Matrix, []float32) {
 				dev := testDevice()
 				ctx := kernels.NewCtx(dev)
-				in := buildInput(t, dev, 6, 14, 25, 10, 42)
+				in := buildInput(t, ctx, 6, 14, 25, 10, 42)
 				model, err := NewModel(Config{
 					Strategy: kernels.NAPA{},
 					Specs:    modelSpecs(tc.modes, 10, 8, 3),
@@ -90,7 +90,7 @@ func TestPlacementEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, dLogits := SoftmaxCrossEntropy(fr.Logits.M, in.Labels)
+				_, dLogits := SoftmaxCrossEntropySum(fr.Logits.M, in.Labels, len(in.Labels))
 				if err := model.Backward(ctx, in, fr, dLogits); err != nil {
 					t.Fatal(err)
 				}
@@ -121,7 +121,7 @@ func TestStrategiesAgreeOnModel(t *testing.T) {
 	for _, s := range strategies {
 		dev := testDevice()
 		ctx := kernels.NewCtx(dev)
-		in := buildInput(t, dev, 5, 12, 20, 8, 99)
+		in := buildInput(t, ctx, 5, 12, 20, 8, 99)
 		model, err := NewModel(Config{Strategy: s, Specs: modelSpecs(kernels.NGCFModes(), 8, 6, 3), Seed: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +144,7 @@ func TestStrategiesAgreeOnModel(t *testing.T) {
 func TestTrainingReducesLoss(t *testing.T) {
 	dev := testDevice()
 	ctx := kernels.NewCtx(dev)
-	in := buildInput(t, dev, 8, 16, 30, 12, 5)
+	in := buildInput(t, ctx, 8, 16, 30, 12, 5)
 	model, err := NewModel(Config{Strategy: kernels.NAPA{}, Specs: modelSpecs(kernels.GCNModes(), 12, 10, 3), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -188,13 +188,18 @@ func TestSoftmaxCrossEntropyGradient(t *testing.T) {
 	rng := tensor.NewRNG(17)
 	logits := tensor.Random(4, 3, 1, rng)
 	labels := []int32{0, 2, 1, 1}
-	loss0, grad := SoftmaxCrossEntropy(logits, labels)
+	// The mean loss of a whole batch: the sum at norm = the batch size.
+	meanLoss := func() (float64, *tensor.Matrix) {
+		sum, g := SoftmaxCrossEntropySum(logits, labels, len(labels))
+		return sum / float64(len(labels)), g
+	}
+	loss0, grad := meanLoss()
 	const eps = 1e-3
 	for i := 0; i < logits.Rows; i++ {
 		for j := 0; j < logits.Cols; j++ {
 			orig := logits.At(i, j)
 			logits.Set(i, j, orig+eps)
-			lossP, _ := SoftmaxCrossEntropy(logits, labels)
+			lossP, _ := meanLoss()
 			logits.Set(i, j, orig)
 			numeric := (lossP - loss0) / eps
 			if math.Abs(numeric-float64(grad.At(i, j))) > 1e-2 {

@@ -9,7 +9,7 @@ import (
 func TestInferMatchesForwardLogits(t *testing.T) {
 	dev := testDevice()
 	ctx := kernels.NewCtx(dev)
-	in := buildInput(t, dev, 6, 14, 25, 10, 1)
+	in := buildInput(t, ctx, 6, 14, 25, 10, 1)
 	model, err := NewModel(Config{Strategy: kernels.NAPA{}, Specs: modelSpecs(kernels.GCNModes(), 10, 8, 3), Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +34,13 @@ func TestInferMatchesForwardLogits(t *testing.T) {
 func TestEvaluateReturnsFraction(t *testing.T) {
 	dev := testDevice()
 	ctx := kernels.NewCtx(dev)
-	in := buildInput(t, dev, 8, 16, 30, 12, 3)
+	in := buildInput(t, ctx, 8, 16, 30, 12, 3)
 	model, _ := NewModel(Config{Strategy: kernels.NAPA{}, Specs: modelSpecs(kernels.GCNModes(), 12, 10, 3), Seed: 5})
-	acc, err := model.Evaluate(ctx, in)
+	logits, err := model.Infer(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc := Accuracy(logits.M, in.Labels)
 	if acc < 0 || acc > 1 {
 		t.Errorf("accuracy %g out of [0,1]", acc)
 	}
@@ -48,15 +49,22 @@ func TestEvaluateReturnsFraction(t *testing.T) {
 func TestTrainingImprovesAccuracyOnFixedBatch(t *testing.T) {
 	dev := testDevice()
 	ctx := kernels.NewCtx(dev)
-	in := buildInput(t, dev, 12, 20, 40, 12, 7)
+	in := buildInput(t, ctx, 12, 20, 40, 12, 7)
 	model, _ := NewModel(Config{Strategy: kernels.NAPA{}, Specs: modelSpecs(kernels.GCNModes(), 12, 16, 3), Seed: 9})
-	before, _ := model.Evaluate(ctx, in)
+	accuracy := func() float64 {
+		logits, err := model.Infer(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Accuracy(logits.M, in.Labels)
+	}
+	before := accuracy()
 	for i := 0; i < 60; i++ {
 		if _, err := model.TrainStep(ctx, in, 0.3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, _ := model.Evaluate(ctx, in)
+	after := accuracy()
 	if after < before {
 		t.Errorf("accuracy regressed: before %g after %g", before, after)
 	}
@@ -66,7 +74,7 @@ func TestInferAcrossStrategies(t *testing.T) {
 	for _, s := range []kernels.Strategy{kernels.NAPA{}, kernels.GraphApproach{}, kernels.DLApproach{}, kernels.Advisor{}} {
 		dev := testDevice()
 		ctx := kernels.NewCtx(dev)
-		in := buildInput(t, dev, 5, 12, 20, 8, 11)
+		in := buildInput(t, ctx, 5, 12, 20, 8, 11)
 		model, _ := NewModel(Config{Strategy: s, Specs: modelSpecs(kernels.NGCFModes(), 8, 6, 3), Seed: 4})
 		logits, err := model.Infer(ctx, in)
 		if err != nil {

@@ -6,30 +6,17 @@ import (
 	"graphtensor/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the mean negative log-likelihood of labels
-// under softmax(logits) and the gradient with respect to the logits
-// ((softmax − onehot)/n). Rows beyond len(labels) — vertices sampled only
-// as neighbors — contribute neither loss nor gradient. The gradient matrix
-// is drawn from the tensor pool; callers that track lifetimes return it
-// with tensor.Put.
-func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int32) (float64, *tensor.Matrix) {
-	n := len(labels)
-	if n > logits.Rows {
-		n = logits.Rows
-	}
-	loss, grad := SoftmaxCrossEntropySum(logits, labels, n)
-	if n > 0 {
-		loss /= float64(n)
-	}
-	return loss, grad
-}
-
-// SoftmaxCrossEntropySum is the data-parallel form of SoftmaxCrossEntropy:
-// it returns the UNnormalized loss sum over the labeled rows and the
-// gradient scaled by 1/norm, where norm is the global batch size. A shard
-// holding a subset of the batch's dst rows computes its partial with
-// norm = the full batch size; partials folded in a fixed order then divided
-// by norm reproduce a full-batch step. The gradient is pool-drawn.
+// SoftmaxCrossEntropySum returns the UNnormalized negative log-likelihood
+// of labels under softmax(logits), summed over the labeled rows, and the
+// gradient with respect to the logits scaled by 1/norm ((softmax −
+// onehot)/norm), where norm is the global batch size. Rows beyond
+// len(labels) — vertices sampled only as neighbors — contribute neither
+// loss nor gradient. A whole batch passes norm = len(labels) and divides
+// the sum by it for the mean loss; a shard holding a subset of the batch's
+// dst rows computes its partial with norm = the full batch size, and
+// partials folded in a fixed order then divided by norm reproduce a
+// full-batch step. The gradient matrix is drawn from the tensor pool;
+// callers return it with tensor.Put.
 func SoftmaxCrossEntropySum(logits *tensor.Matrix, labels []int32, norm int) (float64, *tensor.Matrix) {
 	n := len(labels)
 	if n > logits.Rows {

@@ -284,7 +284,7 @@ func (m *Model) Forward(ctx *kernels.Ctx, in *Input) (*ForwardResult, error) {
 // aggregation backward under aggregation-first placement — no gradient is
 // needed past the input embeddings (§V-A).
 func (m *Model) Backward(ctx *kernels.Ctx, in *Input, fr *ForwardResult, dLogits *tensor.Matrix) error {
-	dOut, err := kernels.WrapDeviceMatrix(ctx.Dev, dLogits, "dlogits")
+	dOut, err := kernels.WrapDeviceMatrix(ctx, dLogits, "dlogits")
 	if err != nil {
 		return err
 	}
@@ -383,20 +383,37 @@ func (m *Model) Step(lr float32) {
 	}
 }
 
-// TrainStep runs one full FWP + loss + BWP + SGD update and returns the
-// batch loss.
-func (m *Model) TrainStep(ctx *kernels.Ctx, in *Input, lr float32) (float64, error) {
+// ForwardBackward runs FWP, the softmax cross-entropy loss and BWP over in,
+// accumulating parameter gradients scaled by 1/norm, and returns the
+// UNnormalized loss sum with the forward result (for its placements; its
+// device products are consumed). It is the one forward + loss + backward of
+// the repo: a whole batch passes norm = its own size (TrainStep), a
+// gradient shard the global batch size, so folded shard partials reproduce
+// a full-batch step.
+func (m *Model) ForwardBackward(ctx *kernels.Ctx, in *Input, norm int) (float64, *ForwardResult, error) {
 	fr, err := m.Forward(ctx, in)
+	if err != nil {
+		return 0, nil, err
+	}
+	lossSum, dLogits := SoftmaxCrossEntropySum(fr.Logits.M, in.Labels, norm)
+	err = m.Backward(ctx, in, fr, dLogits)
+	tensor.Put(dLogits)
+	fr.Logits.Free()
+	return lossSum, fr, err
+}
+
+// TrainStep runs one full FWP + loss + BWP + SGD update and returns the
+// batch's mean loss.
+func (m *Model) TrainStep(ctx *kernels.Ctx, in *Input, lr float32) (float64, error) {
+	n := len(in.Labels)
+	loss, _, err := m.ForwardBackward(ctx, in, n)
 	if err != nil {
 		return 0, err
 	}
-	loss, dLogits := SoftmaxCrossEntropy(fr.Logits.M, in.Labels)
-	if err := m.Backward(ctx, in, fr, dLogits); err != nil {
-		return 0, err
-	}
-	tensor.Put(dLogits)
 	m.Step(lr)
-	fr.Logits.Free()
+	if n > 0 {
+		loss /= float64(n)
+	}
 	return loss, nil
 }
 
@@ -425,16 +442,4 @@ func (m *Model) Infer(ctx *kernels.Ctx, in *Input) (*kernels.DeviceMatrix, error
 		c.pre = nil
 	}
 	return fr.Logits, nil
-}
-
-// Evaluate runs inference and returns the classification accuracy against
-// the batch labels.
-func (m *Model) Evaluate(ctx *kernels.Ctx, in *Input) (float64, error) {
-	logits, err := m.Infer(ctx, in)
-	if err != nil {
-		return 0, err
-	}
-	acc := Accuracy(logits.M, in.Labels)
-	logits.Free()
-	return acc, nil
 }

@@ -8,7 +8,7 @@ import (
 func TestSAGEPoolModelTrains(t *testing.T) {
 	dev := testDevice()
 	ctx := kernels.NewCtx(dev)
-	in := buildInput(t, dev, 8, 16, 30, 12, 5)
+	in := buildInput(t, ctx, 8, 16, 30, 12, 5)
 	specs := modelSpecs(kernels.Modes{F: kernels.AggrMax, G: kernels.WeightNone, H: kernels.CombineIdentity}, 12, 10, 3)
 	model, err := NewModel(Config{Strategy: kernels.NAPA{}, Specs: specs, Seed: 1, EnableDKP: true})
 	if err != nil {

@@ -44,7 +44,7 @@ func ablFusion(cfg Config) (*Result, error) {
 		csr, _ := graph.BCOOToBCSR(g.COO)
 		stores := func(s kernels.Strategy) int64 {
 			ctx := kernels.NewCtx(dev)
-			xd, _ := kernels.WrapDeviceMatrix(dev, x.M.Clone(), "x")
+			xd, _ := kernels.WrapDeviceMatrix(ctx, x.M.Clone(), "x")
 			before := dev.Snapshot()
 			out, err := s.Forward(ctx, &kernels.Graphs{CSR: csr}, xd, kernels.NGCFModes())
 			if err != nil {
@@ -76,7 +76,7 @@ func prepOneLayer(cfg Config, name string) (*gpusim.Device, *kernels.Graphs, *ke
 	devCfg := cfg.device()
 	devCfg.MemoryBytes = 0
 	dev := gpusim.NewDevice(devCfg)
-	b, x, err := prepareKernelBatch(cfg, ds, dev, prep.FormatCOO)
+	b, x, err := prepareKernelBatch(cfg, ds, kernels.NewCtx(dev), prep.FormatCOO)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}

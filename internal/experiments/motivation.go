@@ -28,15 +28,15 @@ func init() {
 
 // prepareKernelBatch samples and prepares one batch of a dataset with the
 // given format, returning the batch plus the uploaded embedding matrix.
-func prepareKernelBatch(cfg Config, ds *datasets.Dataset, dev *gpusim.Device,
+func prepareKernelBatch(cfg Config, ds *datasets.Dataset, ctx *kernels.Ctx,
 	format prep.Format) (*prep.Batch, *kernels.DeviceMatrix, error) {
 	scfg := samplerFor(ds)
-	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, dev, ds.BatchDsts(300, 1), scfg,
+	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, ctx.Dev, ds.BatchDsts(300, 1), scfg,
 		prep.Config{Format: format, Pinned: true})
 	if err != nil {
 		return nil, nil, err
 	}
-	x, err := kernels.WrapDeviceMatrix(dev, b.Embed.Data, "batch-x")
+	x, err := kernels.WrapDeviceMatrix(ctx, b.Embed.Data, "batch-x")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -60,12 +60,12 @@ func runFig6a(cfg Config) (*Result, error) {
 		devCfg := cfg.device()
 		devCfg.MemoryBytes = 0 // unlimited: we are measuring, not gating
 		dev := gpusim.NewDevice(devCfg)
-		b, x, err := prepareKernelBatch(cfg, ds, dev, prep.FormatCSR)
+		ctx := kernels.NewCtx(dev)
+		b, x, err := prepareKernelBatch(cfg, ds, ctx, prep.FormatCSR)
 		if err != nil {
 			return nil, err
 		}
 		embedBytes := b.Embed.Bytes()
-		ctx := kernels.NewCtx(dev)
 		dev.ResetPeak()
 		base := dev.MemInUse()
 		// The outermost (largest) layer dominates.
@@ -99,11 +99,11 @@ func runFig6b(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		dev := gpusim.NewDevice(cfg.device())
-		b, x, err := prepareKernelBatch(cfg, ds, dev, prep.FormatCOO)
+		ctx := kernels.NewCtx(dev)
+		b, x, err := prepareKernelBatch(cfg, ds, ctx, prep.FormatCOO)
 		if err != nil {
 			return nil, err
 		}
-		ctx := kernels.NewCtx(dev)
 		before := dev.Snapshot()
 		w, err := kernels.GraphApproach{}.SDDMM(ctx, &b.Layers[0], x, kernels.NGCFModes())
 		if err != nil {

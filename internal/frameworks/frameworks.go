@@ -9,6 +9,7 @@
 package frameworks
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -407,12 +408,35 @@ func (t *Trainer) Prepare(dsts []graph.VID, _ any) (*prep.Batch, error) {
 	return t.PrepareInto(dsts, nil, nil)
 }
 
+// ErrInvalidVertex is returned for a batch or query naming a dst vertex
+// outside the dataset's [0, NumVertices): a typed error at the door
+// (Prepare*, Serve, and serve.Submit*, which aliases it), never a panic
+// inside the sampler.
+var ErrInvalidVertex = errors.New("frameworks: dst vertex out of range")
+
+// CheckDsts rejects a dst list holding any vertex outside [0, NumVertices):
+// the sampler indexes the graph by dst unchecked.
+func (t *Trainer) CheckDsts(dsts []graph.VID) error {
+	n := graph.VID(t.Dataset.NumVertices())
+	for _, v := range dsts {
+		if v < 0 || v >= n {
+			return fmt.Errorf("%w: %d not in [0, %d)", ErrInvalidVertex, v, n)
+		}
+	}
+	return nil
+}
+
 // PrepareInto is Prepare with the batch's storage drawn from a prefetch
 // ring slot — dense host buffers from its arena, producer structures
 // (sampler result, layer graphs, labels) from its structure pool. A nil
 // slot falls back to plain allocation (validation and probe batches). The
-// second parameter is ignored, for the same reason as Prepare's.
+// second parameter is ignored, for the same reason as Prepare's. Hostile
+// dsts are refused with ErrInvalidVertex before anything is drawn from the
+// slot.
 func (t *Trainer) PrepareInto(dsts []graph.VID, _ any, slot *pipeline.Slot) (*prep.Batch, error) {
+	if err := t.CheckDsts(dsts); err != nil {
+		return nil, err
+	}
 	if t.sched != nil {
 		return t.sched.Prepare(dsts, slot)
 	}
@@ -468,35 +492,18 @@ func (t *Trainer) Compute(b *prep.Batch) (float64, error) {
 	if t.group != nil {
 		return t.group.TrainBatch(b, t.Opt.LearningRate)
 	}
-	x, err := t.Engine.Upload(b.Embed.Data, "batch-x")
-	if err != nil {
-		return 0, err
-	}
-	in := core.Input{Graphs: b.Layers, X: x, Labels: b.Labels}
-	loss, err := t.Model.TrainStep(t.Engine.Ctx, &in, t.Opt.LearningRate)
-	x.Free()
-	// The batch's graphs are released by the caller; drop the per-graph
-	// memos so they do not pin the graph storage.
-	t.Engine.Ctx.EndBatch()
-	return loss, err
+	return t.Engine.TrainStep(t.Model, b.Layers, b.Embed.Data, b.Labels, t.Opt.LearningRate)
 }
 
 // InferBatch runs forward propagation only — no gradients, no update — on a
-// prepared batch and returns the logits (device-held; the caller frees
-// them). Under a device group the canonical replica-0 weights are used.
-// This is the serving fast path: no gradient shards, no label buffers, no
-// backward workspaces ever exist, and with a warm slot feeding PrepareInto
-// a served batch allocates a small constant (BenchmarkServeQuery guards it).
+// prepared batch and returns the logits (host matrix; their device buffer
+// ended with the batch, so the caller's Free is a no-op). Under a device
+// group the canonical replica-0 weights are used. This is the serving fast
+// path: no gradient shards, no label buffers, no backward workspaces ever
+// exist, and with a warm slot feeding PrepareInto a served batch allocates
+// a small constant (BenchmarkServeQuery guards it).
 func (t *Trainer) InferBatch(b *prep.Batch) (*kernels.DeviceMatrix, error) {
-	x, err := t.Engine.Upload(b.Embed.Data, "serve-x")
-	if err != nil {
-		return nil, err
-	}
-	in := core.Input{Graphs: b.Layers, X: x, Labels: b.Labels}
-	logits, err := t.Model.Infer(t.Engine.Ctx, &in)
-	x.Free()
-	t.Engine.Ctx.EndBatch()
-	return logits, err
+	return t.Engine.Infer(t.Model, b.Layers, b.Embed.Data, 0)
 }
 
 // Serve prepares one coalesced query batch through the slot and runs the

@@ -243,3 +243,50 @@ func TestCOOBatchTranslatesOnce(t *testing.T) {
 		t.Errorf("second training pass translated again: %v -> %v", bwp, again)
 	}
 }
+
+// TestEngineMemReturnsToZero: a batch's device memory ends with the batch on
+// the classic engine — after every TrainBatch, an InferBatch (whose logits'
+// host matrix stays readable once the scope has closed) and an Evaluate,
+// with no prepared batch outstanding, the engine device holds nothing. DGL
+// prepares COO, so the retained translated-csr buffer is exercised.
+func TestEngineMemReturnsToZero(t *testing.T) {
+	ds := testDS(t)
+	for _, k := range []Kind{DGL, PyG, PreproGT} {
+		tr, err := New(k, ds, quickOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := tr.Engine.Dev
+		for i := 0; i < 5; i++ {
+			if _, err := tr.TrainBatch(); err != nil {
+				t.Fatalf("%s batch %d: %v", k, i, err)
+			}
+			if m := dev.MemInUse(); m != 0 {
+				t.Fatalf("%s: %d bytes on the engine device after TrainBatch %d, want 0", k, m, i)
+			}
+		}
+		b, err := tr.Prepare(ds.BatchDsts(40, 77), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := dev.MemInUse() // the prepared batch's own buffers
+		logits, err := tr.InferBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := dev.MemInUse(); m != held {
+			t.Errorf("%s: InferBatch left %d bytes beyond the batch's %d", k, m-held, held)
+		}
+		if logits.M.Rows != 40 || logits.M.Cols != tr.OutDim() {
+			t.Errorf("%s: logits %dx%d not readable after the scope closed", k, logits.M.Rows, logits.M.Cols)
+		}
+		logits.Free() // the benchmark's habit: a no-op now
+		if _, err := tr.Evaluate(b); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		if m := dev.MemInUse(); m != 0 {
+			t.Errorf("%s: %d bytes on the engine device after InferBatch + Evaluate, want 0", k, m)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package frameworks
 
 import (
+	"errors"
 	"testing"
 
 	"graphtensor/internal/core"
+	"graphtensor/internal/graph"
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/pipeline"
 )
@@ -95,4 +97,64 @@ func TestInferBatchMatchesClassicPath(t *testing.T) {
 	in.X.Free()
 	tr.Engine.Ctx.EndBatch()
 	b2.Release()
+}
+
+// TestTrainerRejectsInvalidVertex: a dst outside the dataset is a typed
+// error at the trainer door — Prepare, PrepareTrainInto and Serve all go
+// through PrepareInto — before the sampler indexes the graph. Nothing is
+// drawn from the slot, and the next valid Prepare on that slot is bitwise a
+// fresh trainer's.
+func TestTrainerRejectsInvalidVertex(t *testing.T) {
+	ds := testDS(t)
+	for _, k := range []Kind{DGL, PreproGT} { // serial prep, pipelined scheduler
+		tr, err := New(k, ds, quickOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := pipeline.NewSlot()
+		for _, bad := range [][]graph.VID{{1 << 30}, {-1}, {3, graph.VID(ds.NumVertices())}} {
+			if _, err := tr.Prepare(bad, nil); !errors.Is(err, ErrInvalidVertex) {
+				t.Errorf("%s: Prepare(%v) = %v, want ErrInvalidVertex", k, bad, err)
+			}
+			if _, err := tr.PrepareTrainInto(bad, slot); !errors.Is(err, ErrInvalidVertex) {
+				t.Errorf("%s: PrepareTrainInto(%v) = %v, want ErrInvalidVertex", k, bad, err)
+			}
+			if _, _, err := tr.Serve(bad, slot); !errors.Is(err, ErrInvalidVertex) {
+				t.Errorf("%s: Serve(%v) = %v, want ErrInvalidVertex", k, bad, err)
+			}
+		}
+		if n := slot.Arena.Len(); n != 0 {
+			t.Fatalf("%s: %d arena buffers checked out of the slot by refused batches", k, n)
+		}
+		if m := tr.Engine.Dev.MemInUse(); m != 0 {
+			t.Fatalf("%s: refused batches left %d bytes on the device", k, m)
+		}
+
+		fresh, err := New(k, ds, quickOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsts := ds.BatchDsts(30, 5)
+		got, gb, err := tr.Serve(dsts, slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wb, err := fresh.Serve(dsts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want.M.Data {
+			if got.M.Data[i] != w {
+				t.Fatalf("%s: logit %d after refused batches %g != fresh trainer's %g", k, i, got.M.Data[i], w)
+			}
+		}
+		for i, w := range wb.Embed.Data.Data {
+			if gb.Embed.Data.Data[i] != w {
+				t.Fatalf("%s: embedding %d after refused batches differs from a fresh trainer's", k, i)
+			}
+		}
+		gb.Release()
+		slot.Recycle(gb)
+		wb.Release()
+	}
 }

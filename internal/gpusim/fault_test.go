@@ -9,7 +9,7 @@ import (
 
 // TestKillFailsAlloc: a killed device fails every subsequent allocation
 // with a typed, errors.Is-able device-lost error; prior buffers remain
-// freeable so arenas can still clean up.
+// freeable so an executor's batch scope can still clean up.
 func TestFaultKillFailsAlloc(t *testing.T) {
 	d := NewDevice(DefaultConfig())
 	b, err := d.Alloc(1024, "pre-kill")

@@ -75,8 +75,6 @@ type Device struct {
 	nextMem int64
 	inUse   int64
 	peak    int64
-	buffers map[int64]*Buffer
-	arena   *DeviceArena
 
 	// pcie is the device's one host→device link engine (see PCIe).
 	pcie PCIe
@@ -115,7 +113,7 @@ func NewDevice(cfg Config) *Device {
 	if cfg.NumSMs <= 0 || cfg.CacheLineBytes <= 0 {
 		panic("gpusim: invalid config")
 	}
-	d := &Device{cfg: cfg, buffers: map[int64]*Buffer{}}
+	d := &Device{cfg: cfg}
 	d.pcie.dev = d
 	return d
 }
@@ -193,54 +191,12 @@ func (d *Device) Alloc(size int64, label string) (*Buffer, error) {
 	if d.inUse > d.peak {
 		d.peak = d.inUse
 	}
-	d.buffers[b.base] = b
-	if d.arena != nil {
-		d.arena.bufs = append(d.arena.bufs, b)
-	}
 	return b, nil
 }
 
-// DeviceArena is the batch-scoped device allocator — the device analogue of
-// tensor.Arena. While installed on a device (SetArena), every Alloc is
-// recorded; Release frees whatever the batch did not free itself (kernel
-// intermediates, deliberately-retained translation buffers), so MemInUse
-// returns to zero between batches. Freeing a buffer twice is a no-op, so
-// code that already frees its allocations needs no changes.
-//
-// An arena is confined to the (single) goroutine that drives its device's
-// batches: Release must not race Alloc on the same device.
-type DeviceArena struct {
-	dev  *Device
-	bufs []*Buffer
-}
-
-// SetArena installs (or, with nil, removes) the device's batch arena and
-// returns it. Subsequent allocations are recorded until it is removed.
-func (d *Device) SetArena(a *DeviceArena) *DeviceArena {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if a != nil {
-		a.dev = d
-	}
-	d.arena = a
-	return a
-}
-
-// NewArena installs a fresh batch arena on the device.
-func (d *Device) NewArena() *DeviceArena { return d.SetArena(&DeviceArena{}) }
-
-// Release frees every still-live buffer allocated since the arena was
-// installed (or last released) and resets the recording, keeping capacity
-// for the next batch.
-func (a *DeviceArena) Release() {
-	for i, b := range a.bufs {
-		b.Free()
-		a.bufs[i] = nil
-	}
-	a.bufs = a.bufs[:0]
-}
-
-// Free releases the buffer. Freeing twice is a no-op.
+// Free releases the buffer. Freeing twice is a no-op, so an executor's batch
+// scope (kernels.Ctx.EndBatch) can sweep every buffer a batch's kernels
+// allocated whether or not the kernel already freed it.
 func (b *Buffer) Free() {
 	if b == nil || b.freed {
 		return
@@ -249,7 +205,6 @@ func (b *Buffer) Free() {
 	defer b.dev.mu.Unlock()
 	b.freed = true
 	b.dev.inUse -= b.size
-	delete(b.dev.buffers, b.base)
 }
 
 // Addr returns the device address of byte offset within the buffer.
@@ -260,34 +215,11 @@ func (b *Buffer) Addr(offset int64) int64 {
 	return b.base + offset
 }
 
-// Size returns the buffer length in bytes.
-func (b *Buffer) Size() int64 { return b.size }
-
-// Label returns the allocation label.
-func (b *Buffer) Label() string { return b.label }
-
 // MemInUse returns the bytes currently allocated.
 func (d *Device) MemInUse() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.inUse
-}
-
-// BuffersInUse returns how many live allocations carry the label. The drain
-// tests of internal/train and internal/frameworks use it to assert that a
-// stopped prefetch ring freed every batch buffer on the engine device, whose
-// MemInUse is not zero between batches (see ROADMAP: layer outputs and
-// translated formats stay accounted there; only group devices run an arena).
-func (d *Device) BuffersInUse(label string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, b := range d.buffers {
-		if b.label == label {
-			n++
-		}
-	}
-	return n
 }
 
 // MemPeak returns the high-water mark since the last ResetPeak.
@@ -357,8 +289,8 @@ func (d *Device) Kill() { d.dead.Store(true) }
 
 // Revive clears the dead flag: the elastic-membership half of the fault
 // model, a replacement device coming up under the old identity. The
-// simulated hardware carries no batch state across death (EndBatch and
-// arena release already cleaned it), so reviving is just re-opening the
+// simulated hardware carries no batch state across death (the executor's
+// EndBatch already freed it), so reviving is just re-opening the
 // allocator; the *engine* owns re-installing weights before the device
 // serves a shard. Reviving an alive device is a no-op.
 func (d *Device) Revive() { d.dead.Store(false) }

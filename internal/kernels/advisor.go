@@ -75,11 +75,11 @@ func (a Advisor) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Device
 
 	var out *DeviceMatrix
 	err = ctx.track(PhaseAggregation, func() error {
-		partials, err := AllocDeviceMatrix(ctx.Dev, len(groups), dim, "advisor-partials")
+		partials, err := AllocDeviceMatrix(ctx, len(groups), dim, "advisor-partials")
 		if err != nil {
 			return err
 		}
-		out, err = AllocDeviceMatrix(ctx.Dev, csr.NumDst, dim, "advisor-aggr-out")
+		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "advisor-aggr-out")
 		if err != nil {
 			return err
 		}
@@ -160,11 +160,11 @@ func dlEdgeMessages(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*Devic
 	var srcMat, dstMat, msgMat *DeviceMatrix
 	err := ctx.track(PhaseSparse2Dense, func() error {
 		var err error
-		srcMat, err = AllocDeviceMatrix(ctx.Dev, nEdges, dim, "dl-gathered-src")
+		srcMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-gathered-src")
 		if err != nil {
 			return err
 		}
-		dstMat, err = AllocDeviceMatrix(ctx.Dev, nEdges, dim, "dl-gathered-dst")
+		dstMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-gathered-dst")
 		if err != nil {
 			return err
 		}
@@ -190,7 +190,7 @@ func dlEdgeMessages(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*Devic
 		return nil, err
 	}
 	err = ctx.track(PhaseEdgeWeight, func() error {
-		wMat, err := AllocDeviceMatrix(ctx.Dev, nEdges, m.WeightCols(dim), "dl-edge-weights")
+		wMat, err := AllocDeviceMatrix(ctx, nEdges, m.WeightCols(dim), "dl-edge-weights")
 		if err != nil {
 			return err
 		}

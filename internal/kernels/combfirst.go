@@ -14,7 +14,10 @@ import (
 // valid because the MatMul commutes with any aggregation that is linear in
 // the transformed operand. Three exact cases are supported:
 //
-//   - GCN (no edge weighting): aggregate W·X directly.
+//   - GCN (no edge weighting): aggregate W·X directly. This needs no kernel
+//     of its own — core.Model runs Linear and then any strategy's
+//     aggregation — so the functions below implement only the two weighted
+//     rewrites, on the NAPA schedule.
 //   - Scalar weights (WeightDot+CombineScale): the weights are computed
 //     from the ORIGINAL embeddings and then scale the transformed rows —
 //     Σ α_e·(W·x_s) = W·Σ α_e·x_s.
@@ -52,12 +55,12 @@ func CombFirstSupported(m Modes) bool {
 	return false
 }
 
-// CombFirstForward executes one layer in combination-first order on the
-// NAPA (dst-centric, feature-wise) schedule. x is the original input
-// (NumSrc × nFeat); w is the MLP weight (nFeat × nHidden). The returned
-// Out is the pre-bias output, ready for BiasReLU.
+// CombFirstForward executes one edge-weighted layer in combination-first
+// order on the NAPA (dst-centric, feature-wise) schedule. x is the original
+// input (NumSrc × nFeat); w is the MLP weight (nFeat × nHidden). The
+// returned Out is the pre-bias output, ready for BiasReLU.
 func CombFirstForward(ctx *Ctx, g *Graphs, x *DeviceMatrix, w *tensor.Matrix, m Modes) (*CombFirstResult, error) {
-	if !CombFirstSupported(m) {
+	if m.G == WeightNone || !CombFirstSupported(m) {
 		return nil, ErrNotRearrangeable
 	}
 	csr, err := ctx.ensureCSR(g)
@@ -72,20 +75,13 @@ func CombFirstForward(ctx *Ctx, g *Graphs, x *DeviceMatrix, w *tensor.Matrix, m 
 		return nil, err
 	}
 
-	switch {
-	case m.G == WeightNone:
-		// Pull over the transformed rows.
-		res.Out, err = NAPA{}.Forward(ctx, g, res.T, m)
-		if err != nil {
-			return nil, err
-		}
-	case m.G == WeightDot:
+	if m.G == WeightDot {
 		// NeighborApply on original x, Pull scales transformed rows.
 		res.Out, err = napaScaledPull(ctx, csr, x, res.T, m)
 		if err != nil {
 			return nil, err
 		}
-	default: // NGCF split form
+	} else { // NGCF split form
 		// Branch 1: Pull-identity over transformed rows.
 		idModes := Modes{F: m.F, G: WeightNone, H: CombineIdentity}
 		branch1, err := NAPA{}.Forward(ctx, g, res.T, idModes)
@@ -131,46 +127,37 @@ func CombFirstForward(ctx *Ctx, g *Graphs, x *DeviceMatrix, w *tensor.Matrix, m 
 // ReLU/bias backward) to dX (NumSrc × nFeat), accumulating dW.
 func CombFirstBackward(ctx *Ctx, g *Graphs, x *DeviceMatrix, res *CombFirstResult,
 	dPre *DeviceMatrix, w, dw *tensor.Matrix, m Modes) (*DeviceMatrix, error) {
-	if !CombFirstSupported(m) {
+	if m.G == WeightNone || !CombFirstSupported(m) {
 		return nil, ErrNotRearrangeable
 	}
 	csr, err := ctx.ensureCSR(g)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case m.G == WeightNone:
-		// dT = Pullᵀ(dPre); then dX, dW through the Linear.
-		dT, err := NAPA{}.Backward(ctx, g, res.T, dPre, m)
-		if err != nil {
-			return nil, err
-		}
-		return LinearBackward(ctx, x, dT, w, dw, "combfirst-dx")
-	case m.G == WeightDot:
+	if m.G == WeightDot {
 		return napaScaledPullBackward(ctx, g, csr, x, res, dPre, w, dw, m)
-	default: // NGCF split form
-		// Branch 1: identity pull over T.
-		idModes := Modes{F: m.F, G: WeightNone, H: CombineIdentity}
-		dT, err := NAPA{}.Backward(ctx, g, res.T, dPre, idModes)
-		if err != nil {
-			return nil, err
-		}
-		dx, err := LinearBackward(ctx, x, dT, w, dw, "combfirst-dx")
-		if err != nil {
-			return nil, err
-		}
-		// Branch 2: dWAgg = dPre·Wᵀ and dW += WAggᵀ·dPre...
-		dWAgg, err := LinearBackward(ctx, res.WAgg, dPre, w, dw, "combfirst-dwagg")
-		if err != nil {
-			return nil, err
-		}
-		// ...then push the aggregated-weight gradient through g.
-		if err := napaWeightPullBackward(ctx, g, csr, x, dWAgg, dx, m); err != nil {
-			return nil, err
-		}
-		dWAgg.Free()
-		return dx, nil
 	}
+	// NGCF split form. Branch 1: identity pull over T.
+	idModes := Modes{F: m.F, G: WeightNone, H: CombineIdentity}
+	dT, err := NAPA{}.Backward(ctx, g, res.T, dPre, idModes)
+	if err != nil {
+		return nil, err
+	}
+	dx, err := LinearBackward(ctx, x, dT, w, dw, "combfirst-dx")
+	if err != nil {
+		return nil, err
+	}
+	// Branch 2: dWAgg = dPre·Wᵀ and dW += WAggᵀ·dPre...
+	dWAgg, err := LinearBackward(ctx, res.WAgg, dPre, w, dw, "combfirst-dwagg")
+	if err != nil {
+		return nil, err
+	}
+	// ...then push the aggregated-weight gradient through g.
+	if err := napaWeightPullBackward(ctx, g, csr, x, dWAgg, dx, m); err != nil {
+		return nil, err
+	}
+	dWAgg.Free()
+	return dx, nil
 }
 
 // napaScaledPull aggregates α_e·t_s where the scalar weights α_e come from
@@ -180,7 +167,7 @@ func napaScaledPull(ctx *Ctx, csr *graph.BCSR, x, t *DeviceMatrix, m Modes) (*De
 	var wMat *DeviceMatrix
 	err := ctx.track(PhaseEdgeWeight, func() error {
 		var err error
-		wMat, err = AllocDeviceMatrix(ctx.Dev, csr.NumEdges(), 1, "combfirst-alphas")
+		wMat, err = AllocDeviceMatrix(ctx, csr.NumEdges(), 1, "combfirst-alphas")
 		if err != nil {
 			return err
 		}
@@ -206,7 +193,7 @@ func napaScaledPull(ctx *Ctx, csr *graph.BCSR, x, t *DeviceMatrix, m Modes) (*De
 	var out *DeviceMatrix
 	err = ctx.track(PhaseAggregation, func() error {
 		var err error
-		out, err = AllocDeviceMatrix(ctx.Dev, csr.NumDst, t.M.Cols, "combfirst-out")
+		out, err = AllocDeviceMatrix(ctx, csr.NumDst, t.M.Cols, "combfirst-out")
 		if err != nil {
 			return err
 		}
@@ -256,7 +243,7 @@ func napaScaledPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x *DeviceMatri
 	hid := res.T.M.Cols
 
 	// dT and the weight-path gradient to x, per src over CSC.
-	dT, err := AllocDeviceMatrix(ctx.Dev, csr.NumSrc, hid, "combfirst-dt")
+	dT, err := AllocDeviceMatrix(ctx, csr.NumSrc, hid, "combfirst-dt")
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +334,7 @@ func napaWeightPull(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*Devic
 	var out *DeviceMatrix
 	err := ctx.track(PhaseEdgeWeight, func() error {
 		var err error
-		out, err = AllocDeviceMatrix(ctx.Dev, csr.NumDst, x.M.Cols, "combfirst-wagg")
+		out, err = AllocDeviceMatrix(ctx, csr.NumDst, x.M.Cols, "combfirst-wagg")
 		if err != nil {
 			return err
 		}

@@ -22,15 +22,24 @@ const (
 // per-phase device work counters every kernel records into. A Ctx is used
 // by one training loop at a time (not concurrently).
 //
-// The Ctx is also the batch-scoped workspace of the kernel layer: per-SM
-// scratch rows (message and edge-weight buffers) are owned by the Ctx and
-// reused across every kernel launch, and derived per-graph quantities
-// (inverse degrees, CSC-order edge ids) are memoized so strategies and
-// passes that share a graph within a batch never recompute them.
+// The Ctx is also the batch scope of the kernel layer: per-SM scratch rows
+// (message and edge-weight buffers) are owned by the Ctx and reused across
+// every kernel launch, derived per-graph quantities (inverse degrees,
+// CSC-order edge ids) are memoized so strategies and passes that share a
+// graph within a batch never recompute them, and every device allocation
+// made through the Ctx (AllocDeviceMatrix, WrapDeviceMatrix, the format
+// translations' scratch) is recorded so that EndBatch frees whatever the
+// batch's kernels left behind. Allocations made on the device directly —
+// a prefetch producer's batch-* buffers, concurrently, on the same device
+// — are not the Ctx's and are never swept.
 type Ctx struct {
 	Dev    *gpusim.Device
 	Phases *metrics.Breakdown
 	work   map[string]gpusim.Counters
+
+	// bufs records the device buffers allocated through the Ctx since the
+	// last EndBatch.
+	bufs []*gpusim.Buffer
 
 	// Reusable per-SM scratch: msgBuf/wBuf back the row views handed to
 	// kernel chunks. Kernel launches within a Ctx are sequential, and
@@ -60,9 +69,12 @@ type Ctx struct {
 	blockBuf []int32
 }
 
-// NewCtx builds a kernel context on the device.
+// NewCtx builds a kernel context on the device. The scope's record starts
+// with room for a two-layer training batch's buffers, so a cold Ctx does
+// not regrow it (a persistent one keeps whatever it grew to).
 func NewCtx(dev *gpusim.Device) *Ctx {
-	return &Ctx{Dev: dev, Phases: metrics.NewBreakdown(), work: map[string]gpusim.Counters{}}
+	return &Ctx{Dev: dev, Phases: metrics.NewBreakdown(), work: map[string]gpusim.Counters{},
+		bufs: make([]*gpusim.Buffer, 0, 32)}
 }
 
 // memoCap is the backstop bound on the per-Ctx memo maps for callers that
@@ -71,62 +83,67 @@ func NewCtx(dev *gpusim.Device) *Ctx {
 // memos (and the graph storage they pin) as soon as a batch completes.
 const memoCap = 8
 
-// EndBatch drops the per-graph memos so the batch's graph storage (which
-// the memo keys pin) becomes collectible. The per-SM scratch buffers are
-// retained — they are shape-dependent, not graph-dependent. Call it when
-// a training/inference batch's graphs are released.
+// EndBatch closes the batch scope: it drops the per-graph memos, so the
+// batch's graph storage (which the memo keys pin) becomes collectible, and
+// frees every device buffer the batch allocated through the Ctx and did
+// not free itself (layer outputs, logits, retained translations) — the
+// device's MemInUse returns to what it was before the batch's kernels ran.
+// Host matrices of freed DeviceMatrix values stay readable. The per-SM
+// scratch buffers are retained — they are shape-dependent, not
+// graph-dependent. Call it when a training/inference batch completes or
+// fails.
 func (c *Ctx) EndBatch() {
 	clear(c.invDegCSR)
 	clear(c.invDegCOO)
 	clear(c.cscEdges)
+	for i, b := range c.bufs {
+		b.Free()
+		c.bufs[i] = nil
+	}
+	c.bufs = c.bufs[:0]
+}
+
+// alloc reserves device memory inside the batch scope.
+func (c *Ctx) alloc(size int64, label string) (*gpusim.Buffer, error) {
+	b, err := c.Dev.Alloc(size, label)
+	if err == nil {
+		c.bufs = append(c.bufs, b)
+	}
+	return b, err
+}
+
+// memoized returns (*m)[k], deriving and inserting it on a miss; a memo at
+// memoCap is cleared first.
+func memoized[K comparable, V any](m *map[K]V, k K, derive func() V) V {
+	if v, ok := (*m)[k]; ok {
+		return v
+	}
+	if *m == nil {
+		*m = make(map[K]V)
+	} else if len(*m) >= memoCap {
+		clear(*m)
+	}
+	v := derive()
+	(*m)[k] = v
+	return v
 }
 
 // InvDeg returns 1/deg per dst (0 for isolated dsts) for csr, memoized on
 // the Ctx so every strategy, pass and layer sharing the graph within a
 // batch computes it once.
 func (c *Ctx) InvDeg(csr *graph.BCSR) []float32 {
-	if v, ok := c.invDegCSR[csr]; ok {
-		return v
-	}
-	if c.invDegCSR == nil {
-		c.invDegCSR = make(map[*graph.BCSR][]float32)
-	} else if len(c.invDegCSR) >= memoCap {
-		clear(c.invDegCSR)
-	}
-	v := invDegFromCSR(csr)
-	c.invDegCSR[csr] = v
-	return v
+	return memoized(&c.invDegCSR, csr, func() []float32 { return invDegFromCSR(csr) })
 }
 
 // InvDegCOO is InvDeg for edge-list storage.
 func (c *Ctx) InvDegCOO(coo *graph.BCOO) []float32 {
-	if v, ok := c.invDegCOO[coo]; ok {
-		return v
-	}
-	if c.invDegCOO == nil {
-		c.invDegCOO = make(map[*graph.BCOO][]float32)
-	} else if len(c.invDegCOO) >= memoCap {
-		clear(c.invDegCOO)
-	}
-	v := invDegFromCOO(coo)
-	c.invDegCOO[coo] = v
-	return v
+	return memoized(&c.invDegCOO, coo, func() []float32 { return invDegFromCOO(coo) })
 }
 
 // cscEdgeIDs returns edgeIDsForCSC(csr, csc) memoized by the CSR identity
 // (the CSC of a layer graph is derived from exactly one CSR).
 func (c *Ctx) cscEdgeIDs(csr *graph.BCSR, csc *graph.BCSC) []int32 {
-	if v, ok := c.cscEdges[csr]; ok {
-		return v
-	}
-	if c.cscEdges == nil {
-		c.cscEdges = make(map[*graph.BCSR][]int32)
-	} else if len(c.cscEdges) >= memoCap {
-		clear(c.cscEdges)
-	}
-	v := edgeIDsForCSC(csr, csc)
-	c.cscEdges[csr] = v
-	return v
+	return memoized(&c.cscEdges, csr, func() []int32 { return edgeIDsForCSC(csr, csc) })
 }
 
 // edgeBlocks returns the run-aligned thread-block boundaries of a COO edge
@@ -253,7 +270,8 @@ func (g *Graphs) Shape() (numDst, numSrc, numEdges int) {
 // ensureCSR returns a CSR view, translating from COO on demand and charging
 // the work to PhaseTranslation (the Graph-approach's recurring cost,
 // Fig 5c). The translation allocates — and frees — real scratch device
-// memory, so memory footprint measurements see it.
+// memory, so memory footprint measurements see it; the translated CSR's
+// own buffer stays accounted until EndBatch, like the real framework's.
 func (c *Ctx) ensureCSR(g *Graphs) (*graph.BCSR, error) {
 	if g.CSR != nil {
 		return g.CSR, nil
@@ -261,17 +279,15 @@ func (c *Ctx) ensureCSR(g *Graphs) (*graph.BCSR, error) {
 	var out *graph.BCSR
 	err := c.track(PhaseTranslation, func() error {
 		csr, stats := graph.BCOOToBCSR(g.COO)
-		scratch, err := c.Dev.Alloc(stats.BufferBytes, "format-translation-scratch")
+		scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
 		if err != nil {
 			return err
 		}
-		buf, err := c.Dev.Alloc(csr.Bytes(), "translated-csr")
-		if err != nil {
-			scratch.Free()
-			return err
-		}
-		_ = buf // retained for the batch lifetime, like the real framework
+		_, err = c.alloc(csr.Bytes(), "translated-csr")
 		scratch.Free()
+		if err != nil {
+			return err
+		}
 		out = csr
 		return nil
 	})
@@ -291,7 +307,7 @@ func (c *Ctx) ensureCSC(g *Graphs) (*graph.BCSC, error) {
 	err := c.track(PhaseTranslation, func() error {
 		if g.COO != nil {
 			csc, stats := graph.BCOOToBCSC(g.COO)
-			scratch, err := c.Dev.Alloc(stats.BufferBytes, "format-translation-scratch")
+			scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
 			if err != nil {
 				return err
 			}

@@ -28,7 +28,7 @@ func Linear(ctx *Ctx, x *DeviceMatrix, w *tensor.Matrix, label string) (*DeviceM
 	var out *DeviceMatrix
 	err := ctx.track(PhaseCombination, func() error {
 		var err error
-		out, err = AllocDeviceMatrix(ctx.Dev, x.M.Rows, w.Cols, label)
+		out, err = AllocDeviceMatrix(ctx, x.M.Rows, w.Cols, label)
 		if err != nil {
 			return err
 		}
@@ -47,7 +47,7 @@ func LinearBackward(ctx *Ctx, x, dy *DeviceMatrix, w, dw *tensor.Matrix, label s
 	var dx *DeviceMatrix
 	err := ctx.track(PhaseCombination, func() error {
 		var err error
-		dx, err = AllocDeviceMatrix(ctx.Dev, x.M.Rows, w.Rows, label)
+		dx, err = AllocDeviceMatrix(ctx, x.M.Rows, w.Rows, label)
 		if err != nil {
 			return err
 		}

@@ -125,8 +125,8 @@ func (c *denseCase) run(t *testing.T, dw *tensor.Matrix) (y, dx *DeviceMatrix) {
 	t.Helper()
 	dev := testDevice()
 	c.ctx = NewCtx(dev)
-	c.xd, _ = WrapDeviceMatrix(dev, c.x, "x")
-	c.dyd, _ = WrapDeviceMatrix(dev, c.dy, "dy")
+	c.xd, _ = WrapDeviceMatrix(c.ctx, c.x, "x")
+	c.dyd, _ = WrapDeviceMatrix(c.ctx, c.dy, "dy")
 	s0 := dev.Snapshot()
 	y, err := Linear(c.ctx, c.xd, c.w, "y")
 	if err != nil {

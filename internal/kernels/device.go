@@ -34,19 +34,17 @@ type DeviceMatrix struct {
 	Buf *gpusim.Buffer
 }
 
-// AllocDeviceMatrix allocates a rows×cols device matrix, propagating OOM.
-func AllocDeviceMatrix(dev *gpusim.Device, rows, cols int, label string) (*DeviceMatrix, error) {
-	m := tensor.New(rows, cols)
-	buf, err := dev.Alloc(m.Bytes(), label)
-	if err != nil {
-		return nil, err
-	}
-	return &DeviceMatrix{M: m, Buf: buf}, nil
+// AllocDeviceMatrix allocates a rows×cols device matrix in c's batch scope,
+// propagating OOM.
+func AllocDeviceMatrix(c *Ctx, rows, cols int, label string) (*DeviceMatrix, error) {
+	return WrapDeviceMatrix(c, tensor.New(rows, cols), label)
 }
 
-// WrapDeviceMatrix registers an existing host matrix as device-resident.
-func WrapDeviceMatrix(dev *gpusim.Device, m *tensor.Matrix, label string) (*DeviceMatrix, error) {
-	buf, err := dev.Alloc(m.Bytes(), label)
+// WrapDeviceMatrix registers an existing host matrix as device-resident in
+// c's batch scope: Free releases the allocation early, EndBatch at the
+// latest.
+func WrapDeviceMatrix(c *Ctx, m *tensor.Matrix, label string) (*DeviceMatrix, error) {
+	buf, err := c.alloc(m.Bytes(), label)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func (DLApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Devic
 	} else {
 		err = ctx.track(PhaseSparse2Dense, func() error {
 			var err error
-			msgMat, err = AllocDeviceMatrix(ctx.Dev, nEdges, dim, "dl-gathered-src")
+			msgMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-gathered-src")
 			if err != nil {
 				return err
 			}
@@ -78,7 +78,7 @@ func (DLApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Devic
 	var out *DeviceMatrix
 	err = ctx.track(PhaseAggregation, func() error {
 		var err error
-		out, err = AllocDeviceMatrix(ctx.Dev, csr.NumDst, dim, "dl-aggr-out")
+		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "dl-aggr-out")
 		if err != nil {
 			return err
 		}
@@ -133,7 +133,7 @@ func (DLApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) 
 	var dMsgMat *DeviceMatrix
 	err = ctx.track(PhaseSparse2Dense, func() error {
 		var err error
-		dMsgMat, err = AllocDeviceMatrix(ctx.Dev, nEdges, dim, "dl-bwp-dmsg")
+		dMsgMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-bwp-dmsg")
 		if err != nil {
 			return err
 		}
@@ -182,7 +182,7 @@ func (DLApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) 
 	var dx *DeviceMatrix
 	err = ctx.track(PhaseAggregation, func() error {
 		var err error
-		dx, err = AllocDeviceMatrix(ctx.Dev, csr.NumSrc, dim, "dl-bwp-dx")
+		dx, err = AllocDeviceMatrix(ctx, csr.NumSrc, dim, "dl-bwp-dx")
 		if err != nil {
 			return err
 		}

@@ -57,7 +57,7 @@ func (GraphApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*De
 	var out *DeviceMatrix
 	err = ctx.track(PhaseAggregation, func() error {
 		var err error
-		out, err = AllocDeviceMatrix(ctx.Dev, coo.NumDst, dim, "ga-aggr-out")
+		out, err = AllocDeviceMatrix(ctx, coo.NumDst, dim, "ga-aggr-out")
 		if err != nil {
 			return err
 		}
@@ -155,7 +155,7 @@ func (GraphApproach) SDDMM(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Devi
 	var wMat *DeviceMatrix
 	err = ctx.track(PhaseEdgeWeight, func() error {
 		var err error
-		wMat, err = AllocDeviceMatrix(ctx.Dev, coo.NumEdges(), m.WeightCols(x.M.Cols), "ga-edge-weights")
+		wMat, err = AllocDeviceMatrix(ctx, coo.NumEdges(), m.WeightCols(x.M.Cols), "ga-edge-weights")
 		if err != nil {
 			return err
 		}
@@ -214,7 +214,7 @@ func (GraphApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Mode
 	var dx *DeviceMatrix
 	err = ctx.track(PhaseAggregation, func() error {
 		var err error
-		dx, err = AllocDeviceMatrix(ctx.Dev, coo.NumSrc, dim, "ga-bwp-dx")
+		dx, err = AllocDeviceMatrix(ctx, coo.NumSrc, dim, "ga-bwp-dx")
 		if err != nil {
 			return err
 		}

@@ -26,7 +26,7 @@ func SAGEPoolForward(ctx *Ctx, g *Graphs, x *DeviceMatrix) (*DeviceMatrix, []int
 	argmax := make([]int32, csr.NumDst*dim)
 	err = ctx.track(PhaseAggregation, func() error {
 		var err error
-		out, err = AllocDeviceMatrix(ctx.Dev, csr.NumDst, dim, "sage-pool-out")
+		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "sage-pool-out")
 		if err != nil {
 			return err
 		}
@@ -71,7 +71,7 @@ func SAGEPoolBackward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, argmax []int32
 	var dx *DeviceMatrix
 	err = ctx.track(PhaseAggregation, func() error {
 		var err error
-		dx, err = AllocDeviceMatrix(ctx.Dev, csr.NumSrc, dim, "sage-pool-dx")
+		dx, err = AllocDeviceMatrix(ctx, csr.NumSrc, dim, "sage-pool-dx")
 		if err != nil {
 			return err
 		}

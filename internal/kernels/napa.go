@@ -41,7 +41,7 @@ func (NAPA) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*DeviceMatri
 	beforeWork := ctx.Dev.Snapshot()
 	err = func() error {
 		var err error
-		out, err = AllocDeviceMatrix(ctx.Dev, csr.NumDst, dim, "napa-aggr-out")
+		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "napa-aggr-out")
 		if err != nil {
 			return err
 		}
@@ -123,7 +123,7 @@ func NeighborApplyKernel(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*
 	var wMat *DeviceMatrix
 	err := ctx.track(PhaseEdgeWeight, func() error {
 		var err error
-		wMat, err = AllocDeviceMatrix(ctx.Dev, csr.NumEdges(), m.WeightCols(dim), "napa-edge-weights")
+		wMat, err = AllocDeviceMatrix(ctx, csr.NumEdges(), m.WeightCols(dim), "napa-edge-weights")
 		if err != nil {
 			return err
 		}
@@ -158,7 +158,7 @@ func PullKernel(ctx *Ctx, csr *graph.BCSR, x, wMat *DeviceMatrix, m Modes) (*Dev
 	var out *DeviceMatrix
 	err := ctx.track(PhaseAggregation, func() error {
 		var err error
-		out, err = AllocDeviceMatrix(ctx.Dev, csr.NumDst, dim, "napa-aggr-out")
+		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "napa-aggr-out")
 		if err != nil {
 			return err
 		}
@@ -224,7 +224,7 @@ func (NAPA) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*Devi
 	var dx *DeviceMatrix
 	err = ctx.track(PhaseAggregation, func() error {
 		var err error
-		dx, err = AllocDeviceMatrix(ctx.Dev, csr.NumSrc, dim, "napa-bwp-dx")
+		dx, err = AllocDeviceMatrix(ctx, csr.NumSrc, dim, "napa-bwp-dx")
 		if err != nil {
 			return err
 		}

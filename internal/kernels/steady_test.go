@@ -20,7 +20,7 @@ func TestGraphApproachForwardSteadyAllocs(t *testing.T) {
 	g, x := workspaceGraph(t)
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, err := WrapDeviceMatrix(dev, x.Clone(), "x")
+	xd, err := WrapDeviceMatrix(ctx, x.Clone(), "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestGraphApproachDeterminismAcrossWorkerCounts(t *testing.T) {
 		dev := testDevice()
 		ctx := NewCtx(dev)
 		gg := &Graphs{CSR: g.CSR, CSC: g.CSC}
-		xd, err := WrapDeviceMatrix(dev, x.Clone(), "x")
+		xd, err := WrapDeviceMatrix(ctx, x.Clone(), "x")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestGraphApproachDeterminismAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dOut, err := WrapDeviceMatrix(dev, out.M.Clone(), "dout")
+		dOut, err := WrapDeviceMatrix(ctx, out.M.Clone(), "dout")
 		if err != nil {
 			t.Fatal(err)
 		}

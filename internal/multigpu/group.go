@@ -1,3 +1,12 @@
+// Package multigpu is the data-parallel execution layer over simulated
+// devices. It grew out of the ROC multi-GPU load-balancing design point
+// (§VII [19]) — a sampled subgraph's destination vertices partitioned
+// across N simulated GPUs so each device holds a roughly equal share of
+// the *edges* (not vertices), balancing the SpMM workload. On top of that
+// partitioner (BatchPlan.assignByEdges) sits DeviceGroup, the data-parallel
+// training engine: a persistent set of devices, each a core.Engine — a
+// device and its batch-scoped kernels.Ctx — training whole batches with
+// forward + backward per device and a PCIe-modeled gradient all-reduce.
 package multigpu
 
 import (
@@ -11,7 +20,6 @@ import (
 	"graphtensor/internal/fault"
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
-	"graphtensor/internal/kernels"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/sched"
 	"graphtensor/internal/tensor"
@@ -122,7 +130,7 @@ func sortLPT(items []lptItem) {
 }
 
 // PartitionBatchNodesReuse carves a prepared batch into `shards` localized
-// sub-batches by balancing final-layer edges (AssignByEdges) and
+// sub-batches by balancing final-layer edges (assignByEdges) and
 // back-chaining each shard's induced subgraph through every GNN layer, then
 // assigns the shards to `nodes` nodes by LPT over final-layer edges (1 for
 // a flat group). The shard partition depends on shards alone, so the
@@ -324,9 +332,16 @@ func (p *BatchPlan) assignNodesMask(b *prep.Batch, nodes int, alive []bool) {
 	}
 }
 
-// assignByEdges is the one LPT implementation (the exported AssignByEdges
-// wraps it): dsts balanced over final-layer degrees into the plan's
-// retained Subs[].Dsts, ties by lowest id, each group's dst list ascending.
+// assignByEdges partitions csr's dst vertices into n groups holding
+// near-equal edge counts — ROC's balanced-SpMM heuristic, longest-
+// processing-time-first greedy bin packing: dsts sorted by final-layer
+// degree, each assigned to the currently lightest group, ties by lowest id,
+// so the partition is a pure function of the graph shape. The groups land
+// in the plan's retained Subs[].Dsts (each ascending) and the edge
+// imbalance maxEdges/meanEdges (1.0 = perfect) in p.Imbalance. The group
+// calls it with a fixed, device-count-independent n to carve gradient
+// shards, which is what keeps the training trajectory bitwise identical at
+// any device count.
 func (p *BatchPlan) assignByEdges(csr *graph.BCSR, n int) {
 	p.order = slices.Grow(p.order[:0], csr.NumDst)[:csr.NumDst]
 	for d := range p.order {
@@ -449,12 +464,10 @@ type shardGrad struct {
 
 // GroupDev is one persistent simulated device of a DeviceGroup.
 type GroupDev struct {
-	Dev *gpusim.Device
-	// Ctx is the device's persistent kernel context (scratch + memos).
-	Ctx *kernels.Ctx
-	// Arena is the batch-scoped device allocator: released after every
-	// batch, so MemInUse returns to zero between batches.
-	Arena *gpusim.DeviceArena
+	// Engine is the device's executor (Dev, Ctx): every shard the device is
+	// assigned runs through it, and its batch scope closes after the last
+	// one, so Dev.MemInUse() returns to zero between batches.
+	*core.Engine
 	// Model is the device's weight replica. Replicas start identical and
 	// stay identical: every device applies the same folded gradients.
 	Model *core.Model
@@ -573,8 +586,8 @@ func (st GroupStats) String() string {
 }
 
 // DeviceGroup is the data-parallel training engine: a persistent set of
-// simulated devices, each owning its kernel context, its batch-scoped
-// device arena and a model replica. Every batch is carved into a fixed
+// simulated devices, each a core.Engine (device + batch-scoped kernel
+// context) with a model replica. Every batch is carved into a fixed
 // number of gradient shards (see PartitionBatchNodesReuse); devices process
 // their shards' forward+backward locally, weight gradients are all-reduced over
 // the PCIe model by folding per-shard partials in ascending shard order,
@@ -630,8 +643,8 @@ type DeviceGroup struct {
 	// Fault state: fplan is the deterministic injection schedule (nil in
 	// production — one predicted branch per batch), step the 0-based
 	// TrainBatch counter it is consulted at, deadDevs the lifetime death
-	// count. deadPool holds dropped devices intact — replica, context,
-	// arena — so an elastic rejoin re-admits the original identity;
+	// count. deadPool holds dropped devices intact — replica and engine —
+	// so an elastic rejoin re-admits the original identity;
 	// rejoinedSum is the lifetime rejoin count. nodeAlive is the retained
 	// alive-node mask renodeSurvivors rebuilds after a whole-node loss.
 	fplan       *fault.Plan
@@ -677,15 +690,11 @@ func NewGroup(devices, shards int, cfg gpusim.Config, pinned bool,
 		if err != nil {
 			return nil, err
 		}
-		dev := gpusim.NewDevice(cfg)
-		gd := &GroupDev{
-			Dev:   dev,
-			Ctx:   kernels.NewCtx(dev),
-			Arena: dev.NewArena(),
-			Model: m,
-			id:    i,
-			plc:   make([]PlacementCount, len(m.Layers)),
-		}
+		gd := &GroupDev{Engine: core.NewEngine(cfg), Model: m, id: i,
+			plc: make([]PlacementCount, len(m.Layers))}
+		// A shard's payload crosses its device's link from pinned staging
+		// under the GraphTensor disciplines, pageable otherwise.
+		gd.Pinned = pinned
 		g.devs = append(g.devs, gd)
 	}
 	ref := g.devs[0].Model
@@ -942,8 +951,7 @@ func (g *DeviceGroup) zeroShard(s int) {
 }
 
 // runDevice trains every shard assigned to d for the current batch, then
-// closes the device's batch scope: per-graph memos dropped, device arena
-// released so MemInUse returns to zero.
+// closes the device's batch scope, so MemInUse returns to zero.
 func (g *DeviceGroup) runDevice(d *GroupDev) {
 	before := d.Dev.Snapshot()
 	for li := range d.plc {
@@ -961,49 +969,29 @@ func (g *DeviceGroup) runDevice(d *GroupDev) {
 		}
 	}
 	d.cnt = d.Dev.Snapshot().Sub(before)
-	d.Ctx.EndBatch()
-	d.Arena.Release()
+	d.EndBatch()
 }
 
 // runShard runs one shard's forward + backward on device d and harvests its
 // per-shard gradient partials.
 func (g *DeviceGroup) runShard(d *GroupDev, s int, sub *SubBatch) error {
-	dim := g.batch.Embed.Dim
-	x := tensor.Get(len(sub.XRows), dim)
+	x := tensor.Get(len(sub.XRows), g.batch.Embed.Dim)
 	for i, v := range sub.XRows {
 		copy(x.Row(i), g.batch.Embed.Row(v))
 	}
-	// The shard's payload crosses the link once per batch (pinned staging
-	// under the GraphTensor disciplines, pageable otherwise).
-	d.Dev.PCIe().TransferBytes(sub.HostBytes, g.pinned)
-
-	xd, err := kernels.WrapDeviceMatrix(d.Dev, x, "shard-x")
-	if err != nil {
-		tensor.Put(x)
-		return err
-	}
-	in := core.Input{Graphs: sub.Layers, X: xd, Labels: sub.Labels}
-
-	fr, err := d.Model.Forward(d.Ctx, &in)
+	// The shard's payload (HostBytes) crosses the device's link once.
+	lossSum, fr, err := d.ForwardBackward(d.Model, sub.Layers, x, sub.Labels, g.norm, sub.HostBytes)
+	tensor.Put(x)
 	if err != nil {
 		return err
 	}
+	g.lossParts[s] = lossSum
 	for li := range d.plc {
 		if fr.Placement(li) == dkp.CombFirst {
 			d.plc[li].CombFirst++
 		} else {
 			d.plc[li].AggrFirst++
 		}
-	}
-	lossSum, dLogits := core.SoftmaxCrossEntropySum(fr.Logits.M, sub.Labels, g.norm)
-	g.lossParts[s] = lossSum
-	err = d.Model.Backward(d.Ctx, &in, fr, dLogits)
-	tensor.Put(dLogits)
-	fr.Logits.Free()
-	xd.Free()
-	tensor.Put(x)
-	if err != nil {
-		return err
 	}
 	// Harvest the shard's partials and clear the replica's accumulators so
 	// the next shard starts from zero.

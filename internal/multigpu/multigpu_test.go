@@ -24,11 +24,23 @@ func randomBCSR(seed int64, nDst, nSrc, maxDeg int) *graph.BCSR {
 	return csr
 }
 
+// assignByEdges runs the plan's LPT partitioner on a fresh n-group plan and
+// reads the assignment back out.
+func assignByEdges(csr *graph.BCSR, n int) ([][]graph.VID, float64) {
+	p := &BatchPlan{Subs: make([]SubBatch, n)}
+	p.assignByEdges(csr, n)
+	assign := make([][]graph.VID, n)
+	for g := range assign {
+		assign[g] = p.Subs[g].Dsts
+	}
+	return assign, p.Imbalance
+}
+
 // TestBalanceDistributesEdges: the LPT partitioner keeps every edge and
 // holds the groups' edge counts close.
 func TestBalanceDistributesEdges(t *testing.T) {
 	csr := randomBCSR(1, 100, 150, 8)
-	assign, imbalance := AssignByEdges(csr, 4)
+	assign, imbalance := assignByEdges(csr, 4)
 	if len(assign) != 4 {
 		t.Fatalf("%d groups, want 4", len(assign))
 	}
@@ -49,7 +61,7 @@ func TestBalanceDistributesEdges(t *testing.T) {
 
 func TestEveryDstAssignedOnce(t *testing.T) {
 	csr := randomBCSR(2, 60, 90, 6)
-	assign, _ := AssignByEdges(csr, 3)
+	assign, _ := assignByEdges(csr, 3)
 	seen := map[graph.VID]int{}
 	for _, dsts := range assign {
 		for _, d := range dsts {

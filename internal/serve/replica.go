@@ -5,26 +5,22 @@ import (
 
 	"graphtensor/internal/core"
 	"graphtensor/internal/gpusim"
-	"graphtensor/internal/kernels"
 	"graphtensor/internal/pipeline"
 	"graphtensor/internal/prep"
 )
 
 // replica is one serving replica: the multigpu per-device machinery — a
-// persistent simulated device, its kernel context, a batch-scoped device
-// arena and a weight snapshot — bound to a warm prefetch slot and the
-// retained FWP dispatch state. Replicas drain the admission shards'
-// micro-batch queues concurrently (own shard first, stealing whole batches
-// from the others when idle); the kernels they launch and the prep subtasks
-// they trigger all ride the shared sched worker pool, so a replica adds no
-// per-batch goroutines of its own.
+// core.Engine (persistent simulated device + batch-scoped kernel context)
+// and a weight snapshot — bound to a warm prefetch slot. Replicas drain the
+// admission shards' micro-batch queues concurrently (own shard first,
+// stealing whole batches from the others when idle); the kernels they
+// launch and the prep subtasks they trigger all ride the shared sched
+// worker pool, so a replica adds no per-batch goroutines of its own.
 type replica struct {
 	srv   *Server
 	id    int
 	home  *shard // the shard this replica drains first; the rest are steals
-	dev   *gpusim.Device
-	ctx   *kernels.Ctx
-	arena *gpusim.DeviceArena
+	eng   *core.Engine
 	model *core.Model
 
 	// slot is the replica's warm producer slot: its arena and structure
@@ -50,13 +46,12 @@ func newReplica(s *Server, id int) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev := gpusim.NewDevice(s.tr.Opt.Device)
+	eng := core.NewEngine(s.tr.Opt.Device)
+	eng.Pinned = s.tr.Pinned()
 	return &replica{
 		srv:    s,
 		id:     id,
-		dev:    dev,
-		ctx:    kernels.NewCtx(dev),
-		arena:  dev.NewArena(),
+		eng:    eng,
 		model:  m,
 		slot:   pipeline.NewSlot(),
 		revive: make(chan struct{}, 1),
@@ -129,7 +124,7 @@ func (r *replica) park() bool {
 // touches any new batch.
 func (r *replica) respawn() {
 	s := r.srv
-	r.dev.Revive()
+	r.eng.Dev.Revive()
 	if m, err := s.tr.SnapshotModel(); err == nil {
 		r.model = m
 	}
@@ -269,10 +264,10 @@ func (r *replica) serveBatch(mb *microBatch) bool {
 		step := r.attempt
 		r.attempt++
 		if d := p.StallFor(r.id, step); d > 0 {
-			r.dev.InjectStall(d)
+			r.eng.Dev.InjectStall(d)
 		}
 		if p.DeviceDies(r.id, step) {
-			r.dev.Kill()
+			r.eng.Dev.Kill()
 		}
 	}
 	b, err := s.sched.Prepare(mb.dsts, r.slot)
@@ -312,48 +307,24 @@ func (r *replica) failover(mb *microBatch) bool {
 	return false
 }
 
-// inferBatch accounts the batch's transfer, runs FWP on the replica's
-// snapshot and scatters each ticket's logit rows into its caller-owned
-// buffer.
+// inferBatch runs FWP over the batch on the replica's engine and scatters
+// each ticket's logit rows into its caller-owned buffer.
 func (r *replica) inferBatch(b *prep.Batch, mb *microBatch) error {
 	// The batch staged host-only; its host→device scatter is accounted on
 	// this replica's device link (modeled time only) — cache-resident
 	// embedding rows cross the link for free, the PaGraph discipline
-	// (§VII [38]).
-	r.dev.PCIe().TransferBytes(prep.MissBytes(b)+prep.GraphBytes(b.Layers), r.srv.tr.Pinned())
-
-	x, err := kernels.WrapDeviceMatrix(r.dev, b.Embed.Data, "serve-x")
+	// (§VII [38]). On failure — typically a device loss at the batch's
+	// first allocation — the engine has closed the batch scope, so the
+	// device holds nothing when failover hands the work to a survivor.
+	logits, err := r.eng.Infer(r.model, b.Layers, b.Embed.Data, prep.MissBytes(b)+prep.GraphBytes(b.Layers))
 	if err != nil {
-		// Typically a device loss at the batch's first allocation; close
-		// the batch scope so the arena holds nothing when failover hands
-		// the work to a survivor.
-		r.endBatch()
 		return err
 	}
-	in := core.Input{Graphs: b.Layers, X: x, Labels: b.Labels}
-	logits, err := r.model.Infer(r.ctx, &in)
-	if err != nil {
-		x.Free()
-		r.endBatch()
-		return err
-	}
-
 	od := r.srv.outDim
 	for _, tk := range mb.tickets {
 		for i, d := range tk.dsts {
 			copy(tk.out[i*od:(i+1)*od], logits.M.Row(int(mb.index[d])))
 		}
 	}
-	logits.Free()
-	x.Free()
-	r.endBatch()
 	return nil
-}
-
-// endBatch closes the replica's device batch scope: per-graph memos drop
-// and the device arena releases, so MemInUse returns to zero between
-// served batches.
-func (r *replica) endBatch() {
-	r.ctx.EndBatch()
-	r.arena.Release()
 }

@@ -31,10 +31,10 @@
 //     transfer; residency reads ride the cache's lock-free epoch snapshot,
 //     and each replica accounts the miss-only scatter on its own device's
 //     PCIe engine.
-//   - Replica scaling: N replicas — one simulated device, kernels.Ctx,
-//     device arena and weight snapshot each, the multigpu replica
-//     machinery — drain the micro-batch queues concurrently; their kernel
-//     launches and prep subtasks ride the shared sched worker pool.
+//   - Replica scaling: N replicas — one core.Engine (simulated device +
+//     batch-scoped kernels.Ctx) and one weight snapshot each, the multigpu
+//     replica machinery — drain the micro-batch queues concurrently; their
+//     kernel launches and prep subtasks ride the shared sched worker pool.
 //
 // Coalescing is pure perf: neighbor choice is a deterministic function of
 // (seed, dst), every kernel accumulates per dst row in an order fixed by
@@ -49,7 +49,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,8 +128,9 @@ var ErrReplicasLost = errors.New("serve: every replica's device was lost")
 
 // ErrInvalidVertex is returned for a query naming a dst vertex outside the
 // served graph. The query is refused at admission, before it can reach a
-// batch it would share with other callers.
-var ErrInvalidVertex = errors.New("serve: dst vertex out of range")
+// batch it would share with other callers. It is the trainer door's error,
+// so errors.Is matches across Submit* and Trainer.Prepare*/Serve.
+var ErrInvalidVertex = frameworks.ErrInvalidVertex
 
 // testHookServeBatch, when set (before the server starts — tests only),
 // runs at the head of every replica's serveBatch. The backpressure tests
@@ -247,12 +247,10 @@ type shard struct {
 	backlog atomic.Int64
 	lat     *metrics.LatencyRing
 
-	// plAggr/plComb count, per model layer, how many of this shard's
-	// successfully served batches ran that layer aggregation-first vs
-	// combination-first (the snapshot-fixed placements, observed rather
-	// than re-derived). Per-shard atomics, merged only in Stats.
-	plAggr []atomic.Int64
-	plComb []atomic.Int64
+	// ok counts this shard's successfully served batches; each ran every
+	// layer under the snapshot-fixed placement vector, which is how Stats
+	// derives Placements.
+	ok atomic.Int64
 }
 
 // Server coalesces inference requests over sharded admission queues and
@@ -407,8 +405,6 @@ func NewServer(tr *frameworks.Trainer, cfg Config) (*Server, error) {
 			in:      make(chan *Ticket, queueCap),
 			batches: make(chan *microBatch, 2),
 			lat:     metrics.NewLatencyRing(ringCap),
-			plAggr:  make([]atomic.Int64, len(s.placements)),
-			plComb:  make([]atomic.Int64, len(s.placements)),
 		})
 	}
 	for _, r := range s.replicas {
@@ -510,24 +506,13 @@ func (s *Server) SubmitCtx(ctx context.Context, dsts []graph.VID, out []float32)
 	return s.submit(ctx, deadline, dsts, out)
 }
 
-// checkDsts rejects a query holding any dst outside [0, NumVertices): the
-// sampler indexes the graph by dst unchecked, and a replica's panic would
-// take every coalesced co-tenant down with it.
-func (s *Server) checkDsts(dsts []graph.VID) error {
-	n := graph.VID(s.tr.Dataset.NumVertices())
-	for _, v := range dsts {
-		if v < 0 || v >= n {
-			return fmt.Errorf("%w: %d not in [0, %d)", ErrInvalidVertex, v, n)
-		}
-	}
-	return nil
-}
-
 func (s *Server) submit(ctx context.Context, deadline time.Time, dsts []graph.VID, out []float32) (*Ticket, error) {
 	if len(out) < len(dsts)*s.outDim {
 		return nil, errors.New("serve: logit buffer smaller than len(dsts) x OutDim")
 	}
-	if err := s.checkDsts(dsts); err != nil {
+	// Before admission: a hostile dst must never reach a replica, whose
+	// panic would take every coalesced co-tenant down with it.
+	if err := s.tr.CheckDsts(dsts); err != nil {
 		return nil, err
 	}
 	// Fast-path short-circuit: a query whose bound has already lapsed is
@@ -575,7 +560,7 @@ func (s *Server) SubmitMany(queries [][]graph.VID, outs [][]float32, tks []*Tick
 		if len(outs[q]) < len(queries[q])*s.outDim {
 			return errors.New("serve: logit buffer smaller than len(dsts) x OutDim")
 		}
-		if err := s.checkDsts(queries[q]); err != nil {
+		if err := s.tr.CheckDsts(queries[q]); err != nil {
 			return err
 		}
 	}
@@ -798,15 +783,7 @@ func (s *Server) complete(mb *microBatch, now time.Time, err error) {
 	sh.served.Add(1)
 	sh.dsts.Add(int64(len(mb.dsts)))
 	if err == nil {
-		// Placement observability: a successfully served batch ran every
-		// layer under the snapshot-fixed placement vector.
-		for li, p := range s.placements {
-			if p == dkp.CombFirst {
-				sh.plComb[li].Add(1)
-			} else {
-				sh.plAggr[li].Add(1)
-			}
-		}
+		sh.ok.Add(1)
 	}
 	n := now.UnixNano()
 	for {
@@ -996,8 +973,8 @@ type Stats struct {
 	PerShard []ShardStats
 	// Placements reports, per model layer, how many successfully served
 	// batches ran aggregation-first vs combination-first — the placements
-	// the trainer's fitted cost profile pinned at snapshot time, merged
-	// from the per-shard counters.
+	// the trainer's fitted cost profile pinned at snapshot time, applied to
+	// the per-shard counts of successfully served batches.
 	Placements []PlacementCount
 }
 
@@ -1011,12 +988,9 @@ func (s *Server) Stats() Stats {
 	st := Stats{Replicas: len(s.replicas), Shards: len(s.shards),
 		Placements: make([]PlacementCount, len(s.placements))}
 	var lat []time.Duration
-	var dsts int64
+	var dsts, ok int64
 	for _, sh := range s.shards {
-		for li := range st.Placements {
-			st.Placements[li].AggrFirst += int(sh.plAggr[li].Load())
-			st.Placements[li].CombFirst += int(sh.plComb[li].Load())
-		}
+		ok += sh.ok.Load()
 		q, b, d := sh.queries.Load(), sh.served.Load(), sh.dsts.Load()
 		ss := ShardStats{Queries: int(q), Batches: int(b), Stolen: int(sh.stolen.Load()),
 			Expired: int(sh.expired.Load()), BacklogAge: time.Duration(sh.backlog.Load())}
@@ -1029,6 +1003,13 @@ func (s *Server) Stats() Stats {
 		st.Expired += ss.Expired
 		dsts += d
 		lat = sh.lat.AppendTo(lat)
+	}
+	for li, p := range s.placements {
+		if p == dkp.CombFirst {
+			st.Placements[li].CombFirst = int(ok)
+		} else {
+			st.Placements[li].AggrFirst = int(ok)
+		}
 	}
 	st.FailedOver = int(s.failovers.Load())
 	st.DeadReplicas = len(s.replicas) - int(s.alive.Load())

@@ -402,7 +402,7 @@ func TestConcurrentAdmissionAndDrain(t *testing.T) {
 	}
 	s.Close()
 	for i, r := range s.replicas {
-		if used := r.dev.MemInUse(); used != 0 {
+		if used := r.eng.Dev.MemInUse(); used != 0 {
 			t.Fatalf("replica %d still holds %d device bytes after Close", i, used)
 		}
 	}

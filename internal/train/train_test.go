@@ -68,8 +68,8 @@ func TestDriverEarlyStop(t *testing.T) {
 
 // TestDriverEarlyStopDrainsRing: when early stopping abandons the rest of
 // the schedule, the deferred ring.Stop must release every device buffer of
-// the batches the ring had prepared ahead — zero live batch allocations is
-// the observable proof the drain ran.
+// the batches the ring had prepared ahead — an engine device back at zero
+// bytes is the observable proof the drain ran.
 func TestDriverEarlyStopDrainsRing(t *testing.T) {
 	tr, ds := newTrainer(t, frameworks.PreproGT)
 	cfg := Config{Epochs: 40, BatchesPerEpoch: 2, LearningRate: -1, ValEvery: 1, EarlyStopPatience: 2}
@@ -81,18 +81,16 @@ func TestDriverEarlyStopDrainsRing(t *testing.T) {
 	if !h.StoppedEarly {
 		t.Fatal("expected early stop with frozen weights")
 	}
-	for _, label := range []string{"batch-embeddings", "batch-graphs"} {
-		if n := tr.Engine.Dev.BuffersInUse(label); n != 0 {
-			t.Errorf("%d %q buffers still allocated after early stop (prefetched batches not drained)", n, label)
-		}
+	if m := tr.Engine.Dev.MemInUse(); m != 0 {
+		t.Errorf("%d bytes still allocated after early stop (prefetched batches not drained)", m)
 	}
 }
 
 // TestDriverMultiDevice trains real epochs through the data-parallel device
 // group: the driver's single prefetch ring feeds sub-batch plans to the
 // group, the trajectory matches a 1-device run bitwise, and every group
-// device ends the run with zero bytes allocated (the device-arena
-// discipline), including when early stopping abandons prefetched batches.
+// device ends the run with zero bytes allocated (the executor's batch
+// scope), including when early stopping abandons prefetched batches.
 func TestDriverMultiDevice(t *testing.T) {
 	run := func(numDevices int) *History {
 		ds, err := datasets.Generate("products", datasets.TestScale())

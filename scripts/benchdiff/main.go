@@ -3,7 +3,7 @@
 // best ns/op, B/op and allocs/op, and exits non-zero when any benchmark
 // present in both snapshots grew its allocs/op beyond
 // max(-allocslack, -allocnoise percent of the old count). That is its one
-// job: the allocation disciplines (arena, worker pool, device arena) are a
+// job: the allocation disciplines (arena, worker pool, batch scope) are a
 // ratcheted invariant and allocs/op is machine-independent, so CI can hold
 // it on every push. ns/op is printed as context and never gated — the
 // committed snapshots come from a different machine each time, and no box
