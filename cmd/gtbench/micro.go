@@ -21,7 +21,7 @@ import (
 
 // defaultMicroBench selects the substrate hot paths (not the full
 // paper-figure regenerations, which dominate wall time).
-const defaultMicroBench = "BenchmarkMatMul$|BenchmarkMatMulParallel$|BenchmarkNAPAForward|BenchmarkGraphApproachForwardNGCF$|BenchmarkDLApproachForwardNGCF$|BenchmarkCOOToCSR$|BenchmarkNeighborSampling$|BenchmarkPrepareBatch$|BenchmarkServeQuery$|BenchmarkServeThroughput$|BenchmarkServeContention$|BenchmarkTrainBatchPreproGT$|BenchmarkTrainEpoch$|BenchmarkMultiGPUTrainBatch$|BenchmarkCountResident$|BenchmarkPolicyDecide$"
+const defaultMicroBench = "BenchmarkMatMul$|BenchmarkMatMulParallel$|BenchmarkNAPAForward|BenchmarkGraphApproachForwardNGCF$|BenchmarkDLApproachForwardNGCF$|BenchmarkCOOToCSR$|BenchmarkNeighborSampling$|BenchmarkPrepareBatch$|BenchmarkServeQuery$|BenchmarkServeThroughput$|BenchmarkServeContention$|BenchmarkTrainBatchPreproGT$|BenchmarkTrainEpoch$|BenchmarkMultiGPUTrainBatch$|BenchmarkCountResident$|BenchmarkPolicyDecide$|BenchmarkLRUTouch$|BenchmarkKernelLaunchReset$|BenchmarkLinearBackwardTrace$"
 
 // benchResult is one benchmark's aggregated samples.
 type benchResult struct {
@@ -57,12 +57,13 @@ func runMicro(benchRe string, count int, outPath string) error {
 	}
 	// The module root holds the end-to-end benchmarks; internal/cache holds
 	// the epoch-snapshot read path whose zero-alloc floor the snapshot
-	// ratchets.
+	// ratchets, internal/gpusim the cache simulator's touch and launch
+	// costs, internal/kernels the dense trace at train-heavy's shape.
 	// -timeout scales with -count: the default 10m cap kills deep captures
 	// (the snapshot records min-over-samples, which needs count >= ~20 to
 	// converge on the concurrency-heavy benchmarks).
 	args := []string{"test", "-run", "^$", "-bench", benchRe, "-benchmem",
-		"-count", strconv.Itoa(count), "-timeout", "120m", ".", "./internal/cache"}
+		"-count", strconv.Itoa(count), "-timeout", "120m", ".", "./internal/cache", "./internal/gpusim", "./internal/kernels"}
 	fmt.Fprintf(os.Stderr, "gtbench: go %v\n", args)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr

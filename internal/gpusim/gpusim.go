@@ -171,7 +171,9 @@ func (e *OOMError) Error() string {
 }
 
 // Alloc reserves size bytes of device memory. It fails with *OOMError when
-// capacity would be exceeded.
+// capacity would be exceeded. Addresses come from a bump pointer that starts
+// at 0 and never rewinds, so no buffer ever lies below zero: kernels reserve
+// that space for data resident across launches (the weight tile).
 func (d *Device) Alloc(size int64, label string) (*Buffer, error) {
 	if size < 0 {
 		panic("gpusim: negative allocation")

@@ -1,6 +1,9 @@
 package gpusim
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Kernel is one simulated GPU kernel launch. Obtain per-SM contexts with
 // SM(i), record accesses from (at most) one goroutine per context, then call
@@ -92,6 +95,13 @@ type SMContext struct {
 	loads    int64
 	stores   int64
 	hits     int64
+
+	// owed is the number of consecutive lines, ending at owedLast, that
+	// ReadRows has counted but not yet touched in the cache: touching them
+	// once in ascending order on top of the cache's contents gives the LRU
+	// state the simulated stream would have left. settle pays it before the
+	// next simulated touch; a launch that only streams never does.
+	owed, owedLast int64
 }
 
 func newSMContext(cfg Config) *SMContext {
@@ -108,9 +118,10 @@ func newSMContext(cfg Config) *SMContext {
 
 // reset clears the context for recycling into the next kernel launch: the
 // counters drop to zero and the cache is emptied (cold per kernel), with
-// its nodes and map buckets retained for reuse.
+// its slots and buckets retained for reuse.
 func (sm *SMContext) reset() {
 	sm.flops, sm.loads, sm.stores, sm.hits = 0, 0, 0, 0
+	sm.owed = 0
 	sm.cache.reset()
 }
 
@@ -121,6 +132,9 @@ func (sm *SMContext) Read(addr, size int64) {
 	if size <= 0 {
 		return
 	}
+	if sm.owed != 0 {
+		sm.settle()
+	}
 	first := addr & sm.lineMask
 	last := (addr + size - 1) & sm.lineMask
 	for line := first; line <= last; line += sm.lineSize {
@@ -130,6 +144,90 @@ func (sm *SMContext) Read(addr, size int64) {
 			sm.loads++
 		}
 	}
+}
+
+// ReadRows accounts scans ascending passes over rows contiguous rows of
+// rowBytes starting at base — the stream
+//
+//	for s := 0; s < scans; s++ {
+//		for i := 0; i < rows; i++ {
+//			sm.Read(base+int64(i)*rowBytes, rowBytes)
+//		}
+//	}
+//
+// — arithmetically, by the stack-distance property of a fully-associative
+// LRU of C lines: an access hits iff fewer than C distinct lines were
+// touched since the line's last touch. With T line touches and D distinct
+// lines per pass (a row that starts in the line its predecessor ended in
+// re-touches it at distance 0, which hits at any C ≥ 1), the first pass is
+// D loads and T−D hits when none of the D lines is resident; a later pass
+// re-touches each line at distance D−1, so it is all hits if D ≤ C and
+// again D loads and T−D hits if D > C.
+//
+// It reports false, having changed nothing, unless it can prove that
+// premise — the cache holds no line (cold since the launch began) and the
+// run is disjoint from the lines it still owes — in which case the caller
+// issues the stream through Read. On true the counters equal the simulated
+// stream's and so does the LRU state every later access sees: the last
+// min(C, D) lines of the run, ascending, on top of what was there, owed
+// until a simulated touch needs them (settle).
+func (sm *SMContext) ReadRows(base, rowBytes int64, rows, scans int) bool {
+	if rows <= 0 || scans <= 0 || rowBytes <= 0 {
+		return true // the stream is empty
+	}
+	first := base & sm.lineMask
+	last := (base + int64(rows)*rowBytes - 1) & sm.lineMask
+	owedFirst := sm.owedLast - (sm.owed-1)*sm.lineSize
+	if sm.cache.used != 0 || (sm.owed != 0 && first <= sm.owedLast && last >= owedFirst) {
+		return false
+	}
+	capacity := int64(sm.cache.capacity)
+	distinct := (last-first)/sm.lineSize + 1
+	if sm.owed != 0 && distinct < capacity {
+		// The owed lines survive this run underneath it: make them resident.
+		// (A run of C or more lines evicts them all, so they are dropped.)
+		sm.settle()
+	}
+	sm.owed, sm.owedLast = distinct, last
+
+	// Every row boundary that is not line-aligned is one re-touch.
+	touches := distinct + int64(rows-1) - sm.alignedStarts(base, rowBytes, int64(rows-1))
+	sm.loads += distinct
+	sm.hits += touches - distinct
+	if again := int64(scans - 1); distinct <= capacity {
+		sm.hits += again * touches
+	} else {
+		sm.loads += again * distinct
+		sm.hits += again * (touches - distinct)
+	}
+	return true
+}
+
+// alignedStarts counts the i in [1, n] for which base + i·rowBytes is
+// line-aligned. The alignment of row starts repeats every lineSize rows, so
+// it is n/lineSize whole periods plus the first n%lineSize rows of one.
+func (sm *SMContext) alignedStarts(base, rowBytes, n int64) int64 {
+	var period, rest int64
+	for i := int64(1); i <= min(n, sm.lineSize); i++ {
+		if (base+i*rowBytes)&^sm.lineMask == 0 {
+			period++
+			if i <= n%sm.lineSize {
+				rest++
+			}
+		}
+	}
+	return n/sm.lineSize*period + rest
+}
+
+// settle touches the owed lines, leaving the cache as the streams ReadRows
+// accounted would have: only the last capacity lines of the run can still
+// be resident, in ascending order of last touch.
+func (sm *SMContext) settle() {
+	n := min(sm.owed, int64(sm.cache.capacity))
+	for line := sm.owedLast - (n-1)*sm.lineSize; line <= sm.owedLast; line += sm.lineSize {
+		sm.cache.touch(line)
+	}
+	sm.owed = 0
 }
 
 // Write simulates a store of size bytes at addr. The model is write-through
@@ -153,16 +251,28 @@ func (sm *SMContext) AddFLOPs(n int64) { sm.flops += n }
 // load funnels through here), so the implementation is index-based and
 // pointer-free: slots live in one flat slice linked by int32 indices, and
 // lookup goes through an open hash table of bucket heads chained through
-// the slots. Nothing here allocates after construction, reset is a bucket
-// memclr, and the garbage collector never traverses the structure.
+// the slots. Nothing here allocates after construction and the garbage
+// collector never traverses the structure.
+//
+// reset is a generation bump, not a bucket clear: a bucket word is the
+// generation it was written in above the slot index of its chain head, a
+// word of another generation reads as empty (generation 0 is never current,
+// so the zero word is empty in all of them), and only when the generation
+// wraps (every 2^32 / 2^idxBits resets — 8 M at 512 lines, whose indices
+// take 9 bits) are the buckets really cleared. The stamp shares the 4-byte
+// word the bare index used to have to itself; widening the word to 8 bytes
+// was measured at +6.6…+17 % of live_heap_mb (every device retains NumSMs
+// caches), which is why it is packed.
 type lruCache struct {
 	capacity int
 	slots    []lruSlot // slot arena, len == capacity
-	buckets  []int32   // hash-chain heads, -1 = empty; len is a power of two
+	buckets  []uint32  // hash-chain heads: generation tag | slot index; len is a power of two
 	mask     uint32
-	used     int32 // slots in use; slots [0,used) are resident lines
-	head     int32 // most recently used, -1 when empty
-	tail     int32 // least recently used, -1 when empty
+	idxMask  uint32 // low bits of a bucket word holding the slot index
+	tag      uint32 // current generation (≥ 1), already shifted above idxMask
+	used     int32  // slots in use; slots [0,used) are resident lines
+	head     int32  // most recently used, -1 when empty
+	tail     int32  // least recently used, -1 when empty
 }
 
 // lruSlot is one resident cache line: doubly linked in LRU order via
@@ -181,14 +291,13 @@ func newLRUCache(capacity int) *lruCache {
 	c := &lruCache{
 		capacity: capacity,
 		slots:    make([]lruSlot, capacity),
-		buckets:  make([]int32, nb),
+		buckets:  make([]uint32, nb),
 		mask:     uint32(nb - 1),
+		idxMask:  1<<bits.Len(uint(capacity-1)) - 1,
 		head:     -1,
 		tail:     -1,
 	}
-	for i := range c.buckets {
-		c.buckets[i] = -1
-	}
+	c.tag = c.idxMask + 1 // generation 1 over zeroed buckets: all empty
 	return c
 }
 
@@ -198,39 +307,72 @@ func (c *lruCache) bucket(line int64) uint32 {
 	return uint32((uint64(line)*0x9e3779b97f4a7c15)>>33) & c.mask
 }
 
+// chain returns the first slot of bucket b's hash chain, -1 when the bucket
+// is empty or was last written in an earlier generation.
+func (c *lruCache) chain(b uint32) int32 {
+	x := c.buckets[b] ^ c.tag
+	if x > c.idxMask {
+		return -1
+	}
+	return int32(x)
+}
+
 // touch marks line as most recently used, inserting (and evicting the LRU
 // line if full) when absent. It returns true on hit.
 func (c *lruCache) touch(line int64) bool {
 	b := c.bucket(line)
-	for i := c.buckets[b]; i >= 0; i = c.slots[i].hnext {
+	first := c.chain(b)
+	for i := first; i >= 0; i = c.slots[i].hnext {
 		if c.slots[i].key == line {
-			c.moveToFront(i)
+			if c.head != i {
+				c.listRemove(i)
+				c.pushFront(i)
+			}
 			return true
 		}
 	}
 	var idx int32
 	if c.used >= int32(c.capacity) {
-		// Reuse the evicted LRU slot for the incoming line.
+		// Reuse the evicted LRU slot for the incoming line: unlink it from
+		// the recency list and from its hash chain.
 		idx = c.tail
 		c.listRemove(idx)
-		c.hashRemove(idx)
+		eb, next := c.bucket(c.slots[idx].key), c.slots[idx].hnext
+		// A resident line's bucket was written in this generation.
+		if i := int32(c.buckets[eb] & c.idxMask); i != idx {
+			for c.slots[i].hnext != idx {
+				i = c.slots[i].hnext
+			}
+			c.slots[i].hnext = next
+		} else if next >= 0 {
+			c.buckets[eb] = c.tag | uint32(next)
+		} else {
+			c.buckets[eb] = 0
+		}
+		if eb == b {
+			first = c.chain(b)
+		}
 	} else {
 		idx = c.used
 		c.used++
 	}
 	s := &c.slots[idx]
 	s.key = line
-	s.hnext = c.buckets[b]
-	c.buckets[b] = idx
+	s.hnext = first
+	c.buckets[b] = c.tag | uint32(idx)
 	c.pushFront(idx)
 	return false
 }
 
-// reset empties the cache in O(buckets) with no allocation or pointer
-// traffic, ready for the next (cold-cache) kernel launch.
+// reset empties the cache in O(1), ready for the next (cold-cache) kernel
+// launch: the next generation's tag makes every bucket word stale. When the
+// tag wraps the buckets are zeroed and the count restarts at generation 1,
+// so no word of a past generation can ever match a current one.
 func (c *lruCache) reset() {
-	for i := range c.buckets {
-		c.buckets[i] = -1
+	c.tag += c.idxMask + 1
+	if c.tag == 0 {
+		clear(c.buckets)
+		c.tag = c.idxMask + 1
 	}
 	c.used, c.head, c.tail = 0, -1, -1
 }
@@ -261,28 +403,6 @@ func (c *lruCache) listRemove(idx int32) {
 		c.tail = s.prev
 	}
 	s.prev, s.next = -1, -1
-}
-
-func (c *lruCache) hashRemove(idx int32) {
-	b := c.bucket(c.slots[idx].key)
-	if c.buckets[b] == idx {
-		c.buckets[b] = c.slots[idx].hnext
-		return
-	}
-	for i := c.buckets[b]; i >= 0; i = c.slots[i].hnext {
-		if c.slots[i].hnext == idx {
-			c.slots[i].hnext = c.slots[idx].hnext
-			return
-		}
-	}
-}
-
-func (c *lruCache) moveToFront(idx int32) {
-	if c.head == idx {
-		return
-	}
-	c.listRemove(idx)
-	c.pushFront(idx)
 }
 
 // len reports the number of resident lines (for tests).

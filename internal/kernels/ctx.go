@@ -53,6 +53,11 @@ type Ctx struct {
 	// dwBuf is LinearBackward's retained Xᵀ·dY product buffer.
 	dwBuf tensor.Matrix
 
+	// simulate makes the dense traces replay every stream line by line
+	// instead of asking the SM for its closed form first; tests set it to
+	// obtain the reference counters.
+	simulate bool
+
 	// acc is the reusable flat-indexed partial accumulator the
 	// Graph-approach kernels use in place of per-SM partial maps. Launches
 	// within a Ctx are sequential, so one instance serves every kernel.

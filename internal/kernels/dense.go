@@ -11,8 +11,11 @@ import (
 // aggregation in both placements).
 
 // weightsAddr is the reserved device region model weights live in: they
-// are resident for the whole run, so they are not allocated per call.
-const weightsAddr = 0x7f000000
+// are resident for the whole run, so they are not allocated per call. It
+// lies below zero because gpusim.Device.Alloc hands out addresses from a
+// bump pointer that starts at 0 and only grows, so no buffer can ever share
+// a cache line with the weight tile, however long the process lives.
+const weightsAddr = -1 << 40
 
 // Linear and LinearBackward are two passes each: the numerics run through
 // the one blocked GEMM family (tensor.*Into), and a trace pass replays the
@@ -20,6 +23,16 @@ const weightsAddr = 0x7f000000
 // model. The trace reads no value except where one decides an access, so
 // the counters are a function of shapes, addresses and (for dW) x's zero
 // pattern only.
+//
+// Every dense trace is, per SM, ascending passes over contiguous rows: the
+// weight tile once, then the SM's input rows once (Linear, dX, BiasReLU and
+// its backward), or all of dY once per dW row the SM owns. For such a stream
+// into a cold fully-associative LRU the counters have a closed form —
+// gpusim.SMContext.ReadRows states the law and its preconditions — so the
+// trace first asks the SM to account the pass arithmetically and replays
+// it line by line through Read only when the SM refuses, or when the stream
+// is not of that shape: dW skips the dY row of every zero activation, so a
+// post-ReLU x keeps simulating. Both routes add the same counters.
 
 // Linear computes Y = X·W on device. Trace: output rows are chunked across
 // SMs; each SM pulls the weight tile once (it stays cached), streams its X
@@ -60,23 +73,58 @@ func LinearBackward(ctx *Ctx, x, dy *DeviceMatrix, w, dw *tensor.Matrix, label s
 		}
 		// Trace: one dW row per unit, reduced serially over the batch (the
 		// real framework uses a reduction tree); a zero activation
-		// contributes nothing, so its dY row is never fetched.
+		// contributes nothing, so its dY row is never fetched. Without a
+		// zero in x an SM's stream is one pass over all of dY per row it
+		// owns.
 		k := ctx.Dev.StartKernel("linear-bwp-dw")
 		rowFLOPs := int64(2 * x.M.Rows * w.Cols)
+		dense := zeroFree(x.M)
 		runSMsChunked(k, w.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				for i := 0; i < x.M.Rows; i++ {
-					if x.M.At(i, r) != 0 {
-						sm.Read(dy.RowAddr(i), dy.RowBytes())
+			if !(dense && ctx.streamed(sm, dy.RowAddr(0), dy.RowBytes(), x.M.Rows, hi-lo)) {
+				for r := lo; r < hi; r++ {
+					for i := 0; i < x.M.Rows; i++ {
+						if x.M.At(i, r) != 0 {
+							sm.Read(dy.RowAddr(i), dy.RowBytes())
+						}
 					}
 				}
-				sm.AddFLOPs(rowFLOPs)
 			}
+			sm.AddFLOPs(int64(hi-lo) * rowFLOPs)
 		})
 		k.Finish()
 		return nil
 	})
 	return dx, err
+}
+
+// zeroFree reports whether no element of m compares equal to zero.
+func zeroFree(m *tensor.Matrix) bool {
+	for _, v := range m.Data {
+		if v == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// streamed asks sm to account scans passes over rows contiguous rows from
+// base in closed form; false means nothing was recorded and the caller
+// replays the stream through Read.
+func (c *Ctx) streamed(sm *gpusim.SMContext, base, rowBytes int64, rows, scans int) bool {
+	return !c.simulate && sm.ReadRows(base, rowBytes, rows, scans)
+}
+
+// traceRows records one SM's pass over rows [lo, hi): per row a read of the
+// input row, the row's FLOPs and a write of the output row.
+func (c *Ctx) traceRows(sm *gpusim.SMContext, in, out *DeviceMatrix, lo, hi int, rowFLOPs int64) {
+	streamed := c.streamed(sm, in.RowAddr(lo), in.RowBytes(), hi-lo, 1)
+	for i := lo; i < hi; i++ {
+		if !streamed {
+			sm.Read(in.RowAddr(i), in.RowBytes())
+		}
+		sm.AddFLOPs(rowFLOPs)
+		sm.Write(out.RowAddr(i), out.RowBytes())
+	}
 }
 
 // traceRowGEMM replays the access stream of a row-parallel GEMM against the
@@ -88,12 +136,10 @@ func traceRowGEMM(ctx *Ctx, name string, in, out *DeviceMatrix, w *tensor.Matrix
 	rowFLOPs := int64(2 * w.Rows * w.Cols)
 	wBytes := int64(w.Rows) * int64(w.Cols) * 4
 	runSMsChunked(k, in.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-		sm.Read(weightsAddr, wBytes)
-		for i := lo; i < hi; i++ {
-			sm.Read(in.RowAddr(i), in.RowBytes())
-			sm.AddFLOPs(rowFLOPs)
-			sm.Write(out.RowAddr(i), out.RowBytes())
+		if !ctx.streamed(sm, weightsAddr, wBytes, 1, 1) {
+			sm.Read(weightsAddr, wBytes)
 		}
+		ctx.traceRows(sm, in, out, lo, hi, rowFLOPs)
 	})
 	k.Finish()
 }
@@ -107,8 +153,8 @@ func BiasReLU(ctx *Ctx, x *DeviceMatrix, bias []float32) (pre *tensor.Matrix, er
 		k := ctx.Dev.StartKernel("bias-relu")
 		pre = tensor.Get(x.M.Rows, x.M.Cols)
 		runSMsChunked(k, x.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
+			ctx.traceRows(sm, x, x, lo, hi, int64(2*x.M.Cols))
 			for i := lo; i < hi; i++ {
-				sm.Read(x.RowAddr(i), x.RowBytes())
 				row := x.M.Row(i)
 				prow := pre.Row(i)
 				for j := range row {
@@ -119,8 +165,6 @@ func BiasReLU(ctx *Ctx, x *DeviceMatrix, bias []float32) (pre *tensor.Matrix, er
 					}
 					row[j] = v
 				}
-				sm.AddFLOPs(int64(2 * len(row)))
-				sm.Write(x.RowAddr(i), x.RowBytes())
 			}
 		})
 		k.Finish()
@@ -136,8 +180,8 @@ func BiasReLUBackward(ctx *Ctx, dy *DeviceMatrix, pre *tensor.Matrix, dBias []fl
 		k := ctx.Dev.StartKernel("bias-relu-bwp")
 		// Bias gradient reduction is serialized per column chunk.
 		runSMsChunked(k, dy.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
+			ctx.traceRows(sm, dy, dy, lo, hi, int64(dy.M.Cols))
 			for i := lo; i < hi; i++ {
-				sm.Read(dy.RowAddr(i), dy.RowBytes())
 				row := dy.M.Row(i)
 				prow := pre.Row(i)
 				for j := range row {
@@ -145,8 +189,6 @@ func BiasReLUBackward(ctx *Ctx, dy *DeviceMatrix, pre *tensor.Matrix, dBias []fl
 						row[j] = 0
 					}
 				}
-				sm.AddFLOPs(int64(len(row)))
-				sm.Write(dy.RowAddr(i), dy.RowBytes())
 			}
 		})
 		k.Finish()

@@ -119,12 +119,18 @@ func denseCases() []*denseCase {
 	return cases
 }
 
-// run executes Linear then LinearBackward (onto dw) and records the
-// counters each added.
+// run executes Linear then LinearBackward (onto dw) on a fresh test device
+// and records the counters each added.
 func (c *denseCase) run(t *testing.T, dw *tensor.Matrix) (y, dx *DeviceMatrix) {
 	t.Helper()
-	dev := testDevice()
-	c.ctx = NewCtx(dev)
+	return c.runOn(t, NewCtx(testDevice()), dw)
+}
+
+// runOn is run on the device and in the trace mode of ctx.
+func (c *denseCase) runOn(t *testing.T, ctx *Ctx, dw *tensor.Matrix) (y, dx *DeviceMatrix) {
+	t.Helper()
+	dev := ctx.Dev
+	c.ctx = ctx
 	c.xd, _ = WrapDeviceMatrix(c.ctx, c.x, "x")
 	c.dyd, _ = WrapDeviceMatrix(c.ctx, c.dy, "dy")
 	s0 := dev.Snapshot()
@@ -214,5 +220,154 @@ func TestLinearBackwardAllocFloor(t *testing.T) {
 	const parent = 13
 	if allocs > parent {
 		t.Errorf("LinearBackward allocates %.0f per call, parent %d", allocs, parent)
+	}
+}
+
+// TestLinearWeightTileUnreachable: the weight tile's reserved address is one
+// no allocation can reach. Device addresses come from a bump pointer that
+// never rewinds (about 15 MB per train-heavy batch), and the tile used to
+// sit at 0x7f000000 — passed between batch 100 and 200 of a process, when
+// for one batch an operand's rows shared cache lines with the tile (spurious
+// hits: the counters stopped being a function of the launch). Linear and
+// LinearBackward with x allocated across that address must count what they
+// count on a fresh device.
+func TestLinearWeightTileUnreachable(t *testing.T) {
+	const oldWeightsAddr = 0x7f000000
+	for _, c := range denseCases() {
+		c.run(t, tensor.New(c.w.Rows, c.w.Cols))
+		wantFwd, wantBwd := c.gotFwd, c.gotBwd
+
+		dev := testDevice()
+		next := func() int64 { return mustAlloc(t, dev, 0).Addr(0) }
+		// Burn address space up to two lines short of the old tile: x,
+		// the first buffer runOn allocates, then straddles it.
+		const target = oldWeightsAddr - 64
+		for at := next(); at < target; at = next() {
+			mustAlloc(t, dev, min(target-at, 256<<20)).Free()
+		}
+		c.runOn(t, NewCtx(dev), tensor.New(c.w.Rows, c.w.Cols))
+		if lo, hi := c.xd.RowAddr(0), c.xd.RowAddr(c.x.Rows-1); lo >= oldWeightsAddr || hi <= oldWeightsAddr {
+			t.Fatalf("%s: x spans [%#x, %#x], not across %#x", c.name, lo, hi, oldWeightsAddr)
+		}
+		if c.gotFwd != wantFwd || c.gotBwd != wantBwd {
+			t.Errorf("%s: with x across %#x Linear/LinearBackward count\n%+v\n%+v\non a fresh device\n%+v\n%+v",
+				c.name, oldWeightsAddr, c.gotFwd, c.gotBwd, wantFwd, wantBwd)
+		}
+	}
+}
+
+func mustAlloc(t *testing.T, dev *gpusim.Device, size int64) *gpusim.Buffer {
+	t.Helper()
+	b, err := dev.Alloc(size, "filler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLinearTraceClosedFormVsSimulated holds the dense traces' closed form to
+// the simulated loops at the kernel level: Linear, LinearBackward, BiasReLU
+// and BiasReLUBackward on random shapes — row widths that are and are not
+// whole lines, fewer and more rows than SMs, weight tiles smaller and larger
+// than an SM's cache, zero-free and post-ReLU x — run on a default Ctx and
+// on one forced down the simulated path, on fresh devices of the same
+// geometry. Every launch must add the same counters, and the numbers
+// computed must be the same bits.
+func TestLinearTraceClosedFormVsSimulated(t *testing.T) {
+	rng := tensor.NewRNG(18)
+	for trial := 0; trial < 60; trial++ {
+		rows, in, out := 1+rng.Intn(400), 1+rng.Intn(70), 1+rng.Intn(24)
+		if trial%10 == 0 {
+			rows, in = 1500+rng.Intn(1500), 300+rng.Intn(250) // a weight tile past the cache
+		}
+		x := tensor.Random(rows, in, 1, rng)
+		if trial%3 == 0 {
+			x = reluSparse(rows, in, rng)
+		}
+		w, dy := tensor.Random(in, out, 1, rng), tensor.Random(rows, out, 1, rng)
+		bias := tensor.Random(1, out, 1, rng).Data
+		if zeroFree(x) == (trial%3 == 0) {
+			t.Fatalf("trial %d: x zero-free = %v; the dW trace would not take the intended route", trial, zeroFree(x))
+		}
+
+		type pass struct {
+			counters []gpusim.Counters
+			results  []*tensor.Matrix
+		}
+		run := func(simulate bool) (p pass) {
+			cfg := gpusim.DefaultConfig()
+			cfg.NumSMs = 1 + trial%9
+			if trial%4 == 1 {
+				cfg.CacheLineBytes, cfg.CacheBytesPerSM = 128, 7*128
+			}
+			dev := gpusim.NewDevice(cfg)
+			ctx := NewCtx(dev)
+			ctx.simulate = simulate
+			last := dev.Snapshot()
+			step := func(err error, ms ...*tensor.Matrix) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				now := dev.Snapshot()
+				p.counters = append(p.counters, now.Sub(last))
+				p.results = append(p.results, ms...)
+				last = now
+			}
+			xd, err := WrapDeviceMatrix(ctx, x.Clone(), "x")
+			step(err)
+			dyd, err := WrapDeviceMatrix(ctx, dy.Clone(), "dy")
+			step(err)
+			y, err := Linear(ctx, xd, w, "y")
+			step(err, y.M)
+			pre, err := BiasReLU(ctx, y, bias)
+			step(err, pre, y.M)
+			dBias := make([]float32, out)
+			step(BiasReLUBackward(ctx, dyd, pre, dBias), dyd.M, &tensor.Matrix{Rows: 1, Cols: out, Data: dBias})
+			dw := tensor.New(in, out)
+			dx, err := LinearBackward(ctx, xd, dyd, w, dw, "dx")
+			step(err, dx.M, dw)
+			return p
+		}
+		fast, ref := run(false), run(true)
+		for i, want := range ref.counters {
+			if fast.counters[i] != want {
+				t.Fatalf("trial %d (%d×%d → %d) step %d: closed form counts %+v, simulated %+v", trial, rows, in, out, i, fast.counters[i], want)
+			}
+		}
+		for i, want := range ref.results {
+			requireBitwise(t, "result", fast.results[i], want)
+		}
+	}
+}
+
+// BenchmarkLinearBackwardTrace times LinearBackward at train-heavy's layer-1
+// shape (2 816 sampled rows × 544 features → 8 hidden) on the default
+// 82-SM device, with its trace passes taking the closed form and forced line
+// by line. The numeric passes (two GEMMs) are the same in both; the
+// difference is the dX trace and the 544 × 2 816 single-line touches of the
+// dW trace.
+func BenchmarkLinearBackwardTrace(b *testing.B) {
+	rng := tensor.NewRNG(1)
+	x, dy, w := tensor.Random(2816, 544, 1, rng), tensor.Random(2816, 8, 1, rng), tensor.Random(544, 8, 1, rng)
+	dw := tensor.New(544, 8)
+	for _, simulate := range []bool{false, true} {
+		name := "closed-form"
+		if simulate {
+			name = "simulated"
+		}
+		b.Run(name, func(b *testing.B) {
+			ctx := NewCtx(gpusim.NewDevice(gpusim.DefaultConfig()))
+			ctx.simulate = simulate
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				xd, _ := WrapDeviceMatrix(ctx, x, "x")
+				dyd, _ := WrapDeviceMatrix(ctx, dy, "dy")
+				if _, err := LinearBackward(ctx, xd, dyd, w, dw, "dx"); err != nil {
+					b.Fatal(err)
+				}
+				ctx.EndBatch()
+			}
+		})
 	}
 }
