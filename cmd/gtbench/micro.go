@@ -21,7 +21,7 @@ import (
 
 // defaultMicroBench selects the substrate hot paths (not the full
 // paper-figure regenerations, which dominate wall time).
-const defaultMicroBench = "BenchmarkMatMul$|BenchmarkMatMulParallel$|BenchmarkNAPAForward|BenchmarkGraphApproachForwardNGCF$|BenchmarkDLApproachForwardNGCF$|BenchmarkCOOToCSR$|BenchmarkNeighborSampling$|BenchmarkPrepareBatch$|BenchmarkServeQuery$|BenchmarkServeThroughput$|BenchmarkServeContention$|BenchmarkTrainBatchPreproGT$|BenchmarkTrainEpoch$|BenchmarkMultiGPUTrainBatch$|BenchmarkCountResident$|BenchmarkPolicyDecide$|BenchmarkLRUTouch$|BenchmarkKernelLaunchReset$|BenchmarkLinearBackwardTrace$"
+const defaultMicroBench = "BenchmarkMatMul$|BenchmarkMatMulParallel$|BenchmarkNAPAForward|BenchmarkGraphApproachForwardNGCF$|BenchmarkDLApproachForwardNGCF$|BenchmarkCOOToCSR$|BenchmarkNeighborSampling$|BenchmarkPrepareBatch$|BenchmarkServeQuery$|BenchmarkServeThroughput$|BenchmarkServeContention$|BenchmarkTrainBatchPreproGT$|BenchmarkTrainEpoch$|BenchmarkMultiGPUTrainBatch$|BenchmarkCountResident$|BenchmarkPolicyDecide$|BenchmarkLRUTouch$|BenchmarkKernelLaunchReset$|BenchmarkLinearBackwardTrace$|BenchmarkAllocDeviceMatrix$"
 
 // benchResult is one benchmark's aggregated samples.
 type benchResult struct {
@@ -58,7 +58,8 @@ func runMicro(benchRe string, count int, outPath string) error {
 	// The module root holds the end-to-end benchmarks; internal/cache holds
 	// the epoch-snapshot read path whose zero-alloc floor the snapshot
 	// ratchets, internal/gpusim the cache simulator's touch and launch
-	// costs, internal/kernels the dense trace at train-heavy's shape.
+	// costs, internal/kernels the dense trace and an output matrix's pool
+	// round trip at train-heavy's shape.
 	// -timeout scales with -count: the default 10m cap kills deep captures
 	// (the snapshot records min-over-samples, which needs count >= ~20 to
 	// converge on the concurrency-heavy benchmarks).

@@ -50,7 +50,8 @@ func (e *Engine) Upload(m *tensor.Matrix, label string) (*kernels.DeviceMatrix, 
 }
 
 // EndBatch closes the batch scope (kernels.Ctx.EndBatch): memos dropped,
-// every device buffer the batch's kernels left is freed.
+// every device buffer the batch's kernels left is freed and the host
+// storage of the matrices they allocated goes back to the tensor pool.
 func (e *Engine) EndBatch() { e.Ctx.EndBatch() }
 
 // stage brings one host-resident batch (or gradient shard) onto the device.
@@ -68,15 +69,21 @@ func (e *Engine) stage(graphs []kernels.Graphs, x *tensor.Matrix, labels []int32
 
 // Infer runs forward propagation only over one batch — graphs are its layer
 // subgraphs, x its embedding rows — and closes the batch scope. The
-// returned logits' device buffer is already released; their host matrix
-// stays readable.
+// returned logits are the caller's: their device buffer is already
+// released, their host matrix is detached from the scope and never
+// recycled, so it stays readable for as long as the caller keeps it.
 func (e *Engine) Infer(m *Model, graphs []kernels.Graphs, x *tensor.Matrix, linkBytes int64) (*kernels.DeviceMatrix, error) {
 	defer e.EndBatch()
 	in, err := e.stage(graphs, x, nil, linkBytes)
 	if err != nil {
 		return nil, err
 	}
-	return m.Infer(e.Ctx, &in)
+	logits, err := m.Infer(e.Ctx, &in)
+	if err != nil {
+		return nil, err
+	}
+	logits.Detach()
+	return logits, nil
 }
 
 // ForwardBackward stages one batch or gradient shard and runs

@@ -496,20 +496,21 @@ func (t *Trainer) Compute(b *prep.Batch) (float64, error) {
 }
 
 // InferBatch runs forward propagation only — no gradients, no update — on a
-// prepared batch and returns the logits (host matrix; their device buffer
-// ended with the batch, so the caller's Free is a no-op). Under a device
-// group the canonical replica-0 weights are used. This is the serving fast
-// path: no gradient shards, no label buffers, no backward workspaces ever
-// exist, and with a warm slot feeding PrepareInto a served batch allocates
-// a small constant (BenchmarkServeQuery guards it).
+// prepared batch and returns the logits. They are the caller's (see
+// core.Engine.Infer): the host matrix is never recycled, and their device
+// buffer ended with the batch, so the caller's Free is a no-op. Under a
+// device group the canonical replica-0 weights are used. This is the
+// serving fast path: no gradient shards, no label buffers, no backward
+// workspaces ever exist, and with a warm slot feeding PrepareInto a served
+// batch allocates a small constant (BenchmarkServeQuery guards it).
 func (t *Trainer) InferBatch(b *prep.Batch) (*kernels.DeviceMatrix, error) {
 	return t.Engine.Infer(t.Model, b.Layers, b.Embed.Data, 0)
 }
 
 // Serve prepares one coalesced query batch through the slot and runs the
-// FWP-only fast path, returning the logits and the prepared batch. The
-// caller frees the logits, releases the batch and recycles the slot —
-// the warm loop BenchmarkServeQuery gates.
+// FWP-only fast path, returning the logits — the caller's, like
+// InferBatch's — and the prepared batch. The caller releases the batch and
+// recycles the slot: the warm loop BenchmarkServeQuery gates.
 func (t *Trainer) Serve(dsts []graph.VID, slot *pipeline.Slot) (*kernels.DeviceMatrix, *prep.Batch, error) {
 	b, err := t.PrepareInto(dsts, nil, slot)
 	if err != nil {

@@ -245,10 +245,11 @@ func TestCOOBatchTranslatesOnce(t *testing.T) {
 }
 
 // TestEngineMemReturnsToZero: a batch's device memory ends with the batch on
-// the classic engine — after every TrainBatch, an InferBatch (whose logits'
-// host matrix stays readable once the scope has closed) and an Evaluate,
-// with no prepared batch outstanding, the engine device holds nothing. DGL
-// prepares COO, so the retained translated-csr buffer is exercised.
+// the classic engine — after every TrainBatch, an InferBatch (whose logits
+// are detached from the scope, so readable once it has closed) and an
+// Evaluate, with no prepared batch outstanding, the engine device holds
+// nothing. DGL prepares COO, so the retained translated-csr buffer is
+// exercised.
 func TestEngineMemReturnsToZero(t *testing.T) {
 	ds := testDS(t)
 	for _, k := range []Kind{DGL, PyG, PreproGT} {

@@ -79,14 +79,14 @@ type Device struct {
 	// pcie is the device's one host→device link engine (see PCIe).
 	pcie PCIe
 
-	// smMu guards smFree, the pool of recycled SMContexts. Kernel launches
-	// are frequent (one per GNN stage per batch) and each needs NumSMs
-	// contexts with their cache maps and LRU nodes; recycling them across
-	// launches removes the dominant allocation cost of the simulator while
-	// preserving the cold-cache-per-kernel semantics (contexts are reset on
-	// return).
+	// smMu guards smFree, the pool of recycled SMContext sets. Kernel
+	// launches are frequent (one per GNN stage per batch) and each needs
+	// NumSMs contexts with their cache maps and LRU nodes; recycling them
+	// across launches, a launch's set as a unit, removes the dominant
+	// allocation cost of the simulator while preserving the
+	// cold-cache-per-kernel semantics (contexts are reset at checkout).
 	smMu   sync.Mutex
-	smFree []*SMContext
+	smFree [][]*SMContext
 
 	// dead flips once when Kill is called (fault injection): every
 	// subsequent Alloc fails with *DeviceLostError. Kernels allocate

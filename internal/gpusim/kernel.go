@@ -28,23 +28,29 @@ type KernelStats struct {
 }
 
 // StartKernel begins a kernel launch. Each SM starts with a cold cache,
-// which matches the paper's per-kernel Nsight measurements. Contexts are
-// drawn from the device's recycle pool; Finish returns them, so SM(i)
+// which matches the paper's per-kernel Nsight measurements. The launch
+// checks a whole set of NumSMs contexts out of the device's recycle pool —
+// kernels open at once hold disjoint sets — and Finish returns it, so SM(i)
 // results must not be retained past Finish.
 func (d *Device) StartKernel(name string) *Kernel {
 	d.launches.Add(1)
-	k := &Kernel{dev: d, name: name, sms: make([]*SMContext, d.cfg.NumSMs)}
+	k := &Kernel{dev: d, name: name}
 	d.smMu.Lock()
-	n := copy(k.sms, d.smFree[max(0, len(d.smFree)-len(k.sms)):])
-	d.smFree = d.smFree[:len(d.smFree)-n]
-	d.smMu.Unlock()
-	// Pooled contexts land at the front (reset at checkout so counters of a
-	// finished kernel stay readable); fill the rest with fresh ones.
-	for i := 0; i < n; i++ {
-		k.sms[i].reset()
+	if n := len(d.smFree); n > 0 {
+		k.sms, d.smFree[n-1] = d.smFree[n-1], nil
+		d.smFree = d.smFree[:n-1]
 	}
-	for i := n; i < len(k.sms); i++ {
-		k.sms[i] = newSMContext(d.cfg)
+	d.smMu.Unlock()
+	if k.sms == nil {
+		k.sms = make([]*SMContext, d.cfg.NumSMs)
+		for i := range k.sms {
+			k.sms[i] = newSMContext(d.cfg)
+		}
+	}
+	// A pooled set is reset at checkout, so the counters of a finished
+	// kernel stay readable until its contexts are handed out again.
+	for _, sm := range k.sms {
+		sm.reset()
 	}
 	return k
 }
@@ -76,7 +82,7 @@ func (k *Kernel) Finish() KernelStats {
 		k.dev.cacheBytes.Add(st.CacheBytes)
 		k.st = st
 		k.dev.smMu.Lock()
-		k.dev.smFree = append(k.dev.smFree, k.sms...)
+		k.dev.smFree = append(k.dev.smFree, k.sms)
 		k.dev.smMu.Unlock()
 		k.sms = nil
 	})

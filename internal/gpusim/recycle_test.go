@@ -76,3 +76,40 @@ func TestLRUCacheEviction(t *testing.T) {
 		t.Fatal("post-reset touch of 30 hit: cache not cold")
 	}
 }
+
+// TestStartKernelAllocFloor: a warm launch allocates its Kernel header and
+// nothing else — the SM set is checked out and returned as a unit — and two
+// kernels open on one device at once hold disjoint sets, each cold.
+func TestStartKernelAllocFloor(t *testing.T) {
+	d := NewDevice(DefaultConfig())
+	d.StartKernel("warm").Finish()
+	if n := testing.AllocsPerRun(100, func() { d.StartKernel("empty").Finish() }); n > 1 {
+		t.Errorf("StartKernel+Finish allocates %.1f times per launch, want <= 1", n)
+	}
+
+	buf := d.MustAlloc(4096, "data")
+	for round := 0; round < 3; round++ {
+		a, b := d.StartKernel("a"), d.StartKernel("b")
+		n := a.NumSMs()
+		seen := make(map[*SMContext]bool)
+		for i := 0; i < n; i++ {
+			if a.SM(i) == nil || b.SM(i) == nil {
+				t.Fatalf("round %d: SM %d missing", round, i)
+			}
+			seen[a.SM(i)], seen[b.SM(i)] = true, true
+			// The same line on both kernels and in every round: a miss each
+			// time unless a context leaks between sets or comes back warm.
+			a.SM(i).Read(buf.Addr(0), 4)
+			b.SM(i).Read(buf.Addr(0), 4)
+		}
+		if len(seen) != 2*n {
+			t.Fatalf("round %d: %d distinct SM contexts across two open kernels, want %d", round, len(seen), 2*n)
+		}
+		for _, st := range []KernelStats{a.Finish(), b.Finish()} {
+			if st.CacheHits != 0 || st.GlobalLoads != int64(n) {
+				t.Fatalf("round %d: kernel %s saw %d hits, %d loads; want a cold set: 0 hits, %d loads",
+					round, st.Name, st.CacheHits, st.GlobalLoads, n)
+			}
+		}
+	}
+}

@@ -29,9 +29,11 @@ const (
 // graph within a batch never recompute them, and every device allocation
 // made through the Ctx (AllocDeviceMatrix, WrapDeviceMatrix, the format
 // translations' scratch) is recorded so that EndBatch frees whatever the
-// batch's kernels left behind. Allocations made on the device directly —
-// a prefetch producer's batch-* buffers, concurrently, on the same device
-// — are not the Ctx's and are never swept.
+// batch's kernels left behind — the device buffers and, for the matrices
+// AllocDeviceMatrix handed out, the host storage they borrowed from the
+// tensor pool. Allocations made on the device directly — a prefetch
+// producer's batch-* buffers, concurrently, on the same device — are not
+// the Ctx's and are never swept.
 type Ctx struct {
 	Dev    *gpusim.Device
 	Phases *metrics.Breakdown
@@ -40,6 +42,9 @@ type Ctx struct {
 	// bufs records the device buffers allocated through the Ctx since the
 	// last EndBatch.
 	bufs []*gpusim.Buffer
+	// mats records the matrices AllocDeviceMatrix handed out since the last
+	// EndBatch; the ones still holding pooled storage are swept there.
+	mats []*DeviceMatrix
 
 	// Reusable per-SM scratch: msgBuf/wBuf back the row views handed to
 	// kernel chunks. Kernel launches within a Ctx are sequential, and
@@ -79,7 +84,7 @@ type Ctx struct {
 // not regrow it (a persistent one keeps whatever it grew to).
 func NewCtx(dev *gpusim.Device) *Ctx {
 	return &Ctx{Dev: dev, Phases: metrics.NewBreakdown(), work: map[string]gpusim.Counters{},
-		bufs: make([]*gpusim.Buffer, 0, 32)}
+		bufs: make([]*gpusim.Buffer, 0, 32), mats: make([]*DeviceMatrix, 0, 32)}
 }
 
 // memoCap is the backstop bound on the per-Ctx memo maps for callers that
@@ -93,8 +98,11 @@ const memoCap = 8
 // frees every device buffer the batch allocated through the Ctx and did
 // not free itself (layer outputs, logits, retained translations) — the
 // device's MemInUse returns to what it was before the batch's kernels ran.
-// Host matrices of freed DeviceMatrix values stay readable. The per-SM
-// scratch buffers are retained — they are shape-dependent, not
+// The host storage of every matrix AllocDeviceMatrix handed out goes back
+// to the tensor pool with it: such a matrix's M is valid until its Free or
+// this call, whichever is first (a wrapped matrix's M is its caller's and
+// is left alone; Detach exempts a result that outlives the batch). The
+// per-SM scratch buffers are retained — they are shape-dependent, not
 // graph-dependent. Call it when a training/inference batch completes or
 // fails.
 func (c *Ctx) EndBatch() {
@@ -106,6 +114,11 @@ func (c *Ctx) EndBatch() {
 		c.bufs[i] = nil
 	}
 	c.bufs = c.bufs[:0]
+	for i, dm := range c.mats {
+		dm.giveBack()
+		c.mats[i] = nil
+	}
+	c.mats = c.mats[:0]
 }
 
 // alloc reserves device memory inside the batch scope.

@@ -202,11 +202,15 @@ func TestLinearBitwiseVsNaive(t *testing.T) {
 	}
 }
 
-// TestLinearBackwardAllocFloor: the dW scratch is retained on the Ctx, so
-// routing dW through the GEMM costs no allocation over the in-place loop it
-// replaced (13 per call at commit eda0b54: dx's matrix, buffer and wrapper
-// plus the launch closures).
+// TestLinearBackwardAllocFloor: the dW scratch is retained on the Ctx and
+// dx borrows its storage from the tensor pool, so a call allocates headers
+// and closures only — dx's wrapper and buffer, the launch's Kernel and the
+// kernel and tracking closures (12 per call before the pool backed dx and a
+// launch reused its SM set, 13 at commit eda0b54).
 func TestLinearBackwardAllocFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
 	c := denseCases()[2]
 	dw := tensor.New(c.w.Rows, c.w.Cols)
 	c.run(t, dw)
@@ -217,9 +221,9 @@ func TestLinearBackwardAllocFloor(t *testing.T) {
 		}
 		dx.Free()
 	})
-	const parent = 13
-	if allocs > parent {
-		t.Errorf("LinearBackward allocates %.0f per call, parent %d", allocs, parent)
+	const floor = 8
+	if allocs > floor {
+		t.Errorf("LinearBackward allocates %.0f per call, want <= %d", allocs, floor)
 	}
 }
 
@@ -369,5 +373,22 @@ func BenchmarkLinearBackwardTrace(b *testing.B) {
 				ctx.EndBatch()
 			}
 		})
+	}
+}
+
+// BenchmarkAllocDeviceMatrix times what a kernel pays for an output matrix
+// at train-heavy's widest shape (2 816 × 544, 6.1 MB): a warm pool checkout
+// — zeroing included, as tensor.New's was — plus the device accounting, and
+// the return at Free. The wrapper and the buffer are its two allocations.
+func BenchmarkAllocDeviceMatrix(b *testing.B) {
+	ctx := NewCtx(gpusim.NewDevice(gpusim.DefaultConfig()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dm, err := AllocDeviceMatrix(ctx, 2816, 544, "out")
+		if err != nil {
+			b.Fatal(err)
+		}
+		dm.Free()
+		ctx.EndBatch()
 	}
 }

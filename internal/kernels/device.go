@@ -19,6 +19,7 @@
 package kernels
 
 import (
+	"math"
 	"sync"
 
 	"graphtensor/internal/gpusim"
@@ -32,17 +33,32 @@ import (
 type DeviceMatrix struct {
 	M   *tensor.Matrix
 	Buf *gpusim.Buffer
+
+	// scope is the batch scope M's storage is borrowed from — set by
+	// AllocDeviceMatrix, nil for a wrapped matrix (M is its caller's) and
+	// once the storage went back or was detached.
+	scope *Ctx
 }
 
-// AllocDeviceMatrix allocates a rows×cols device matrix in c's batch scope,
-// propagating OOM.
+// AllocDeviceMatrix allocates a zeroed rows×cols device matrix in c's batch
+// scope, propagating OOM. Its host storage is borrowed from the tensor pool:
+// M is valid until the matrix's Free or the scope's EndBatch, whichever
+// comes first, and nil afterwards.
 func AllocDeviceMatrix(c *Ctx, rows, cols int, label string) (*DeviceMatrix, error) {
-	return WrapDeviceMatrix(c, tensor.New(rows, cols), label)
+	m := tensor.Get(rows, cols)
+	dm, err := WrapDeviceMatrix(c, m, label)
+	if err != nil {
+		tensor.Put(m)
+		return nil, err
+	}
+	dm.scope = c
+	c.mats = append(c.mats, dm)
+	return dm, nil
 }
 
 // WrapDeviceMatrix registers an existing host matrix as device-resident in
 // c's batch scope: Free releases the allocation early, EndBatch at the
-// latest.
+// latest. The host matrix stays the caller's; the scope never recycles it.
 func WrapDeviceMatrix(c *Ctx, m *tensor.Matrix, label string) (*DeviceMatrix, error) {
 	buf, err := c.alloc(m.Bytes(), label)
 	if err != nil {
@@ -59,11 +75,37 @@ func (dm *DeviceMatrix) RowAddr(i int) int64 {
 // RowBytes returns the byte length of one row.
 func (dm *DeviceMatrix) RowBytes() int64 { return int64(dm.M.Cols) * 4 }
 
-// Free releases the device allocation.
+// Free releases the device allocation and, for a matrix allocated in a batch
+// scope, hands M's storage back to the tensor pool. Freeing twice is a no-op.
 func (dm *DeviceMatrix) Free() {
-	if dm != nil && dm.Buf != nil {
-		dm.Buf.Free()
+	if dm == nil {
+		return
 	}
+	dm.Buf.Free()
+	dm.giveBack()
+}
+
+// Detach makes M the caller's: the scope that allocated the matrix will not
+// recycle its storage, at Free or at EndBatch. For a result that outlives
+// its batch (Engine.Infer's logits).
+func (dm *DeviceMatrix) Detach() { dm.scope = nil }
+
+// poisonFreed makes giveBack fill a matrix with NaN on its way to the pool,
+// so a read past the lifetime AllocDeviceMatrix states shows up in a result.
+// Tests set it while no engine runs; it is package-wide, not a Ctx field,
+// because a server's replicas build their Ctx where no test can reach it.
+var poisonFreed bool
+
+// giveBack returns scope-owned storage to the tensor pool.
+func (dm *DeviceMatrix) giveBack() {
+	if dm.scope == nil {
+		return
+	}
+	if poisonFreed {
+		dm.M.Fill(float32(math.NaN()))
+	}
+	tensor.Put(dm.M)
+	dm.M, dm.scope = nil, nil
 }
 
 // smRun carries one simulated kernel launch onto the shared worker pool.

@@ -13,8 +13,12 @@ import (
 // the Graph-approach forward must stay within a small constant allocation
 // budget per launch — the per-SM partial maps it replaced cost ~1.8k
 // allocations per launch on this shape. What remains is the out/weight
-// device matrices, the kernel launch bookkeeping and the tracking closures.
+// device matrices' wrappers and buffers (their storage is pooled), one
+// Kernel per launch and the tracking closures.
 func TestGraphApproachForwardSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	g, x := workspaceGraph(t)
@@ -38,8 +42,8 @@ func TestGraphApproachForwardSteadyAllocs(t *testing.T) {
 		run()
 	}
 	allocs := testing.AllocsPerRun(20, run)
-	if allocs > 48 {
-		t.Errorf("GraphApproach.Forward steady state allocates %.1f times per launch, want <= 48", allocs)
+	if allocs > 12 {
+		t.Errorf("GraphApproach.Forward steady state allocates %.1f times per launch, want <= 12", allocs)
 	}
 }
 

@@ -21,6 +21,11 @@
 // a matrix of any shape whose element count falls in the same bucket can
 // reuse the same backing array. Buffers returned by Get/GetSlice are
 // always zeroed, matching the semantics of New.
+//
+// A Put is allocation-free: matrix headers are pooled by pointer, and the
+// *[]float32 box a slice travels through the pool in is itself recycled
+// (GetSlice empties it into sliceBoxes, PutSlice refills one), so a warm
+// Get/Put or GetSlice/PutSlice round trip touches the heap on neither leg.
 package tensor
 
 import (
@@ -40,6 +45,10 @@ const (
 
 // slicePools[b] holds *[]float32 whose capacity is exactly 1<<b.
 var slicePools [maxBucketBits + 1]sync.Pool
+
+// sliceBoxes holds the emptied *[]float32 boxes of checked-out slices, so a
+// return does not allocate a new one.
+var sliceBoxes = sync.Pool{New: func() any { return new([]float32) }}
 
 // matrixHeaders recycles Matrix structs so Get/Put round-trips reuse the
 // header as well as the storage.
@@ -72,7 +81,10 @@ func GetSlice(n int) []float32 {
 		return make([]float32, n)
 	}
 	if v := slicePools[b].Get(); v != nil {
-		s := (*v.(*[]float32))[:n]
+		box := v.(*[]float32)
+		s := (*box)[:n]
+		*box = nil
+		sliceBoxes.Put(box)
 		for i := range s {
 			s[i] = 0
 		}
@@ -93,8 +105,9 @@ func PutSlice(s []float32) {
 	if c != 1<<b || b < minBucketBits || b > maxBucketBits {
 		return
 	}
-	full := s[:c]
-	slicePools[b].Put(&full)
+	box := sliceBoxes.Get().(*[]float32)
+	*box = s[:c]
+	slicePools[b].Put(box)
 }
 
 // Get returns a zeroed rows×cols matrix whose storage (and header) come

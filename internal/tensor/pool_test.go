@@ -102,3 +102,20 @@ func TestGetMatchesNewSemantics(t *testing.T) {
 	}
 	Put(m)
 }
+
+// TestPutSliceRoundTripAllocFree: a warm checkout/return pair touches the
+// heap on neither leg — the box a slice travels through the pool in is
+// recycled, like the matrix header.
+func TestPutSliceRoundTripAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	PutSlice(GetSlice(1000))
+	if n := testing.AllocsPerRun(100, func() { PutSlice(GetSlice(1000)) }); n != 0 {
+		t.Errorf("GetSlice/PutSlice allocates %.1f times per pair, want 0", n)
+	}
+	Put(Get(40, 25))
+	if n := testing.AllocsPerRun(100, func() { Put(Get(40, 25)) }); n != 0 {
+		t.Errorf("Get/Put allocates %.1f times per pair, want 0", n)
+	}
+}
