@@ -91,7 +91,7 @@ func benchStrategyForward(b *testing.B, s kernels.Strategy, modes kernels.Modes)
 	for i := 0; i < b.N; i++ {
 		ctx := kernels.NewCtx(dev)
 		gg := &kernels.Graphs{CSR: g.CSR, CSC: g.CSC}
-		xd, _ := kernels.WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := kernels.WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		out, err := s.Forward(ctx, gg, xd, modes)
 		if err != nil {
 			b.Fatal(err)
@@ -248,7 +248,7 @@ func BenchmarkPrepareBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	opt := frameworks.DefaultOptions()
-	opt.NumDevices = 2 // host-only staging + shard localization, the group's producer path
+	opt.NumDevices = 2 // staging + shard localization, the group's producer path
 	tr, err := frameworks.New(frameworks.PreproGT, ds, opt)
 	if err != nil {
 		b.Fatal(err)

@@ -12,7 +12,10 @@
 // every training and serving engine of the repo drives its device with:
 // the classic trainer runs whole batches on one (TrainStep, Infer), a
 // device group runs gradient shards on one per device (ForwardBackward)
-// and a serving replica runs coalesced queries on its own (Infer).
+// and a serving replica runs coalesced queries on its own (Infer). All
+// three doors take the host-resident batch or shard and linkBytes, its
+// host→device payload: the Engine is the one place a payload crosses a
+// link (the paper's T task, §V-B) — no producer touches a device.
 package core
 
 import (
@@ -20,12 +23,13 @@ import (
 	"graphtensor/internal/graph"
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/metrics"
+	"graphtensor/internal/prep"
 	"graphtensor/internal/tensor"
 )
 
 // Engine is one executor: a simulated device and the kernel context — the
-// batch scope — models execute in. Between batches (after EndBatch, and
-// with no prepared batch outstanding on the device) Dev.MemInUse() is zero.
+// batch scope — models execute in. Between batches (after EndBatch)
+// Dev.MemInUse() is zero: prepared batches hold no device memory.
 type Engine struct {
 	Dev *gpusim.Device
 	Ctx *kernels.Ctx
@@ -46,7 +50,7 @@ func (e *Engine) Phases() *metrics.Breakdown { return e.Ctx.Phases }
 // Upload registers a host matrix as device-resident in the engine's batch
 // scope and returns the device handle kernels operate on.
 func (e *Engine) Upload(m *tensor.Matrix, label string) (*kernels.DeviceMatrix, error) {
-	return kernels.WrapDeviceMatrix(e.Ctx, m, label)
+	return kernels.WrapDeviceMatrix(e.Ctx, m, 0, label)
 }
 
 // EndBatch closes the batch scope (kernels.Ctx.EndBatch): memos dropped,
@@ -54,16 +58,18 @@ func (e *Engine) Upload(m *tensor.Matrix, label string) (*kernels.DeviceMatrix, 
 // storage of the matrices they allocated goes back to the tensor pool.
 func (e *Engine) EndBatch() { e.Ctx.EndBatch() }
 
-// stage brings one host-resident batch (or gradient shard) onto the device.
-// linkBytes is the part of its payload that has yet to cross the
-// host→device link — zero when the producer's T task already moved it — and
-// is accounted on the device's link engine (modeled time only); x becomes
-// device-resident in the batch scope.
+// stage brings one host-resident batch (or gradient shard) onto the device:
+// the T task. linkBytes — the payload its producer fixed at prepare or
+// partition time (prep.Batch.HostBytes, a shard's HostBytes) — crosses the
+// host→device link once, accounted on the device's link engine (modeled
+// time only). x and the graph structures become device-resident in the
+// batch scope as one allocation, the structures behind x's rows: kernels
+// address the rows only, and a footprint measurement sees both.
 func (e *Engine) stage(graphs []kernels.Graphs, x *tensor.Matrix, labels []int32, linkBytes int64) (Input, error) {
 	if linkBytes > 0 {
 		e.Dev.PCIe().TransferBytes(linkBytes, e.Pinned)
 	}
-	xd, err := e.Upload(x, "batch-x")
+	xd, err := kernels.WrapDeviceMatrix(e.Ctx, x, prep.GraphBytes(graphs), "batch-x")
 	return Input{Graphs: graphs, X: xd, Labels: labels}, err
 }
 
@@ -100,11 +106,11 @@ func (e *Engine) ForwardBackward(m *Model, graphs []kernels.Graphs, x *tensor.Ma
 	return lossSum, fr, err
 }
 
-// TrainStep runs one whole training batch the producer already moved to
-// the device — Model.TrainStep — and closes the batch scope.
-func (e *Engine) TrainStep(m *Model, graphs []kernels.Graphs, x *tensor.Matrix, labels []int32, lr float32) (float64, error) {
+// TrainStep stages one whole training batch, runs Model.TrainStep on it and
+// closes the batch scope.
+func (e *Engine) TrainStep(m *Model, graphs []kernels.Graphs, x *tensor.Matrix, labels []int32, lr float32, linkBytes int64) (float64, error) {
 	defer e.EndBatch()
-	in, err := e.stage(graphs, x, labels, 0)
+	in, err := e.stage(graphs, x, labels, linkBytes)
 	if err != nil {
 		return 0, err
 	}

@@ -37,7 +37,7 @@ func buildInput(t *testing.T, ctx *kernels.Ctx, nBatch, nMid, nSrc, dim int, see
 		return kernels.Graphs{CSR: csr, CSC: graph.BCSRToBCSC(csr)}
 	}
 	x := tensor.Random(nSrc, dim, 1, rng)
-	xd, err := kernels.WrapDeviceMatrix(ctx, x, "x")
+	xd, err := kernels.WrapDeviceMatrix(ctx, x, 0, "x")
 	if err != nil {
 		t.Fatal(err)
 	}

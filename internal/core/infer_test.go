@@ -145,7 +145,7 @@ func TestTrainStepAllocBytesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		step := func() {
-			if _, err := eng.TrainStep(model, in.Graphs, in.X.M, in.Labels, 0.01); err != nil {
+			if _, err := eng.TrainStep(model, in.Graphs, in.X.M, in.Labels, 0.01, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -187,6 +187,20 @@ type layerCache struct {
 	argmax    []int32 // max-pool aggregation: per-(dst,feature) arg-max src
 }
 
+// release frees the forward intermediates the layer still holds — what only
+// its own backward pass reads, so Backward calls it once the layer is
+// consumed and Infer straight after the forward pass. The layer's input and
+// output are the neighbouring layers' and stay.
+func (c *layerCache) release() {
+	c.agg.Free()
+	if c.cf != nil {
+		c.cf.T.Free()
+		c.cf.WAgg.Free()
+	}
+	tensor.Put(c.pre)
+	c.pre = nil
+}
+
 // ForwardResult is a model forward pass: logits plus per-layer caches.
 type ForwardResult struct {
 	Logits *kernels.DeviceMatrix
@@ -284,7 +298,7 @@ func (m *Model) Forward(ctx *kernels.Ctx, in *Input) (*ForwardResult, error) {
 // aggregation backward under aggregation-first placement — no gradient is
 // needed past the input embeddings (§V-A).
 func (m *Model) Backward(ctx *kernels.Ctx, in *Input, fr *ForwardResult, dLogits *tensor.Matrix) error {
-	dOut, err := kernels.WrapDeviceMatrix(ctx, dLogits, "dlogits")
+	dOut, err := kernels.WrapDeviceMatrix(ctx, dLogits, 0, "dlogits")
 	if err != nil {
 		return err
 	}
@@ -347,16 +361,7 @@ func (m *Model) Backward(ctx *kernels.Ctx, in *Input, fr *ForwardResult, dLogits
 			}
 			dAgg.Free()
 		}
-		// Release forward intermediates now that they are consumed.
-		if cache.agg != nil {
-			cache.agg.Free()
-		}
-		if cache.cf != nil && cache.cf.T != nil {
-			cache.cf.T.Free()
-		}
-		if cache.cf != nil && cache.cf.WAgg != nil {
-			cache.cf.WAgg.Free()
-		}
+		cache.release()
 		if li > 0 {
 			dOut.Free()
 			dOut = dx
@@ -426,20 +431,7 @@ func (m *Model) Infer(ctx *kernels.Ctx, in *Input) (*kernels.DeviceMatrix, error
 		return nil, err
 	}
 	for i := range fr.caches {
-		c := &fr.caches[i]
-		if c.agg != nil {
-			c.agg.Free()
-		}
-		if c.cf != nil {
-			if c.cf.T != nil {
-				c.cf.T.Free()
-			}
-			if c.cf.WAgg != nil {
-				c.cf.WAgg.Free()
-			}
-		}
-		tensor.Put(c.pre)
-		c.pre = nil
+		fr.caches[i].release()
 	}
 	return fr.Logits, nil
 }

@@ -191,14 +191,14 @@ func runShape(dev *gpusim.Device, ctx *kernels.Ctx, ktm gpusim.KernelTimeModel, 
 	modes := kernels.GCNModes()
 	rng := tensor.NewRNG(seed)
 
-	x, err := kernels.WrapDeviceMatrix(ctx, tensor.Random(d.NSrc, d.NFeat, 1, rng), "calib-x")
+	x, err := kernels.WrapDeviceMatrix(ctx, tensor.Random(d.NSrc, d.NFeat, 1, rng), 0, "calib-x")
 	if err != nil {
 		return sc, err
 	}
 	defer x.Free()
 	w := tensor.Random(d.NFeat, d.NHid, 1, rng)
 	dw := tensor.New(d.NFeat, d.NHid)
-	dOut, err := kernels.WrapDeviceMatrix(ctx, tensor.Random(d.NDst, d.NHid, 1, rng), "calib-dout")
+	dOut, err := kernels.WrapDeviceMatrix(ctx, tensor.Random(d.NDst, d.NHid, 1, rng), 0, "calib-dout")
 	if err != nil {
 		return sc, err
 	}

@@ -44,7 +44,7 @@ func ablFusion(cfg Config) (*Result, error) {
 		csr, _ := graph.BCOOToBCSR(g.COO)
 		stores := func(s kernels.Strategy) int64 {
 			ctx := kernels.NewCtx(dev)
-			xd, _ := kernels.WrapDeviceMatrix(ctx, x.M.Clone(), "x")
+			xd, _ := kernels.WrapDeviceMatrix(ctx, x.M.Clone(), 0, "x")
 			before := dev.Snapshot()
 			out, err := s.Forward(ctx, &kernels.Graphs{CSR: csr}, xd, kernels.NGCFModes())
 			if err != nil {
@@ -175,11 +175,10 @@ func ablContention(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		wait := func(relax bool) (dur int64) {
-			dev := gpusim.NewDevice(cfg.device())
 			pc := pipeline.DefaultConfig()
 			pc.Sampler = samplerFor(ds)
 			pc.RelaxContention = relax
-			b, err := pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, dev, pc).Prepare(ds.BatchDsts(300, 1), nil)
+			b, err := pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, pc).Prepare(ds.BatchDsts(300, 1), nil)
 			if err != nil {
 				return 0
 			}

@@ -31,12 +31,12 @@ func init() {
 func prepareKernelBatch(cfg Config, ds *datasets.Dataset, ctx *kernels.Ctx,
 	format prep.Format) (*prep.Batch, *kernels.DeviceMatrix, error) {
 	scfg := samplerFor(ds)
-	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, ctx.Dev, ds.BatchDsts(300, 1), scfg,
-		prep.Config{Format: format, Pinned: true})
+	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, ds.BatchDsts(300, 1), scfg,
+		prep.Config{Format: format})
 	if err != nil {
 		return nil, nil, err
 	}
-	x, err := kernels.WrapDeviceMatrix(ctx, b.Embed.Data, "batch-x")
+	x, err := kernels.WrapDeviceMatrix(ctx, b.Embed.Data, 0, "batch-x")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,7 +217,7 @@ func runFig12b(cfg Config) (*Result, error) {
 	}
 	dev := gpusim.NewDevice(cfg.device())
 	scfg := samplerFor(ds)
-	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, dev, ds.BatchDsts(300, 1), scfg,
+	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, ds.BatchDsts(300, 1), scfg,
 		prep.Config{Format: prep.FormatCSRCSC})
 	if err != nil {
 		return nil, err
@@ -225,11 +225,11 @@ func runFig12b(cfg Config) (*Result, error) {
 	defer b.Release()
 	cores := runtime.GOMAXPROCS(0)
 	// Two clocks, one per column: task times are host wall time of this
-	// box; the DMA rate is the modeled link's — the bytes the T task moved
-	// over the modeled time the device's engine accrued for them.
+	// box; the DMA rate is the modeled link's — the batch's payload over the
+	// modeled time its one crossing (pageable staging, the baselines') takes.
 	dma := 0.0
-	if link := dev.PCIe(); link.ModeledTime() > 0 {
-		dma = float64(link.BytesMoved()) / link.ModeledTime().Seconds() / 1e9
+	if d := dev.PCIe().TransferBytes(b.HostBytes, false); d > 0 {
+		dma = float64(b.HostBytes) / d.Seconds() / 1e9
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %12s %10s %17s\n", "task", "host time", "CPU cores", "modeled DMA GB/s")
@@ -254,11 +254,10 @@ func runFig14(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	measure := func(relax bool) (time.Duration, time.Duration, error) {
-		dev := gpusim.NewDevice(cfg.device())
 		pcfg := pipeline.DefaultConfig()
 		pcfg.Sampler = samplerFor(ds)
 		pcfg.RelaxContention = relax
-		sched := pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, dev, pcfg)
+		sched := pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, pcfg)
 		t0 := time.Now()
 		b, err := sched.Prepare(ds.BatchDsts(300, 1), nil)
 		if err != nil {

@@ -108,7 +108,11 @@ type Options struct {
 	LearningRate float32
 	// NumDevices selects the data-parallel engine: 0 (default) trains on
 	// the classic single-device engine; >=1 trains through a
-	// multigpu.DeviceGroup of that many devices. Every batch is carved into
+	// multigpu.DeviceGroup of that many devices. Both take host-resident
+	// batches, stage through core.Engine and number a shard's vertices like a
+	// batch's, so 0 differs from "1 device, 1 shard" by sharding alone:
+	// losses, weights and device counters agree bit for bit
+	// (TestClassicVsOneShardGroup). Every batch is carved into
 	// GradShards shape-fixed gradient shards, so the loss/weight trajectory
 	// is bitwise identical at any NumDevices in [1, GradShards] and any
 	// GOMAXPROCS. DKP stays live under data parallelism: placements are a
@@ -151,10 +155,9 @@ func DefaultOptions() Options {
 }
 
 // prefetchDepth is how many batches ahead the prefetch ring prepares for
-// overlap-capable frameworks (the serial baselines run at depth 0). Device
-// footprint: up to prefetchDepth+2 batches hold device buffers at once
-// (prepared-ahead + in-compute), plus one more during a concurrent
-// validation Prepare — size gpusim memory accordingly.
+// overlap-capable frameworks (the serial baselines run at depth 0).
+// Prepared-ahead batches are host-resident: only the batch in compute holds
+// device memory.
 const prefetchDepth = 2
 
 // Trainer is one framework build bound to a dataset.
@@ -187,7 +190,7 @@ type Trainer struct {
 func (t *Trainer) Group() *multigpu.DeviceGroup { return t.group }
 
 // SamplerConfig returns the framework's sampling discipline — the serving
-// engine builds its own host-only preprocessing scheduler from it.
+// engine builds its own preprocessing scheduler from it.
 func (t *Trainer) SamplerConfig() sampling.Config { return t.samplerCfg }
 
 // Format returns the framework's on-device graph format.
@@ -219,6 +222,7 @@ func New(kind Kind, ds *datasets.Dataset, opt Options) (*Trainer, error) {
 	}
 	t := &Trainer{Kind: kind, Opt: opt, Dataset: ds, spec: table3[kind]}
 	t.Engine = core.NewEngine(opt.Device)
+	t.Engine.Pinned = t.pinned
 
 	t.samplerCfg = sampling.Config{
 		Fanout:  opt.Fanout,
@@ -272,10 +276,7 @@ func New(kind Kind, ds *datasets.Dataset, opt Options) (*Trainer, error) {
 		cfg := pipeline.DefaultConfig()
 		cfg.Sampler = t.samplerCfg
 		cfg.Format = t.format
-		// Under the device group, batches stage in host memory only: each
-		// device pays the PCIe scatter for its own shards instead.
-		cfg.HostOnly = t.group != nil
-		t.sched = pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, t.Engine.Dev, cfg)
+		t.sched = pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, cfg)
 	} else {
 		// Serial-prep frameworks own a persistent sampler (its hop scratch
 		// pool is the reuse surface); the pipelined scheduler owns its own.
@@ -393,8 +394,8 @@ type BatchStats struct {
 	// kernel-time model's estimate of Counters (gpusim.KernelTimeModel) —
 	// on a device group the busiest device's, GroupStats.MaxDeviceCompute;
 	// ModeledStep is the batch's step latency: pipeline.StepLatency of the
-	// two on one device, GroupStats.StepTime (which carries the fabric and
-	// prepares host-only) on a group. End-to-end comparisons read these.
+	// two on one device, GroupStats.StepTime (which carries the fabric) on a
+	// group. End-to-end comparisons read these.
 	ModeledPrep    time.Duration
 	ModeledCompute time.Duration
 	ModeledStep    time.Duration
@@ -440,10 +441,9 @@ func (t *Trainer) PrepareInto(dsts []graph.VID, _ any, slot *pipeline.Slot) (*pr
 	if t.sched != nil {
 		return t.sched.Prepare(dsts, slot)
 	}
-	return prep.Serial(t.sampler, t.Dataset.Features, t.Dataset.Labels,
-		t.Engine.Dev, dsts,
-		prep.Config{Format: t.format, Pinned: t.pinned, Arena: slot.TensorArena(),
-			Structs: slot.StructPool(), HostOnly: t.group != nil, Cache: t.cache})
+	return prep.Serial(t.sampler, t.Dataset.Features, t.Dataset.Labels, dsts,
+		prep.Config{Format: t.format, Arena: slot.TensorArena(),
+			Structs: slot.StructPool(), Cache: t.cache})
 }
 
 // PrepareTrainInto is PrepareInto for training batches: with a device group
@@ -492,7 +492,7 @@ func (t *Trainer) Compute(b *prep.Batch) (float64, error) {
 	if t.group != nil {
 		return t.group.TrainBatch(b, t.Opt.LearningRate)
 	}
-	return t.Engine.TrainStep(t.Model, b.Layers, b.Embed.Data, b.Labels, t.Opt.LearningRate)
+	return t.Engine.TrainStep(t.Model, b.Layers, b.Embed.Data, b.Labels, t.Opt.LearningRate, b.HostBytes)
 }
 
 // InferBatch runs forward propagation only — no gradients, no update — on a
@@ -504,7 +504,7 @@ func (t *Trainer) Compute(b *prep.Batch) (float64, error) {
 // workspaces ever exist, and with a warm slot feeding PrepareInto a served
 // batch allocates a small constant (BenchmarkServeQuery guards it).
 func (t *Trainer) InferBatch(b *prep.Batch) (*kernels.DeviceMatrix, error) {
-	return t.Engine.Infer(t.Model, b.Layers, b.Embed.Data, 0)
+	return t.Engine.Infer(t.Model, b.Layers, b.Embed.Data, b.HostBytes)
 }
 
 // Serve prepares one coalesced query batch through the slot and runs the

@@ -1,12 +1,15 @@
 package frameworks
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"graphtensor/internal/cache"
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/kernels"
+	"graphtensor/internal/prep"
 )
 
 func quickOpts() Options {
@@ -270,13 +273,12 @@ func TestEngineMemReturnsToZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held := dev.MemInUse() // the prepared batch's own buffers
 		logits, err := tr.InferBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m := dev.MemInUse(); m != held {
-			t.Errorf("%s: InferBatch left %d bytes beyond the batch's %d", k, m-held, held)
+		if m := dev.MemInUse(); m != 0 {
+			t.Errorf("%s: InferBatch left %d bytes on the engine device", k, m)
 		}
 		if logits.M.Rows != 40 || logits.M.Cols != tr.OutDim() {
 			t.Errorf("%s: logits %dx%d not readable after the scope closed", k, logits.M.Rows, logits.M.Cols)
@@ -289,5 +291,93 @@ func TestEngineMemReturnsToZero(t *testing.T) {
 		if m := dev.MemInUse(); m != 0 {
 			t.Errorf("%s: %d bytes on the engine device after InferBatch + Evaluate, want 0", k, m)
 		}
+	}
+}
+
+// TestStagingPaysTOnce: the T task happens once, where a batch meets its
+// device. A prepare — pipelined or serial, with or without an embedding
+// cache — allocates nothing on the engine device and moves nothing over its
+// link; the batch carries its payload (graphs + the rows no cache holds) as
+// HostBytes; Compute moves exactly that, at the framework's pinned or
+// pageable rate; and an Evaluate of the same batch afterwards moves it again
+// — not the formats DGL's kernels have translated onto the batch meanwhile.
+// A device too small for the staged batch fails the compute, not the
+// prepare, and holds nothing afterwards.
+func TestStagingPaysTOnce(t *testing.T) {
+	ds := testDS(t)
+	for _, k := range []Kind{PreproGT, DGL} {
+		for _, cached := range []bool{false, true} {
+			tr, err := New(k, ds, quickOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := k.String()
+			if cached {
+				name += "+cache"
+				tr.SetCache(cache.New(ds.NumVertices()/10, cache.Degree, ds.Graph))
+			}
+			dev, link := tr.Engine.Dev, tr.Engine.Dev.PCIe()
+			idle := func(when string) {
+				t.Helper()
+				if m := dev.MemInUse(); m != 0 {
+					t.Errorf("%s: %d bytes on the engine device after %s, want 0", name, m, when)
+				}
+			}
+
+			b, err := tr.Prepare(ds.BatchDsts(40, 5), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idle("Prepare")
+			if link.BytesMoved() != 0 || link.ModeledTime() != 0 {
+				t.Errorf("%s: Prepare moved %d bytes (%v) over the device link", name, link.BytesMoved(), link.ModeledTime())
+			}
+			if cached == (b.CacheHits == 0) {
+				t.Fatalf("%s: %d cache hits", name, b.CacheHits)
+			}
+			want := prep.GraphBytes(b.Layers) + int64(b.Embed.NumVertices()-b.CacheHits)*int64(ds.FeatureDim)*4
+			if b.HostBytes != want {
+				t.Errorf("%s: HostBytes %d, want graphs + missed rows %d", name, b.HostBytes, want)
+			}
+			once := gpusim.NewDevice(dev.Config()).PCIe().TransferBytes(want, tr.Pinned())
+
+			if _, err := tr.Compute(b); err != nil {
+				t.Fatal(err)
+			}
+			idle("Compute")
+			if link.BytesMoved() != want || link.ModeledTime() != once {
+				t.Errorf("%s: Compute moved %d bytes in %v, want %d in %v", name, link.BytesMoved(), link.ModeledTime(), want, once)
+			}
+			if k == DGL && prep.GraphBytes(b.Layers) == want-prep.MissBytes(b) {
+				t.Fatalf("%s: compute translated no format onto the batch; the next clause needs it to", name)
+			}
+			if _, err := tr.Evaluate(b); err != nil {
+				t.Fatal(err)
+			}
+			idle("Evaluate")
+			if link.BytesMoved() != 2*want || link.ModeledTime() != 2*once {
+				t.Errorf("%s: Compute + Evaluate moved %d bytes in %v, want %d in %v", name, link.BytesMoved(), link.ModeledTime(), 2*want, 2*once)
+			}
+			b.Release()
+		}
+
+		opt := quickOpts()
+		opt.Device.MemoryBytes = 64
+		tr, err := New(k, ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := tr.Prepare(ds.BatchDsts(40, 5), nil)
+		if err != nil {
+			t.Fatalf("%s: a prepare touched the 64-byte device: %v", k, err)
+		}
+		var oom *gpusim.OOMError
+		if _, err := tr.Compute(b); !errors.As(err, &oom) {
+			t.Errorf("%s: Compute on a 64-byte device returned %v, want *gpusim.OOMError", k, err)
+		}
+		if m := tr.Engine.Dev.MemInUse(); m != 0 {
+			t.Errorf("%s: %d bytes on the engine device after the failed Compute, want 0", k, m)
+		}
+		b.Release()
 	}
 }

@@ -270,16 +270,8 @@ func (ic *Interconnect) ringNs(bytes int64, m int, pinned bool) float64 {
 	}
 }
 
-// AllReduce accounts an all-reduce of `bytes` gradient bytes across n
-// devices and returns the modeled per-device time (the sum of both tiers on
-// a hierarchical fabric; see AllReduceTiers for the split).
-func (ic *Interconnect) AllReduce(bytes int64, n int, pinned bool) time.Duration {
-	intra, inter := ic.AllReduceTiers(bytes, n, pinned)
-	return intra + inter
-}
-
-// AllReduceTiers accounts the collective and returns its per-tier modeled
-// time. On a flat fabric the whole ring runs on the intra tier. On a
+// AllReduceTiers accounts an all-reduce of `bytes` gradient bytes across n
+// devices and returns its per-tier modeled per-device time. On a flat fabric the whole ring runs on the intra tier. On a
 // hierarchical fabric (DevicesPerNode > 0 spanning more than one node) the
 // collective is hierarchical:
 //

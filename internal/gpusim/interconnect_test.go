@@ -5,23 +5,29 @@ import (
 	"time"
 )
 
+// allReduce is the collective's whole modeled time: both tiers' sum.
+func allReduce(ic *Interconnect, bytes int64, n int, pinned bool) time.Duration {
+	intra, inter := ic.AllReduceTiers(bytes, n, pinned)
+	return intra + inter
+}
+
 // TestInterconnectAllReduceRing checks the PCIe-ring collective model
 // against the closed form: 2·(n−1) steps of bytes/n, each paying the
 // per-transfer latency (and the pageable factor when unpinned).
 func TestInterconnectAllReduceRing(t *testing.T) {
 	cfg := DefaultConfig()
 	ic := NewInterconnect(cfg)
-	if d := ic.AllReduce(1<<20, 1, true); d != 0 {
+	if d := allReduce(ic, 1<<20, 1, true); d != 0 {
 		t.Fatalf("1-device all-reduce costs %v, want 0", d)
 	}
 	const bytes, n = int64(1 << 20), 4
-	got := ic.AllReduce(bytes, n, true)
+	got := allReduce(ic, bytes, n, true)
 	per := cfg.TransferLatencyNs + float64(bytes)/float64(n)/cfg.PCIeBytesPerSec*1e9
 	want := time.Duration(float64(2*(n-1)) * per)
 	if got != want {
 		t.Errorf("pinned ring all-reduce %v, want %v", got, want)
 	}
-	unpinned := ic.AllReduce(bytes, n, false)
+	unpinned := allReduce(ic, bytes, n, false)
 	if unpinned <= got {
 		t.Errorf("pageable all-reduce %v should exceed pinned %v", unpinned, got)
 	}
@@ -41,10 +47,10 @@ func TestInterconnectAllReduceEdgeCases(t *testing.T) {
 	hier := NewInterconnect(hierCfg)
 	for _, ic := range []*Interconnect{flat, hier} {
 		name := ic.Config().Name()
-		if d := ic.AllReduce(1<<20, 1, true); d != 0 {
+		if d := allReduce(ic, 1<<20, 1, true); d != 0 {
 			t.Errorf("%s: 1-device all-reduce costs %v, want 0", name, d)
 		}
-		if d := ic.AllReduce(0, 8, true); d != 0 {
+		if d := allReduce(ic, 0, 8, true); d != 0 {
 			t.Errorf("%s: 0-byte all-reduce costs %v, want 0", name, d)
 		}
 		if intra, inter := ic.AllReduceTiers(-1, 8, false); intra != 0 || inter != 0 {
@@ -104,7 +110,7 @@ func TestInterconnectHierarchical(t *testing.T) {
 	// The hierarchy must beat a flat PCIe ring at the same scale: that gap
 	// is the whole point of the two-tier fabric.
 	flat := NewInterconnect(DefaultConfig())
-	if ft := flat.AllReduce(bytes, n, true); intra+inter >= ft {
+	if ft := allReduce(flat, bytes, n, true); intra+inter >= ft {
 		t.Errorf("hierarchical all-reduce %v should beat flat PCIe %v at n=%d", intra+inter, ft, n)
 	}
 
@@ -118,7 +124,7 @@ func TestInterconnectHierarchical(t *testing.T) {
 	nvCfg := DefaultConfig()
 	nvCfg.Interconnect = NVLinkInterconnect()
 	nv := NewInterconnect(nvCfg)
-	if want := nv.AllReduce(bytes, p, true); sIntra != want {
+	if want := allReduce(nv, bytes, p, true); sIntra != want {
 		t.Errorf("single-node hierarchical ring %v, want flat NVLink %v", sIntra, want)
 	}
 }
@@ -156,10 +162,10 @@ func TestInterconnectNVLink(t *testing.T) {
 	nv := NewInterconnect(nvCfg)
 
 	const bytes, n = int64(4 << 20), 8
-	if rt, nt := ring.AllReduce(bytes, n, true), nv.AllReduce(bytes, n, true); nt >= rt {
+	if rt, nt := allReduce(ring, bytes, n, true), allReduce(nv, bytes, n, true); nt >= rt {
 		t.Errorf("NVLink all-reduce %v should beat the PCIe ring's %v", nt, rt)
 	}
-	if p, u := nv.AllReduce(bytes, n, true), nv.AllReduce(bytes, n, false); p != u {
+	if p, u := allReduce(nv, bytes, n, true), allReduce(nv, bytes, n, false); p != u {
 		t.Errorf("peer DMA must not pay the pageable factor (pinned %v vs pageable %v)", p, u)
 	}
 	if c := nv.OverlapContention(); c != 0 {

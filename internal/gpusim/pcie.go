@@ -13,10 +13,9 @@ import (
 // comparison in §VI-B). Each device owns one engine for its lifetime, so
 // what a prepare accrued is readable afterwards.
 type PCIe struct {
-	dev           *Device
-	modeledNs     atomic.Int64
-	bytesMoved    atomic.Int64
-	transferCount atomic.Int64
+	dev        *Device
+	modeledNs  atomic.Int64
+	bytesMoved atomic.Int64
 }
 
 // PCIe returns the device's transfer engine.
@@ -37,7 +36,6 @@ func (p *PCIe) TransferBytes(n int64, pinned bool) time.Duration {
 	d := time.Duration(ns)
 	p.modeledNs.Add(int64(d))
 	p.bytesMoved.Add(n)
-	p.transferCount.Add(1)
 	return d
 }
 
@@ -46,6 +44,3 @@ func (p *PCIe) ModeledTime() time.Duration { return time.Duration(p.modeledNs.Lo
 
 // BytesMoved returns the total bytes transferred.
 func (p *PCIe) BytesMoved() int64 { return p.bytesMoved.Load() }
-
-// Transfers returns the number of transfer operations issued.
-func (p *PCIe) Transfers() int64 { return p.transferCount.Load() }

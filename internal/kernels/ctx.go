@@ -31,9 +31,8 @@ const (
 // translations' scratch) is recorded so that EndBatch frees whatever the
 // batch's kernels left behind — the device buffers and, for the matrices
 // AllocDeviceMatrix handed out, the host storage they borrowed from the
-// tensor pool. Allocations made on the device directly — a prefetch
-// producer's batch-* buffers, concurrently, on the same device — are not
-// the Ctx's and are never swept.
+// tensor pool. Allocations made on the device directly are not the Ctx's
+// and are never swept.
 type Ctx struct {
 	Dev    *gpusim.Device
 	Phases *metrics.Breakdown

@@ -131,8 +131,8 @@ func (c *denseCase) runOn(t *testing.T, ctx *Ctx, dw *tensor.Matrix) (y, dx *Dev
 	t.Helper()
 	dev := ctx.Dev
 	c.ctx = ctx
-	c.xd, _ = WrapDeviceMatrix(c.ctx, c.x, "x")
-	c.dyd, _ = WrapDeviceMatrix(c.ctx, c.dy, "dy")
+	c.xd, _ = WrapDeviceMatrix(c.ctx, c.x, 0, "x")
+	c.dyd, _ = WrapDeviceMatrix(c.ctx, c.dy, 0, "dy")
 	s0 := dev.Snapshot()
 	y, err := Linear(c.ctx, c.xd, c.w, "y")
 	if err != nil {
@@ -318,9 +318,9 @@ func TestLinearTraceClosedFormVsSimulated(t *testing.T) {
 				p.results = append(p.results, ms...)
 				last = now
 			}
-			xd, err := WrapDeviceMatrix(ctx, x.Clone(), "x")
+			xd, err := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 			step(err)
-			dyd, err := WrapDeviceMatrix(ctx, dy.Clone(), "dy")
+			dyd, err := WrapDeviceMatrix(ctx, dy.Clone(), 0, "dy")
 			step(err)
 			y, err := Linear(ctx, xd, w, "y")
 			step(err, y.M)
@@ -365,8 +365,8 @@ func BenchmarkLinearBackwardTrace(b *testing.B) {
 			ctx.simulate = simulate
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				xd, _ := WrapDeviceMatrix(ctx, x, "x")
-				dyd, _ := WrapDeviceMatrix(ctx, dy, "dy")
+				xd, _ := WrapDeviceMatrix(ctx, x, 0, "x")
+				dyd, _ := WrapDeviceMatrix(ctx, dy, 0, "dy")
 				if _, err := LinearBackward(ctx, xd, dyd, w, dw, "dx"); err != nil {
 					b.Fatal(err)
 				}

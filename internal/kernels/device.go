@@ -46,7 +46,7 @@ type DeviceMatrix struct {
 // comes first, and nil afterwards.
 func AllocDeviceMatrix(c *Ctx, rows, cols int, label string) (*DeviceMatrix, error) {
 	m := tensor.Get(rows, cols)
-	dm, err := WrapDeviceMatrix(c, m, label)
+	dm, err := WrapDeviceMatrix(c, m, 0, label)
 	if err != nil {
 		tensor.Put(m)
 		return nil, err
@@ -59,8 +59,12 @@ func AllocDeviceMatrix(c *Ctx, rows, cols int, label string) (*DeviceMatrix, err
 // WrapDeviceMatrix registers an existing host matrix as device-resident in
 // c's batch scope: Free releases the allocation early, EndBatch at the
 // latest. The host matrix stays the caller's; the scope never recycles it.
-func WrapDeviceMatrix(c *Ctx, m *tensor.Matrix, label string) (*DeviceMatrix, error) {
-	buf, err := c.alloc(m.Bytes(), label)
+// tail more bytes are accounted behind the matrix's rows in the same
+// allocation and share its lifetime — what an executor stages with a
+// batch's embedding rows (its graph structures) and no kernel addresses;
+// zero for a plain matrix.
+func WrapDeviceMatrix(c *Ctx, m *tensor.Matrix, tail int64, label string) (*DeviceMatrix, error) {
+	buf, err := c.alloc(m.Bytes()+tail, label)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ func TestIsolatedDstProducesZero(t *testing.T) {
 	for _, s := range allStrategies {
 		dev := testDevice()
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		out, err := s.Forward(ctx, &Graphs{CSR: csr}, xd, GCNModes())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -37,7 +37,7 @@ func TestSingleVertexSelfLoop(t *testing.T) {
 	x := &tensor.Matrix{Rows: 1, Cols: 3, Data: []float32{1, 2, 3}}
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	out, err := NAPA{}.Forward(ctx, &Graphs{CSR: csr}, xd, GCNModes())
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestHighFanoutManyNeighbors(t *testing.T) {
 	}
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	out, _ := NAPA{}.Forward(ctx, &Graphs{CSR: csr}, xd, GCNModes())
 	// Mean of n ones is 1.
 	if d := out.M.At(0, 0) - 1; d > 1e-4 || d < -1e-4 {
@@ -82,7 +82,7 @@ func TestSingleFeatureDim(t *testing.T) {
 	for _, s := range allStrategies {
 		dev := testDevice()
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		out, err := s.Forward(ctx, &Graphs{CSR: csr}, xd, NGCFModes())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -103,7 +103,7 @@ func TestForwardDeterministic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		dev := testDevice()
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		out, _ := NAPA{}.Forward(ctx, &Graphs{CSR: csr}, xd, NGCFModes())
 		if first == nil {
 			first = out.M.Clone()
@@ -124,7 +124,7 @@ func TestTranslationOnlyFromCOO(t *testing.T) {
 	// From CSR: NAPA charges no translation.
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	_, _ = NAPA{}.Forward(ctx, &Graphs{CSR: csr}, xd, GCNModes())
 	if ctx.Phases.Get(PhaseTranslation) != 0 {
 		t.Error("NAPA from CSR should not translate")

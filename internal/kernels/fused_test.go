@@ -14,14 +14,14 @@ func TestUnfusedMatchesNAPA(t *testing.T) {
 		x := tensor.Random(24, 8, 1, rng)
 		dev := testDevice()
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		fused, err := NAPA{}.Forward(ctx, &Graphs{CSR: csr}, xd, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dev2 := testDevice()
 		ctx2 := NewCtx(dev2)
-		xd2, _ := WrapDeviceMatrix(ctx2, x.Clone(), "x")
+		xd2, _ := WrapDeviceMatrix(ctx2, x.Clone(), 0, "x")
 		unfused, err := Unfused{}.Forward(ctx2, &Graphs{CSR: csr}, xd2, m)
 		if err != nil {
 			t.Fatal(err)
@@ -41,7 +41,7 @@ func TestFusedReducesGlobalStores(t *testing.T) {
 	stores := func(s Strategy) int64 {
 		dev := gpusim.NewDevice(gpusim.DefaultConfig())
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		before := dev.Snapshot()
 		out, _ := s.Forward(ctx, &Graphs{CSR: csr}, xd, m)
 		out.Free()

@@ -18,13 +18,13 @@ func TestBackwardMatchesFiniteDifference(t *testing.T) {
 		// Analytic gradient: backward with dOut = forward output.
 		dev := gpusim.NewDevice(func() gpusim.Config { c := gpusim.DefaultConfig(); c.NumSMs = 4; return c }())
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		g := &Graphs{CSR: csr}
 		out, err := NAPA{}.Forward(ctx, g, xd, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dOut, _ := WrapDeviceMatrix(ctx, out.M.Clone(), "dout")
+		dOut, _ := WrapDeviceMatrix(ctx, out.M.Clone(), 0, "dout")
 		dx, err := NAPA{}.Backward(ctx, g, xd, dOut, m)
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +62,7 @@ func TestBackwardMatchesFiniteDifference(t *testing.T) {
 func napaLoss(g *Graphs, x *tensor.Matrix, m Modes) float64 {
 	dev := gpusim.NewDevice(func() gpusim.Config { c := gpusim.DefaultConfig(); c.NumSMs = 4; return c }())
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	out, err := NAPA{}.Forward(ctx, &Graphs{CSR: g.CSR}, xd, m)
 	if err != nil {
 		panic(err)
@@ -86,8 +86,8 @@ func TestAllStrategiesBackwardAgree(t *testing.T) {
 		for _, s := range allStrategies {
 			dev := gpusim.NewDevice(func() gpusim.Config { c := gpusim.DefaultConfig(); c.NumSMs = 4; return c }())
 			ctx := NewCtx(dev)
-			xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
-			dod, _ := WrapDeviceMatrix(ctx, dOut.Clone(), "dout")
+			xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
+			dod, _ := WrapDeviceMatrix(ctx, dOut.Clone(), 0, "dout")
 			dx, err := s.Backward(ctx, &Graphs{CSR: csr}, xd, dod, m)
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)

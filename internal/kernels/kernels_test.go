@@ -96,7 +96,7 @@ func TestForwardMatchesReference(t *testing.T) {
 		for _, s := range allStrategies {
 			dev := testDevice()
 			ctx := NewCtx(dev)
-			xd, err := WrapDeviceMatrix(ctx, x.Clone(), "x")
+			xd, err := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,8 +122,8 @@ func TestBackwardMatchesReference(t *testing.T) {
 		for _, s := range allStrategies {
 			dev := testDevice()
 			ctx := NewCtx(dev)
-			xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
-			dOutD, _ := WrapDeviceMatrix(ctx, dOut.Clone(), "dout")
+			xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
+			dOutD, _ := WrapDeviceMatrix(ctx, dOut.Clone(), 0, "dout")
 			g := &Graphs{CSR: csr}
 			got, err := s.Backward(ctx, g, xd, dOutD, m)
 			if err != nil {
@@ -147,7 +147,7 @@ func TestForwardFromCOOOnly(t *testing.T) {
 	for _, s := range allStrategies {
 		dev := testDevice()
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		g := &Graphs{COO: &graph.BCOO{
 			NumDst: coo.NumDst, NumSrc: coo.NumSrc,
 			Src: append([]graph.VID(nil), coo.Src...),
@@ -187,7 +187,7 @@ func TestDLApproachBloatsMemory(t *testing.T) {
 	peak := func(s Strategy) int64 {
 		dev := testDevice()
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		dev.ResetPeak()
 		base := dev.MemInUse()
 		if _, err := s.Forward(ctx, &Graphs{CSR: csr}, xd, m); err != nil {
@@ -211,7 +211,7 @@ func TestGraphApproachBloatsCache(t *testing.T) {
 	cacheBytes := func(s Strategy) int64 {
 		dev := testDevice()
 		ctx := NewCtx(dev)
-		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		if _, err := s.Forward(ctx, &Graphs{CSR: csr}, xd, m); err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestLinearMatchesMatMul(t *testing.T) {
 	want := naiveMatMul(x, w)
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	got, err := Linear(ctx, xd, w, "y")
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +252,8 @@ func TestLinearBackward(t *testing.T) {
 
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
-	dyd, _ := WrapDeviceMatrix(ctx, dy.Clone(), "dy")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
+	dyd, _ := WrapDeviceMatrix(ctx, dy.Clone(), 0, "dy")
 	dw := tensor.New(w.Rows, w.Cols)
 	dx, err := LinearBackward(ctx, xd, dyd, w, dw, "dx")
 	if err != nil {
@@ -273,7 +273,7 @@ func TestBiasReLURoundTrip(t *testing.T) {
 	bias := []float32{0.1, -0.2, 0.3, -0.4, 0.5}
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	pre, err := BiasReLU(ctx, xd, bias)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestQuickStrategyEquivalence(t *testing.T) {
 		for _, s := range allStrategies {
 			dev := testDevice()
 			ctx := NewCtx(dev)
-			xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+			xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 			got, err := s.Forward(ctx, &Graphs{CSR: csr}, xd, m)
 			if err != nil {
 				return false

@@ -32,7 +32,7 @@ func TestSAGEPoolForwardMatchesReference(t *testing.T) {
 	want := refMaxPool(csr, x)
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	got, argmax, err := SAGEPoolForward(ctx, &Graphs{CSR: csr}, xd)
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +59,9 @@ func TestSAGEPoolBackwardFiniteDifference(t *testing.T) {
 	// Analytic gradient of 0.5‖pool(x)‖².
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	out, argmax, _ := SAGEPoolForward(ctx, &Graphs{CSR: csr}, xd)
-	dOut, _ := WrapDeviceMatrix(ctx, out.M.Clone(), "d")
+	dOut, _ := WrapDeviceMatrix(ctx, out.M.Clone(), 0, "d")
 	dx, err := SAGEPoolBackward(ctx, &Graphs{CSR: csr}, xd, dOut, argmax)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestSAGEPoolBackwardFiniteDifference(t *testing.T) {
 	loss := func() float64 {
 		d := testDevice()
 		c := NewCtx(d)
-		xv, _ := WrapDeviceMatrix(c, x.Clone(), "x")
+		xv, _ := WrapDeviceMatrix(c, x.Clone(), 0, "x")
 		o, _, _ := SAGEPoolForward(c, &Graphs{CSR: csr}, xv)
 		var s float64
 		for _, v := range o.M.Data {

@@ -124,12 +124,11 @@ func groupRun(t *testing.T, tr *trace, ds *datasets.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staging := gpusim.NewDevice(gpusim.DefaultConfig())
 	for i := 0; i < 2; i++ {
 		scfg := sampling.DefaultConfig()
 		scfg.Seed = uint64(100 + i)
-		b, err := prep.Serial(sampling.New(ds.Graph, scfg), ds.Features, ds.Labels, staging,
-			ds.BatchDsts(40, uint64(i+1)), prep.Config{Format: prep.FormatCSRCSC, Pinned: true})
+		b, err := prep.Serial(sampling.New(ds.Graph, scfg), ds.Features, ds.Labels,
+			ds.BatchDsts(40, uint64(i+1)), prep.Config{Format: prep.FormatCSRCSC})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func TestBatchScopeFreesLeftovers(t *testing.T) {
 
 	kept, _ := AllocDeviceMatrix(ctx, 16, 16, "kept")     // 1024 B
 	leaked, _ := AllocDeviceMatrix(ctx, 32, 16, "leaked") // 2048 B
-	wrapped, _ := WrapDeviceMatrix(ctx, tensor.New(4, 16), "wrapped")
+	wrapped, _ := WrapDeviceMatrix(ctx, tensor.New(4, 16), 0, "wrapped")
 	detached, _ := AllocDeviceMatrix(ctx, 4, 16, "detached")
 	detached.Detach()
 	wrapped.Free()
@@ -58,7 +58,7 @@ func TestBatchScopeFreesLeftovers(t *testing.T) {
 	}
 
 	// The scope reopens by itself: the next batch is recorded too.
-	if _, err := WrapDeviceMatrix(ctx, tensor.New(8, 16), "next-batch"); err != nil {
+	if _, err := WrapDeviceMatrix(ctx, tensor.New(8, 16), 0, "next-batch"); err != nil {
 		t.Fatal(err)
 	}
 	ctx.EndBatch()
@@ -68,15 +68,15 @@ func TestBatchScopeFreesLeftovers(t *testing.T) {
 }
 
 // TestBatchScopeLeavesForeignBuffers: a buffer allocated on the device
-// directly — a prefetch producer's batch-* buffers share the classic
-// engine's device — is not the executor's and must survive EndBatch.
+// directly is not the executor's and must survive EndBatch — the scope
+// frees what it recorded, not whatever the device holds.
 func TestBatchScopeLeavesForeignBuffers(t *testing.T) {
 	dev := testDevice()
 	ctx := NewCtx(dev)
 	if _, err := AllocDeviceMatrix(ctx, 4, 4, "scoped"); err != nil {
 		t.Fatal(err)
 	}
-	b, err := dev.Alloc(256, "batch-embeddings")
+	b, err := dev.Alloc(256, "foreign")
 	if err != nil {
 		t.Fatal(err)
 	}

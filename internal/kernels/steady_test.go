@@ -24,7 +24,7 @@ func TestGraphApproachForwardSteadyAllocs(t *testing.T) {
 	g, x := workspaceGraph(t)
 	dev := testDevice()
 	ctx := NewCtx(dev)
-	xd, err := WrapDeviceMatrix(ctx, x.Clone(), "x")
+	xd, err := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestGraphApproachDeterminismAcrossWorkerCounts(t *testing.T) {
 		dev := testDevice()
 		ctx := NewCtx(dev)
 		gg := &Graphs{CSR: g.CSR, CSC: g.CSC}
-		xd, err := WrapDeviceMatrix(ctx, x.Clone(), "x")
+		xd, err := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestGraphApproachDeterminismAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dOut, err := WrapDeviceMatrix(ctx, out.M.Clone(), "dout")
+		dOut, err := WrapDeviceMatrix(ctx, out.M.Clone(), 0, "dout")
 		if err != nil {
 			t.Fatal(err)
 		}

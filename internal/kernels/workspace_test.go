@@ -39,7 +39,7 @@ func TestCtxWorkspaceReuseDeterministic(t *testing.T) {
 			prev := runtime.GOMAXPROCS(1 + pass*3) // 1, 4, 7 workers
 			for _, s := range []Strategy{NAPA{}, Unfused{}, DLApproach{}, GraphApproach{}} {
 				gg := &Graphs{CSR: g.CSR, CSC: g.CSC}
-				xd, err := WrapDeviceMatrix(ctx, x.Clone(), "x")
+				xd, err := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 				if err != nil {
 					t.Fatal(err)
 				}

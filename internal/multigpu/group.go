@@ -36,7 +36,10 @@ const DefaultShards = 8
 // induced per-layer subgraph chain below the shard's share of the batch dst
 // vertices, renumbered into compact local VID spaces so every device pays
 // only for the rows it computes (halo rows replicate across shards, the
-// standard data-parallel GNN discipline).
+// standard data-parallel GNN discipline). A shard numbers its vertices like
+// a batch does — every layer's dsts first, in dst order, so local dst i's
+// own embedding is row i — which is what the edge-weighted kernels read, and
+// why a one-shard plan is the batch itself.
 type SubBatch struct {
 	Shard int
 	// Dsts are the global batch dst VIDs this shard owns (ascending); local
@@ -384,8 +387,10 @@ func (p *BatchPlan) assignByEdges(csr *graph.BCSR, n int) {
 
 // localizeInto builds the induced subgraph of csr on the given dsts with
 // compact local numbering into the retained local CSR: local dst i is
-// dsts[i]; local srcs are numbered in first-touch order (a pure function of
-// the graph shape, so shard contents never depend on device count or
+// dsts[i] and — the batch's own dsts-first numbering, where a dst's
+// embedding is the src row of the same index — so is local src i; the
+// remaining local srcs follow in first-touch order (a pure function of the
+// graph shape, so shard contents never depend on device count or
 // scheduling). It appends the global ids backing each local src onto srcs
 // (passed with length 0) and returns it — which becomes the next-lower
 // layer's dst list, chaining the layers together.
@@ -403,6 +408,10 @@ func localizeInto(csr *graph.BCSR, dsts []graph.VID, local *graph.BCSR, srcs []g
 	for i := range remap {
 		remap[i] = -1
 	}
+	for i, d := range dsts {
+		remap[d] = graph.VID(i)
+	}
+	srcs = append(srcs, dsts...)
 	e := 0
 	for i, d := range dsts {
 		for _, sv := range csr.Neighbors(d) {

@@ -1,6 +1,7 @@
 package multigpu
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -17,11 +18,10 @@ import (
 // groupHarness bundles a dataset, a deterministic batch source and a model
 // factory so every device-count run sees identical inputs.
 type groupHarness struct {
-	ds      *datasets.Dataset
-	staging *gpusim.Device // plays the host staging side of prep
-	params  models.Params
-	model   string
-	format  prep.Format
+	ds     *datasets.Dataset
+	params models.Params
+	model  string
+	format prep.Format
 }
 
 func newGroupHarness(t *testing.T, model string, format prep.Format) *groupHarness {
@@ -31,10 +31,9 @@ func newGroupHarness(t *testing.T, model string, format prep.Format) *groupHarne
 		t.Fatal(err)
 	}
 	return &groupHarness{
-		ds:      ds,
-		staging: gpusim.NewDevice(gpusim.DefaultConfig()),
-		model:   model,
-		format:  format,
+		ds:     ds,
+		model:  model,
+		format: format,
 		params: models.Params{
 			InDim:  ds.FeatureDim,
 			Hidden: 8,
@@ -61,8 +60,8 @@ func (h *groupHarness) batch(t *testing.T, i int, size int) *prep.Batch {
 	cfg := sampling.DefaultConfig()
 	cfg.Seed = uint64(100 + i)
 	sampler := sampling.New(h.ds.Graph, cfg)
-	b, err := prep.Serial(sampler, h.ds.Features, h.ds.Labels, h.staging,
-		h.ds.BatchDsts(size, uint64(i+1)), prep.Config{Format: h.format, Pinned: true})
+	b, err := prep.Serial(sampler, h.ds.Features, h.ds.Labels,
+		h.ds.BatchDsts(size, uint64(i+1)), prep.Config{Format: h.format})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,21 +109,42 @@ func (h *groupHarness) trainRun(t *testing.T, nDev, batches, size int) ([]float6
 // TestGroupTrajectoryBitwiseAcrossDeviceCounts is the core guarantee of the
 // data-parallel engine: the loss and weight trajectory is bitwise identical
 // at any device count, because the gradient-shard partition and the
-// all-reduce fold order are fixed by the batch shape alone.
+// all-reduce fold order are fixed by the batch shape alone. A group agreeing
+// with itself says nothing about the shards being right, so batch 0 is also
+// held against the classic engine's whole-batch step: before the first
+// update the two differ only in the float64 order the shard losses fold in.
+// An edge-weighted model (NGCF) rides along because it reads a dst's own row
+// x[d] — the shard numbering the unweighted GCN cannot see.
 func TestGroupTrajectoryBitwiseAcrossDeviceCounts(t *testing.T) {
-	h := newGroupHarness(t, "gcn", prep.FormatCSRCSC)
-	refLoss, refW := h.trainRun(t, 1, 4, 60)
-	for _, nDev := range []int{2, 4, 8} {
-		losses, w := h.trainRun(t, nDev, 4, 60)
-		for i := range refLoss {
-			if losses[i] != refLoss[i] {
-				t.Errorf("nDev=%d batch %d: loss %v != 1-device %v", nDev, i, losses[i], refLoss[i])
+	for _, model := range []string{"gcn", "ngcf"} {
+		h := newGroupHarness(t, model, prep.FormatCSRCSC)
+		refLoss, refW := h.trainRun(t, 1, 4, 60)
+		for _, nDev := range []int{2, 4, 8} {
+			losses, w := h.trainRun(t, nDev, 4, 60)
+			for i := range refLoss {
+				if losses[i] != refLoss[i] {
+					t.Errorf("%s nDev=%d batch %d: loss %v != 1-device %v", model, nDev, i, losses[i], refLoss[i])
+				}
+			}
+			for i := range refW {
+				if w[i] != refW[i] {
+					t.Fatalf("%s nDev=%d: weight[%d] %v != 1-device %v", model, nDev, i, w[i], refW[i])
+				}
 			}
 		}
-		for i := range refW {
-			if w[i] != refW[i] {
-				t.Fatalf("nDev=%d: weight[%d] %v != 1-device %v", nDev, i, w[i], refW[i])
-			}
+
+		m, err := h.factory()()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := h.batch(t, 0, 60)
+		classic, err := core.NewEngine(gpusim.DefaultConfig()).TrainStep(m, b.Layers, b.Embed.Data, b.Labels, 0.05, b.HostBytes)
+		b.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(classic - refLoss[0]); d > 1e-9 {
+			t.Errorf("%s batch 0: %d-shard group loss %v, classic engine %v (|diff| %g > 1e-9)", model, DefaultShards, refLoss[0], classic, d)
 		}
 	}
 }
@@ -161,10 +181,9 @@ func newPolicyHarness(t *testing.T) *groupHarness {
 		t.Fatal(err)
 	}
 	return &groupHarness{
-		ds:      ds,
-		staging: gpusim.NewDevice(gpusim.DefaultConfig()),
-		model:   "gcn",
-		format:  prep.FormatCSRCSC,
+		ds:     ds,
+		model:  "gcn",
+		format: prep.FormatCSRCSC,
 		params: models.Params{
 			InDim:     ds.FeatureDim,
 			Hidden:    4,

@@ -10,10 +10,15 @@
 //   - R and K subtasks for hop t start as soon as S_t completes and run
 //     concurrently with the sampling of later hops — they touch different
 //     data types (subgraphs vs embeddings), so they share no locks.
-//   - T subtasks wait on a barrier for the final S (device allocation needs
+//   - T subtasks wait on a barrier for the final S (the staging table needs
 //     the total vertex count), then stream: each embedding chunk gathered
-//     by K transfers as soon as it is ready, from page-locked buffers, in
-//     a pipelined manner (Fig 14b).
+//     by K lands in the page-locked staging table as soon as it is ready, in
+//     a pipelined manner (Fig 14b). That is T's host half, and all of T a
+//     producer performs: a prepared batch is host-resident, carries the
+//     payload that has yet to cross as one value (prep.Batch.HostBytes,
+//     cache-resident rows left out) and the link is paid once, by the
+//     core.Engine that runs the batch. On the modeled preprocessing
+//     schedule T's time comes from PrepCostModel.
 //
 // The package also provides the baseline disciplines the paper compares
 // against: the fully serial chain, the multi-threaded-sampling variant,
@@ -25,7 +30,6 @@ import (
 	"time"
 
 	"graphtensor/internal/cache"
-	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
 	"graphtensor/internal/metrics"
 	"graphtensor/internal/prep"
@@ -41,19 +45,11 @@ type Config struct {
 	// the hash table (Fig 14c). Disabling it reproduces the contended
 	// discipline of Fig 14a.
 	RelaxContention bool
-	// HostOnly skips the T subtasks: batches stay in host staging memory
-	// with no device buffers (see prep.Config.HostOnly — the data-parallel
-	// DeviceGroup's discipline, where each device transfers its own
-	// shards, and the serving engine's, where each replica pays the
-	// miss-only scatter itself). K chunks still stream into the assembled
-	// table as they land. A HostOnly scheduler never touches its device and
-	// may be built with a nil one.
-	HostOnly bool
 	// Cache, when non-nil, is the PaGraph-style embedding cache the K and T
 	// subtasks consult: resident vertices are gathered into the staging
-	// table as usual (batch contents never depend on residency) but skip
-	// the modeled host→device transfer, and the batch records its hit/miss
-	// counts (see prep.Batch.CacheHits).
+	// table as usual (batch contents never depend on residency) but are
+	// left out of the batch's link payload, and the batch records its
+	// hit/miss counts (see prep.Batch.CacheHits).
 	Cache *cache.Cache
 }
 
@@ -80,22 +76,19 @@ type Scheduler struct {
 	full     *graph.CSR
 	features *graph.EmbeddingTable
 	labels   []int32
-	dev      *gpusim.Device
 	sampler  *sampling.Sampler
 	engine   *subtaskEngine
 	chunk    int // chunkVertices; a field only so tests can force many or one chunk
 }
 
 // NewScheduler builds a scheduler over a dataset's full graph and features.
-// dev may be nil for a HostOnly scheduler.
-func NewScheduler(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
-	dev *gpusim.Device, cfg Config) *Scheduler {
+func NewScheduler(full *graph.CSR, features *graph.EmbeddingTable, labels []int32, cfg Config) *Scheduler {
 	if !cfg.RelaxContention {
 		cfg.Sampler.Mode = sampling.ModeShared
 	}
 	// The subtask engine — the persistent worker set all Prepare calls on
 	// the scheduler share — is sized to the processor count.
-	return &Scheduler{cfg: cfg, full: full, features: features, labels: labels, dev: dev,
+	return &Scheduler{cfg: cfg, full: full, features: features, labels: labels,
 		sampler: sampling.New(full, cfg.Sampler), engine: newSubtaskEngine(runtime.GOMAXPROCS(0)),
 		chunk: chunkVertices}
 }
@@ -138,7 +131,7 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 	// subtasks are handed to the persistent engine the moment their hop is
 	// available and overlap the sampling of later hops. Driving S inline
 	// costs no overlap: T cannot start before the final S anyway (§V-B —
-	// device allocation needs the total vertex count), so the old per-batch
+	// the staging table needs the total vertex count), so the old per-batch
 	// S goroutine and its hop-done barrier channels bought nothing.
 	for t := 0; t < L; t++ {
 		st := time.Now()
@@ -168,35 +161,21 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 		}
 	}
 
-	// --- T: every hop is sampled; allocate device memory and stream the
-	// chunks plus the graph structures — from page-locked staging, as
-	// GraphTensor always does — while the K subtasks drain.
+	// --- T: every hop is sampled; size the staging table and stream the
+	// chunks into it — page-locked staging, as GraphTensor always uses —
+	// while the K subtasks drain.
 	nTotal := res.NumVertices()
 
 	st := time.Now()
 	embed := graph.NewEmbeddingTableArena(arena, nTotal, dim)
-	var ebuf *gpusim.Buffer
-	var pcie *gpusim.PCIe
-	if !s.cfg.HostOnly {
-		pcie = s.dev.PCIe()
-		var err error
-		ebuf, err = s.dev.Alloc(embed.Bytes(), "batch-embeddings")
-		if err != nil {
-			r.wg.Wait()
-			r.releaseStaged()
-			s.engine.putRun(r)
-			return nil, err
-		}
-	}
 	bd.Add("transfer", time.Since(st))
 
 	// Stream chunks as they land; the K subtasks keep producing while we
-	// transfer (Fig 14b overlap). Each chunk's crossing is accounted on the
-	// device's link engine — modeled time only, the loop never waits on the
-	// link — and its staging buffer returns to the pool at once.
-	// Cache-resident rows are already device-held: each chunk pays the link
-	// for its misses only. With nothing staged the loop blocks on the run's
-	// wake token, which a landing chunk or a failing subtask signals.
+	// assemble (Fig 14b overlap), and each chunk's staging buffer returns to
+	// the pool at once. Cache-resident rows are already device-held: the
+	// chunks' hit counts add up to what the batch's link payload leaves out.
+	// With nothing staged the loop blocks on the run's wake token, which a
+	// landing chunk or a failing subtask signals.
 	transferred, cacheHits := 0, 0
 	for transferred < nTotal {
 		pending := r.takePending()
@@ -211,9 +190,6 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 			st := time.Now()
 			rows := ch.hi - ch.lo
 			copy(embed.Data.Data[ch.lo*dim:ch.hi*dim], ch.data.Data[:rows*dim])
-			if !s.cfg.HostOnly {
-				pcie.TransferBytes(int64(rows-ch.hits)*int64(dim)*4, true)
-			}
 			tensor.Put(ch.data)
 			bd.Add("transfer", time.Since(st))
 			transferred += rows
@@ -224,35 +200,18 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 	r.wg.Wait()
 	if err := r.takeErr(); err != nil {
 		r.releaseStaged()
-		ebuf.Free()
 		s.engine.putRun(r)
 		return nil, err
 	}
-
-	// Graph structures transfer after the R subtasks complete.
-	st = time.Now()
 	layers := r.layers
-	var bufs []*gpusim.Buffer
-	if !s.cfg.HostOnly {
-		gBytes := prep.GraphBytes(layers)
-		gbuf, err := s.dev.Alloc(gBytes, "batch-graphs")
-		if err != nil {
-			ebuf.Free()
-			s.engine.putRun(r)
-			return nil, err
-		}
-		pcie.TransferBytes(gBytes, true)
-		bufs = []*gpusim.Buffer{ebuf, gbuf}
-	}
-	bd.Add("transfer", time.Since(st))
 	s.engine.putRun(r)
 
 	batch := structs.TakeBatch()
-	batch.Sample, batch.Layers, batch.Embed = res, layers, embed
-	batch.Breakdown, batch.DeviceBuffers = bd, bufs
+	batch.Sample, batch.Layers, batch.Embed, batch.Breakdown = res, layers, embed, bd
 	if s.cfg.Cache != nil {
 		batch.CacheHits, batch.CacheMisses = cacheHits, nTotal-cacheHits
 	}
+	batch.HostBytes = prep.GraphBytes(layers) + prep.MissBytes(batch)
 	if s.labels != nil {
 		batch.Labels = structs.TakeLabels(len(res.Batch))
 		for i, orig := range res.Batch {
@@ -265,10 +224,9 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 // Serial runs the fully serialized baseline chain (S → R → K → T) used by
 // the existing frameworks (Fig 12a) over a fresh sampler. samplerCfg.Workers
 // controls sampling threads: 1 reproduces PyG's single-threaded sampler,
-// GOMAXPROCS the multi-threaded variants; cfg carries format, pinning, arena
-// and host-only staging.
+// GOMAXPROCS the multi-threaded variants; cfg carries format, arena and
+// cache.
 func Serial(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
-	dev *gpusim.Device, batchDsts []graph.VID, samplerCfg sampling.Config,
-	cfg prep.Config) (*prep.Batch, error) {
-	return prep.Serial(sampling.New(full, samplerCfg), features, labels, dev, batchDsts, cfg)
+	batchDsts []graph.VID, samplerCfg sampling.Config, cfg prep.Config) (*prep.Batch, error) {
+	return prep.Serial(sampling.New(full, samplerCfg), features, labels, batchDsts, cfg)
 }

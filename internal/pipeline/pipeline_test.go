@@ -9,7 +9,6 @@ import (
 
 	"graphtensor/internal/cache"
 	"graphtensor/internal/datasets"
-	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/sampling"
@@ -25,12 +24,6 @@ func testDataset(t *testing.T) *datasets.Dataset {
 	return ds
 }
 
-func testDevice() *gpusim.Device {
-	cfg := gpusim.DefaultConfig()
-	cfg.NumSMs = 8
-	return gpusim.NewDevice(cfg)
-}
-
 // TestPipelinedEqualsSerial: the service-wide tensor scheduler must produce
 // a batch semantically identical to the serial chain — same sampled
 // vertex set, same per-layer graphs, same embeddings.
@@ -40,15 +33,15 @@ func TestPipelinedEqualsSerial(t *testing.T) {
 	samplerCfg := sampling.DefaultConfig()
 	samplerCfg.Seed = 3
 
-	serialBatch, err := Serial(ds.Graph, ds.Features, ds.Labels, testDevice(), dsts, samplerCfg,
-		prep.Config{Format: prep.FormatCSRCSC, Pinned: true})
+	serialBatch, err := Serial(ds.Graph, ds.Features, ds.Labels, dsts, samplerCfg,
+		prep.Config{Format: prep.FormatCSRCSC})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := DefaultConfig()
 	cfg.Sampler = samplerCfg
-	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, testDevice(), cfg)
+	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, cfg)
 	sched.chunk = 64
 	pipeBatch, err := sched.Prepare(dsts, nil)
 	if err != nil {
@@ -102,34 +95,19 @@ func TestPipelinedEqualsSerial(t *testing.T) {
 
 func sortVIDs(v []graph.VID) { sort.Slice(v, func(i, j int) bool { return v[i] < v[j] }) }
 
-func TestSchedulerOOMPropagates(t *testing.T) {
-	ds := testDataset(t)
-	cfg := gpusim.DefaultConfig()
-	cfg.MemoryBytes = 64 // absurdly small: embedding alloc must fail
-	dev := gpusim.NewDevice(cfg)
-	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, dev, DefaultConfig())
-	_, err := sched.Prepare(ds.BatchDsts(30, 1), nil)
-	if err == nil {
-		t.Fatal("expected OOM error")
-	}
-	if _, ok := err.(*gpusim.OOMError); !ok {
-		t.Fatalf("expected *gpusim.OOMError, got %T: %v", err, err)
-	}
-}
-
-// TestSchedulerLinkAccounting: the streamed T subtasks leave the batch's
-// modeled link traffic readable on the device's own engine — graphs plus
-// the embedding rows that actually cross (cache-resident rows are
-// device-held) — and a host-only scheduler never touches the link.
+// TestSchedulerLinkAccounting: the streamed T subtasks assemble the staging
+// table and leave the batch's host→device payload on it as one value —
+// graphs plus the embedding rows that have to cross, the chunks' cache hits
+// left out — equal to what the serial chain fixes for the same batch. That
+// it is paid once, at the device, is frameworks.TestStagingPaysTOnce.
 func TestSchedulerLinkAccounting(t *testing.T) {
 	ds := testDataset(t)
 	dsts := ds.BatchDsts(30, 1)
-	prepare := func(mut func(*Config)) (*gpusim.Device, *prep.Batch) {
+	prepare := func(c *cache.Cache) *prep.Batch {
 		t.Helper()
 		cfg := DefaultConfig()
-		mut(&cfg)
-		dev := testDevice()
-		sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, dev, cfg)
+		cfg.Cache = c
+		sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, cfg)
 		sched.chunk = 32
 		t.Cleanup(sched.Close)
 		b, err := sched.Prepare(dsts, nil)
@@ -137,31 +115,29 @@ func TestSchedulerLinkAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(b.Release)
-		return dev, b
+		return b
 	}
 
-	dev, plain := prepare(func(*Config) {})
-	want := prep.GraphBytes(plain.Layers) + prep.MissBytes(plain)
-	if got := dev.PCIe().BytesMoved(); got != want {
-		t.Errorf("link bytes %d, want graphs+misses %d", got, want)
+	plain := prepare(nil)
+	want := prep.GraphBytes(plain.Layers) + plain.Embed.Bytes()
+	if plain.HostBytes != want {
+		t.Errorf("payload %d, want graphs+table %d", plain.HostBytes, want)
 	}
-	if dev.PCIe().ModeledTime() <= 0 {
-		t.Error("a device prepare accrued no modeled link time")
+	serial, err := Serial(ds.Graph, ds.Features, ds.Labels, dsts, DefaultConfig().Sampler,
+		prep.Config{Format: prep.FormatCSRCSC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.HostBytes != want {
+		t.Errorf("serial chain fixes %d for the same batch, scheduler %d", serial.HostBytes, want)
 	}
 
-	dev, _ = prepare(func(c *Config) { c.HostOnly = true })
-	if dev.PCIe().BytesMoved() != 0 || dev.PCIe().ModeledTime() != 0 {
-		t.Errorf("host-only prepare touched the link: %d bytes, %v",
-			dev.PCIe().BytesMoved(), dev.PCIe().ModeledTime())
-	}
-
-	c := cache.New(ds.NumVertices()/4, cache.Degree, ds.Graph)
-	dev, cached := prepare(func(cfg *Config) { cfg.Cache = c })
+	cached := prepare(cache.New(ds.NumVertices()/4, cache.Degree, ds.Graph))
 	if cached.CacheHits == 0 {
 		t.Fatal("cache produced no hits; the test needs some resident rows")
 	}
-	if got, saved := dev.PCIe().BytesMoved(), int64(cached.CacheHits)*int64(ds.Features.Dim)*4; got != want-saved {
-		t.Errorf("cached link bytes %d, want %d - %d hit bytes", got, want, saved)
+	if saved := int64(cached.CacheHits) * int64(ds.Features.Dim) * 4; cached.HostBytes != want-saved {
+		t.Errorf("cached payload %d, want %d - %d hit bytes", cached.HostBytes, want, saved)
 	}
 }
 
@@ -174,8 +150,7 @@ func TestSchedulerLinkAccounting(t *testing.T) {
 func TestTransferLoopWakesOnFailure(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.HostOnly = true
-	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, nil, cfg)
+	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, cfg)
 	sched.chunk = 1 << 30            // one K subtask per hop
 	sched.engine.spawn.Do(func() {}) // no workers: subtasks wait in the queue for the test
 

@@ -8,18 +8,15 @@ import (
 	"graphtensor/internal/sampling"
 )
 
-// producerFixture returns a slot-aware host-only prepare over the test
-// dataset.
+// producerFixture returns a slot-aware serial prepare over the test dataset.
 func producerFixture(t *testing.T) (func([]graph.VID, *Slot) (*prep.Batch, error), func(i int) []graph.VID) {
 	t.Helper()
 	ds := testDataset(t)
-	dev := testDevice()
 	samplerCfg := sampling.DefaultConfig()
 	sampler := sampling.New(ds.Graph, samplerCfg)
 	prepare := func(d []graph.VID, s *Slot) (*prep.Batch, error) {
-		return prep.Serial(sampler, ds.Features, ds.Labels, dev, d,
-			prep.Config{Format: prep.FormatCSRCSC, Arena: s.TensorArena(),
-				Structs: s.StructPool(), HostOnly: true})
+		return prep.Serial(sampler, ds.Features, ds.Labels, d,
+			prep.Config{Format: prep.FormatCSRCSC, Arena: s.TensorArena(), Structs: s.StructPool()})
 	}
 	next := func(i int) []graph.VID { return ds.BatchDsts(20, uint64(i+1)) }
 	return prepare, next
@@ -105,9 +102,7 @@ func TestRingProducerAllocFlat(t *testing.T) {
 	}
 	ds := testDataset(t)
 	serialPrep, _ := producerFixture(t)
-	cfg := DefaultConfig()
-	cfg.HostOnly = true
-	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, nil, cfg)
+	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, DefaultConfig())
 
 	fixtures := []struct {
 		name    string

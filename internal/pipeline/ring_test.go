@@ -16,10 +16,9 @@ import (
 func ringFixture(t *testing.T, n, batch int) (func([]graph.VID, *Slot) (*prep.Batch, error), [][]graph.VID) {
 	t.Helper()
 	ds := testDataset(t)
-	dev := testDevice()
 	samplerCfg := sampling.DefaultConfig()
 	prepare := func(d []graph.VID, s *Slot) (*prep.Batch, error) {
-		return Serial(ds.Graph, ds.Features, ds.Labels, dev, d, samplerCfg,
+		return Serial(ds.Graph, ds.Features, ds.Labels, d, samplerCfg,
 			prep.Config{Format: prep.FormatCSR, Arena: s.TensorArena(), Structs: s.StructPool()})
 	}
 	lists := make([][]graph.VID, n)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"graphtensor/internal/datasets"
-	"graphtensor/internal/gpusim"
 	"graphtensor/internal/sampling"
 )
 
@@ -19,8 +18,7 @@ func TestSchedulerRepeatableUnderConcurrency(t *testing.T) {
 	dsts := ds.BatchDsts(50, 3)
 	var first []float32
 	for i := 0; i < 8; i++ {
-		dev := gpusim.NewDevice(gpusim.DefaultConfig())
-		sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, dev, cfg)
+		sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, cfg)
 		sched.chunk = 16 // many chunks -> more concurrency
 		b, err := sched.Prepare(dsts, nil)
 		if err != nil {

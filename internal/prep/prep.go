@@ -1,8 +1,15 @@
 // Package prep implements GNN data preparation (§II-B, Fig 4b): graph
-// reindexing (R), embedding lookup (K) and host→device transfer (T). The
-// functions here are the building blocks both the serial baseline
-// preprocessors and GraphTensor's pipelined service-wide tensor scheduler
-// (internal/pipeline) compose.
+// reindexing (R), embedding lookup (K) and the host side of the host→device
+// transfer (T). The functions here are the building blocks both the serial
+// baseline preprocessors and GraphTensor's pipelined service-wide tensor
+// scheduler (internal/pipeline) compose.
+//
+// A prepared batch is host-resident: a producer allocates nothing on a
+// device and never touches a link. T's host half is assembling the staging
+// table and fixing the payload that will cross (Batch.HostBytes); the
+// crossing itself is accounted once, where the batch meets its device —
+// core.Engine, under every training and serving engine. T's modeled time on
+// the preprocessing schedule comes from pipeline.PrepCostModel.
 package prep
 
 import (
@@ -10,7 +17,6 @@ import (
 	"time"
 
 	"graphtensor/internal/cache"
-	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/metrics"
@@ -47,26 +53,31 @@ func (f Format) String() string {
 	return fmt.Sprintf("Format(%d)", int(f))
 }
 
-// LayerData is the device-resident graph structure of one GNN layer; which
-// fields are populated depends on the requested Format. It is the kernel
+// LayerData is the graph structure of one GNN layer as the device will hold
+// it; which fields are populated depends on the requested Format. It is the kernel
 // layer's own type, so a batch's Layers are a model's input as they stand
 // (core.Input.Graphs) — including the formats a strategy translates on
 // demand, which stay on the batch's entry until the batch is released.
 type LayerData = kernels.Graphs
 
-// Batch is a fully prepared training batch: per-layer device graphs plus
-// the gathered per-batch embedding table.
+// Batch is a fully prepared, host-resident training batch: per-layer graphs
+// plus the gathered per-batch embedding table.
 type Batch struct {
 	Sample *sampling.Result
 	// Layers[ℓ-1] is the graph GNN layer ℓ processes (layer 1 first).
 	Layers []LayerData
-	// Embed is the device embedding table indexed by new VID.
+	// Embed is the staged embedding table indexed by new VID.
 	Embed *graph.EmbeddingTable
 	// Labels[i] is the class of batch dst i (new VID i).
 	Labels []int32
+	// HostBytes is the batch's host→device payload — the graph structures
+	// as prepared plus the embedding rows no cache holds on the device
+	// (GraphBytes + MissBytes) — fixed at prepare time: the executor that
+	// runs the batch pays the link for exactly this, however often a
+	// strategy's on-demand translations have since grown Layers.
+	HostBytes int64
 
-	DeviceBuffers []*gpusim.Buffer
-	Breakdown     *metrics.Breakdown
+	Breakdown *metrics.Breakdown
 
 	// CacheHits/CacheMisses count the batch's sampled vertices that were
 	// resident / absent in the embedding cache consulted during
@@ -82,18 +93,15 @@ type Batch struct {
 	// DeviceGroup consumes it.
 	SubBatches any
 
-	// OnRelease, when set, runs once after the device buffers are freed.
-	// The prefetch ring uses it to recycle the batch's arena-backed host
+	// OnRelease, when set, runs once when the batch is released. The
+	// prefetch ring uses it to recycle the batch's arena-backed host
 	// buffers; after it fires, the batch's Embed storage is invalid.
 	OnRelease func()
 }
 
-// Release frees all device buffers the batch holds, then fires OnRelease.
+// Release ends the batch: it fires OnRelease. A batch holds no device
+// memory — what its compute allocated ended with its executor's batch scope.
 func (b *Batch) Release() {
-	for _, buf := range b.DeviceBuffers {
-		buf.Free()
-	}
-	b.DeviceBuffers = nil
 	if b.OnRelease != nil {
 		hook := b.OnRelease
 		b.OnRelease = nil
@@ -173,7 +181,6 @@ func GraphBytes(layers []LayerData) int64 {
 // Config parameterizes a serial preprocessor.
 type Config struct {
 	Format Format
-	Pinned bool // page-locked staging buffers for the T task
 	// Arena, when non-nil, supplies the batch's host-side embedding
 	// storage; the prefetch ring recycles it across batches through
 	// Batch.OnRelease.
@@ -184,16 +191,10 @@ type Config struct {
 	// Structs.ReleaseBatch). Reuse is shape-derived only, so the prepared
 	// batch is bitwise identical to the allocating path.
 	Structs *Structs
-	// HostOnly skips the T task: the batch stays in host (pinned staging)
-	// memory and owns no device buffers. The data-parallel DeviceGroup
-	// prepares batches this way — each device then pays the PCIe scatter
-	// for exactly its shards, so the input transfer is not double-counted
-	// against an idle staging device.
-	HostOnly bool
 	// Cache, when non-nil, is the PaGraph-style embedding cache the K and T
 	// tasks consult: resident vertices' embeddings are already device-held,
-	// so the batch skips their modeled host→device transfer (the gather into
-	// the staging table the simulator computes on still happens — residency
+	// so they are left out of the batch's link payload (the gather into the
+	// staging table the simulator computes on still happens — residency
 	// changes modeled cost only, never batch contents). Hit/miss counts are
 	// recorded on the batch and in the cache's own statistics.
 	Cache *cache.Cache
@@ -202,9 +203,10 @@ type Config struct {
 // Serial runs the classic serialized preprocessing chain
 // S → R → K → T, one task after another (the discipline of the existing
 // frameworks in Fig 12a whose latency GraphTensor attacks). It returns the
-// prepared batch and records per-task durations in the breakdown.
+// prepared batch and records per-task durations in the breakdown; T here is
+// its host half — assembling the batch and fixing its link payload.
 func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
-	labels []int32, dev *gpusim.Device, batchDsts []graph.VID, cfg Config) (*Batch, error) {
+	labels []int32, batchDsts []graph.VID, cfg Config) (*Batch, error) {
 
 	bd := metrics.NewBreakdown()
 	st := cfg.Structs
@@ -237,48 +239,15 @@ func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 	batch := st.TakeBatch()
 	batch.Sample, batch.Layers, batch.Embed, batch.Breakdown = res, layers, embed, bd
 	batch.CacheHits, batch.CacheMisses = hits, missed
+	batch.HostBytes = GraphBytes(layers) + MissBytes(batch)
 	if labels != nil {
 		batch.Labels = st.TakeLabels(len(res.Batch))
 		for i, orig := range res.Batch {
 			batch.Labels[i] = labels[orig]
 		}
 	}
-	if !cfg.HostOnly {
-		if err := Transfer(batch, dev, cfg.Pinned, cfg.Arena); err != nil {
-			return nil, err
-		}
-	}
 	bd.Add("transfer", time.Since(t0))
 	return batch, nil
-}
-
-// Transfer allocates device memory for the batch's graphs and embedding
-// table and accounts their crossing of the modeled PCIe link on the
-// device's engine (the T task); no wall time is spent on the link. The
-// device-side host mirror is drawn from the batch-scoped arena a (nil falls
-// back to a plain allocation). Cache-resident embedding rows (b.CacheHits
-// of them) are already device-held and cross for free; the mirror is still
-// fully populated, so batch contents never depend on residency.
-func Transfer(b *Batch, dev *gpusim.Device, pinned bool, a *tensor.Arena) error {
-	pcie := dev.PCIe()
-	gBytes := GraphBytes(b.Layers)
-	gbuf, err := dev.Alloc(gBytes, "batch-graphs")
-	if err != nil {
-		return err
-	}
-	b.DeviceBuffers = append(b.DeviceBuffers, gbuf)
-	pcie.TransferBytes(gBytes, pinned)
-
-	ebuf, err := dev.Alloc(b.Embed.Bytes(), "batch-embeddings")
-	if err != nil {
-		return err
-	}
-	b.DeviceBuffers = append(b.DeviceBuffers, ebuf)
-	deviceCopy := graph.NewEmbeddingTableArena(a, b.Embed.NumVertices(), b.Embed.Dim)
-	copy(deviceCopy.Data.Data, b.Embed.Data.Data)
-	pcie.TransferBytes(MissBytes(b), pinned)
-	b.Embed = deviceCopy
-	return nil
 }
 
 // MissBytes returns the host→device embedding payload of the batch: every

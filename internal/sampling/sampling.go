@@ -164,14 +164,10 @@ type Run struct {
 	t        int
 }
 
-// Begin seeds a stepwise sampling run with the batch dst vertices.
-func (s *Sampler) Begin(batch []graph.VID) *Run {
-	return s.BeginReuse(batch, nil)
-}
-
-// BeginReuse is Begin over a recycled Result (nil for a fresh one); see
-// SampleReuse. The returned Run is owned by the result, so a steady-state
-// ring slot performs no allocation here at all.
+// BeginReuse seeds a stepwise sampling run with the batch dst vertices over
+// a recycled Result (nil for a fresh one); see SampleReuse. The returned Run
+// is owned by the result, so a steady-state ring slot performs no allocation
+// here at all.
 func (s *Sampler) BeginReuse(batch []graph.VID, res *Result) *Run {
 	if res == nil {
 		res = &Result{Table: vidmap.New(len(batch) * (s.cfg.Fanout + 1) * s.cfg.Layers)}

@@ -125,7 +125,7 @@ func TestStepwiseEqualsSample(t *testing.T) {
 	cfg := DefaultConfig()
 	batch := []graph.VID{4, 8, 12}
 	whole := New(full, cfg).Sample(batch)
-	run := New(full, cfg).Begin(batch)
+	run := New(full, cfg).BeginReuse(batch, nil)
 	steps := 0
 	for !run.Done() {
 		run.Step()

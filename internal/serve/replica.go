@@ -227,7 +227,7 @@ func (r *replica) rebaton() {
 	}
 }
 
-// serveBatch runs one coalesced batch end to end: host-only cache-aware
+// serveBatch runs one coalesced batch end to end: cache-aware
 // preparation through the replica's warm slot, the miss-only modeled
 // scatter on the replica's own PCIe engine, FWP, and the per-ticket logit
 // scatter. It returns false when this replica's device died and survivors
@@ -310,13 +310,12 @@ func (r *replica) failover(mb *microBatch) bool {
 // inferBatch runs FWP over the batch on the replica's engine and scatters
 // each ticket's logit rows into its caller-owned buffer.
 func (r *replica) inferBatch(b *prep.Batch, mb *microBatch) error {
-	// The batch staged host-only; its host→device scatter is accounted on
-	// this replica's device link (modeled time only) — cache-resident
-	// embedding rows cross the link for free, the PaGraph discipline
-	// (§VII [38]). On failure — typically a device loss at the batch's
+	// The batch's host→device scatter is accounted on this replica's
+	// device link (modeled time only) — cache-resident embedding rows are
+	// left out of its payload, the PaGraph discipline (§VII [38]). On failure — typically a device loss at the batch's
 	// first allocation — the engine has closed the batch scope, so the
 	// device holds nothing when failover hands the work to a survivor.
-	logits, err := r.eng.Infer(r.model, b.Layers, b.Embed.Data, prep.MissBytes(b)+prep.GraphBytes(b.Layers))
+	logits, err := r.eng.Infer(r.model, b.Layers, b.Embed.Data, b.HostBytes)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@
 //     atomic counters and a per-shard lock-free latency ring; the one-shot
 //     first-admission stamp is a CAS. Rings and counters merge only inside
 //     Stats/Latencies.
-//   - Inference fast path: replicas prepare through a shared host-only
+//   - Inference fast path: replicas prepare through a shared
 //     pipeline.Scheduler (persistent subtask engine, warm pipeline.Slot per
 //     replica) and run FWP only — no gradient shards, no backward
 //     workspaces — so a warm served batch allocates a small constant.
@@ -264,7 +264,7 @@ type Server struct {
 	// placements are a pure function of the trainer's profile and shape).
 	placements []dkp.Placement
 
-	// sched is the replicas' shared host-only preprocessing engine: its
+	// sched is the replicas' shared preprocessing engine: its
 	// persistent sampler and subtask workers serve concurrent Prepare
 	// calls, one per replica draining a batch.
 	sched    *pipeline.Scheduler
@@ -372,10 +372,8 @@ func NewServer(tr *frameworks.Trainer, cfg Config) (*Server, error) {
 	pcfg := pipeline.DefaultConfig()
 	pcfg.Sampler = tr.SamplerConfig()
 	pcfg.Format = tr.Format()
-	pcfg.HostOnly = true // each replica pays its own miss-only scatter
 	pcfg.Cache = cfg.Cache
-	s.sched = pipeline.NewScheduler(tr.Dataset.Graph, tr.Dataset.Features, tr.Dataset.Labels,
-		nil, pcfg)
+	s.sched = pipeline.NewScheduler(tr.Dataset.Graph, tr.Dataset.Features, tr.Dataset.Labels, pcfg)
 
 	for i := 0; i < cfg.Replicas; i++ {
 		r, err := newReplica(s, i)

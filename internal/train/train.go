@@ -104,9 +104,8 @@ func NewDriver(tr *frameworks.Trainer, cfg Config, valDsts []graph.VID) *Driver 
 // overlap-capable frameworks the preprocessing of epoch e+1 overlaps the
 // compute tail of epoch e and continues through validation pauses. On early
 // stopping the deferred Stop abandons and drains whatever the ring prepared
-// ahead. Peak device residency is correspondingly higher than the old
-// epoch-bounded prefetcher: the ring's prefetch depth + 2 training batches
-// plus the validation batch can hold device buffers at once.
+// ahead. Prepared-ahead batches are host-resident: only the batch in compute
+// (training or validation) holds device memory.
 func (d *Driver) Run() (*History, error) {
 	// Apply the run's learning-rate override for the duration of the run
 	// only; the trainer's configured rate is restored on return.

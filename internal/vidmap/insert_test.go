@@ -6,12 +6,15 @@ import (
 	"graphtensor/internal/graph"
 )
 
-// TestInsertBatchMatchesAssignBatch checks the allocation-free insertion
-// path produces exactly the same table state as AssignBatch.
+// TestInsertBatchMatchesAssignBatch checks the batched insertion path
+// produces exactly the table state one-at-a-time assignment (GetOrAssign)
+// does.
 func TestInsertBatchMatchesAssignBatch(t *testing.T) {
 	in := []graph.VID{5, 9, 5, 2, 9, 9, 40, 2, 7}
 	a, b := New(4), New(4)
-	a.AssignBatch(in)
+	for _, o := range in {
+		a.GetOrAssign(o)
+	}
 	b.InsertBatch(in)
 	ao, bo := a.OrigVIDs(), b.OrigVIDs()
 	if len(ao) != len(bo) {

@@ -10,7 +10,7 @@
 // paper compares:
 //
 //   - GetOrAssign: the naive fully-shared path (every thread locks).
-//   - AssignBatch: the relaxed path, where parallel "algorithm" (A)
+//   - InsertBatch: the relaxed path, where parallel "algorithm" (A)
 //     subtasks produce candidate lists and a single serialized "hash
 //     update" (H) subtask performs all insertions without contention.
 package vidmap
@@ -83,32 +83,12 @@ func (t *Table) LookupBatch(origs []graph.VID, out []graph.VID) {
 	}
 }
 
-// AssignBatch inserts every orig VID (duplicates allowed) under one lock
-// acquisition, in order, and returns the new VIDs. This is the serialized
-// H subtask of the contention-relaxed scheduler (§V-B Fig 14c): callers
-// arrange that only one AssignBatch runs at a time, so the lock is
-// uncontended by construction.
-func (t *Table) AssignBatch(origs []graph.VID) []graph.VID {
-	t.lock()
-	defer t.mu.Unlock()
-	out := make([]graph.VID, len(origs))
-	for i, o := range origs {
-		if nv, ok := t.m[o]; ok {
-			out[i] = nv
-			continue
-		}
-		nv := graph.VID(len(t.order))
-		t.m[o] = nv
-		t.order = append(t.order, o)
-		out[i] = nv
-	}
-	return out
-}
-
-// InsertBatch is AssignBatch for callers that do not need the per-orig new
-// VIDs: it performs the same serialized H-subtask insertion under one lock
-// acquisition but materializes no result slice, so the steady-state
-// sampling path allocates nothing here.
+// InsertBatch inserts every orig VID (duplicates allowed) under one lock
+// acquisition, in order. This is the serialized H subtask of the
+// contention-relaxed scheduler (§V-B Fig 14c): callers arrange that only
+// one InsertBatch runs at a time, so the lock is uncontended by
+// construction. It materializes no result slice (LookupBatch reads the new
+// VIDs back), so the steady-state sampling path allocates nothing here.
 func (t *Table) InsertBatch(origs []graph.VID) {
 	t.lock()
 	defer t.mu.Unlock()

@@ -10,7 +10,9 @@ import (
 func TestAssignsDenseVIDsInOrder(t *testing.T) {
 	tb := New(4)
 	origs := []graph.VID{10, 20, 10, 30, 20}
-	nv := tb.AssignBatch(origs)
+	tb.InsertBatch(origs)
+	nv := make([]graph.VID, len(origs))
+	tb.LookupBatch(origs, nv)
 	want := []graph.VID{0, 1, 0, 2, 1}
 	for i := range want {
 		if nv[i] != want[i] {
@@ -34,7 +36,7 @@ func TestGetOrAssignFresh(t *testing.T) {
 
 func TestOrigVIDsInverse(t *testing.T) {
 	tb := New(4)
-	tb.AssignBatch([]graph.VID{7, 3, 9})
+	tb.InsertBatch([]graph.VID{7, 3, 9})
 	origs := tb.OrigVIDs()
 	for nv, orig := range origs {
 		got, ok := tb.Lookup(orig)
@@ -46,7 +48,7 @@ func TestOrigVIDsInverse(t *testing.T) {
 
 func TestLookupBatchUnknownIsNegative(t *testing.T) {
 	tb := New(2)
-	tb.AssignBatch([]graph.VID{1, 2})
+	tb.InsertBatch([]graph.VID{1, 2})
 	out := make([]graph.VID, 3)
 	tb.LookupBatch([]graph.VID{2, 99, 1}, out)
 	if out[0] != 1 || out[1] != -1 || out[2] != 0 {
