@@ -17,6 +17,7 @@ import (
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/dkp"
 	"graphtensor/internal/frameworks"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/multigpu"
 )
 
@@ -79,6 +80,7 @@ func main() {
 	}
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	start := time.Now()
+	var stages metrics.Stages
 	for i := 0; i < *batches; i++ {
 		st, err := tr.TrainBatch()
 		if err != nil {
@@ -88,6 +90,7 @@ func main() {
 		fmt.Printf("batch %2d  loss %.4f  host: prep %8v compute %8v  modeled: prep %8v compute %8v step %8v  flops %d\n",
 			i, st.Loss, us(st.Prep), us(st.Compute),
 			us(st.ModeledPrep), us(st.ModeledCompute), us(st.ModeledStep), st.Counters.FLOPs)
+		stages = stages.Plus(st.Stages)
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
 	if g := tr.Group(); g != nil {
@@ -103,7 +106,6 @@ func main() {
 				st.IntraNodeTime.Round(time.Microsecond), st.InterNodeTime.Round(time.Microsecond),
 				float64(st.CrossNodeBytes)/(1<<20))
 		}
-		return
 	}
-	fmt.Printf("kernel phase breakdown:\n%s", tr.Engine.Phases())
+	fmt.Printf("stage breakdown (host clock, all batches and devices):\n%s", stages)
 }

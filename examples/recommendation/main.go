@@ -67,5 +67,5 @@ func main() {
 	fmt.Printf("NAPA kernel work: %d FLOPs, %d global loads, %.1f KiB into caches\n",
 		counters.FLOPs, counters.GlobalLoads, float64(counters.CacheBytes)/1024)
 	fmt.Println("phase breakdown:")
-	fmt.Print(engine.Phases())
+	fmt.Print(engine.Ctx.Stages)
 }

@@ -22,7 +22,6 @@ import (
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
 	"graphtensor/internal/kernels"
-	"graphtensor/internal/metrics"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/tensor"
 )
@@ -43,9 +42,6 @@ func NewEngine(cfg gpusim.Config) *Engine {
 	dev := gpusim.NewDevice(cfg)
 	return &Engine{Dev: dev, Ctx: kernels.NewCtx(dev)}
 }
-
-// Phases returns the kernel-time breakdown accumulated so far.
-func (e *Engine) Phases() *metrics.Breakdown { return e.Ctx.Phases }
 
 // Upload registers a host matrix as device-resident in the engine's batch
 // scope and returns the device handle kernels operate on.

@@ -10,7 +10,6 @@ import (
 	"graphtensor/internal/dkp"
 	"graphtensor/internal/frameworks"
 	"graphtensor/internal/gpusim"
-	"graphtensor/internal/kernels"
 	"graphtensor/internal/metrics"
 )
 
@@ -113,10 +112,6 @@ func unwrapOOM(err error) (*gpusim.OOMError, bool) {
 // phase: the on-demand format translation issues no device work, so it has
 // no modeled time to take a share of.
 func runFig16(cfg Config) (*Result, error) {
-	phases := []string{
-		kernels.PhaseAggregation, kernels.PhaseEdgeWeight, kernels.PhaseCombination,
-		kernels.PhaseSparse2Dense, kernels.PhaseTranslation,
-	}
 	var sb strings.Builder
 	for _, name := range []string{"products", "wiki-talk"} {
 		ds, err := loadDataset(cfg, name)
@@ -126,7 +121,7 @@ func runFig16(cfg Config) (*Result, error) {
 		for _, model := range []string{"gcn", "ngcf"} {
 			fmt.Fprintf(&sb, "--- %s / %s (%% of framework kernel time, host) ---\n", name, strings.ToUpper(model))
 			fmt.Fprintf(&sb, "%-12s", "framework")
-			for _, p := range phases {
+			for p := metrics.StageAggregation; p < metrics.NumStages; p++ {
 				fmt.Fprintf(&sb, "%14s", p)
 			}
 			sb.WriteByte('\n')
@@ -139,13 +134,13 @@ func runFig16(cfg Config) (*Result, error) {
 					}
 					return nil, err
 				}
-				bd := tr.Engine.Phases()
+				bd := tr.Engine.Ctx.Stages
 				total := float64(bd.Total())
 				fmt.Fprintf(&sb, "%-12s", k)
-				for _, p := range phases {
+				for p := metrics.StageAggregation; p < metrics.NumStages; p++ {
 					pct := 0.0
 					if total > 0 {
-						pct = 100 * float64(bd.Get(p)) / total
+						pct = 100 * float64(bd[p]) / total
 					}
 					fmt.Fprintf(&sb, "%13.1f%%", pct)
 				}
@@ -238,13 +233,11 @@ func runFig18(cfg Config) (*Result, error) {
 				if err != nil {
 					return gpusim.Counters{}, err
 				}
-				tr.Engine.Ctx.ResetPhaseWork()
 				if _, err := tr.TrainBatch(); err != nil {
 					return gpusim.Counters{}, err
 				}
-				sparse := tr.Engine.Ctx.PhaseWork(kernels.PhaseAggregation).
-					Add(tr.Engine.Ctx.PhaseWork(kernels.PhaseEdgeWeight))
-				return sparse, nil
+				work := &tr.Engine.Ctx.Work
+				return work[metrics.StageAggregation].Add(work[metrics.StageEdgeWeight]), nil
 			}
 			base, err := counters(frameworks.BaseGT)
 			if err != nil {

@@ -233,13 +233,13 @@ func runFig12b(cfg Config) (*Result, error) {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %12s %10s %17s\n", "task", "host time", "CPU cores", "modeled DMA GB/s")
-	row := func(task string, busy int, gbps float64) {
-		fmt.Fprintf(&sb, "%-10s %12v %10d %17.2f\n", task, b.Breakdown.Get(task).Round(time.Microsecond), busy, gbps)
+	row := func(task metrics.Stage, busy int, gbps float64) {
+		fmt.Fprintf(&sb, "%-10s %12v %10d %17.2f\n", task, b.Breakdown[task].Round(time.Microsecond), busy, gbps)
 	}
-	row("sample", cores, 0)
-	row("reindex", 1, 0)
-	row("lookup", 1, 0)
-	row("transfer", 1, dma)
+	row(metrics.StageSample, cores, 0)
+	row(metrics.StageReindex, 1, 0)
+	row(metrics.StageLookup, 1, 0)
+	row(metrics.StageTransfer, 1, dma)
 	sb.WriteString("\nS/R/K leave the PCIe link idle; T leaves all but one core idle (Fig 12b).\n")
 	return &Result{Text: sb.String()}, nil
 }

@@ -381,11 +381,14 @@ func (t *Trainer) servingDims(li int) dkp.Dims {
 type BatchStats struct {
 	// Host clock: wall time of this box (the simulator executes kernels on
 	// the host CPU, orders of magnitude above the modeled device).
-	Prep      time.Duration
-	Compute   time.Duration
-	Total     time.Duration
-	Loss      float64
-	PrepParts *metrics.Breakdown
+	Prep    time.Duration
+	Compute time.Duration
+	Total   time.Duration
+	Loss    float64
+	// Stages is where that host time went: the batch's producer stages plus
+	// what its compute added to the kernel record (summed over a group's
+	// devices; one that leaves or rejoins mid-batch takes its history along).
+	Stages metrics.Stages
 	// Counters is the device work performed during compute (summed over
 	// the devices of a group).
 	Counters gpusim.Counters
@@ -547,8 +550,8 @@ func (t *Trainer) TrainBatch() (*BatchStats, error) {
 		return nil, err
 	}
 	st.Prep = time.Since(t0)
-	st.PrepParts = b.Breakdown
 
+	stagesBefore := t.kernelStages()
 	var before gpusim.Counters
 	if t.group == nil {
 		before = t.Engine.Dev.Snapshot()
@@ -560,6 +563,7 @@ func (t *Trainer) TrainBatch() (*BatchStats, error) {
 		return nil, err
 	}
 	st.Compute = time.Since(t1)
+	st.Stages = b.Breakdown.Plus(t.kernelStages().Sub(stagesBefore))
 	st.ModeledPrep = t.ModeledPrep(b)
 	if t.group != nil {
 		gs := t.group.LastStats()
@@ -572,6 +576,18 @@ func (t *Trainer) TrainBatch() (*BatchStats, error) {
 	st.Total = time.Since(t0)
 	b.Release()
 	return st, nil
+}
+
+// kernelStages returns the kernel stage record accrued so far: the engine's
+// or, on a group, the sum over its devices'.
+func (t *Trainer) kernelStages() (s metrics.Stages) {
+	if t.group == nil {
+		return t.Engine.Ctx.Stages
+	}
+	for _, d := range t.group.Devices() {
+		s = s.Plus(d.Ctx.Stages)
+	}
+	return s
 }
 
 // TrainEpoch runs n batches under the framework's overlap discipline

@@ -8,7 +8,7 @@ import (
 	"graphtensor/internal/cache"
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/gpusim"
-	"graphtensor/internal/kernels"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/prep"
 )
 
@@ -198,9 +198,60 @@ func TestBatchStatsModeledClock(t *testing.T) {
 	}
 }
 
+// TestBatchStatsStages: TrainBatch says where its host time went, per batch
+// and by value — the producer's four stages plus what the batch's compute
+// added to the kernel record (the engine's, or the sum over a group's
+// devices): a second batch reports its own time, not the run's, and
+// Prepro-GT (NAPA over prepared CSR+CSC) runs neither a sparse2dense nor a
+// translation kernel, while DGL's COO batches pay translation.
+func TestBatchStatsStages(t *testing.T) {
+	ds := testDS(t)
+	for _, devices := range []int{0, 2} {
+		opt := quickOpts()
+		opt.NumDevices = devices
+		tr, err := New(PreproGT, ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var run metrics.Stages
+		for i := 0; i < 2; i++ {
+			st, err := tr.TrainBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []metrics.Stage{metrics.StageSample, metrics.StageReindex, metrics.StageLookup,
+				metrics.StageAggregation, metrics.StageCombination} {
+				if st.Stages[s] <= 0 {
+					t.Errorf("devices=%d batch %d: stage %q not recorded", devices, i, s)
+				}
+			}
+			if st.Stages[metrics.StageSparse2Dense] != 0 || st.Stages[metrics.StageTranslation] != 0 {
+				t.Errorf("devices=%d batch %d: Prepro-GT recorded sparse2dense %v, translation %v", devices, i,
+					st.Stages[metrics.StageSparse2Dense], st.Stages[metrics.StageTranslation])
+			}
+			run = run.Plus(st.Stages)
+		}
+		if devices == 0 {
+			for s := metrics.StageAggregation; s < metrics.NumStages; s++ {
+				if run[s] != tr.Engine.Ctx.Stages[s] {
+					t.Errorf("stage %q: batches sum to %v, the engine's record holds %v", s, run[s], tr.Engine.Ctx.Stages[s])
+				}
+			}
+		}
+	}
+	tr, _ := New(DGL, ds, quickOpts())
+	st, err := tr.TrainBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Stages[metrics.StageTranslation] <= 0 {
+		t.Error("DGL's COO batch recorded no translation time")
+	}
+}
+
 // TestCOOBatchTranslatesOnce: a batch's layer graphs are the model's input as
 // they stand, so a format a strategy translates on demand stays on the batch
-// until release — a COO batch pays PhaseTranslation once per layer and
+// until release — a COO batch pays StageTranslation once per layer and
 // format, however many passes run over it.
 func TestCOOBatchTranslatesOnce(t *testing.T) {
 	ds := testDS(t)
@@ -215,7 +266,7 @@ func TestCOOBatchTranslatesOnce(t *testing.T) {
 		if err := pass(); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Engine.Phases().Get(kernels.PhaseTranslation)
+		return tr.Engine.Ctx.Stages[metrics.StageTranslation]
 	}
 	infer := func() error {
 		logits, err := tr.InferBatch(b)

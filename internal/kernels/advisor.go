@@ -3,6 +3,7 @@ package kernels
 import (
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 )
 
 // Advisor is the GNNAdvisor-like strategy (§VI-A): CSR input (no format
@@ -74,7 +75,7 @@ func (a Advisor) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Device
 	}
 
 	var out *DeviceMatrix
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		partials, err := AllocDeviceMatrix(ctx, len(groups), dim, "advisor-partials")
 		if err != nil {
 			return err
@@ -158,7 +159,7 @@ func dlEdgeMessages(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*Devic
 	dim := x.M.Cols
 	nEdges := csr.NumEdges()
 	var srcMat, dstMat, msgMat *DeviceMatrix
-	err := ctx.track(PhaseSparse2Dense, func() error {
+	err := ctx.track(metrics.StageSparse2Dense, func() error {
 		var err error
 		srcMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-gathered-src")
 		if err != nil {
@@ -189,7 +190,7 @@ func dlEdgeMessages(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*Devic
 	if err != nil {
 		return nil, err
 	}
-	err = ctx.track(PhaseEdgeWeight, func() error {
+	err = ctx.track(metrics.StageEdgeWeight, func() error {
 		wMat, err := AllocDeviceMatrix(ctx, nEdges, m.WeightCols(dim), "dl-edge-weights")
 		if err != nil {
 			return err

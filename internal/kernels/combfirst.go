@@ -6,6 +6,7 @@ import (
 
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/tensor"
 )
 
@@ -97,7 +98,7 @@ func CombFirstForward(ctx *Ctx, g *Graphs, x *DeviceMatrix, w *tensor.Matrix, m 
 		if err != nil {
 			return nil, err
 		}
-		err = ctx.track(PhaseCombination, func() error {
+		err = ctx.track(metrics.StageCombination, func() error {
 			k := ctx.Dev.StartKernel("combfirst-sum")
 			runSMsChunked(k, branch1.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -165,7 +166,7 @@ func CombFirstBackward(ctx *Ctx, g *Graphs, x *DeviceMatrix, res *CombFirstResul
 // input.
 func napaScaledPull(ctx *Ctx, csr *graph.BCSR, x, t *DeviceMatrix, m Modes) (*DeviceMatrix, error) {
 	var wMat *DeviceMatrix
-	err := ctx.track(PhaseEdgeWeight, func() error {
+	err := ctx.track(metrics.StageEdgeWeight, func() error {
 		var err error
 		wMat, err = AllocDeviceMatrix(ctx, csr.NumEdges(), 1, "combfirst-alphas")
 		if err != nil {
@@ -191,7 +192,7 @@ func napaScaledPull(ctx *Ctx, csr *graph.BCSR, x, t *DeviceMatrix, m Modes) (*De
 		return nil, err
 	}
 	var out *DeviceMatrix
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		out, err = AllocDeviceMatrix(ctx, csr.NumDst, t.M.Cols, "combfirst-out")
 		if err != nil {
@@ -248,7 +249,7 @@ func napaScaledPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x *DeviceMatri
 		return nil, err
 	}
 	dxW := tensor.Get(csr.NumSrc, dim) // weight-path gradient (host staging, pooled)
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		k := ctx.Dev.StartKernel("napa-pull-bwp")
 		runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
 			for s := lo; s < hi; s++ {
@@ -332,7 +333,7 @@ func napaScaledPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x *DeviceMatri
 // WAgg[d] = f_{s∈N(d)} g(x_s, x_d) — the NGCF weight branch.
 func napaWeightPull(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*DeviceMatrix, error) {
 	var out *DeviceMatrix
-	err := ctx.track(PhaseEdgeWeight, func() error {
+	err := ctx.track(metrics.StageEdgeWeight, func() error {
 		var err error
 		out, err = AllocDeviceMatrix(ctx, csr.NumDst, x.M.Cols, "combfirst-wagg")
 		if err != nil {
@@ -376,7 +377,7 @@ func napaWeightPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x, dWAgg, dx *
 		return err
 	}
 	invDeg := ctx.InvDeg(csr)
-	return ctx.track(PhaseEdgeWeight, func() error {
+	return ctx.track(metrics.StageEdgeWeight, func() error {
 		k := ctx.Dev.StartKernel("napa-weightpull-bwp")
 		// src side: d(w_e)/d(x_s) = x_d.
 		runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {

@@ -9,18 +9,9 @@ import (
 	"graphtensor/internal/tensor"
 )
 
-// Phase names used in the kernel-time breakdown (Fig 16).
-const (
-	PhaseAggregation  = "aggregation"
-	PhaseEdgeWeight   = "edge-weight"
-	PhaseCombination  = "combination"
-	PhaseSparse2Dense = "sparse2dense"
-	PhaseTranslation  = "translation"
-)
-
-// Ctx carries the simulated device, the per-phase time breakdown and the
-// per-phase device work counters every kernel records into. A Ctx is used
-// by one training loop at a time (not concurrently).
+// Ctx carries the simulated device and the two per-stage records every
+// kernel books into (Fig 16's classes, metrics.StageAggregation on): host
+// time in Stages, device work in Work. One training loop uses it at a time.
 //
 // The Ctx is also the batch scope of the kernel layer: per-SM scratch rows
 // (message and edge-weight buffers) are owned by the Ctx and reused across
@@ -35,8 +26,8 @@ const (
 // and are never swept.
 type Ctx struct {
 	Dev    *gpusim.Device
-	Phases *metrics.Breakdown
-	work   map[string]gpusim.Counters
+	Stages metrics.Stages
+	Work   [metrics.NumStages]gpusim.Counters
 
 	// bufs records the device buffers allocated through the Ctx since the
 	// last EndBatch.
@@ -82,8 +73,7 @@ type Ctx struct {
 // with room for a two-layer training batch's buffers, so a cold Ctx does
 // not regrow it (a persistent one keeps whatever it grew to).
 func NewCtx(dev *gpusim.Device) *Ctx {
-	return &Ctx{Dev: dev, Phases: metrics.NewBreakdown(), work: map[string]gpusim.Counters{},
-		bufs: make([]*gpusim.Buffer, 0, 32), mats: make([]*DeviceMatrix, 0, 32)}
+	return &Ctx{Dev: dev, bufs: make([]*gpusim.Buffer, 0, 32), mats: make([]*DeviceMatrix, 0, 32)}
 }
 
 // memoCap is the backstop bound on the per-Ctx memo maps for callers that
@@ -246,19 +236,13 @@ func growScratch(buf *[]float32, views *[][]float32, n, dim int) [][]float32 {
 	return *views
 }
 
-// PhaseWork returns the device work accumulated under the named phase.
-func (c *Ctx) PhaseWork(phase string) gpusim.Counters { return c.work[phase] }
-
-// ResetPhaseWork clears the per-phase work counters.
-func (c *Ctx) ResetPhaseWork() { c.work = map[string]gpusim.Counters{} }
-
-// track runs fn and accrues its wall time and device work under phase.
-func (c *Ctx) track(phase string, fn func() error) error {
+// track runs fn and accrues its wall time and device work under stage.
+func (c *Ctx) track(stage metrics.Stage, fn func() error) error {
 	t0 := time.Now()
 	before := c.Dev.Snapshot()
 	err := fn()
-	c.Phases.Add(phase, time.Since(t0))
-	c.work[phase] = c.work[phase].Add(c.Dev.Snapshot().Sub(before))
+	c.Stages.Add(stage, time.Since(t0))
+	c.Work[stage] = c.Work[stage].Add(c.Dev.Snapshot().Sub(before))
 	return err
 }
 
@@ -285,7 +269,7 @@ func (g *Graphs) Shape() (numDst, numSrc, numEdges int) {
 }
 
 // ensureCSR returns a CSR view, translating from COO on demand and charging
-// the work to PhaseTranslation (the Graph-approach's recurring cost,
+// the work to StageTranslation (the Graph-approach's recurring cost,
 // Fig 5c). The translation allocates — and frees — real scratch device
 // memory, so memory footprint measurements see it; the translated CSR's
 // own buffer stays accounted until EndBatch, like the real framework's.
@@ -293,8 +277,7 @@ func (c *Ctx) ensureCSR(g *Graphs) (*graph.BCSR, error) {
 	if g.CSR != nil {
 		return g.CSR, nil
 	}
-	var out *graph.BCSR
-	err := c.track(PhaseTranslation, func() error {
+	err := c.track(metrics.StageTranslation, func() error {
 		csr, stats := graph.BCOOToBCSR(g.COO)
 		scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
 		if err != nil {
@@ -302,17 +285,12 @@ func (c *Ctx) ensureCSR(g *Graphs) (*graph.BCSR, error) {
 		}
 		_, err = c.alloc(csr.Bytes(), "translated-csr")
 		scratch.Free()
-		if err != nil {
-			return err
+		if err == nil {
+			g.CSR = csr
 		}
-		out = csr
-		return nil
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	g.CSR = out
-	return out, nil
+	return g.CSR, err
 }
 
 // ensureCSC returns a CSC view, translating on demand (BWP path).
@@ -320,8 +298,7 @@ func (c *Ctx) ensureCSC(g *Graphs) (*graph.BCSC, error) {
 	if g.CSC != nil {
 		return g.CSC, nil
 	}
-	var out *graph.BCSC
-	err := c.track(PhaseTranslation, func() error {
+	err := c.track(metrics.StageTranslation, func() error {
 		if g.COO != nil {
 			csc, stats := graph.BCOOToBCSC(g.COO)
 			scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
@@ -329,17 +306,13 @@ func (c *Ctx) ensureCSC(g *Graphs) (*graph.BCSC, error) {
 				return err
 			}
 			scratch.Free()
-			out = csc
+			g.CSC = csc
 			return nil
 		}
-		out = graph.BCSRToBCSC(g.CSR)
+		g.CSC = graph.BCSRToBCSC(g.CSR)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	g.CSC = out
-	return out, nil
+	return g.CSC, err
 }
 
 // ensureCOO returns a COO view, expanding from CSR on demand.
@@ -347,14 +320,9 @@ func (c *Ctx) ensureCOO(g *Graphs) (*graph.BCOO, error) {
 	if g.COO != nil {
 		return g.COO, nil
 	}
-	var out *graph.BCOO
-	err := c.track(PhaseTranslation, func() error {
-		out = graph.BCSRToBCOO(g.CSR)
+	err := c.track(metrics.StageTranslation, func() error {
+		g.COO = graph.BCSRToBCOO(g.CSR)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	g.COO = out
-	return out, nil
+	return g.COO, err
 }

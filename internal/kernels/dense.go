@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"graphtensor/internal/gpusim"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/tensor"
 )
 
@@ -39,7 +40,7 @@ const weightsAddr = -1 << 40
 // rows and writes its Y rows.
 func Linear(ctx *Ctx, x *DeviceMatrix, w *tensor.Matrix, label string) (*DeviceMatrix, error) {
 	var out *DeviceMatrix
-	err := ctx.track(PhaseCombination, func() error {
+	err := ctx.track(metrics.StageCombination, func() error {
 		var err error
 		out, err = AllocDeviceMatrix(ctx, x.M.Rows, w.Cols, label)
 		if err != nil {
@@ -58,7 +59,7 @@ func Linear(ctx *Ctx, x *DeviceMatrix, w *tensor.Matrix, label string) (*DeviceM
 // step, so onto a zero dW the result is the product itself, bit for bit.
 func LinearBackward(ctx *Ctx, x, dy *DeviceMatrix, w, dw *tensor.Matrix, label string) (*DeviceMatrix, error) {
 	var dx *DeviceMatrix
-	err := ctx.track(PhaseCombination, func() error {
+	err := ctx.track(metrics.StageCombination, func() error {
 		var err error
 		dx, err = AllocDeviceMatrix(ctx, x.M.Rows, w.Rows, label)
 		if err != nil {
@@ -149,7 +150,7 @@ func traceRowGEMM(ctx *Ctx, name string, in, out *DeviceMatrix, w *tensor.Matrix
 // the tensor pool; the consumer (the model's backward or inference path)
 // returns it with tensor.Put once the gradient no longer needs it.
 func BiasReLU(ctx *Ctx, x *DeviceMatrix, bias []float32) (pre *tensor.Matrix, err error) {
-	err = ctx.track(PhaseCombination, func() error {
+	err = ctx.track(metrics.StageCombination, func() error {
 		k := ctx.Dev.StartKernel("bias-relu")
 		pre = tensor.Get(x.M.Rows, x.M.Cols)
 		runSMsChunked(k, x.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
@@ -176,7 +177,7 @@ func BiasReLU(ctx *Ctx, x *DeviceMatrix, bias []float32) (pre *tensor.Matrix, er
 // BiasReLUBackward turns the upstream gradient dY into the pre-activation
 // gradient (dY ⊙ 1[pre>0]) in place and accumulates the bias gradient.
 func BiasReLUBackward(ctx *Ctx, dy *DeviceMatrix, pre *tensor.Matrix, dBias []float32) error {
-	return ctx.track(PhaseCombination, func() error {
+	return ctx.track(metrics.StageCombination, func() error {
 		k := ctx.Dev.StartKernel("bias-relu-bwp")
 		// Bias gradient reduction is serialized per column chunk.
 		runSMsChunked(k, dy.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {

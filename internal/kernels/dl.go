@@ -5,6 +5,7 @@ import (
 
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 )
 
 // DLApproach is the PyG/NeuGraph-style strategy (§III, Fig 5a): every
@@ -48,7 +49,7 @@ func (DLApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Devic
 			return nil, err
 		}
 	} else {
-		err = ctx.track(PhaseSparse2Dense, func() error {
+		err = ctx.track(metrics.StageSparse2Dense, func() error {
 			var err error
 			msgMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-gathered-src")
 			if err != nil {
@@ -76,7 +77,7 @@ func (DLApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Devic
 
 	// scatter_mean / scatter_sum over the dense message matrix.
 	var out *DeviceMatrix
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "dl-aggr-out")
 		if err != nil {
@@ -131,7 +132,7 @@ func (DLApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) 
 
 	// Expand dOut to a dense per-edge gradient matrix (gather by dst).
 	var dMsgMat *DeviceMatrix
-	err = ctx.track(PhaseSparse2Dense, func() error {
+	err = ctx.track(metrics.StageSparse2Dense, func() error {
 		var err error
 		dMsgMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-bwp-dmsg")
 		if err != nil {
@@ -180,7 +181,7 @@ func (DLApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) 
 	edgeOfCSC := ctx.cscEdgeIDs(csr, csc)
 
 	var dx *DeviceMatrix
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		dx, err = AllocDeviceMatrix(ctx, csr.NumSrc, dim, "dl-bwp-dx")
 		if err != nil {
@@ -210,7 +211,7 @@ func (DLApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) 
 	}
 
 	if m.HasDstGrad() {
-		err = ctx.track(PhaseEdgeWeight, func() error {
+		err = ctx.track(metrics.StageEdgeWeight, func() error {
 			k := ctx.Dev.StartKernel("dl-bwp-dstgrad")
 			runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
 				for d := lo; d < hi; d++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/tensor"
 )
 
@@ -126,7 +127,7 @@ func TestTranslationOnlyFromCOO(t *testing.T) {
 	ctx := NewCtx(dev)
 	xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
 	_, _ = NAPA{}.Forward(ctx, &Graphs{CSR: csr}, xd, GCNModes())
-	if ctx.Phases.Get(PhaseTranslation) != 0 {
+	if ctx.Stages[metrics.StageTranslation] != 0 {
 		t.Error("NAPA from CSR should not translate")
 	}
 }

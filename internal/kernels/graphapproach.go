@@ -5,6 +5,7 @@ import (
 
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 )
 
 // GraphApproach is the DGL/FeatGraph-style strategy (§III, Fig 5b/5c):
@@ -55,7 +56,7 @@ func (GraphApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*De
 	}
 
 	var out *DeviceMatrix
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		out, err = AllocDeviceMatrix(ctx, coo.NumDst, dim, "ga-aggr-out")
 		if err != nil {
@@ -153,7 +154,7 @@ func (GraphApproach) SDDMM(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Devi
 		return nil, err
 	}
 	var wMat *DeviceMatrix
-	err = ctx.track(PhaseEdgeWeight, func() error {
+	err = ctx.track(metrics.StageEdgeWeight, func() error {
 		var err error
 		wMat, err = AllocDeviceMatrix(ctx, coo.NumEdges(), m.WeightCols(x.M.Cols), "ga-edge-weights")
 		if err != nil {
@@ -212,7 +213,7 @@ func (GraphApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Mode
 	invDeg := ctx.InvDegCOO(coo)
 
 	var dx *DeviceMatrix
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		dx, err = AllocDeviceMatrix(ctx, coo.NumSrc, dim, "ga-bwp-dx")
 		if err != nil {
@@ -247,7 +248,7 @@ func (GraphApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Mode
 	}
 
 	if m.HasDstGrad() {
-		err = ctx.track(PhaseEdgeWeight, func() error {
+		err = ctx.track(metrics.StageEdgeWeight, func() error {
 			k := ctx.Dev.StartKernel("ga-sddmm-bwp")
 			numSMs := k.NumSMs()
 			scratch := ctx.msgScratch(numSMs, dim)

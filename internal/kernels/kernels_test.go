@@ -6,6 +6,7 @@ import (
 
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/tensor"
 )
 
@@ -160,7 +161,7 @@ func TestForwardFromCOOOnly(t *testing.T) {
 		if diff := got.M.MaxAbsDiff(want); diff > 2e-5 {
 			t.Errorf("%s from COO: forward diff %g", s.Name(), diff)
 		}
-		if s.Name() == "Graph-approach" && ctx.Phases.Get(PhaseTranslation) == 0 {
+		if s.Name() == "Graph-approach" && ctx.Stages[metrics.StageTranslation] == 0 {
 			t.Errorf("Graph-approach from COO should charge format translation")
 		}
 	}

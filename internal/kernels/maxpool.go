@@ -3,6 +3,7 @@ package kernels
 import (
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 )
 
 // Max-pooling aggregation (GraphSAGE [7]) as a NAPA extension. The paper
@@ -24,7 +25,7 @@ func SAGEPoolForward(ctx *Ctx, g *Graphs, x *DeviceMatrix) (*DeviceMatrix, []int
 	dim := x.M.Cols
 	var out *DeviceMatrix
 	argmax := make([]int32, csr.NumDst*dim)
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "sage-pool-out")
 		if err != nil {
@@ -69,7 +70,7 @@ func SAGEPoolBackward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, argmax []int32
 	}
 	dim := x.M.Cols
 	var dx *DeviceMatrix
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		dx, err = AllocDeviceMatrix(ctx, csr.NumSrc, dim, "sage-pool-dx")
 		if err != nil {

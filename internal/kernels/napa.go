@@ -6,6 +6,7 @@ import (
 
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 )
 
 // NAPA is GraphTensor's pure vertex-centric strategy (§IV-B): the graph is
@@ -84,22 +85,21 @@ func (NAPA) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*DeviceMatri
 	if err != nil {
 		return nil, err
 	}
-	// The fused kernel covers both primitives; apportion its time between
-	// the edge-weighting and aggregation phases by their per-edge FLOP
-	// shares so the Fig 16 breakdown stays meaningful. The device work all
-	// lands under the aggregation phase.
+	// The fused kernel covers both primitives (booked by hand: a closure
+	// handed to track would move out to the heap); apportion its host time
+	// between edge weighting and aggregation by their per-edge FLOP shares so
+	// Fig 16 stays meaningful. The device work all lands under aggregation.
 	elapsed := time.Since(start)
-	ctx.work[PhaseAggregation] = ctx.work[PhaseAggregation].Add(ctx.Dev.Snapshot().Sub(beforeWork))
-	if m.HasEdgeWeight() {
-		wShare := 0.5
-		if m.G == WeightDot {
-			wShare = 0.6
-		}
-		ctx.Phases.Add(PhaseEdgeWeight, time.Duration(float64(elapsed)*wShare))
-		ctx.Phases.Add(PhaseAggregation, time.Duration(float64(elapsed)*(1-wShare)))
-	} else {
-		ctx.Phases.Add(PhaseAggregation, elapsed)
+	ctx.Work[metrics.StageAggregation] = ctx.Work[metrics.StageAggregation].Add(ctx.Dev.Snapshot().Sub(beforeWork))
+	wShare := 0.0
+	if m.G == WeightDot {
+		wShare = 0.6
+	} else if m.HasEdgeWeight() {
+		wShare = 0.5
 	}
+	w := time.Duration(float64(elapsed) * wShare)
+	ctx.Stages.Add(metrics.StageEdgeWeight, w)
+	ctx.Stages.Add(metrics.StageAggregation, elapsed-w)
 	return out, nil
 }
 
@@ -121,7 +121,7 @@ func NeighborApplyKernel(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*
 	}
 	dim := x.M.Cols
 	var wMat *DeviceMatrix
-	err := ctx.track(PhaseEdgeWeight, func() error {
+	err := ctx.track(metrics.StageEdgeWeight, func() error {
 		var err error
 		wMat, err = AllocDeviceMatrix(ctx, csr.NumEdges(), m.WeightCols(dim), "napa-edge-weights")
 		if err != nil {
@@ -156,7 +156,7 @@ func NeighborApplyKernel(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*
 func PullKernel(ctx *Ctx, csr *graph.BCSR, x, wMat *DeviceMatrix, m Modes) (*DeviceMatrix, error) {
 	dim := x.M.Cols
 	var out *DeviceMatrix
-	err := ctx.track(PhaseAggregation, func() error {
+	err := ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "napa-aggr-out")
 		if err != nil {
@@ -222,7 +222,7 @@ func (NAPA) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*Devi
 	invDeg := ctx.InvDeg(csr)
 
 	var dx *DeviceMatrix
-	err = ctx.track(PhaseAggregation, func() error {
+	err = ctx.track(metrics.StageAggregation, func() error {
 		var err error
 		dx, err = AllocDeviceMatrix(ctx, csr.NumSrc, dim, "napa-bwp-dx")
 		if err != nil {
@@ -258,7 +258,7 @@ func (NAPA) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*Devi
 	}
 
 	if m.HasDstGrad() {
-		err = ctx.track(PhaseEdgeWeight, func() error {
+		err = ctx.track(metrics.StageEdgeWeight, func() error {
 			k := ctx.Dev.StartKernel("napa-neighborapply-bwp")
 			msgS := ctx.msgScratch(k.NumSMs(), dim)
 			runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, smID, lo, hi int) {

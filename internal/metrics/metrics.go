@@ -1,5 +1,5 @@
 // Package metrics provides the measurement plumbing the experiment harness
-// shares: phase breakdowns (Fig 12a, Fig 16), lock-free latency rings and
+// shares: the typed stage record (Fig 12b, Fig 16), lock-free latency rings and
 // normalized series formatting for the figure reproductions.
 package metrics
 
@@ -8,75 +8,97 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Breakdown accumulates named durations, e.g. per preprocessing task or per
-// GPU kernel class.
-type Breakdown struct {
-	mu    sync.Mutex
-	parts map[string]time.Duration
-	order []string
+// Stage names one step of a batch's life — the one vocabulary both of the
+// paper's tables are printed in: first the S→R→K→T preprocessing tasks a
+// producer records (Fig 12b, the benchmark's prep.*_ms), then, from
+// StageAggregation on, the kernel classes a kernels.Ctx records (Fig 16).
+type Stage uint8
+
+const (
+	StageSample Stage = iota
+	StageReindex
+	StageLookup
+	StageTransfer
+	StageAggregation
+	StageEdgeWeight
+	StageCombination
+	StageSparse2Dense
+	StageTranslation
+	NumStages
+)
+
+var stageNames = [NumStages]string{"sample", "reindex", "lookup", "transfer",
+	"aggregation", "edge-weight", "combination", "sparse2dense", "translation"}
+
+// String returns the stage's printed name.
+func (s Stage) String() string { return stageNames[s] }
+
+// Stages is the host time accrued per stage: a plain value indexed by Stage
+// that lives in the thing it describes — a prepared batch, a kernel context —
+// and copies like any array. Only Add may run concurrently (the pipelined
+// scheduler's R and K subtasks add to one batch's record); plain reads and
+// copies need the adders to have finished.
+type Stages [NumStages]time.Duration
+
+// Add accrues d under s — an atomic add on a plain cell, not an atomic.Int64
+// cell, so that the record stays copyable.
+func (st *Stages) Add(s Stage, d time.Duration) {
+	atomic.AddInt64((*int64)(&st[s]), int64(d))
 }
 
-// NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{parts: map[string]time.Duration{}}
-}
-
-// Add accrues d under name.
-func (b *Breakdown) Add(name string, d time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.parts[name]; !ok {
-		b.order = append(b.order, name)
+// Plus returns st + o, stage by stage.
+func (st Stages) Plus(o Stages) Stages {
+	for s := range st {
+		st[s] += o[s]
 	}
-	b.parts[name] += d
+	return st
 }
 
-// Get returns the accumulated duration for name.
-func (b *Breakdown) Get(name string) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.parts[name]
+// Sub returns st − o, stage by stage.
+func (st Stages) Sub(o Stages) Stages {
+	for s := range st {
+		st[s] -= o[s]
+	}
+	return st
 }
 
-// Total returns the sum over all parts.
-func (b *Breakdown) Total() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t time.Duration
-	for _, d := range b.parts {
+// Total returns the sum over all stages.
+func (st Stages) Total() (t time.Duration) {
+	for _, d := range st {
 		t += d
 	}
 	return t
 }
 
-// Names returns the part names in first-added order.
-func (b *Breakdown) Names() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]string(nil), b.order...)
+// Names returns every stage name in enum order (a shared slice: do not
+// modify). It stays only until a [benchmark] PR drops its last caller, the
+// frozen benchmark/replay.go, which ranges over a batch's record by name.
+func (st Stages) Names() []string { return stageNames[:] }
+
+// Get returns the time accrued under the stage printed as name (0 for an
+// unknown name). Like Names it stays only until a [benchmark] PR drops
+// benchmark/replay.go's call; everything else indexes by Stage.
+func (st Stages) Get(name string) time.Duration {
+	for s, n := range stageNames {
+		if n == name {
+			return st[s]
+		}
+	}
+	return 0
 }
 
-// String renders the breakdown as "name: dur (pct%)" lines.
-func (b *Breakdown) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t time.Duration
-	for _, d := range b.parts {
-		t += d
-	}
+// String renders the non-zero stages as "name dur (pct%)" lines, enum order.
+func (st Stages) String() string {
+	t := st.Total()
 	var sb strings.Builder
-	for _, n := range b.order {
-		d := b.parts[n]
-		pct := 0.0
-		if t > 0 {
-			pct = 100 * float64(d) / float64(t)
+	for s, d := range st {
+		if d != 0 {
+			fmt.Fprintf(&sb, "%-12s %12v (%5.1f%%)\n", Stage(s), d.Round(time.Microsecond), 100*float64(d)/float64(t))
 		}
-		fmt.Fprintf(&sb, "%-12s %12v (%5.1f%%)\n", n, d.Round(time.Microsecond), pct)
 	}
 	return sb.String()
 }
@@ -116,7 +138,7 @@ func SummarizeLatencies(ds []time.Duration) LatencySummary {
 // latency samples. Writers call Record concurrently — the slot is claimed
 // with one atomic add and written with one atomic store, so the serving
 // engine's hot completion path never takes a lock — and readers merge the
-// retained window with Snapshot/AppendTo. Reads race writes by design: a
+// retained window with AppendTo. Reads race writes by design: a
 // snapshot is a statistical sample of the most recent window, not a
 // linearizable log, which is exactly what quantile reporting needs.
 type LatencyRing struct {
@@ -156,11 +178,6 @@ func (r *LatencyRing) AppendTo(dst []time.Duration) []time.Duration {
 		dst = append(dst, time.Duration(r.slots[i].Load()))
 	}
 	return dst
-}
-
-// Snapshot returns a copy of the retained window.
-func (r *LatencyRing) Snapshot() []time.Duration {
-	return r.AppendTo(make([]time.Duration, 0, r.Len()))
 }
 
 // GeoMean returns the geometric mean of vs (the paper's "on average" for

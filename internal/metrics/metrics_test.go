@@ -7,26 +7,93 @@ import (
 	"time"
 )
 
-func TestBreakdownFractions(t *testing.T) {
-	b := NewBreakdown()
-	b.Add("a", 30*time.Millisecond)
-	b.Add("b", 10*time.Millisecond)
-	b.Add("a", 10*time.Millisecond) // a now 40
-	if fr := float64(b.Get("a")) / float64(b.Total()); math.Abs(fr-0.8) > 1e-9 {
-		t.Errorf("a fraction %g want 0.8", fr)
+func TestStagesFractions(t *testing.T) {
+	var st Stages
+	st.Add(StageSample, 30*time.Millisecond)
+	st.Add(StageLookup, 10*time.Millisecond)
+	st.Add(StageSample, 10*time.Millisecond) // sample now 40
+	if fr := float64(st[StageSample]) / float64(st.Total()); math.Abs(fr-0.8) > 1e-9 {
+		t.Errorf("sample fraction %g want 0.8", fr)
 	}
-	if b.Total() != 50*time.Millisecond {
-		t.Errorf("total %v", b.Total())
+	if st.Total() != 50*time.Millisecond {
+		t.Errorf("total %v", st.Total())
 	}
 }
 
-func TestBreakdownOrder(t *testing.T) {
-	b := NewBreakdown()
-	b.Add("z", time.Second)
-	b.Add("a", time.Second)
-	names := b.Names()
-	if names[0] != "z" || names[1] != "a" {
-		t.Errorf("order not first-added: %v", names)
+// TestStagesVocabulary pins the nine printed names (the strings
+// benchmark/README.md, Fig 12b and Fig 16 show) and the two string-keyed
+// reads the frozen benchmark still makes.
+func TestStagesVocabulary(t *testing.T) {
+	want := []string{"sample", "reindex", "lookup", "transfer",
+		"aggregation", "edge-weight", "combination", "sparse2dense", "translation"}
+	var st Stages
+	names := st.Names()
+	if len(names) != len(want) || int(NumStages) != len(want) {
+		t.Fatalf("Names() = %v, NumStages = %d, want the %d stages", names, NumStages, len(want))
+	}
+	for s, w := range want {
+		if names[s] != w || Stage(s).String() != w {
+			t.Errorf("stage %d prints %q / Names()[%d] = %q, want %q", s, Stage(s), s, names[s], w)
+		}
+		st.Add(Stage(s), time.Duration(s+1))
+		if st.Get(w) != time.Duration(s+1) {
+			t.Errorf("Get(%q) = %v want %v", w, st.Get(w), time.Duration(s+1))
+		}
+	}
+	if st.Get("no-such-stage") != 0 {
+		t.Errorf("unknown name reads %v, want 0", st.Get("no-such-stage"))
+	}
+	// String: enum order, zero rows omitted.
+	out := Stages{StageTransfer: time.Millisecond, StageSample: 3 * time.Millisecond}.String()
+	if want := "sample                3ms ( 75.0%)\ntransfer              1ms ( 25.0%)\n"; out != want {
+		t.Errorf("String() = %q want %q", out, want)
+	}
+}
+
+// TestStagesValueArithmetic: the record is a plain value — a copy is
+// independent of its source, and Plus/Sub leave their operands alone.
+func TestStagesValueArithmetic(t *testing.T) {
+	a := Stages{StageSample: 5, StageAggregation: 7}
+	b := a
+	b.Add(StageSample, 1)
+	if a[StageSample] != 5 || b[StageSample] != 6 {
+		t.Fatalf("copy aliases its source: a=%v b=%v", a[StageSample], b[StageSample])
+	}
+	if d := b.Sub(a); d != (Stages{StageSample: 1}) {
+		t.Errorf("Sub = %v", d)
+	}
+	if s := a.Plus(b); s != (Stages{StageSample: 11, StageAggregation: 14}) || a[StageSample] != 5 {
+		t.Errorf("Plus = %v (a = %v)", s, a)
+	}
+}
+
+// TestStagesConcurrentAdd: G goroutines × M adds on two stages sum exactly
+// (the pipelined scheduler's R and K subtasks add to one batch's record
+// concurrently; run under -race in CI).
+func TestStagesConcurrentAdd(t *testing.T) {
+	const G, M = 8, 2000
+	var st Stages
+	var wg sync.WaitGroup
+	for g := 0; g < G; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < M; i++ {
+				st.Add(StageReindex, 1)
+				st.Add(StageLookup, 3)
+			}
+		}()
+	}
+	wg.Wait()
+	if st[StageReindex] != G*M || st[StageLookup] != 3*G*M || st.Total() != 4*G*M {
+		t.Fatalf("lost adds: reindex %d lookup %d, want %d / %d", st[StageReindex], st[StageLookup], G*M, 3*G*M)
+	}
+}
+
+func TestStagesAddAllocFree(t *testing.T) {
+	var st Stages
+	if n := testing.AllocsPerRun(100, func() { st.Add(StageTransfer, time.Microsecond) }); n != 0 {
+		t.Errorf("Add allocates %v per call", n)
 	}
 }
 
@@ -84,7 +151,7 @@ func TestLatencyRingWrap(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		r.Record(time.Duration(i))
 	}
-	if got := r.Snapshot(); len(got) != 3 {
+	if got := r.AppendTo(nil); len(got) != 3 {
 		t.Fatalf("pre-wrap window %v, want 3 samples", got)
 	}
 	// Overfill by 2.5×: only the most recent `capacity` samples survive.
@@ -93,7 +160,7 @@ func TestLatencyRingWrap(t *testing.T) {
 	for i := 1; i <= total; i++ {
 		r2.Record(time.Duration(i))
 	}
-	got := r2.Snapshot()
+	got := r2.AppendTo(nil)
 	if len(got) != capacity {
 		t.Fatalf("post-wrap window has %d samples, want %d", len(got), capacity)
 	}
@@ -133,7 +200,7 @@ func TestLatencyRingConcurrentRecord(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got := r.Snapshot()
+	got := r.AppendTo(nil)
 	if len(got) != capacity {
 		t.Fatalf("window has %d samples, want %d", len(got), capacity)
 	}

@@ -110,7 +110,8 @@ func (s *Scheduler) Close() { s.engine.close() }
 // falls back to plain allocation.
 func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, error) {
 	arena, structs := slot.TensorArena(), slot.StructPool()
-	bd := metrics.NewBreakdown()
+	batch := structs.TakeBatch()
+	bd := &batch.Breakdown
 	L := s.cfg.Sampler.Layers
 	dim := s.features.Dim
 
@@ -136,7 +137,7 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 	for t := 0; t < L; t++ {
 		st := time.Now()
 		hop := run.Step()
-		bd.Add("sample", time.Since(st))
+		bd.Add(metrics.StageSample, time.Since(st))
 
 		// R_t: hop t (0-based) is processed by GNN layer L-t (1-based),
 		// i.e. layers[L-1-t].
@@ -168,7 +169,7 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 
 	st := time.Now()
 	embed := graph.NewEmbeddingTableArena(arena, nTotal, dim)
-	bd.Add("transfer", time.Since(st))
+	bd.Add(metrics.StageTransfer, time.Since(st))
 
 	// Stream chunks as they land; the K subtasks keep producing while we
 	// assemble (Fig 14b overlap), and each chunk's staging buffer returns to
@@ -191,7 +192,7 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 			rows := ch.hi - ch.lo
 			copy(embed.Data.Data[ch.lo*dim:ch.hi*dim], ch.data.Data[:rows*dim])
 			tensor.Put(ch.data)
-			bd.Add("transfer", time.Since(st))
+			bd.Add(metrics.StageTransfer, time.Since(st))
 			transferred += rows
 			cacheHits += ch.hits
 		}
@@ -203,15 +204,12 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 		s.engine.putRun(r)
 		return nil, err
 	}
-	layers := r.layers
+	batch.Sample, batch.Layers, batch.Embed = res, r.layers, embed
 	s.engine.putRun(r)
-
-	batch := structs.TakeBatch()
-	batch.Sample, batch.Layers, batch.Embed, batch.Breakdown = res, layers, embed, bd
 	if s.cfg.Cache != nil {
 		batch.CacheHits, batch.CacheMisses = cacheHits, nTotal-cacheHits
 	}
-	batch.HostBytes = prep.GraphBytes(layers) + prep.MissBytes(batch)
+	batch.HostBytes = prep.GraphBytes(batch.Layers) + prep.MissBytes(batch)
 	if s.labels != nil {
 		batch.Labels = structs.TakeLabels(len(res.Batch))
 		for i, orig := range res.Batch {

@@ -10,6 +10,7 @@ import (
 	"graphtensor/internal/cache"
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/sampling"
 	"graphtensor/internal/tensor"
@@ -138,6 +139,54 @@ func TestSchedulerLinkAccounting(t *testing.T) {
 	}
 	if saved := int64(cached.CacheHits) * int64(ds.Features.Dim) * 4; cached.HostBytes != want-saved {
 		t.Errorf("cached payload %d, want %d - %d hit bytes", cached.HostBytes, want, saved)
+	}
+}
+
+// TestPrepareRecordsStages: both producers leave the batch's host time per
+// preprocessing stage in the batch's own record — every task of S→R→K→T,
+// and no kernel stage — and the record is the batch's, not the slot's: a
+// header recycled through its slot starts from zero, so a second prepare
+// does not carry the first's time. Runs at -cpu 1,4 under -race in CI (the
+// scheduler's R and K subtasks add concurrently).
+func TestPrepareRecordsStages(t *testing.T) {
+	ds := testDataset(t)
+	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, DefaultConfig())
+	sched.chunk = 32
+	t.Cleanup(sched.Close)
+	serialPrep, _ := producerFixture(t)
+	for name, prepare := range map[string]func([]graph.VID, *Slot) (*prep.Batch, error){
+		"serial": serialPrep, "scheduler": sched.Prepare,
+	} {
+		slot := NewSlot()
+		b1, err := prepare(ds.BatchDsts(30, 1), slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// T's host half may round to zero on a coarse clock; S/R/K may not.
+		for _, task := range []metrics.Stage{metrics.StageSample, metrics.StageReindex, metrics.StageLookup} {
+			if b1.Breakdown[task] <= 0 {
+				t.Errorf("%s: task %q not recorded", name, task)
+			}
+		}
+		for s := metrics.StageAggregation; s < metrics.NumStages; s++ {
+			if b1.Breakdown[s] != 0 {
+				t.Errorf("%s: a producer recorded kernel stage %q", name, s)
+			}
+		}
+		b1.Breakdown.Add(metrics.StageSample, time.Hour) // would survive a header that is not reset
+		b1.Release()
+		slot.Recycle(b1)
+		b2, err := prepare(ds.BatchDsts(30, 2), slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b2 != b1 {
+			t.Errorf("%s: the slot did not recycle the batch header", name)
+		}
+		if got := b2.Breakdown[metrics.StageSample]; got <= 0 || got >= time.Hour {
+			t.Errorf("%s: recycled batch's sample time %v: want its own prepare's, not the previous batch's on top", name, got)
+		}
+		b2.Release()
 	}
 }
 

@@ -136,7 +136,7 @@ func TestRingProducerAllocFlat(t *testing.T) {
 			a4 := testing.AllocsPerRun(10, func() { epoch(4) })
 			a12 := testing.AllocsPerRun(10, func() { epoch(12) })
 			marginal := (a12 - a4) / 8
-			if marginal > 25 {
+			if marginal > 10 {
 				t.Errorf("steady-state producer allocates %.1f allocs per extra batch (epoch 4: %.0f, epoch 12: %.0f); want a small constant",
 					marginal, a4, a12)
 			}

@@ -83,7 +83,7 @@ func (e *subtaskEngine) recycle(t *subtask) {
 }
 
 // getRun checks out a reset per-prepare run state.
-func (e *subtaskEngine) getRun(s *Scheduler, bd *metrics.Breakdown, structs *prep.Structs) *prepRun {
+func (e *subtaskEngine) getRun(s *Scheduler, bd *metrics.Stages, structs *prep.Structs) *prepRun {
 	r, _ := e.runs.Get().(*prepRun)
 	if r == nil {
 		r = &prepRun{wake: make(chan struct{}, 1)}
@@ -114,7 +114,7 @@ func (e *subtaskEngine) putRun(r *prepRun) {
 // batches.
 type prepRun struct {
 	s       *Scheduler
-	bd      *metrics.Breakdown
+	bd      *metrics.Stages // the batch's own record (prep.Batch.Breakdown)
 	structs *prep.Structs
 	table   *vidmap.Table
 	layers  []prep.LayerData
@@ -242,7 +242,7 @@ func (t *subtask) reindex() {
 		return
 	}
 	r.layers[t.li] = ld
-	r.bd.Add("reindex", time.Since(st))
+	r.bd.Add(metrics.StageReindex, time.Since(st))
 }
 
 // lookup is the K subtask: gather one chunk of embeddings into a pooled
@@ -264,7 +264,7 @@ func (t *subtask) lookup() {
 	if s.cfg.Cache != nil {
 		hits, _ = s.cfg.Cache.CountResident(t.origs[t.lo:t.hi])
 	}
-	r.bd.Add("lookup", time.Since(st))
+	r.bd.Add(metrics.StageLookup, time.Since(st))
 	r.mu.Lock()
 	r.chunks = append(r.chunks, embedChunk{lo: t.lo, hi: t.hi, hits: hits, data: buf})
 	r.mu.Unlock()

@@ -77,7 +77,10 @@ type Batch struct {
 	// strategy's on-demand translations have since grown Layers.
 	HostBytes int64
 
-	Breakdown *metrics.Breakdown
+	// Breakdown is the host time the producer spent per preprocessing stage,
+	// written in place as it prepares (the frozen benchmark/ reads it by
+	// this name); a recycled header starts from zero.
+	Breakdown metrics.Stages
 
 	// CacheHits/CacheMisses count the batch's sampled vertices that were
 	// resident / absent in the embedding cache consulted during
@@ -203,17 +206,18 @@ type Config struct {
 // Serial runs the classic serialized preprocessing chain
 // S → R → K → T, one task after another (the discipline of the existing
 // frameworks in Fig 12a whose latency GraphTensor attacks). It returns the
-// prepared batch and records per-task durations in the breakdown; T here is
+// prepared batch, its per-task durations recorded in batch.Breakdown; T here is
 // its host half — assembling the batch and fixing its link payload.
 func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 	labels []int32, batchDsts []graph.VID, cfg Config) (*Batch, error) {
 
-	bd := metrics.NewBreakdown()
 	st := cfg.Structs
+	batch := st.TakeBatch()
+	bd := &batch.Breakdown
 
 	t0 := time.Now()
 	res := sampler.SampleReuse(batchDsts, st.TakeSample())
-	bd.Add("sample", time.Since(t0))
+	bd.Add(metrics.StageSample, time.Since(t0))
 
 	t0 = time.Now()
 	st.EnsureLayers(len(res.Hops))
@@ -225,20 +229,17 @@ func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 		}
 		layers[l-1] = ld
 	}
-	bd.Add("reindex", time.Since(t0))
+	bd.Add(metrics.StageReindex, time.Since(t0))
 
 	t0 = time.Now()
 	embed := Lookup(cfg.Arena, features, res.Table)
-	var hits, missed int
 	if cfg.Cache != nil {
-		hits, missed = cfg.Cache.CountResident(res.Table.OrigSlice(0, res.Table.Len()))
+		batch.CacheHits, batch.CacheMisses = cfg.Cache.CountResident(res.Table.OrigSlice(0, res.Table.Len()))
 	}
-	bd.Add("lookup", time.Since(t0))
+	bd.Add(metrics.StageLookup, time.Since(t0))
 
 	t0 = time.Now()
-	batch := st.TakeBatch()
-	batch.Sample, batch.Layers, batch.Embed, batch.Breakdown = res, layers, embed, bd
-	batch.CacheHits, batch.CacheMisses = hits, missed
+	batch.Sample, batch.Layers, batch.Embed = res, layers, embed
 	batch.HostBytes = GraphBytes(layers) + MissBytes(batch)
 	if labels != nil {
 		batch.Labels = st.TakeLabels(len(res.Batch))
@@ -246,7 +247,7 @@ func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 			batch.Labels[i] = labels[orig]
 		}
 	}
-	bd.Add("transfer", time.Since(t0))
+	bd.Add(metrics.StageTransfer, time.Since(t0))
 	return batch, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"graphtensor/internal/cache"
 	"graphtensor/internal/graph"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/sampling"
 )
 
@@ -83,13 +84,11 @@ func TestSerialPreparesCompleteBatch(t *testing.T) {
 	if len(b.Labels) != 3 {
 		t.Errorf("expected 3 batch labels, got %d", len(b.Labels))
 	}
-	// Breakdown should record all four tasks.
-	for _, task := range []string{"sample", "reindex", "lookup", "transfer"} {
-		if b.Breakdown.Get(task) == 0 {
-			// transfer may round to zero on fast links; only require S/R/K.
-			if task != "transfer" {
-				t.Errorf("task %q not recorded", task)
-			}
+	// Breakdown should record all four tasks (T's host half may round to
+	// zero on a coarse clock; only S/R/K are required).
+	for _, task := range []metrics.Stage{metrics.StageSample, metrics.StageReindex, metrics.StageLookup} {
+		if b.Breakdown[task] == 0 {
+			t.Errorf("task %q not recorded", task)
 		}
 	}
 }

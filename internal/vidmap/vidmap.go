@@ -38,11 +38,13 @@ func New(n int) *Table {
 }
 
 // lock acquires the table lock on a data-path operation, recording how long
-// the caller waited for it.
+// the caller waited for it; only a blocked acquisition reads the clock.
 func (t *Table) lock() {
-	start := time.Now()
-	t.mu.Lock()
-	t.lockWaitNs.Add(int64(time.Since(start)))
+	if !t.mu.TryLock() {
+		start := time.Now()
+		t.mu.Lock()
+		t.lockWaitNs.Add(int64(time.Since(start)))
+	}
 }
 
 // GetOrAssign returns the new VID for orig, allocating the next VID if orig

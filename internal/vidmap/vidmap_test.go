@@ -3,6 +3,7 @@ package vidmap
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"graphtensor/internal/graph"
 )
@@ -86,10 +87,37 @@ func TestConcurrentGetOrAssignLinearizable(t *testing.T) {
 	}
 }
 
+// TestLockWaitRecorded: LockWait is the time acquisitions spent blocked and
+// nothing else — a single goroutine never waits, so its figure is exactly
+// zero (no clock is read on the uncontended path), while an acquisition that
+// finds the lock held is timed.
 func TestLockWaitRecorded(t *testing.T) {
 	tb := New(10)
 	tb.GetOrAssign(1)
-	if tb.LockWait() < 0 {
-		t.Error("negative lock wait")
+	tb.InsertBatch([]graph.VID{2, 3, 1})
+	tb.LookupBatch([]graph.VID{1, 2, 9}, make([]graph.VID, 3))
+	tb.Lookup(3)
+	if w := tb.LockWait(); w != 0 {
+		t.Fatalf("uncontended sequence recorded %v of lock wait, want exactly 0", w)
+	}
+	// Hold the lock across another goroutine's acquisition. The holder
+	// spins (no sleep) long enough for the waiter to reach the lock; a
+	// waiter scheduled too late to block is simply tried again.
+	for try := 0; try < 100 && tb.LockWait() == 0; try++ {
+		tb.mu.Lock()
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			close(started)
+			tb.GetOrAssign(7)
+			close(done)
+		}()
+		<-started
+		for t0 := time.Now(); time.Since(t0) < time.Millisecond; {
+		}
+		tb.mu.Unlock()
+		<-done
+	}
+	if tb.LockWait() <= 0 {
+		t.Error("a blocked acquisition recorded no lock wait")
 	}
 }
