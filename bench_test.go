@@ -428,6 +428,20 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkCalibrate is the offline cost-model fit every process pays once
+// per device class at set-up (dkp.ProfileFor): DefaultSweep's eight shapes
+// through the kernels' trace passes, both placements, and four least-squares
+// solves.
+func BenchmarkCalibrate(b *testing.B) {
+	cfg := gpusim.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := dkp.Calibrate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPolicyDecide is the placement policy's hot path, paid once per
 // rearrangeable layer per forward/backward pass: a memoized shape-keyed
 // lookup that must cost one hash and zero locks — and hold at exactly 0

@@ -9,6 +9,7 @@
 //	gtbench -exp fig19 -quick     # reduced dataset set and batch count
 //	gtbench -micro                # run micro-benchmarks, write BENCH_1.json
 //	gtbench -micro -count 10 -out BENCH_2.json
+//	gtbench -micro -count 1 -bench 'BenchmarkCalibrate$' -cpuprofile calib.prof
 package main
 
 import (
@@ -30,11 +31,13 @@ func main() {
 		count   = flag.Int("count", 5, "benchmark repetitions per micro-benchmark (-micro)")
 		outPath = flag.String("out", "BENCH_1.json", "output path for the micro-benchmark snapshot (-micro)")
 		benchRe = flag.String("bench", defaultMicroBench, "benchmark name regexp (-micro)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile per benchmarked package, cpu.prof as cpu.<package>.prof (-micro)")
+		memProf = flag.String("memprofile", "", "write an allocation profile per benchmarked package, mem.prof as mem.<package>.prof (-micro)")
 	)
 	flag.Parse()
 
 	if *micro {
-		if err := runMicro(*benchRe, *count, *outPath); err != nil {
+		if err := runMicro(*benchRe, *count, *outPath, *cpuProf, *memProf); err != nil {
 			fmt.Fprintf(os.Stderr, "gtbench: %v\n", err)
 			os.Exit(1)
 		}

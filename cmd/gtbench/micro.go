@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -21,7 +23,7 @@ import (
 
 // defaultMicroBench selects the substrate hot paths (not the full
 // paper-figure regenerations, which dominate wall time).
-const defaultMicroBench = "BenchmarkMatMul$|BenchmarkMatMulParallel$|BenchmarkNAPAForward|BenchmarkGraphApproachForwardNGCF$|BenchmarkDLApproachForwardNGCF$|BenchmarkCOOToCSR$|BenchmarkNeighborSampling$|BenchmarkPrepareBatch$|BenchmarkServeQuery$|BenchmarkServeThroughput$|BenchmarkServeContention$|BenchmarkTrainBatchPreproGT$|BenchmarkTrainEpoch$|BenchmarkMultiGPUTrainBatch$|BenchmarkCountResident$|BenchmarkPolicyDecide$|BenchmarkLRUTouch$|BenchmarkKernelLaunchReset$|BenchmarkLinearBackwardTrace$|BenchmarkAllocDeviceMatrix$"
+const defaultMicroBench = "BenchmarkMatMul$|BenchmarkMatMulParallel$|BenchmarkNAPAForward|BenchmarkGraphApproachForwardNGCF$|BenchmarkDLApproachForwardNGCF$|BenchmarkCOOToCSR$|BenchmarkNeighborSampling$|BenchmarkPrepareBatch$|BenchmarkServeQuery$|BenchmarkServeThroughput$|BenchmarkServeContention$|BenchmarkTrainBatchPreproGT$|BenchmarkTrainEpoch$|BenchmarkMultiGPUTrainBatch$|BenchmarkCountResident$|BenchmarkPolicyDecide$|BenchmarkLRUTouch$|BenchmarkKernelLaunchReset$|BenchmarkLinearBackwardTrace$|BenchmarkAllocDeviceMatrix$|BenchmarkCalibrate$|BenchmarkNAPATrace$"
 
 // benchResult is one benchmark's aggregated samples.
 type benchResult struct {
@@ -49,28 +51,85 @@ type benchFile struct {
 // BenchmarkServeThroughput's queries/sec from b.ReportMetric).
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.e+]+ [\w/]+)*?\s+(\d+) B/op\s+(\d+) allocs/op`)
 
-// runMicro executes the micro-benchmark suite and writes outPath. It must
-// run from the module root (where go.mod lives).
-func runMicro(benchRe string, count int, outPath string) error {
-	if _, err := os.Stat("go.mod"); err != nil {
-		return fmt.Errorf("gtbench -micro must run from the repository root (go.mod not found): %w", err)
-	}
-	// The module root holds the end-to-end benchmarks; internal/cache holds
-	// the epoch-snapshot read path whose zero-alloc floor the snapshot
-	// ratchets, internal/gpusim the cache simulator's touch and launch
-	// costs, internal/kernels the dense trace and an output matrix's pool
-	// round trip at train-heavy's shape.
+// microPkgs are the packages -micro benchmarks. The module root holds the
+// end-to-end benchmarks and the calibration; internal/cache holds the
+// epoch-snapshot read path whose zero-alloc floor the snapshot ratchets,
+// internal/gpusim the cache simulator's touch and launch costs,
+// internal/kernels the dense and sparse trace passes and an output matrix's
+// pool round trip at train-heavy's shape.
+var microPkgs = []string{".", "./internal/cache", "./internal/gpusim", "./internal/kernels"}
+
+// goTestBench runs `go test -bench` over pkgs with extra flags appended and
+// returns its standard output.
+func goTestBench(benchRe string, count int, extra, pkgs []string) ([]byte, error) {
 	// -timeout scales with -count: the default 10m cap kills deep captures
 	// (the snapshot records min-over-samples, which needs count >= ~20 to
 	// converge on the concurrency-heavy benchmarks).
 	args := []string{"test", "-run", "^$", "-bench", benchRe, "-benchmem",
-		"-count", strconv.Itoa(count), "-timeout", "120m", ".", "./internal/cache", "./internal/gpusim", "./internal/kernels"}
+		"-count", strconv.Itoa(count), "-timeout", "120m"}
+	args = append(append(args, extra...), pkgs...)
 	fmt.Fprintf(os.Stderr, "gtbench: go %v\n", args)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
-	outBytes, err := cmd.Output()
+	out, err := cmd.Output()
 	if err != nil {
-		return fmt.Errorf("go test -bench failed: %w\n%s", err, outBytes)
+		return nil, fmt.Errorf("go test -bench failed: %w\n%s", err, out)
+	}
+	return out, nil
+}
+
+// runMicro executes the micro-benchmark suite and writes outPath. It must
+// run from the module root (where go.mod lives). With cpuProf or memProf set
+// every package runs on its own — `go test` profiles one package per run —
+// and leaves its own profile behind, the package's name ("root" for the module
+// root) before the file's extension: cpu.prof → cpu.kernels.prof. The test
+// binaries go to a temporary directory.
+func runMicro(benchRe string, count int, outPath, cpuProf, memProf string) error {
+	if _, err := os.Stat("go.mod"); err != nil {
+		return fmt.Errorf("gtbench -micro must run from the repository root (go.mod not found): %w", err)
+	}
+	// One `go test` over all packages, or one per package when profiling.
+	runs := [][]string{microPkgs}
+	profiles := [][2]string{{"-cpuprofile", cpuProf}, {"-memprofile", memProf}}
+	binDir := ""
+	if cpuProf != "" || memProf != "" {
+		runs = nil
+		for _, pkg := range microPkgs {
+			runs = append(runs, []string{pkg})
+		}
+		dir, err := os.MkdirTemp("", "gtbench-micro")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		binDir = dir
+	}
+	var outBytes []byte
+	for _, pkgs := range runs {
+		var extra []string
+		if binDir != "" {
+			name := path.Base(pkgs[0])
+			if pkgs[0] == "." {
+				name = "root"
+			}
+			extra = []string{"-o", filepath.Join(binDir, name+".test")}
+			for _, prof := range profiles {
+				if prof[1] == "" {
+					continue
+				}
+				ext := filepath.Ext(prof[1])
+				file, err := filepath.Abs(prof[1][:len(prof[1])-len(ext)] + "." + name + ext)
+				if err != nil {
+					return err
+				}
+				extra = append(extra, prof[0], file)
+			}
+		}
+		out, err := goTestBench(benchRe, count, extra, pkgs)
+		if err != nil {
+			return err
+		}
+		outBytes = append(outBytes, out...)
 	}
 
 	byName := map[string]*benchResult{}

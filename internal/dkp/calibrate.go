@@ -10,7 +10,6 @@ import (
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/lsq"
 	"graphtensor/internal/pipeline"
-	"graphtensor/internal/tensor"
 )
 
 // Profile is the fitted cost model for one device class. It is immutable
@@ -108,11 +107,16 @@ func (s *samples) add(a0, a1, b float64) {
 }
 
 // Calibrate fits the Table I coefficients for cfg's device class: it sweeps
-// DefaultSweep through the kernel strategies on a fresh simulated device,
+// DefaultSweep through the kernels' trace passes on a fresh simulated device,
 // records each kernel's *modeled* execution time (a pure function of shape
 // and device class — deliberately not wall time, which would differ across
 // replicas and runs), and least-squares fits the cost model. The returned
 // profile falls back to PaperCoeffs when the fit is rejected.
+//
+// The calibration stream is defined for zero-free activations: the dW trace
+// of LinearBackward skips the dY row of every zero activation, and the sweep
+// charges the full stream a dense X costs — what running the layer on random
+// matrices produced (TestTraceSweepMatchesNumericSweep holds the two equal).
 func Calibrate(cfg gpusim.Config) (*Profile, error) {
 	rec := &calibRecorder{}
 	if _, err := sweep(cfg, DefaultSweep(), rec); err != nil {
@@ -146,8 +150,8 @@ func sweep(cfg gpusim.Config, shapes []Dims, rec *calibRecorder) ([]ShapeCost, e
 	ctx := kernels.NewCtx(dev)
 	ktm := gpusim.DefaultKernelTimeModel()
 	costs := make([]ShapeCost, 0, len(shapes))
-	for i, d := range shapes {
-		sc, err := runShape(dev, ctx, ktm, d, uint64(i+1), rec)
+	for _, d := range shapes {
+		sc, err := runShape(dev, ctx, ktm, d, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -182,65 +186,53 @@ func calibGraph(d Dims) *kernels.Graphs {
 	return &kernels.Graphs{CSR: csr, CSC: csc}
 }
 
-// runShape executes both placements of one GCN-mode layer (mid-layer
+// runShape traces both placements of one GCN-mode layer (mid-layer
 // semantics: the BWP aggregation runs in both orders) and records the
-// per-kernel modeled times into rec when calibrating.
-func runShape(dev *gpusim.Device, ctx *kernels.Ctx, ktm gpusim.KernelTimeModel, d Dims, seed uint64, rec *calibRecorder) (ShapeCost, error) {
+// per-kernel modeled times into rec when calibrating. A modeled time is a
+// function of the device counters, and the counters of these kernels are
+// functions of the graph, the matrices' geometry and the modes — so the
+// layer is never computed: its ten matrices are device allocations with no
+// host storage (made in the order the kernels would make them, which fixes
+// their addresses), and only the kernels' trace passes run.
+func runShape(dev *gpusim.Device, ctx *kernels.Ctx, ktm gpusim.KernelTimeModel, d Dims, rec *calibRecorder) (ShapeCost, error) {
 	sc := ShapeCost{Dims: d}
 	g := calibGraph(d)
 	modes := kernels.GCNModes()
-	rng := tensor.NewRNG(seed)
+	napa := kernels.NAPA{}
 
-	x, err := kernels.WrapDeviceMatrix(ctx, tensor.Random(d.NSrc, d.NFeat, 1, rng), 0, "calib-x")
-	if err != nil {
-		return sc, err
-	}
-	defer x.Free()
-	w := tensor.Random(d.NFeat, d.NHid, 1, rng)
-	dw := tensor.New(d.NFeat, d.NHid)
-	dOut, err := kernels.WrapDeviceMatrix(ctx, tensor.Random(d.NDst, d.NHid, 1, rng), 0, "calib-dout")
-	if err != nil {
-		return sc, err
-	}
-	defer dOut.Free()
-
-	// modeled runs fn and returns its modeled device time in microseconds.
-	modeled := func(fn func() error) (float64, error) {
-		before := dev.Snapshot()
-		if err := fn(); err != nil {
-			return 0, err
+	var allocErr error
+	alloc := func(rows, cols int, label string) kernels.Geom {
+		m, err := kernels.AllocGeom(ctx, rows, cols, label)
+		if allocErr == nil {
+			allocErr = err
 		}
-		t := dev.Estimate(ktm, dev.Snapshot().Sub(before))
-		return float64(t.Nanoseconds()) / 1e3, nil
+		return m
 	}
-	strat := kernels.NAPA{}
-
+	x, dOut := alloc(d.NSrc, d.NFeat, "calib-x"), alloc(d.NDst, d.NHid, "calib-dout")
 	// Aggregation-first: aggregate in width NFeat, then combine over NDst
 	// rows; BWP mirrors (combination backward, then aggregation backward).
-	var agg, out, dAgg, dx *kernels.DeviceMatrix
-	aggT, err := modeled(func() error { agg, err = strat.Forward(ctx, g, x, modes); return err })
-	if err != nil {
-		return sc, err
+	agg, out := alloc(d.NDst, d.NFeat, "napa-aggr-out"), alloc(d.NDst, d.NHid, "calib-af-out")
+	dAgg, dx := alloc(d.NDst, d.NFeat, "calib-af-dagg"), alloc(d.NSrc, d.NFeat, "napa-bwp-dx")
+	// Combination-first: transform all NSrc rows down to width NHid, then
+	// aggregate in the hidden width; BWP mirrors.
+	t0, cAgg := alloc(d.NSrc, d.NHid, "calib-cf-t"), alloc(d.NDst, d.NHid, "napa-aggr-out")
+	dT, dx2 := alloc(d.NSrc, d.NHid, "napa-bwp-dx"), alloc(d.NSrc, d.NFeat, "calib-cf-dx")
+	if allocErr != nil {
+		return sc, allocErr
 	}
-	combT, err := modeled(func() error { out, err = kernels.Linear(ctx, agg, w, "calib-af-out"); return err })
-	if err != nil {
-		return sc, err
+
+	// modeled runs a trace and returns its modeled device time in microseconds.
+	modeled := func(trace func()) float64 {
+		before := dev.Snapshot()
+		trace()
+		t := dev.Estimate(ktm, dev.Snapshot().Sub(before))
+		return float64(t.Nanoseconds()) / 1e3
 	}
-	out.Free()
-	combBT, err := modeled(func() error {
-		dAgg, err = kernels.LinearBackward(ctx, agg, dOut, w, dw, "calib-af-dagg")
-		return err
-	})
-	if err != nil {
-		return sc, err
-	}
-	aggBT, err := modeled(func() error { dx, err = strat.Backward(ctx, g, x, dAgg, modes); return err })
-	if err != nil {
-		return sc, err
-	}
-	agg.Free()
-	dAgg.Free()
-	dx.Free()
+
+	aggT := modeled(func() { napa.TraceForward(ctx, g.CSR, x, agg, modes) })
+	combT := modeled(func() { kernels.TraceLinear(ctx, agg, out) })
+	combBT := modeled(func() { kernels.TraceLinearBackward(ctx, dOut, dAgg) })
+	aggBT := modeled(func() { napa.TraceBackward(ctx, g.CSR, g.CSC, x, dAgg, dx, modes) })
 	sc.AggrFirst = time.Duration((aggT + combT + combBT + aggBT) * 1e3)
 	if rec != nil {
 		rec.aggrFWP.add(float64(d.NEdge)*float64(d.NFeat), float64(d.NDst)*float64(d.NFeat), aggT)
@@ -249,32 +241,10 @@ func runShape(dev *gpusim.Device, ctx *kernels.Ctx, ktm gpusim.KernelTimeModel, 
 		rec.aggrBWP.add(float64(d.NEdge)*float64(d.NFeat), float64(d.NSrc)*float64(d.NFeat), aggBT)
 	}
 
-	// Combination-first: transform all NSrc rows down to width NHid, then
-	// aggregate in the hidden width; BWP mirrors.
-	var t0, cAgg, dT, dx2 *kernels.DeviceMatrix
-	combT2, err := modeled(func() error { t0, err = kernels.Linear(ctx, x, w, "calib-cf-t"); return err })
-	if err != nil {
-		return sc, err
-	}
-	aggT2, err := modeled(func() error { cAgg, err = strat.Forward(ctx, g, t0, modes); return err })
-	if err != nil {
-		return sc, err
-	}
-	cAgg.Free()
-	aggBT2, err := modeled(func() error { dT, err = strat.Backward(ctx, g, t0, dOut, modes); return err })
-	if err != nil {
-		return sc, err
-	}
-	combBT2, err := modeled(func() error {
-		dx2, err = kernels.LinearBackward(ctx, x, dT, w, dw, "calib-cf-dx")
-		return err
-	})
-	if err != nil {
-		return sc, err
-	}
-	t0.Free()
-	dT.Free()
-	dx2.Free()
+	combT2 := modeled(func() { kernels.TraceLinear(ctx, x, t0) })
+	aggT2 := modeled(func() { napa.TraceForward(ctx, g.CSR, t0, cAgg, modes) })
+	aggBT2 := modeled(func() { napa.TraceBackward(ctx, g.CSR, g.CSC, t0, dOut, dT, modes) })
+	combBT2 := modeled(func() { kernels.TraceLinearBackward(ctx, dT, dx2) })
 	sc.CombFirst = time.Duration((combT2 + aggT2 + aggBT2 + combBT2) * 1e3)
 	if rec != nil {
 		rec.combFWP.add(float64(d.NSrc)*float64(d.NHid)*float64(d.NFeat), float64(d.NSrc)*float64(d.NHid), combT2)

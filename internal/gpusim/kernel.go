@@ -108,6 +108,12 @@ type SMContext struct {
 	// state the simulated stream would have left. settle pays it before the
 	// next simulated touch; a launch that only streams never does.
 	owed, owedLast int64
+
+	// rowBytes is non-zero while the cache is keyed by row (RowUnit): every
+	// key is the address of a row of rowLines whole lines, and with
+	// rowPartial the cache holds one row more than fit whole.
+	rowBytes, rowLines int64
+	rowPartial         bool
 }
 
 func newSMContext(cfg Config) *SMContext {
@@ -127,7 +133,7 @@ func newSMContext(cfg Config) *SMContext {
 // its slots and buckets retained for reuse.
 func (sm *SMContext) reset() {
 	sm.flops, sm.loads, sm.stores, sm.hits = 0, 0, 0, 0
-	sm.owed = 0
+	sm.owed, sm.rowBytes = 0, 0
 	sm.cache.reset()
 }
 
@@ -137,6 +143,13 @@ func (sm *SMContext) reset() {
 func (sm *SMContext) Read(addr, size int64) {
 	if size <= 0 {
 		return
+	}
+	if sm.rowBytes != 0 {
+		if size == sm.rowBytes && addr&^sm.lineMask == 0 {
+			sm.readRow(addr)
+			return
+		}
+		sm.lineUnit()
 	}
 	if sm.owed != 0 {
 		sm.settle()
@@ -148,6 +161,81 @@ func (sm *SMContext) Read(addr, size int64) {
 			sm.hits++
 		} else {
 			sm.loads++
+		}
+	}
+}
+
+// RowUnit lets the cache of a cold context probe once per row instead of
+// once per line for as long as every Read is one whole row of rowBytes. It
+// applies when a row is L ≥ 2 whole lines (rowBytes a multiple of the line
+// size; row addresses are line-aligned because buffers are) and fits the
+// cache of C lines, and is a no-op otherwise. The caller vouches that the
+// rows it reads are pairwise identical or disjoint, which rows of device
+// matrices of one width are.
+//
+// The law: reading a row touches its L lines in ascending order, so by
+// last touch the lines are ordered by their row's last read and, within a
+// row, by address. Line j of a row whose last read lies k distinct rows back
+// therefore has kL + L − 1 distinct lines above it in the LRU stack whatever
+// j is (its own row's later lines from that read, the k rows, its own row's
+// earlier lines from this one): the row's lines hit together, iff
+// (k+1)·L ≤ C. That is an LRU over rows with ⌊C/L⌋ entries. When L does not
+// divide C the line cache still holds the last C mod L lines of one more
+// row; re-reading that row misses on every line (each fill evicts the next
+// line it was about to touch), so it counts as L loads, but the lines matter
+// to whoever reads at line granularity afterwards. The row-keyed cache
+// therefore keeps that row as the tail entry of a full cache, counted as a
+// miss when touched, and a Read that is not such a row — another size, an
+// unaligned address, a ReadRows pass — first rebuilds the line-granular
+// state exactly (lineUnit) and proceeds line by line. Counters and every
+// later access are those of the line-by-line simulation
+// (TestRowUnitMatchesLines, FuzzRowUnitLRU).
+func (sm *SMContext) RowUnit(rowBytes int64) {
+	if sm.rowBytes != 0 {
+		if rowBytes == sm.rowBytes {
+			return
+		}
+		sm.lineUnit()
+	}
+	c := sm.cache
+	lines, fit := rowBytes/sm.lineSize, int64(len(c.slots))
+	if rowBytes%sm.lineSize != 0 || lines < 2 || lines > fit || c.used != 0 || sm.owed != 0 {
+		return
+	}
+	sm.rowBytes, sm.rowLines, sm.rowPartial = rowBytes, lines, fit%lines != 0
+	c.capacity = int(fit / lines)
+	if sm.rowPartial {
+		c.capacity++
+	}
+}
+
+// readRow is Read of one whole row in the row unit.
+func (sm *SMContext) readRow(row int64) {
+	c := sm.cache
+	partial := sm.rowPartial && int(c.used) == c.capacity && c.slots[c.tail].key == row
+	if c.touch(row) && !partial {
+		sm.hits += sm.rowLines
+	} else {
+		sm.loads += sm.rowLines
+	}
+}
+
+// lineUnit leaves the row unit with the line-granular state the row-keyed
+// cache stands for: the resident rows' lines re-touched from the least to
+// the most recently read row, ascending within a row, which keeps the last
+// C of them — the partial row's tail included.
+func (sm *SMContext) lineUnit() {
+	c := sm.cache
+	rows := make([]int64, 0, c.used)
+	for i := c.tail; i >= 0; i = c.slots[i].prev {
+		rows = append(rows, c.slots[i].key)
+	}
+	rowBytes := sm.rowBytes
+	sm.rowBytes = 0
+	c.reset()
+	for _, row := range rows {
+		for line := row; line < row+rowBytes; line += sm.lineSize {
+			c.touch(line)
 		}
 	}
 }
@@ -180,6 +268,9 @@ func (sm *SMContext) Read(addr, size int64) {
 func (sm *SMContext) ReadRows(base, rowBytes int64, rows, scans int) bool {
 	if rows <= 0 || scans <= 0 || rowBytes <= 0 {
 		return true // the stream is empty
+	}
+	if sm.rowBytes != 0 {
+		sm.lineUnit()
 	}
 	first := base & sm.lineMask
 	last := (base + int64(rows)*rowBytes - 1) & sm.lineMask
@@ -252,7 +343,9 @@ func (sm *SMContext) Write(addr, size int64) {
 // AddFLOPs credits n floating point operations to this SM.
 func (sm *SMContext) AddFLOPs(n int64) { sm.flops += n }
 
-// lruCache is a line-granular fully-associative LRU cache. Cache touches
+// lruCache is a fully-associative LRU cache over int64 keys — line addresses,
+// or row addresses while its SMContext is in the row unit, which also lowers
+// capacity below len(slots) until the next reset. Cache touches
 // are the single hottest operation of the whole simulator (every modeled
 // load funnels through here), so the implementation is index-based and
 // pointer-free: slots live in one flat slice linked by int32 indices, and
@@ -381,6 +474,7 @@ func (c *lruCache) reset() {
 		c.tag = c.idxMask + 1
 	}
 	c.used, c.head, c.tail = 0, -1, -1
+	c.capacity = len(c.slots)
 }
 
 func (c *lruCache) pushFront(idx int32) {

@@ -48,9 +48,13 @@ type Ctx struct {
 	// dwBuf is LinearBackward's retained Xᵀ·dY product buffer.
 	dwBuf tensor.Matrix
 
-	// simulate makes the dense traces replay every stream line by line
-	// instead of asking the SM for its closed form first; tests set it to
-	// obtain the reference counters.
+	// napa is the argument block of the NAPA numeric pass in flight (zero
+	// between launches).
+	napa napaNumeric
+
+	// simulate makes every trace pass replay its stream line by line — no
+	// closed form for a dense stream, no row unit for a sparse launch; tests
+	// set it to obtain the reference counters.
 	simulate bool
 
 	// acc is the reusable flat-indexed partial accumulator the

@@ -23,7 +23,8 @@ const weightsAddr = -1 << 40
 // access pattern a tiled device GEMM would issue into the per-SM cache
 // model. The trace reads no value except where one decides an access, so
 // the counters are a function of shapes, addresses and (for dW) x's zero
-// pattern only.
+// pattern only — the trace passes take geometry (Geom), and TraceLinear /
+// TraceLinearBackward run them with no matrix at all.
 //
 // Every dense trace is, per SM, ascending passes over contiguous rows: the
 // weight tile once, then the SM's input rows once (Linear, dX, BiasReLU and
@@ -47,11 +48,15 @@ func Linear(ctx *Ctx, x *DeviceMatrix, w *tensor.Matrix, label string) (*DeviceM
 			return err
 		}
 		tensor.MatMulInto(out.M, x.M, w)
-		traceRowGEMM(ctx, "linear", x, out, w)
+		TraceLinear(ctx, x.Geom(), out.Geom())
 		return nil
 	})
 	return out, err
 }
+
+// TraceLinear is Linear's trace pass alone: the launch of Y = X·W for an
+// in.Cols×out.Cols weight tile, from the geometry of X and Y.
+func TraceLinear(ctx *Ctx, in, out Geom) { traceRowGEMM(ctx, "linear", in, out) }
 
 // LinearBackward computes dX = dY·Wᵀ and accumulates dW += Xᵀ·dY. It
 // returns dX; dW is written into the caller-owned gradient matrix. The
@@ -66,36 +71,48 @@ func LinearBackward(ctx *Ctx, x, dy *DeviceMatrix, w, dw *tensor.Matrix, label s
 			return err
 		}
 		tensor.MatMulTInto(dx.M, dy.M, w)
-		traceRowGEMM(ctx, "linear-bwp-dx", dy, dx, w)
+		traceRowGEMM(ctx, "linear-bwp-dx", dy.Geom(), dx.Geom())
 
 		prod := tensor.TMatMulInto(ctx.dwScratch(w.Rows, w.Cols), x.M, dy.M)
 		for i, v := range prod.Data {
 			dw.Data[i] += v
 		}
-		// Trace: one dW row per unit, reduced serially over the batch (the
-		// real framework uses a reduction tree); a zero activation
-		// contributes nothing, so its dY row is never fetched. Without a
-		// zero in x an SM's stream is one pass over all of dY per row it
-		// owns.
-		k := ctx.Dev.StartKernel("linear-bwp-dw")
-		rowFLOPs := int64(2 * x.M.Rows * w.Cols)
-		dense := zeroFree(x.M)
-		runSMsChunked(k, w.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			if !(dense && ctx.streamed(sm, dy.RowAddr(0), dy.RowBytes(), x.M.Rows, hi-lo)) {
-				for r := lo; r < hi; r++ {
-					for i := 0; i < x.M.Rows; i++ {
-						if x.M.At(i, r) != 0 {
-							sm.Read(dy.RowAddr(i), dy.RowBytes())
-						}
-					}
-				}
-			}
-			sm.AddFLOPs(int64(hi-lo) * rowFLOPs)
-		})
-		k.Finish()
+		traceDW(ctx, dy.Geom(), w.Rows, x.M)
 		return nil
 	})
 	return dx, err
+}
+
+// TraceLinearBackward is LinearBackward's trace passes alone — the dX launch
+// and the dW launch — from the geometry of dY and dX, for an activation
+// matrix X without a zero (dW fetches every dY row).
+func TraceLinearBackward(ctx *Ctx, dy, dx Geom) {
+	traceRowGEMM(ctx, "linear-bwp-dx", dy, dx)
+	traceDW(ctx, dy, dx.Cols, nil)
+}
+
+// traceDW replays dW = Xᵀ·dY: one dW row (of wRows) per unit, reduced
+// serially over the batch (the real framework uses a reduction tree); a zero
+// activation contributes nothing, so its dY row is never fetched. Without a
+// zero in x — or without an x: nil stands for a zero-free one — an SM's
+// stream is one pass over all of dY per row it owns.
+func traceDW(ctx *Ctx, dy Geom, wRows int, x *tensor.Matrix) {
+	k := ctx.Dev.StartKernel("linear-bwp-dw")
+	rowFLOPs := int64(2 * dy.Rows * dy.Cols)
+	dense := x == nil || zeroFree(x)
+	runSMsChunked(k, wRows, func(sm *gpusim.SMContext, lo, hi int) {
+		if !(dense && ctx.streamed(sm, dy.Addr, dy.RowBytes(), dy.Rows, hi-lo)) {
+			for r := lo; r < hi; r++ {
+				for i := 0; i < dy.Rows; i++ {
+					if x == nil || x.At(i, r) != 0 {
+						sm.Read(dy.RowAddr(i), dy.RowBytes())
+					}
+				}
+			}
+		}
+		sm.AddFLOPs(int64(hi-lo) * rowFLOPs)
+	})
+	k.Finish()
 }
 
 // zeroFree reports whether no element of m compares equal to zero.
@@ -117,7 +134,7 @@ func (c *Ctx) streamed(sm *gpusim.SMContext, base, rowBytes int64, rows, scans i
 
 // traceRows records one SM's pass over rows [lo, hi): per row a read of the
 // input row, the row's FLOPs and a write of the output row.
-func (c *Ctx) traceRows(sm *gpusim.SMContext, in, out *DeviceMatrix, lo, hi int, rowFLOPs int64) {
+func (c *Ctx) traceRows(sm *gpusim.SMContext, in, out Geom, lo, hi int, rowFLOPs int64) {
 	streamed := c.streamed(sm, in.RowAddr(lo), in.RowBytes(), hi-lo, 1)
 	for i := lo; i < hi; i++ {
 		if !streamed {
@@ -129,14 +146,14 @@ func (c *Ctx) traceRows(sm *gpusim.SMContext, in, out *DeviceMatrix, lo, hi int,
 }
 
 // traceRowGEMM replays the access stream of a row-parallel GEMM against the
-// resident weights w: per SM one read of the weight tile, then per row a
-// read of the input row, the row's multiply-adds and a write of the output
-// row.
-func traceRowGEMM(ctx *Ctx, name string, in, out *DeviceMatrix, w *tensor.Matrix) {
+// resident weights, an in.Cols×out.Cols tile either way round: per SM one
+// read of the weight tile, then per row a read of the input row, the row's
+// multiply-adds and a write of the output row.
+func traceRowGEMM(ctx *Ctx, name string, in, out Geom) {
 	k := ctx.Dev.StartKernel(name)
-	rowFLOPs := int64(2 * w.Rows * w.Cols)
-	wBytes := int64(w.Rows) * int64(w.Cols) * 4
-	runSMsChunked(k, in.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
+	rowFLOPs := int64(2 * in.Cols * out.Cols)
+	wBytes := int64(in.Cols) * int64(out.Cols) * 4
+	runSMsChunked(k, in.Rows, func(sm *gpusim.SMContext, lo, hi int) {
 		if !ctx.streamed(sm, weightsAddr, wBytes, 1, 1) {
 			sm.Read(weightsAddr, wBytes)
 		}
@@ -153,8 +170,9 @@ func BiasReLU(ctx *Ctx, x *DeviceMatrix, bias []float32) (pre *tensor.Matrix, er
 	err = ctx.track(metrics.StageCombination, func() error {
 		k := ctx.Dev.StartKernel("bias-relu")
 		pre = tensor.Get(x.M.Rows, x.M.Cols)
+		xg := x.Geom()
 		runSMsChunked(k, x.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			ctx.traceRows(sm, x, x, lo, hi, int64(2*x.M.Cols))
+			ctx.traceRows(sm, xg, xg, lo, hi, int64(2*x.M.Cols))
 			for i := lo; i < hi; i++ {
 				row := x.M.Row(i)
 				prow := pre.Row(i)
@@ -179,9 +197,10 @@ func BiasReLU(ctx *Ctx, x *DeviceMatrix, bias []float32) (pre *tensor.Matrix, er
 func BiasReLUBackward(ctx *Ctx, dy *DeviceMatrix, pre *tensor.Matrix, dBias []float32) error {
 	return ctx.track(metrics.StageCombination, func() error {
 		k := ctx.Dev.StartKernel("bias-relu-bwp")
+		dyg := dy.Geom()
 		// Bias gradient reduction is serialized per column chunk.
 		runSMsChunked(k, dy.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			ctx.traceRows(sm, dy, dy, lo, hi, int64(dy.M.Cols))
+			ctx.traceRows(sm, dyg, dyg, lo, hi, int64(dy.M.Cols))
 			for i := lo; i < hi; i++ {
 				row := dy.M.Row(i)
 				prow := pre.Row(i)

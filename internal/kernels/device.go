@@ -71,6 +71,37 @@ func WrapDeviceMatrix(c *Ctx, m *tensor.Matrix, tail int64, label string) (*Devi
 	return &DeviceMatrix{M: m, Buf: buf}, nil
 }
 
+// Geom is the geometry of a device-resident float32 matrix — where its rows
+// lie and how wide they are. It is all a trace pass reads of a matrix: the
+// counters are functions of addresses and shapes, never of values.
+type Geom struct {
+	Addr       int64 // device address of row 0
+	Rows, Cols int
+}
+
+// RowAddr returns the device address of row i.
+func (g Geom) RowAddr(i int) int64 { return g.Addr + int64(i)*int64(g.Cols)*4 }
+
+// RowBytes returns the byte length of one row.
+func (g Geom) RowBytes() int64 { return int64(g.Cols) * 4 }
+
+// Geom returns the matrix's geometry.
+func (dm *DeviceMatrix) Geom() Geom {
+	return Geom{Addr: dm.Buf.Addr(0), Rows: dm.M.Rows, Cols: dm.M.Cols}
+}
+
+// AllocGeom reserves the device bytes of a rows×cols matrix in c's batch
+// scope and returns its geometry — an allocation with no host matrix behind
+// it, for a caller that runs trace passes only (dkp.Calibrate). EndBatch
+// frees it.
+func AllocGeom(c *Ctx, rows, cols int, label string) (Geom, error) {
+	buf, err := c.alloc(int64(rows)*int64(cols)*4, label)
+	if err != nil {
+		return Geom{}, err
+	}
+	return Geom{Addr: buf.Addr(0), Rows: rows, Cols: cols}, nil
+}
+
 // RowAddr returns the device address of row i.
 func (dm *DeviceMatrix) RowAddr(i int) int64 {
 	return dm.Buf.Addr(int64(i) * int64(dm.M.Cols) * 4)

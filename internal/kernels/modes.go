@@ -132,6 +132,58 @@ func (m Modes) WeightCols(dim int) int {
 	}
 }
 
+// The FLOPs of the four per-edge functions below depend on the mode and the
+// embedding width alone, never on a value: a trace pass books them in closed
+// form (edges × edgeWeightFLOPs(dim) …) and the numeric functions return the
+// same counts to the kernels that still book per edge.
+
+// edgeWeightFLOPs is the cost of one edgeWeight call on dim-wide rows.
+func (m Modes) edgeWeightFLOPs(dim int) int64 {
+	switch m.G {
+	case WeightElemProduct:
+		return int64(dim)
+	case WeightDot:
+		return int64(2*dim + 1)
+	}
+	return 0
+}
+
+// messageFLOPs is the cost of one message call on dim-wide rows.
+func (m Modes) messageFLOPs(dim int) int64 {
+	if m.H == CombineAdd || m.H == CombineScale {
+		return int64(dim)
+	}
+	return 0
+}
+
+// msgBackwardSrcFLOPs is the cost of one msgBackwardSrc call on dim-wide rows.
+func (m Modes) msgBackwardSrcFLOPs(dim int) int64 {
+	switch {
+	case m.G == WeightNone && m.H == CombineIdentity:
+		return int64(dim)
+	case m.G == WeightElemProduct && m.H == CombineAdd:
+		return int64(3 * dim)
+	case m.G == WeightElemProduct && m.H == CombineScale:
+		return int64(4 * dim)
+	case m.G == WeightDot && m.H == CombineScale:
+		return int64(8 * dim)
+	}
+	return 0
+}
+
+// msgBackwardDstFLOPs is the cost of one msgBackwardDst call on dim-wide rows.
+func (m Modes) msgBackwardDstFLOPs(dim int) int64 {
+	switch {
+	case m.G == WeightElemProduct && m.H == CombineAdd:
+		return int64(2 * dim)
+	case m.G == WeightElemProduct && m.H == CombineScale:
+		return int64(3 * dim)
+	case m.G == WeightDot && m.H == CombineScale:
+		return int64(6 * dim)
+	}
+	return 0
+}
+
 // edgeWeight computes w_e = g(x_src, x_dst) into out (len WeightCols) and
 // returns the FLOPs spent.
 func (m Modes) edgeWeight(src, dst, out []float32) int64 {
@@ -140,16 +192,14 @@ func (m Modes) edgeWeight(src, dst, out []float32) int64 {
 		for i := range src {
 			out[i] = src[i] * dst[i]
 		}
-		return int64(len(src))
 	case WeightDot:
 		var acc float32
 		for i := range src {
 			acc += src[i] * dst[i]
 		}
 		out[0] = acc / float32(len(src))
-		return int64(2*len(src) + 1)
 	}
-	return 0
+	return m.edgeWeightFLOPs(len(src))
 }
 
 // message computes msg = h(x_src, w) into out (len dim) and returns FLOPs.
@@ -158,12 +208,10 @@ func (m Modes) message(src, w, out []float32) int64 {
 	switch m.H {
 	case CombineIdentity:
 		copy(out, src)
-		return 0
 	case CombineAdd:
 		for i := range src {
 			out[i] = src[i] + w[i]
 		}
-		return int64(len(src))
 	case CombineScale:
 		s := w[0]
 		if len(w) == len(src) {
@@ -171,14 +219,13 @@ func (m Modes) message(src, w, out []float32) int64 {
 			for i := range src {
 				out[i] = src[i] * w[i]
 			}
-			return int64(len(src))
+		} else {
+			for i := range src {
+				out[i] = src[i] * s
+			}
 		}
-		for i := range src {
-			out[i] = src[i] * s
-		}
-		return int64(len(src))
 	}
-	return 0
+	return m.messageFLOPs(len(src))
 }
 
 // msgBackwardSrc accumulates one edge's message gradient into the src
@@ -191,28 +238,26 @@ func (m Modes) msgBackwardSrc(src, dst, dMsg, dSrc []float32) int64 {
 		for i := range dMsg {
 			dSrc[i] += dMsg[i]
 		}
-		return int64(len(dMsg))
 	case m.G == WeightElemProduct && m.H == CombineAdd:
 		// msg = x_s + x_s⊙x_d
 		for i := range dMsg {
 			dSrc[i] += dMsg[i] * (1 + dst[i])
 		}
-		return int64(3 * len(dMsg))
 	case m.G == WeightElemProduct && m.H == CombineScale:
 		// msg = x_s⊙(x_s⊙x_d) = x_s²⊙x_d
 		for i := range dMsg {
 			dSrc[i] += dMsg[i] * 2 * src[i] * dst[i]
 		}
-		return int64(4 * len(dMsg))
 	case m.G == WeightDot && m.H == CombineScale:
 		// msg = α·x_s with α = ⟨x_s,x_d⟩/dim
 		alpha, dAlpha, invDim := dotParts(src, dst, dMsg)
 		for i := range dMsg {
 			dSrc[i] += alpha*dMsg[i] + dAlpha*dst[i]*invDim
 		}
-		return int64(8 * len(dMsg))
+	default:
+		panic(fmt.Sprintf("kernels: msgBackwardSrc on unsupported modes g=%v h=%v", m.G, m.H))
 	}
-	panic(fmt.Sprintf("kernels: msgBackwardSrc on unsupported modes g=%v h=%v", m.G, m.H))
+	return m.msgBackwardSrcFLOPs(len(dMsg))
 }
 
 // msgBackwardDst accumulates one edge's message gradient into the dst
@@ -222,25 +267,23 @@ func (m Modes) msgBackwardSrc(src, dst, dMsg, dSrc []float32) int64 {
 func (m Modes) msgBackwardDst(src, dst, dMsg, dDst []float32) int64 {
 	switch {
 	case m.G == WeightNone && m.H == CombineIdentity:
-		return 0
 	case m.G == WeightElemProduct && m.H == CombineAdd:
 		for i := range dMsg {
 			dDst[i] += dMsg[i] * src[i]
 		}
-		return int64(2 * len(dMsg))
 	case m.G == WeightElemProduct && m.H == CombineScale:
 		for i := range dMsg {
 			dDst[i] += dMsg[i] * src[i] * src[i]
 		}
-		return int64(3 * len(dMsg))
 	case m.G == WeightDot && m.H == CombineScale:
 		_, dAlpha, invDim := dotParts(src, dst, dMsg)
 		for i := range dMsg {
 			dDst[i] += dAlpha * src[i] * invDim
 		}
-		return int64(6 * len(dMsg))
+	default:
+		panic(fmt.Sprintf("kernels: msgBackwardDst on unsupported modes g=%v h=%v", m.G, m.H))
 	}
-	panic(fmt.Sprintf("kernels: msgBackwardDst on unsupported modes g=%v h=%v", m.G, m.H))
+	return m.msgBackwardDstFLOPs(len(dMsg))
 }
 
 // dotParts computes the shared quantities of the dot-attention backward:

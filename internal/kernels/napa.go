@@ -7,6 +7,8 @@ import (
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/graph"
 	"graphtensor/internal/metrics"
+	"graphtensor/internal/sched"
+	"graphtensor/internal/tensor"
 )
 
 // NAPA is GraphTensor's pure vertex-centric strategy (§IV-B): the graph is
@@ -16,10 +18,70 @@ import (
 // per SM and reused across that dst's edges. There is no sparse→dense
 // conversion and no COO anywhere, hence no memory bloat, no cache bloat
 // and no format translation.
+//
+// Every NAPA kernel is two passes, like the dense kernels. The numeric pass
+// (the napa*Task functions) is a float loop over CSR/CSC rows that touches no
+// SM context; each dst or src row folds its edges in storage order, so the
+// result does not depend on how rows are spread over workers. The trace pass
+// (the trace* functions) replays the launch's per-SM Read/AddFLOPs/Write
+// stream from the graph structure, the matrices' geometry and the modes
+// alone: per-edge FLOPs are closed forms of the width (Modes.*FLOPs), booked
+// once per row, and only the reads walk the edges. A launch whose every read
+// is a row of one width offers its SMs the row unit (gpusim.SMContext.RowUnit),
+// which probes the cache model once per row where that is exact.
 type NAPA struct{}
 
 // Name implements Strategy.
 func (NAPA) Name() string { return "NAPA" }
+
+// napaNumeric carries one numeric pass onto the shared worker pool — sched's
+// pooled-context idiom, with the one instance owned by the Ctx because the
+// launches of a Ctx are sequential. Rows are dealt in the same contiguous
+// per-SM chunks the trace pass uses, so chunk i owns scratch row i.
+type napaNumeric struct {
+	csr                *graph.BCSR
+	csc                *graph.BCSC
+	m                  Modes
+	x, dOut, wMat, out *tensor.Matrix // out is dx in the backward passes
+	invDeg             []float32
+	msg, w             [][]float32 // per-chunk scratch rows
+	n, chunk           int
+}
+
+// run executes task over n rows dealt into chunks and forgets the pass's
+// arguments, so the Ctx pins no batch storage between launches.
+func (p *napaNumeric) run(chunks, n int, task func(arg any, first, last int)) {
+	p.n, p.chunk = n, (n+chunks-1)/chunks
+	sched.RunChunk(chunks, 1, sched.Workers(chunks), p, task)
+	*p = napaNumeric{}
+}
+
+// rows returns chunk id's row range (empty past the last row).
+func (p *napaNumeric) rows(id int) (lo, hi int) {
+	lo = id * p.chunk
+	return lo, min(lo+p.chunk, p.n)
+}
+
+// numSMs is the chunk count of a launch on c's device.
+func (c *Ctx) numSMs() int { return c.Dev.Config().NumSMs }
+
+// rowUnit offers sm the row unit for a launch whose every Read is one row of
+// rowBytes (0: the launch reads rows of two sizes and stays at lines); the SM
+// takes it where its law holds. Ctx.simulate keeps lines.
+func (c *Ctx) rowUnit(sm *gpusim.SMContext, rowBytes int64) {
+	if !c.simulate {
+		sm.RowUnit(rowBytes)
+	}
+}
+
+// commonRowBytes is the row size of two matrices of one width, 0 when their
+// widths differ.
+func commonRowBytes(a, b Geom) int64 {
+	if a.Cols != b.Cols {
+		return 0
+	}
+	return a.RowBytes()
+}
 
 // Forward implements Strategy: NeighborApply (edge weighting) fused with
 // Pull (aggregation), dst-chunked across SMs. Because both primitives
@@ -37,77 +99,87 @@ func (NAPA) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*DeviceMatri
 		return nil, err
 	}
 	dim := x.M.Cols
-	var out *DeviceMatrix
 	start := time.Now()
 	beforeWork := ctx.Dev.Snapshot()
-	err = func() error {
-		var err error
-		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "napa-aggr-out")
-		if err != nil {
-			return err
-		}
-		invDeg := ctx.InvDeg(csr)
-		k := ctx.Dev.StartKernel("napa-fused")
-		wCols := m.WeightCols(dim)
-		msgS := ctx.msgScratch(k.NumSMs(), dim)
-		wS := ctx.wScratch(k.NumSMs(), maxIntK(wCols, 1))
-		runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, smID, lo, hi int) {
-			msg, w := msgS[smID], wS[smID]
-			for d := lo; d < hi; d++ {
-				var dstRow []float32
-				if m.HasEdgeWeight() {
-					sm.Read(x.RowAddr(d), x.RowBytes())
-					dstRow = x.M.Row(d)
-				}
-				orow := out.M.Row(d)
-				scale := aggrScale(m, invDeg, graph.VID(d))
-				for _, s := range csr.Neighbors(graph.VID(d)) {
-					sm.Read(x.RowAddr(int(s)), x.RowBytes())
-					srcRow := x.M.Row(int(s))
-					var wv []float32
-					if m.HasEdgeWeight() {
-						sm.AddFLOPs(m.edgeWeight(srcRow, dstRow, w))
-						wv = w[:wCols]
-					}
-					sm.AddFLOPs(m.message(srcRow, wv, msg))
-					for j := range orow {
-						orow[j] += msg[j] * scale
-					}
-					sm.AddFLOPs(int64(2 * dim))
-				}
-				// Output row stays resident in the SM until the dst is done.
-				sm.Write(out.RowAddr(d), out.RowBytes())
-			}
-		})
-		k.Finish()
-		return nil
-	}()
+	out, err := AllocDeviceMatrix(ctx, csr.NumDst, dim, "napa-aggr-out")
 	if err != nil {
 		return nil, err
 	}
+	ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, out: out.M, invDeg: ctx.InvDeg(csr),
+		msg: ctx.msgScratch(ctx.numSMs(), dim), w: ctx.wScratch(ctx.numSMs(), max(m.WeightCols(dim), 1))}
+	ctx.napa.run(ctx.numSMs(), csr.NumDst, napaFusedTask)
+	NAPA{}.TraceForward(ctx, csr, x.Geom(), out.Geom(), m)
+
 	// The fused kernel covers both primitives (booked by hand: a closure
 	// handed to track would move out to the heap); apportion its host time
-	// between edge weighting and aggregation by their per-edge FLOP shares so
-	// Fig 16 stays meaningful. The device work all lands under aggregation.
+	// between edge weighting and aggregation by the share of an edge's counted
+	// FLOPs that weigh it, so Fig 16 stays meaningful. The device work all
+	// lands under aggregation.
 	elapsed := time.Since(start)
 	ctx.Work[metrics.StageAggregation] = ctx.Work[metrics.StageAggregation].Add(ctx.Dev.Snapshot().Sub(beforeWork))
-	wShare := 0.0
-	if m.G == WeightDot {
-		wShare = 0.6
-	} else if m.HasEdgeWeight() {
-		wShare = 0.5
+	var w time.Duration
+	if ew := m.edgeWeightFLOPs(dim); ew > 0 {
+		w = time.Duration(float64(elapsed) * float64(ew) / float64(ew+m.messageFLOPs(dim)+int64(2*dim)))
 	}
-	w := time.Duration(float64(elapsed) * wShare)
 	ctx.Stages.Add(metrics.StageEdgeWeight, w)
 	ctx.Stages.Add(metrics.StageAggregation, elapsed-w)
 	return out, nil
 }
 
-func maxIntK(a, b int) int {
-	if a > b {
-		return a
+// napaFusedTask is Forward's numeric pass: out[d] = f over d's edges of
+// h(x_s, g(x_s, x_d)).
+func napaFusedTask(arg any, first, last int) {
+	p := arg.(*napaNumeric)
+	weighted, wCols := p.m.HasEdgeWeight(), p.m.WeightCols(p.x.Cols)
+	for id := first; id < last; id++ {
+		msg, w := p.msg[id], p.w[id]
+		lo, hi := p.rows(id)
+		for d := lo; d < hi; d++ {
+			var dstRow []float32
+			if weighted {
+				dstRow = p.x.Row(d)
+			}
+			orow := p.out.Row(d)
+			scale := aggrScale(p.m, p.invDeg, graph.VID(d))
+			for _, s := range p.csr.Neighbors(graph.VID(d)) {
+				srcRow := p.x.Row(int(s))
+				var wv []float32
+				if weighted {
+					p.m.edgeWeight(srcRow, dstRow, w)
+					wv = w[:wCols]
+				}
+				p.m.message(srcRow, wv, msg)
+				for j := range orow {
+					orow[j] += msg[j] * scale
+				}
+			}
+		}
 	}
-	return b
+}
+
+// TraceForward is Forward's trace pass alone: the napa-fused launch over csr,
+// from the geometry of x and out. Per dst an SM reads the dst row (weighted
+// modes), each src row in edge order, and writes the output row, which stays
+// resident in the SM until the dst is done.
+func (NAPA) TraceForward(ctx *Ctx, csr *graph.BCSR, x, out Geom, m Modes) {
+	k := ctx.Dev.StartKernel("napa-fused")
+	weighted := m.HasEdgeWeight()
+	edgeFLOPs := m.edgeWeightFLOPs(x.Cols) + m.messageFLOPs(x.Cols) + int64(2*x.Cols)
+	runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, _, lo, hi int) {
+		ctx.rowUnit(sm, x.RowBytes())
+		for d := lo; d < hi; d++ {
+			if weighted {
+				sm.Read(x.RowAddr(d), x.RowBytes())
+			}
+			nbrs := csr.Neighbors(graph.VID(d))
+			for _, s := range nbrs {
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+			}
+			sm.AddFLOPs(int64(len(nbrs)) * edgeFLOPs)
+			sm.Write(out.RowAddr(d), out.RowBytes())
+		}
+	})
+	k.Finish()
 }
 
 // NeighborApplyKernel is the NAPA NeighborApply primitive (§IV-B Fig 9b):
@@ -127,27 +199,51 @@ func NeighborApplyKernel(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*
 		if err != nil {
 			return err
 		}
-		k := ctx.Dev.StartKernel("napa-neighborapply")
-		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				sm.Read(x.RowAddr(d), x.RowBytes())
-				dstRow := x.M.Row(d)
-				base := int(csr.Ptr[d])
-				for i, s := range csr.Neighbors(graph.VID(d)) {
-					e := base + i
-					sm.Read(x.RowAddr(int(s)), x.RowBytes())
-					sm.AddFLOPs(m.edgeWeight(x.M.Row(int(s)), dstRow, wMat.M.Row(e)))
-					sm.Write(wMat.RowAddr(e), wMat.RowBytes())
-				}
-			}
-		})
-		k.Finish()
+		ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, wMat: wMat.M}
+		ctx.napa.run(ctx.numSMs(), csr.NumDst, napaApplyTask)
+		traceNeighborApply(ctx, csr, x.Geom(), wMat.Geom(), m)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return wMat, nil
+}
+
+// napaApplyTask is NeighborApplyKernel's numeric pass: wMat[e] = g(x_s, x_d).
+func napaApplyTask(arg any, first, last int) {
+	p := arg.(*napaNumeric)
+	for id := first; id < last; id++ {
+		lo, hi := p.rows(id)
+		for d := lo; d < hi; d++ {
+			dstRow := p.x.Row(d)
+			base := int(p.csr.Ptr[d])
+			for i, s := range p.csr.Neighbors(graph.VID(d)) {
+				p.m.edgeWeight(p.x.Row(int(s)), dstRow, p.wMat.Row(base+i))
+			}
+		}
+	}
+}
+
+// traceNeighborApply is the napa-neighborapply launch: per dst its row, then
+// per edge the src row and a write of the edge's weight row.
+func traceNeighborApply(ctx *Ctx, csr *graph.BCSR, x, wMat Geom, m Modes) {
+	k := ctx.Dev.StartKernel("napa-neighborapply")
+	edgeFLOPs := m.edgeWeightFLOPs(x.Cols)
+	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+		ctx.rowUnit(sm, x.RowBytes())
+		for d := lo; d < hi; d++ {
+			sm.Read(x.RowAddr(d), x.RowBytes())
+			base := int(csr.Ptr[d])
+			nbrs := csr.Neighbors(graph.VID(d))
+			for i, s := range nbrs {
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+				sm.Write(wMat.RowAddr(base+i), wMat.RowBytes())
+			}
+			sm.AddFLOPs(int64(len(nbrs)) * edgeFLOPs)
+		}
+	})
+	k.Finish()
 }
 
 // PullKernel is the NAPA Pull primitive (§IV-B Fig 9c): it aggregates
@@ -162,40 +258,75 @@ func PullKernel(ctx *Ctx, csr *graph.BCSR, x, wMat *DeviceMatrix, m Modes) (*Dev
 		if err != nil {
 			return err
 		}
-		invDeg := ctx.InvDeg(csr)
-		k := ctx.Dev.StartKernel("napa-pull")
-		msgS := ctx.msgScratch(k.NumSMs(), dim)
-		runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, smID, lo, hi int) {
-			msg := msgS[smID]
-			for d := lo; d < hi; d++ {
-				orow := out.M.Row(d)
-				scale := aggrScale(m, invDeg, graph.VID(d))
-				base := int(csr.Ptr[d])
-				for i, s := range csr.Neighbors(graph.VID(d)) {
-					e := base + i
-					sm.Read(x.RowAddr(int(s)), x.RowBytes())
-					var w []float32
-					if wMat != nil {
-						sm.Read(wMat.RowAddr(e), wMat.RowBytes())
-						w = wMat.M.Row(e)
-					}
-					sm.AddFLOPs(m.message(x.M.Row(int(s)), w, msg))
-					for j := range orow {
-						orow[j] += msg[j] * scale
-					}
-					sm.AddFLOPs(int64(2 * dim))
-				}
-				// Output row stays resident in the SM until the dst is done.
-				sm.Write(out.RowAddr(d), out.RowBytes())
-			}
-		})
-		k.Finish()
+		ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, out: out.M, invDeg: ctx.InvDeg(csr),
+			msg: ctx.msgScratch(ctx.numSMs(), dim)}
+		var wg Geom // zero: no weight rows to read
+		if wMat != nil {
+			ctx.napa.wMat, wg = wMat.M, wMat.Geom()
+		}
+		ctx.napa.run(ctx.numSMs(), csr.NumDst, napaPullTask)
+		tracePull(ctx, csr, x.Geom(), wg, out.Geom(), m)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// napaPullTask is PullKernel's numeric pass: out[d] = f over d's edges of
+// h(x_s, wMat[e]).
+func napaPullTask(arg any, first, last int) {
+	p := arg.(*napaNumeric)
+	for id := first; id < last; id++ {
+		msg := p.msg[id]
+		lo, hi := p.rows(id)
+		for d := lo; d < hi; d++ {
+			orow := p.out.Row(d)
+			scale := aggrScale(p.m, p.invDeg, graph.VID(d))
+			base := int(p.csr.Ptr[d])
+			for i, s := range p.csr.Neighbors(graph.VID(d)) {
+				var w []float32
+				if p.wMat != nil {
+					w = p.wMat.Row(base + i)
+				}
+				p.m.message(p.x.Row(int(s)), w, msg)
+				for j := range orow {
+					orow[j] += msg[j] * scale
+				}
+			}
+		}
+	}
+}
+
+// tracePull is the napa-pull launch: per edge the src row and, when weights
+// were materialized (wMat.Rows > 0), the edge's weight row; per dst a write
+// of the output row. Scalar weights (a 4-byte row beside dim-wide ones) keep
+// the launch at line granularity.
+func tracePull(ctx *Ctx, csr *graph.BCSR, x, wMat, out Geom, m Modes) {
+	k := ctx.Dev.StartKernel("napa-pull")
+	weights := wMat.Rows > 0
+	unit := x.RowBytes()
+	if weights {
+		unit = commonRowBytes(x, wMat)
+	}
+	edgeFLOPs := m.messageFLOPs(x.Cols) + int64(2*x.Cols)
+	runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, _, lo, hi int) {
+		ctx.rowUnit(sm, unit)
+		for d := lo; d < hi; d++ {
+			base := int(csr.Ptr[d])
+			nbrs := csr.Neighbors(graph.VID(d))
+			for i, s := range nbrs {
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+				if weights {
+					sm.Read(wMat.RowAddr(base+i), wMat.RowBytes())
+				}
+			}
+			sm.AddFLOPs(int64(len(nbrs)) * edgeFLOPs)
+			sm.Write(out.RowAddr(d), out.RowBytes())
+		}
+	})
+	k.Finish()
 }
 
 // Backward implements Strategy. The src-side gradient (f′, h′ of Fig 3b)
@@ -228,29 +359,10 @@ func (NAPA) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*Devi
 		if err != nil {
 			return err
 		}
-		k := ctx.Dev.StartKernel("napa-pull-bwp")
-		msgS := ctx.msgScratch(k.NumSMs(), dim)
-		runSMsChunkedIdx(k, csc.NumSrc, func(sm *gpusim.SMContext, smID, lo, hi int) {
-			dMsg := msgS[smID]
-			for s := lo; s < hi; s++ {
-				srcRow := x.M.Row(s)
-				sm.Read(x.RowAddr(s), x.RowBytes())
-				dxRow := dx.M.Row(s)
-				for _, d := range csc.Neighbors(graph.VID(s)) {
-					sm.Read(dOut.RowAddr(int(d)), dOut.RowBytes())
-					sm.Read(x.RowAddr(int(d)), x.RowBytes())
-					scale := aggrScale(m, invDeg, d)
-					dORow := dOut.M.Row(int(d))
-					for j := range dMsg {
-						dMsg[j] = dORow[j] * scale
-					}
-					sm.AddFLOPs(int64(dim))
-					sm.AddFLOPs(m.msgBackwardSrc(srcRow, x.M.Row(int(d)), dMsg, dxRow))
-				}
-				sm.Write(dx.RowAddr(s), dx.RowBytes())
-			}
-		})
-		k.Finish()
+		ctx.napa = napaNumeric{csc: csc, m: m, x: x.M, dOut: dOut.M, out: dx.M, invDeg: invDeg,
+			msg: ctx.msgScratch(ctx.numSMs(), dim)}
+		ctx.napa.run(ctx.numSMs(), csc.NumSrc, napaPullBackwardTask)
+		tracePullBackward(ctx, csc, x.Geom(), dOut.Geom(), dx.Geom(), m)
 		return nil
 	})
 	if err != nil {
@@ -259,32 +371,10 @@ func (NAPA) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*Devi
 
 	if m.HasDstGrad() {
 		err = ctx.track(metrics.StageEdgeWeight, func() error {
-			k := ctx.Dev.StartKernel("napa-neighborapply-bwp")
-			msgS := ctx.msgScratch(k.NumSMs(), dim)
-			runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, smID, lo, hi int) {
-				dMsg := msgS[smID]
-				for d := lo; d < hi; d++ {
-					sm.Read(dOut.RowAddr(d), dOut.RowBytes())
-					sm.Read(x.RowAddr(d), x.RowBytes())
-					scale := aggrScale(m, invDeg, graph.VID(d))
-					dORow := dOut.M.Row(d)
-					for j := range dMsg {
-						dMsg[j] = dORow[j] * scale
-					}
-					sm.AddFLOPs(int64(dim))
-					dstRow := x.M.Row(d)
-					// dst d is also a src-space vertex (F_{t-1} ⊆ F_t), so
-					// its gradient accumulates into dx row d, which this
-					// work unit exclusively owns in this pass.
-					dxRow := dx.M.Row(d)
-					for _, s := range csr.Neighbors(graph.VID(d)) {
-						sm.Read(x.RowAddr(int(s)), x.RowBytes())
-						sm.AddFLOPs(m.msgBackwardDst(x.M.Row(int(s)), dstRow, dMsg, dxRow))
-					}
-					sm.Write(dx.RowAddr(d), dx.RowBytes())
-				}
-			})
-			k.Finish()
+			ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, dOut: dOut.M, out: dx.M, invDeg: invDeg,
+				msg: ctx.msgScratch(ctx.numSMs(), dim)}
+			ctx.napa.run(ctx.numSMs(), csr.NumDst, napaApplyBackwardTask)
+			traceApplyBackward(ctx, csr, x.Geom(), dOut.Geom(), dx.Geom(), m)
 			return nil
 		})
 		if err != nil {
@@ -292,4 +382,102 @@ func (NAPA) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*Devi
 		}
 	}
 	return dx, nil
+}
+
+// TraceBackward is Backward's trace passes alone — the napa-pull-bwp launch
+// over csc and, for edge-weighted modes, the napa-neighborapply-bwp launch
+// over csr — from the geometry of x, dOut and dx.
+func (NAPA) TraceBackward(ctx *Ctx, csr *graph.BCSR, csc *graph.BCSC, x, dOut, dx Geom, m Modes) {
+	tracePullBackward(ctx, csc, x, dOut, dx, m)
+	if m.HasDstGrad() {
+		traceApplyBackward(ctx, csr, x, dOut, dx, m)
+	}
+}
+
+// napaPullBackwardTask is the src-side numeric pass: dx[s] accumulates the
+// message gradient of each of s's out-edges, in CSC order.
+func napaPullBackwardTask(arg any, first, last int) {
+	p := arg.(*napaNumeric)
+	for id := first; id < last; id++ {
+		dMsg := p.msg[id]
+		lo, hi := p.rows(id)
+		for s := lo; s < hi; s++ {
+			srcRow, dxRow := p.x.Row(s), p.out.Row(s)
+			for _, d := range p.csc.Neighbors(graph.VID(s)) {
+				scale := aggrScale(p.m, p.invDeg, d)
+				dORow := p.dOut.Row(int(d))
+				for j := range dMsg {
+					dMsg[j] = dORow[j] * scale
+				}
+				p.m.msgBackwardSrc(srcRow, p.x.Row(int(d)), dMsg, dxRow)
+			}
+		}
+	}
+}
+
+// tracePullBackward is the napa-pull-bwp launch: per src its row, then per
+// out-edge the dst's gradient row and embedding row; a write of the dx row.
+func tracePullBackward(ctx *Ctx, csc *graph.BCSC, x, dOut, dx Geom, m Modes) {
+	k := ctx.Dev.StartKernel("napa-pull-bwp")
+	unit := commonRowBytes(x, dOut)
+	edgeFLOPs := int64(x.Cols) + m.msgBackwardSrcFLOPs(x.Cols)
+	runSMsChunkedIdx(k, csc.NumSrc, func(sm *gpusim.SMContext, _, lo, hi int) {
+		ctx.rowUnit(sm, unit)
+		for s := lo; s < hi; s++ {
+			sm.Read(x.RowAddr(s), x.RowBytes())
+			nbrs := csc.Neighbors(graph.VID(s))
+			for _, d := range nbrs {
+				sm.Read(dOut.RowAddr(int(d)), dOut.RowBytes())
+				sm.Read(x.RowAddr(int(d)), x.RowBytes())
+			}
+			sm.AddFLOPs(int64(len(nbrs)) * edgeFLOPs)
+			sm.Write(dx.RowAddr(s), dx.RowBytes())
+		}
+	})
+	k.Finish()
+}
+
+// napaApplyBackwardTask is the dst-side numeric pass. dst d is also a
+// src-space vertex (F_{t-1} ⊆ F_t), so its gradient accumulates into dx row
+// d, which this work unit exclusively owns in this pass.
+func napaApplyBackwardTask(arg any, first, last int) {
+	p := arg.(*napaNumeric)
+	for id := first; id < last; id++ {
+		dMsg := p.msg[id]
+		lo, hi := p.rows(id)
+		for d := lo; d < hi; d++ {
+			scale := aggrScale(p.m, p.invDeg, graph.VID(d))
+			dORow := p.dOut.Row(d)
+			for j := range dMsg {
+				dMsg[j] = dORow[j] * scale
+			}
+			dstRow, dxRow := p.x.Row(d), p.out.Row(d)
+			for _, s := range p.csr.Neighbors(graph.VID(d)) {
+				p.m.msgBackwardDst(p.x.Row(int(s)), dstRow, dMsg, dxRow)
+			}
+		}
+	}
+}
+
+// traceApplyBackward is the napa-neighborapply-bwp launch: per dst its
+// gradient row and embedding row, then per edge the src row; a write of the
+// dx row.
+func traceApplyBackward(ctx *Ctx, csr *graph.BCSR, x, dOut, dx Geom, m Modes) {
+	k := ctx.Dev.StartKernel("napa-neighborapply-bwp")
+	unit := commonRowBytes(x, dOut)
+	edgeFLOPs := m.msgBackwardDstFLOPs(x.Cols)
+	runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, _, lo, hi int) {
+		ctx.rowUnit(sm, unit)
+		for d := lo; d < hi; d++ {
+			sm.Read(dOut.RowAddr(d), dOut.RowBytes())
+			sm.Read(x.RowAddr(d), x.RowBytes())
+			nbrs := csr.Neighbors(graph.VID(d))
+			for _, s := range nbrs {
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+			}
+			sm.AddFLOPs(int64(x.Cols) + int64(len(nbrs))*edgeFLOPs)
+			sm.Write(dx.RowAddr(d), dx.RowBytes())
+		}
+	})
+	k.Finish()
 }
