@@ -98,26 +98,22 @@ func CombFirstForward(ctx *Ctx, g *Graphs, x *DeviceMatrix, w *tensor.Matrix, m 
 		if err != nil {
 			return nil, err
 		}
-		err = ctx.track(metrics.StageCombination, func() error {
-			k := ctx.Dev.StartKernel("combfirst-sum")
-			runSMsChunked(k, branch1.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					sm.Read(branch1.RowAddr(i), branch1.RowBytes())
-					sm.Read(branch2.RowAddr(i), branch2.RowBytes())
-					r1, r2 := branch1.M.Row(i), branch2.M.Row(i)
-					for j := range r1 {
-						r1[j] += r2[j]
-					}
-					sm.AddFLOPs(int64(len(r1)))
-					sm.Write(branch1.RowAddr(i), branch1.RowBytes())
+		sp := ctx.begin(metrics.StageCombination)
+		k := ctx.Dev.StartKernel("combfirst-sum")
+		runSMsChunked(k, branch1.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sm.Read(branch1.RowAddr(i), branch1.RowBytes())
+				sm.Read(branch2.RowAddr(i), branch2.RowBytes())
+				r1, r2 := branch1.M.Row(i), branch2.M.Row(i)
+				for j := range r1 {
+					r1[j] += r2[j]
 				}
-			})
-			k.Finish()
-			return nil
+				sm.AddFLOPs(int64(len(r1)))
+				sm.Write(branch1.RowAddr(i), branch1.RowBytes())
+			}
 		})
-		if err != nil {
-			return nil, err
-		}
+		k.Finish()
+		ctx.end(sp)
 		branch2.Free()
 		res.Out = branch1
 	}
@@ -165,66 +161,54 @@ func CombFirstBackward(ctx *Ctx, g *Graphs, x *DeviceMatrix, res *CombFirstResul
 // the original embeddings (NeighborApply on x) and t is the transformed
 // input.
 func napaScaledPull(ctx *Ctx, csr *graph.BCSR, x, t *DeviceMatrix, m Modes) (*DeviceMatrix, error) {
-	var wMat *DeviceMatrix
-	err := ctx.track(metrics.StageEdgeWeight, func() error {
-		var err error
-		wMat, err = AllocDeviceMatrix(ctx, csr.NumEdges(), 1, "combfirst-alphas")
-		if err != nil {
-			return err
-		}
-		k := ctx.Dev.StartKernel("napa-neighborapply")
-		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				sm.Read(x.RowAddr(d), x.RowBytes())
-				base := int(csr.Ptr[d])
-				for i, s := range csr.Neighbors(graph.VID(d)) {
-					e := base + i
-					sm.Read(x.RowAddr(int(s)), x.RowBytes())
-					sm.AddFLOPs(m.edgeWeight(x.M.Row(int(s)), x.M.Row(d), wMat.M.Row(e)))
-					sm.Write(wMat.RowAddr(e), wMat.RowBytes())
-				}
-			}
-		})
-		k.Finish()
-		return nil
-	})
+	sp := ctx.begin(metrics.StageEdgeWeight)
+	wMat, err := AllocDeviceMatrix(ctx, csr.NumEdges(), 1, "combfirst-alphas")
 	if err != nil {
 		return nil, err
 	}
-	var out *DeviceMatrix
-	err = ctx.track(metrics.StageAggregation, func() error {
-		var err error
-		out, err = AllocDeviceMatrix(ctx, csr.NumDst, t.M.Cols, "combfirst-out")
-		if err != nil {
-			return err
-		}
-		invDeg := ctx.InvDeg(csr)
-		k := ctx.Dev.StartKernel("napa-pull")
-		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				orow := out.M.Row(d)
-				scale := aggrScale(m, invDeg, graph.VID(d))
-				base := int(csr.Ptr[d])
-				for i, s := range csr.Neighbors(graph.VID(d)) {
-					e := base + i
-					sm.Read(t.RowAddr(int(s)), t.RowBytes())
-					sm.Read(wMat.RowAddr(e), wMat.RowBytes())
-					alpha := wMat.M.At(e, 0) * scale
-					trow := t.M.Row(int(s))
-					for j := range orow {
-						orow[j] += alpha * trow[j]
-					}
-					sm.AddFLOPs(int64(2 * len(orow)))
-				}
-				sm.Write(out.RowAddr(d), out.RowBytes())
+	k := ctx.Dev.StartKernel("napa-neighborapply")
+	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+		for d := lo; d < hi; d++ {
+			sm.Read(x.RowAddr(d), x.RowBytes())
+			base := int(csr.Ptr[d])
+			for i, s := range csr.Neighbors(graph.VID(d)) {
+				e := base + i
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+				sm.AddFLOPs(m.edgeWeight(x.M.Row(int(s)), x.M.Row(d), wMat.M.Row(e)))
+				sm.Write(wMat.RowAddr(e), wMat.RowBytes())
 			}
-		})
-		k.Finish()
-		return nil
+		}
 	})
+	k.Finish()
+	ctx.end(sp)
+	sp = ctx.begin(metrics.StageAggregation)
+	out, err := AllocDeviceMatrix(ctx, csr.NumDst, t.M.Cols, "combfirst-out")
 	if err != nil {
 		return nil, err
 	}
+	invDeg := ctx.InvDeg(csr)
+	k = ctx.Dev.StartKernel("napa-pull")
+	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+		for d := lo; d < hi; d++ {
+			orow := out.M.Row(d)
+			scale := aggrScale(m, invDeg, graph.VID(d))
+			base := int(csr.Ptr[d])
+			for i, s := range csr.Neighbors(graph.VID(d)) {
+				e := base + i
+				sm.Read(t.RowAddr(int(s)), t.RowBytes())
+				sm.Read(wMat.RowAddr(e), wMat.RowBytes())
+				alpha := wMat.M.At(e, 0) * scale
+				trow := t.M.Row(int(s))
+				for j := range orow {
+					orow[j] += alpha * trow[j]
+				}
+				sm.AddFLOPs(int64(2 * len(orow)))
+			}
+			sm.Write(out.RowAddr(d), out.RowBytes())
+		}
+	})
+	k.Finish()
+	ctx.end(sp)
 	wMat.Free()
 	return out, nil
 }
@@ -249,73 +233,69 @@ func napaScaledPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x *DeviceMatri
 		return nil, err
 	}
 	dxW := tensor.Get(csr.NumSrc, dim) // weight-path gradient (host staging, pooled)
-	err = ctx.track(metrics.StageAggregation, func() error {
-		k := ctx.Dev.StartKernel("napa-pull-bwp")
-		runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				sm.Read(x.RowAddr(s), x.RowBytes())
-				sm.Read(res.T.RowAddr(s), res.T.RowBytes())
-				srcX := x.M.Row(s)
-				srcT := res.T.M.Row(s)
-				dTRow := dT.M.Row(s)
-				dxRow := dxW.Row(s)
-				for _, d := range csc.Neighbors(graph.VID(s)) {
-					sm.Read(dPre.RowAddr(int(d)), dPre.RowBytes())
-					sm.Read(x.RowAddr(int(d)), x.RowBytes())
-					scale := aggrScale(m, invDeg, d)
-					dPreRow := dPre.M.Row(int(d))
-					dstX := x.M.Row(int(d))
-					// α and dα for this edge.
-					var alpha float32
-					for j := 0; j < dim; j++ {
-						alpha += srcX[j] * dstX[j]
-					}
-					alpha /= float32(dim)
-					var dAlpha float32
-					for j := 0; j < hid; j++ {
-						dTRow[j] += scale * alpha * dPreRow[j]
-						dAlpha += scale * dPreRow[j] * srcT[j]
-					}
-					invDim := 1 / float32(dim)
-					for j := 0; j < dim; j++ {
-						dxRow[j] += dAlpha * dstX[j] * invDim
-					}
-					sm.AddFLOPs(int64(2*dim + 4*hid))
+	sp := ctx.begin(metrics.StageAggregation)
+	k := ctx.Dev.StartKernel("napa-pull-bwp")
+	runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			sm.Read(x.RowAddr(s), x.RowBytes())
+			sm.Read(res.T.RowAddr(s), res.T.RowBytes())
+			srcX := x.M.Row(s)
+			srcT := res.T.M.Row(s)
+			dTRow := dT.M.Row(s)
+			dxRow := dxW.Row(s)
+			for _, d := range csc.Neighbors(graph.VID(s)) {
+				sm.Read(dPre.RowAddr(int(d)), dPre.RowBytes())
+				sm.Read(x.RowAddr(int(d)), x.RowBytes())
+				scale := aggrScale(m, invDeg, d)
+				dPreRow := dPre.M.Row(int(d))
+				dstX := x.M.Row(int(d))
+				// α and dα for this edge.
+				var alpha float32
+				for j := 0; j < dim; j++ {
+					alpha += srcX[j] * dstX[j]
 				}
-				sm.Write(dT.RowAddr(s), dT.RowBytes())
-			}
-		})
-		// dst side of dα: dX_d += Σ_s dα·x_s/dim, per dst over CSR.
-		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				sm.Read(dPre.RowAddr(d), dPre.RowBytes())
-				sm.Read(x.RowAddr(d), x.RowBytes())
-				scale := aggrScale(m, invDeg, graph.VID(d))
-				dPreRow := dPre.M.Row(d)
-				dxRow := dxW.Row(d)
-				for _, s := range csr.Neighbors(graph.VID(d)) {
-					sm.Read(x.RowAddr(int(s)), x.RowBytes())
-					sm.Read(res.T.RowAddr(int(s)), res.T.RowBytes())
-					srcX := x.M.Row(int(s))
-					srcT := res.T.M.Row(int(s))
-					var dAlpha float32
-					for j := 0; j < hid; j++ {
-						dAlpha += scale * dPreRow[j] * srcT[j]
-					}
-					invDim := 1 / float32(dim)
-					for j := 0; j < dim; j++ {
-						dxRow[j] += dAlpha * srcX[j] * invDim
-					}
-					sm.AddFLOPs(int64(2*hid + 2*dim))
+				alpha /= float32(dim)
+				var dAlpha float32
+				for j := 0; j < hid; j++ {
+					dTRow[j] += scale * alpha * dPreRow[j]
+					dAlpha += scale * dPreRow[j] * srcT[j]
 				}
+				invDim := 1 / float32(dim)
+				for j := 0; j < dim; j++ {
+					dxRow[j] += dAlpha * dstX[j] * invDim
+				}
+				sm.AddFLOPs(int64(2*dim + 4*hid))
 			}
-		})
-		k.Finish()
-		return nil
+			sm.Write(dT.RowAddr(s), dT.RowBytes())
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
+	// dst side of dα: dX_d += Σ_s dα·x_s/dim, per dst over CSR.
+	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+		for d := lo; d < hi; d++ {
+			sm.Read(dPre.RowAddr(d), dPre.RowBytes())
+			sm.Read(x.RowAddr(d), x.RowBytes())
+			scale := aggrScale(m, invDeg, graph.VID(d))
+			dPreRow := dPre.M.Row(d)
+			dxRow := dxW.Row(d)
+			for _, s := range csr.Neighbors(graph.VID(d)) {
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+				sm.Read(res.T.RowAddr(int(s)), res.T.RowBytes())
+				srcX := x.M.Row(int(s))
+				srcT := res.T.M.Row(int(s))
+				var dAlpha float32
+				for j := 0; j < hid; j++ {
+					dAlpha += scale * dPreRow[j] * srcT[j]
+				}
+				invDim := 1 / float32(dim)
+				for j := 0; j < dim; j++ {
+					dxRow[j] += dAlpha * srcX[j] * invDim
+				}
+				sm.AddFLOPs(int64(2*hid + 2*dim))
+			}
+		}
+	})
+	k.Finish()
+	ctx.end(sp)
 
 	dx, err := LinearBackward(ctx, x, dT, w, dw, "combfirst-dx")
 	if err != nil {
@@ -332,38 +312,35 @@ func napaScaledPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x *DeviceMatri
 // napaWeightPull aggregates the raw edge-weight vectors per dst:
 // WAgg[d] = f_{s∈N(d)} g(x_s, x_d) — the NGCF weight branch.
 func napaWeightPull(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*DeviceMatrix, error) {
-	var out *DeviceMatrix
-	err := ctx.track(metrics.StageEdgeWeight, func() error {
-		var err error
-		out, err = AllocDeviceMatrix(ctx, csr.NumDst, x.M.Cols, "combfirst-wagg")
-		if err != nil {
-			return err
-		}
-		invDeg := ctx.InvDeg(csr)
-		k := ctx.Dev.StartKernel("napa-weightpull")
-		wS := ctx.wScratch(k.NumSMs(), x.M.Cols)
-		runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, smID, lo, hi int) {
-			w := wS[smID]
-			for d := lo; d < hi; d++ {
-				sm.Read(x.RowAddr(d), x.RowBytes())
-				dstRow := x.M.Row(d)
-				orow := out.M.Row(d)
-				scale := aggrScale(m, invDeg, graph.VID(d))
-				for _, s := range csr.Neighbors(graph.VID(d)) {
-					sm.Read(x.RowAddr(int(s)), x.RowBytes())
-					sm.AddFLOPs(m.edgeWeight(x.M.Row(int(s)), dstRow, w))
-					for j := range orow {
-						orow[j] += w[j] * scale
-					}
-					sm.AddFLOPs(int64(2 * len(orow)))
+	sp := ctx.begin(metrics.StageEdgeWeight)
+	out, err := AllocDeviceMatrix(ctx, csr.NumDst, x.M.Cols, "combfirst-wagg")
+	if err != nil {
+		return nil, err
+	}
+	invDeg := ctx.InvDeg(csr)
+	k := ctx.Dev.StartKernel("napa-weightpull")
+	wS := ctx.wScratch(k.NumSMs(), x.M.Cols)
+	runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, smID, lo, hi int) {
+		w := wS[smID]
+		for d := lo; d < hi; d++ {
+			sm.Read(x.RowAddr(d), x.RowBytes())
+			dstRow := x.M.Row(d)
+			orow := out.M.Row(d)
+			scale := aggrScale(m, invDeg, graph.VID(d))
+			for _, s := range csr.Neighbors(graph.VID(d)) {
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+				sm.AddFLOPs(m.edgeWeight(x.M.Row(int(s)), dstRow, w))
+				for j := range orow {
+					orow[j] += w[j] * scale
 				}
-				sm.Write(out.RowAddr(d), out.RowBytes())
+				sm.AddFLOPs(int64(2 * len(orow)))
 			}
-		})
-		k.Finish()
-		return nil
+			sm.Write(out.RowAddr(d), out.RowBytes())
+		}
 	})
-	return out, err
+	k.Finish()
+	ctx.end(sp)
+	return out, nil
 }
 
 // napaWeightPullBackward pushes dWAgg (NumDst × dim) through the edge
@@ -377,46 +354,46 @@ func napaWeightPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x, dWAgg, dx *
 		return err
 	}
 	invDeg := ctx.InvDeg(csr)
-	return ctx.track(metrics.StageEdgeWeight, func() error {
-		k := ctx.Dev.StartKernel("napa-weightpull-bwp")
-		// src side: d(w_e)/d(x_s) = x_d.
-		runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				sm.Read(x.RowAddr(s), x.RowBytes())
-				dxRow := dx.M.Row(s)
-				for _, d := range csc.Neighbors(graph.VID(s)) {
-					sm.Read(dWAgg.RowAddr(int(d)), dWAgg.RowBytes())
-					sm.Read(x.RowAddr(int(d)), x.RowBytes())
-					scale := aggrScale(m, invDeg, d)
-					dRow := dWAgg.M.Row(int(d))
-					dstX := x.M.Row(int(d))
-					for j := range dxRow {
-						dxRow[j] += scale * dRow[j] * dstX[j]
-					}
-					sm.AddFLOPs(int64(3 * len(dxRow)))
+	sp := ctx.begin(metrics.StageEdgeWeight)
+	k := ctx.Dev.StartKernel("napa-weightpull-bwp")
+	// src side: d(w_e)/d(x_s) = x_d.
+	runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			sm.Read(x.RowAddr(s), x.RowBytes())
+			dxRow := dx.M.Row(s)
+			for _, d := range csc.Neighbors(graph.VID(s)) {
+				sm.Read(dWAgg.RowAddr(int(d)), dWAgg.RowBytes())
+				sm.Read(x.RowAddr(int(d)), x.RowBytes())
+				scale := aggrScale(m, invDeg, d)
+				dRow := dWAgg.M.Row(int(d))
+				dstX := x.M.Row(int(d))
+				for j := range dxRow {
+					dxRow[j] += scale * dRow[j] * dstX[j]
 				}
-				sm.Write(dx.RowAddr(s), dx.RowBytes())
+				sm.AddFLOPs(int64(3 * len(dxRow)))
 			}
-		})
-		// dst side: d(w_e)/d(x_d) = x_s.
-		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				sm.Read(dWAgg.RowAddr(d), dWAgg.RowBytes())
-				scale := aggrScale(m, invDeg, graph.VID(d))
-				dRow := dWAgg.M.Row(d)
-				dxRow := dx.M.Row(d)
-				for _, s := range csr.Neighbors(graph.VID(d)) {
-					sm.Read(x.RowAddr(int(s)), x.RowBytes())
-					srcX := x.M.Row(int(s))
-					for j := range dxRow {
-						dxRow[j] += scale * dRow[j] * srcX[j]
-					}
-					sm.AddFLOPs(int64(3 * len(dxRow)))
-				}
-				sm.Write(dx.RowAddr(d), dx.RowBytes())
-			}
-		})
-		k.Finish()
-		return nil
+			sm.Write(dx.RowAddr(s), dx.RowBytes())
+		}
 	})
+	// dst side: d(w_e)/d(x_d) = x_s.
+	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+		for d := lo; d < hi; d++ {
+			sm.Read(dWAgg.RowAddr(d), dWAgg.RowBytes())
+			scale := aggrScale(m, invDeg, graph.VID(d))
+			dRow := dWAgg.M.Row(d)
+			dxRow := dx.M.Row(d)
+			for _, s := range csr.Neighbors(graph.VID(d)) {
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+				srcX := x.M.Row(int(s))
+				for j := range dxRow {
+					dxRow[j] += scale * dRow[j] * srcX[j]
+				}
+				sm.AddFLOPs(int64(3 * len(dxRow)))
+			}
+			sm.Write(dx.RowAddr(d), dx.RowBytes())
+		}
+	})
+	k.Finish()
+	ctx.end(sp)
+	return nil
 }

@@ -57,15 +57,12 @@ type Ctx struct {
 	// set it to obtain the reference counters.
 	simulate bool
 
-	// acc is the reusable flat-indexed partial accumulator the
-	// Graph-approach kernels use in place of per-SM partial maps. Launches
-	// within a Ctx are sequential, so one instance serves every kernel.
-	acc flatAccum
-
 	// Memoized per-graph derivations, keyed by the storage object identity.
+	// csrOf and cscOf back the host views (hostCSR, hostCSC).
 	invDegCSR map[*graph.BCSR][]float32
-	invDegCOO map[*graph.BCOO][]float32
 	cscEdges  map[*graph.BCSR][]int32
+	csrOf     map[*graph.BCOO]*graph.BCSR
+	cscOf     map[*graph.BCSR]*graph.BCSC
 
 	// blockBuf backs edgeBlocks' run-aligned block boundaries; recomputed
 	// per launch (an O(E) walk, noise next to the per-edge kernel work) so
@@ -100,8 +97,9 @@ const memoCap = 8
 // fails.
 func (c *Ctx) EndBatch() {
 	clear(c.invDegCSR)
-	clear(c.invDegCOO)
 	clear(c.cscEdges)
+	clear(c.csrOf)
+	clear(c.cscOf)
 	for i, b := range c.bufs {
 		b.Free()
 		c.bufs[i] = nil
@@ -146,11 +144,6 @@ func (c *Ctx) InvDeg(csr *graph.BCSR) []float32 {
 	return memoized(&c.invDegCSR, csr, func() []float32 { return invDegFromCSR(csr) })
 }
 
-// InvDegCOO is InvDeg for edge-list storage.
-func (c *Ctx) InvDegCOO(coo *graph.BCOO) []float32 {
-	return memoized(&c.invDegCOO, coo, func() []float32 { return invDegFromCOO(coo) })
-}
-
 // cscEdgeIDs returns edgeIDsForCSC(csr, csc) memoized by the CSR identity
 // (the CSC of a layer graph is derived from exactly one CSR).
 func (c *Ctx) cscEdgeIDs(csr *graph.BCSR, csc *graph.BCSC) []int32 {
@@ -159,10 +152,7 @@ func (c *Ctx) cscEdgeIDs(csr *graph.BCSR, csc *graph.BCSC) []int32 {
 
 // edgeBlocks returns the run-aligned thread-block boundaries of a COO edge
 // list: blocks cover at most edgeBlock consecutive edges and never span a
-// dst boundary, so a block's contribution to its dst depends only on that
-// dst's own edge run — the alignment that makes the Graph-approach's
-// partial merge independent of what else shares the batch (the serving
-// engine coalesces and de-coalesces queries freely on top of this).
+// dst boundary, so a block updates one dst's partial row.
 // blocks[b] is block b's first edge; blocks[len-1] == NumEdges. The view is
 // valid until the next edgeBlocks call (one retained buffer, no per-graph
 // allocation).
@@ -199,14 +189,6 @@ func (c *Ctx) msgScratch(numSMs, dim int) [][]float32 {
 	return growScratch(&c.msgBuf, &c.msgViews, numSMs, dim)
 }
 
-// partials returns the Ctx's flat accumulator reset for a launch of numSMs
-// SMs over rows dsts of width dim, where one SM touches at most perSM
-// distinct dsts (its share of the edges).
-func (c *Ctx) partials(numSMs, rows, dim, perSM int) *flatAccum {
-	c.acc.reset(numSMs, rows, dim, perSM)
-	return &c.acc
-}
-
 // wScratch returns numSMs reusable edge-weight-scratch rows of length
 // cols. Distinct from msgScratch so one kernel may hold both.
 func (c *Ctx) wScratch(numSMs, cols int) [][]float32 {
@@ -240,14 +222,27 @@ func growScratch(buf *[]float32, views *[][]float32, n, dim int) [][]float32 {
 	return *views
 }
 
-// track runs fn and accrues its wall time and device work under stage.
-func (c *Ctx) track(stage metrics.Stage, fn func() error) error {
-	t0 := time.Now()
-	before := c.Dev.Snapshot()
-	err := fn()
-	c.Stages.Add(stage, time.Since(t0))
-	c.Work[stage] = c.Work[stage].Add(c.Dev.Snapshot().Sub(before))
-	return err
+// span is an open booking under a stage: the clock and the device counters as
+// begin read them. A value, so booking a kernel allocates nothing and moves
+// none of the kernel's variables to the heap.
+type span struct {
+	stage  metrics.Stage
+	t0     time.Time
+	before gpusim.Counters
+}
+
+// begin opens a booking under stage.
+func (c *Ctx) begin(stage metrics.Stage) span {
+	return span{stage: stage, t0: time.Now(), before: c.Dev.Snapshot()}
+}
+
+// end accrues the wall time and the device work since sp's begin under its
+// stage and returns the wall time. A kernel that fails returns without it.
+func (c *Ctx) end(sp span) time.Duration {
+	elapsed := time.Since(sp.t0)
+	c.Stages.Add(sp.stage, elapsed)
+	c.Work[sp.stage] = c.Work[sp.stage].Add(c.Dev.Snapshot().Sub(sp.before))
+	return elapsed
 }
 
 // Graphs bundles whichever storage formats of one GNN layer are resident
@@ -281,20 +276,20 @@ func (c *Ctx) ensureCSR(g *Graphs) (*graph.BCSR, error) {
 	if g.CSR != nil {
 		return g.CSR, nil
 	}
-	err := c.track(metrics.StageTranslation, func() error {
-		csr, stats := graph.BCOOToBCSR(g.COO)
-		scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
-		if err != nil {
-			return err
-		}
-		_, err = c.alloc(csr.Bytes(), "translated-csr")
-		scratch.Free()
-		if err == nil {
-			g.CSR = csr
-		}
-		return err
-	})
-	return g.CSR, err
+	sp := c.begin(metrics.StageTranslation)
+	csr, stats := graph.BCOOToBCSR(g.COO)
+	scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
+	if err != nil {
+		return nil, err
+	}
+	_, err = c.alloc(csr.Bytes(), "translated-csr")
+	scratch.Free()
+	if err != nil {
+		return nil, err
+	}
+	g.CSR = csr
+	c.end(sp)
+	return csr, nil
 }
 
 // ensureCSC returns a CSC view, translating on demand (BWP path).
@@ -302,31 +297,49 @@ func (c *Ctx) ensureCSC(g *Graphs) (*graph.BCSC, error) {
 	if g.CSC != nil {
 		return g.CSC, nil
 	}
-	err := c.track(metrics.StageTranslation, func() error {
-		if g.COO != nil {
-			csc, stats := graph.BCOOToBCSC(g.COO)
-			scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
-			if err != nil {
-				return err
-			}
-			scratch.Free()
-			g.CSC = csc
-			return nil
+	sp := c.begin(metrics.StageTranslation)
+	if g.COO != nil {
+		csc, stats := graph.BCOOToBCSC(g.COO)
+		scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
+		if err != nil {
+			return nil, err
 		}
+		scratch.Free()
+		g.CSC = csc
+	} else {
 		g.CSC = graph.BCSRToBCSC(g.CSR)
-		return nil
-	})
-	return g.CSC, err
+	}
+	c.end(sp)
+	return g.CSC, nil
 }
 
 // ensureCOO returns a COO view, expanding from CSR on demand.
-func (c *Ctx) ensureCOO(g *Graphs) (*graph.BCOO, error) {
-	if g.COO != nil {
-		return g.COO, nil
-	}
-	err := c.track(metrics.StageTranslation, func() error {
+func (c *Ctx) ensureCOO(g *Graphs) *graph.BCOO {
+	if g.COO == nil {
+		sp := c.begin(metrics.StageTranslation)
 		g.COO = graph.BCSRToBCOO(g.CSR)
-		return nil
-	})
-	return g.COO, err
+		c.end(sp)
+	}
+	return g.COO
+}
+
+// hostCSR and hostCSC are the views the numeric pass reads a layer graph
+// through when the strategy at hand traverses another format: the batch's own
+// structure if it has one, else derived here — once per batch, on the host,
+// uncharged — and never written back onto g. What a strategy's device needs
+// it still translates and pays for (ensureCSR/ensureCSC); the values of a
+// layer do not depend on which formats its schedule happens to hold.
+func (c *Ctx) hostCSR(g *Graphs) *graph.BCSR {
+	if g.CSR != nil {
+		return g.CSR
+	}
+	return memoized(&c.csrOf, g.COO, func() *graph.BCSR { csr, _ := graph.BCOOToBCSR(g.COO); return csr })
+}
+
+func (c *Ctx) hostCSC(g *Graphs) *graph.BCSC {
+	if g.CSC != nil {
+		return g.CSC
+	}
+	csr := c.hostCSR(g)
+	return memoized(&c.cscOf, csr, func() *graph.BCSC { return graph.BCSRToBCSC(csr) })
 }

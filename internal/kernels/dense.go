@@ -40,18 +40,15 @@ const weightsAddr = -1 << 40
 // SMs; each SM pulls the weight tile once (it stays cached), streams its X
 // rows and writes its Y rows.
 func Linear(ctx *Ctx, x *DeviceMatrix, w *tensor.Matrix, label string) (*DeviceMatrix, error) {
-	var out *DeviceMatrix
-	err := ctx.track(metrics.StageCombination, func() error {
-		var err error
-		out, err = AllocDeviceMatrix(ctx, x.M.Rows, w.Cols, label)
-		if err != nil {
-			return err
-		}
-		tensor.MatMulInto(out.M, x.M, w)
-		TraceLinear(ctx, x.Geom(), out.Geom())
-		return nil
-	})
-	return out, err
+	sp := ctx.begin(metrics.StageCombination)
+	out, err := AllocDeviceMatrix(ctx, x.M.Rows, w.Cols, label)
+	if err != nil {
+		return nil, err
+	}
+	tensor.MatMulInto(out.M, x.M, w)
+	TraceLinear(ctx, x.Geom(), out.Geom())
+	ctx.end(sp)
+	return out, nil
 }
 
 // TraceLinear is Linear's trace pass alone: the launch of Y = X·W for an
@@ -63,24 +60,21 @@ func TraceLinear(ctx *Ctx, in, out Geom) { traceRowGEMM(ctx, "linear", in, out) 
 // product Xᵀ·dY is formed in the Ctx's retained scratch and added in one
 // step, so onto a zero dW the result is the product itself, bit for bit.
 func LinearBackward(ctx *Ctx, x, dy *DeviceMatrix, w, dw *tensor.Matrix, label string) (*DeviceMatrix, error) {
-	var dx *DeviceMatrix
-	err := ctx.track(metrics.StageCombination, func() error {
-		var err error
-		dx, err = AllocDeviceMatrix(ctx, x.M.Rows, w.Rows, label)
-		if err != nil {
-			return err
-		}
-		tensor.MatMulTInto(dx.M, dy.M, w)
-		traceRowGEMM(ctx, "linear-bwp-dx", dy.Geom(), dx.Geom())
+	sp := ctx.begin(metrics.StageCombination)
+	dx, err := AllocDeviceMatrix(ctx, x.M.Rows, w.Rows, label)
+	if err != nil {
+		return nil, err
+	}
+	tensor.MatMulTInto(dx.M, dy.M, w)
+	traceRowGEMM(ctx, "linear-bwp-dx", dy.Geom(), dx.Geom())
 
-		prod := tensor.TMatMulInto(ctx.dwScratch(w.Rows, w.Cols), x.M, dy.M)
-		for i, v := range prod.Data {
-			dw.Data[i] += v
-		}
-		traceDW(ctx, dy.Geom(), w.Rows, x.M)
-		return nil
-	})
-	return dx, err
+	prod := tensor.TMatMulInto(ctx.dwScratch(w.Rows, w.Cols), x.M, dy.M)
+	for i, v := range prod.Data {
+		dw.Data[i] += v
+	}
+	traceDW(ctx, dy.Geom(), w.Rows, x.M)
+	ctx.end(sp)
+	return dx, nil
 }
 
 // TraceLinearBackward is LinearBackward's trace passes alone — the dX launch
@@ -166,58 +160,60 @@ func traceRowGEMM(ctx *Ctx, name string, in, out Geom) {
 // pre-activation copy needed by the backward pass. The copy is drawn from
 // the tensor pool; the consumer (the model's backward or inference path)
 // returns it with tensor.Put once the gradient no longer needs it.
-func BiasReLU(ctx *Ctx, x *DeviceMatrix, bias []float32) (pre *tensor.Matrix, err error) {
-	err = ctx.track(metrics.StageCombination, func() error {
-		k := ctx.Dev.StartKernel("bias-relu")
-		pre = tensor.Get(x.M.Rows, x.M.Cols)
-		xg := x.Geom()
-		runSMsChunked(k, x.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			ctx.traceRows(sm, xg, xg, lo, hi, int64(2*x.M.Cols))
-			for i := lo; i < hi; i++ {
-				row := x.M.Row(i)
-				prow := pre.Row(i)
-				for j := range row {
-					v := row[j] + bias[j]
-					prow[j] = v
-					if v < 0 {
-						v = 0
-					}
-					row[j] = v
-				}
+func BiasReLU(ctx *Ctx, x *DeviceMatrix, bias []float32) (*tensor.Matrix, error) {
+	sp := ctx.begin(metrics.StageCombination)
+	pre := tensor.Get(x.M.Rows, x.M.Cols)
+	biasReLU(x.M, pre, bias)
+	traceElementwise(ctx, "bias-relu", x.Geom(), int64(2*x.M.Cols))
+	ctx.end(sp)
+	return pre, nil
+}
+
+// biasReLU is BiasReLU's numeric pass: pre = y + b, y = max(0, pre).
+func biasReLU(y, pre *tensor.Matrix, bias []float32) {
+	for i := 0; i < y.Rows; i++ {
+		row, prow := y.Row(i), pre.Row(i)
+		for j := range row {
+			v := row[j] + bias[j]
+			prow[j] = v
+			if v < 0 {
+				v = 0
 			}
-		})
-		k.Finish()
-		return nil
-	})
-	return pre, err
+			row[j] = v
+		}
+	}
 }
 
 // BiasReLUBackward turns the upstream gradient dY into the pre-activation
 // gradient (dY ⊙ 1[pre>0]) in place and accumulates the bias gradient.
 func BiasReLUBackward(ctx *Ctx, dy *DeviceMatrix, pre *tensor.Matrix, dBias []float32) error {
-	return ctx.track(metrics.StageCombination, func() error {
-		k := ctx.Dev.StartKernel("bias-relu-bwp")
-		dyg := dy.Geom()
-		// Bias gradient reduction is serialized per column chunk.
-		runSMsChunked(k, dy.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-			ctx.traceRows(sm, dyg, dyg, lo, hi, int64(dy.M.Cols))
-			for i := lo; i < hi; i++ {
-				row := dy.M.Row(i)
-				prow := pre.Row(i)
-				for j := range row {
-					if prow[j] <= 0 {
-						row[j] = 0
-					}
-				}
+	sp := ctx.begin(metrics.StageCombination)
+	biasReLUBackward(dy.M, pre, dBias)
+	traceElementwise(ctx, "bias-relu-bwp", dy.Geom(), int64(dy.M.Cols))
+	ctx.end(sp)
+	return nil
+}
+
+// biasReLUBackward is BiasReLUBackward's numeric pass; the bias gradient is
+// reduced row by row, in ascending order.
+func biasReLUBackward(dy, pre *tensor.Matrix, dBias []float32) {
+	for i := 0; i < dy.Rows; i++ {
+		row, prow := dy.Row(i), pre.Row(i)
+		for j := range row {
+			if prow[j] <= 0 {
+				row[j] = 0
 			}
-		})
-		k.Finish()
-		for i := 0; i < dy.M.Rows; i++ {
-			row := dy.M.Row(i)
-			for j, v := range row {
-				dBias[j] += v
-			}
+			dBias[j] += row[j]
 		}
-		return nil
+	}
+}
+
+// traceElementwise replays an in-place row-parallel launch over m: per row a
+// read, rowFLOPs and a write of the same row.
+func traceElementwise(ctx *Ctx, name string, m Geom, rowFLOPs int64) {
+	k := ctx.Dev.StartKernel(name)
+	runSMsChunked(k, m.Rows, func(sm *gpusim.SMContext, lo, hi int) {
+		ctx.traceRows(sm, m, m, lo, hi, rowFLOPs)
 	})
+	k.Finish()
 }

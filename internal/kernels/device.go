@@ -12,10 +12,13 @@
 //   - NAPA (GraphTensor, §IV-B Fig 9): destination-centric, feature-wise
 //     scheduling over CSR (FWP) / CSC (BWP); no translation, no bloats.
 //
-// All four produce bitwise-comparable results for the same semantic modes,
-// which the test suite exploits; they differ only in the access pattern
-// they replay into the gpusim device, and in the real host-side work
-// (copies, sorts) each strategy genuinely performs.
+// A strategy is a schedule, not an arithmetic. All of them compute the same
+// layer f(h(x_s, g(x_s, x_d))), so its values come from one numeric pass
+// (Ctx.aggregate, Ctx.aggregateBackward) and are bitwise the same under every
+// strategy; what a strategy owns is what the paper compares — the format it
+// traverses (and translates to), the intermediates it materializes as device
+// bytes, and the per-SM access stream its launches replay into the gpusim
+// device from geometry alone.
 package kernels
 
 import (
@@ -95,11 +98,29 @@ func (dm *DeviceMatrix) Geom() Geom {
 // it, for a caller that runs trace passes only (dkp.Calibrate). EndBatch
 // frees it.
 func AllocGeom(c *Ctx, rows, cols int, label string) (Geom, error) {
+	db, err := allocDeviceBytes(c, rows, cols, label)
+	return db.Geom, err
+}
+
+// deviceBytes is an intermediate a strategy materializes on the device and
+// no numeric pass reads — a per-edge gather, a weight matrix, a partial-sum
+// slab: its geometry, for the launches that address it, and its allocation,
+// so it dies where the strategy frees it and MemPeak sees exactly that.
+type deviceBytes struct {
+	Geom
+	buf *gpusim.Buffer
+}
+
+// Free releases the allocation ahead of the scope's EndBatch; the zero value
+// (an intermediate a mode does not need) frees nothing.
+func (db deviceBytes) Free() { db.buf.Free() }
+
+func allocDeviceBytes(c *Ctx, rows, cols int, label string) (deviceBytes, error) {
 	buf, err := c.alloc(int64(rows)*int64(cols)*4, label)
 	if err != nil {
-		return Geom{}, err
+		return deviceBytes{}, err
 	}
-	return Geom{Addr: buf.Addr(0), Rows: rows, Cols: cols}, nil
+	return deviceBytes{Geom{Addr: buf.Addr(0), Rows: rows, Cols: cols}, buf}, nil
 }
 
 // RowAddr returns the device address of row i.

@@ -19,6 +19,10 @@ import (
 // The initial graph format is CSR (Table III), so unlike the
 // Graph-approach there is no format translation; the scatter/gather DL
 // kernels walk the CSR edge order directly.
+//
+// Like every strategy it is a schedule around the one numeric pass: the
+// per-edge matrices are device bytes (deviceBytes) that its launches address
+// and nothing reads on the host.
 type DLApproach struct{}
 
 // Name implements Strategy.
@@ -34,82 +38,97 @@ func (DLApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Devic
 	if err != nil {
 		return nil, err
 	}
-	dim := x.M.Cols
-	nEdges := csr.NumEdges()
-
-	// Sparse2Dense: materialize the per-edge dense message matrix. With
-	// edge weighting this gathers both endpoint matrices and runs the
-	// dense g/h kernels (dlEdgeMessages); without it, only the src matrix
-	// is gathered — either way the embeddings are replicated once per
-	// incident edge.
-	var msgMat *DeviceMatrix
-	if m.HasEdgeWeight() {
-		msgMat, err = dlEdgeMessages(ctx, csr, x, m)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		err = ctx.track(metrics.StageSparse2Dense, func() error {
-			var err error
-			msgMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-gathered-src")
-			if err != nil {
-				return err
-			}
-			k := ctx.Dev.StartKernel("dl-gather")
-			runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-				for d := lo; d < hi; d++ {
-					base := int(csr.Ptr[d])
-					for i, s := range csr.Neighbors(graph.VID(d)) {
-						e := base + i
-						sm.Read(x.RowAddr(int(s)), x.RowBytes())
-						copy(msgMat.M.Row(e), x.M.Row(int(s)))
-						sm.Write(msgMat.RowAddr(e), msgMat.RowBytes())
-					}
-				}
-			})
-			k.Finish()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// scatter_mean / scatter_sum over the dense message matrix.
-	var out *DeviceMatrix
-	err = ctx.track(metrics.StageAggregation, func() error {
-		var err error
-		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "dl-aggr-out")
-		if err != nil {
-			return err
-		}
-		invDeg := ctx.InvDeg(csr)
-		k := ctx.Dev.StartKernel("dl-scatter")
-		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				orow := out.M.Row(d)
-				scale := aggrScale(m, invDeg, graph.VID(d))
-				base := int(csr.Ptr[d])
-				for i := 0; i < csr.Degree(graph.VID(d)); i++ {
-					e := base + i
-					sm.Read(msgMat.RowAddr(e), msgMat.RowBytes())
-					mrow := msgMat.M.Row(e)
-					for j := range orow {
-						orow[j] += mrow[j] * scale
-					}
-					sm.AddFLOPs(int64(2 * dim))
-				}
-				sm.Write(out.RowAddr(d), out.RowBytes())
-			}
-		})
-		k.Finish()
-		return nil
-	})
+	// Sparse2Dense: materialize the per-edge dense message matrix — either
+	// way the embeddings are replicated once per incident edge.
+	msgMat, err := dlEdgeMessages(ctx, csr, x.Geom(), m)
 	if err != nil {
 		return nil, err
 	}
+
+	// scatter_mean / scatter_sum over the dense message matrix.
+	sp := ctx.begin(metrics.StageAggregation)
+	out, err := AllocDeviceMatrix(ctx, csr.NumDst, x.M.Cols, "dl-aggr-out")
+	if err != nil {
+		return nil, err
+	}
+	ctx.aggregate(csr, x.M, out.M, m)
+	og := out.Geom()
+	k := ctx.Dev.StartKernel("dl-scatter")
+	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+		for d := lo; d < hi; d++ {
+			for e := int(csr.Ptr[d]); e < int(csr.Ptr[d+1]); e++ {
+				sm.Read(msgMat.RowAddr(e), msgMat.RowBytes())
+			}
+			sm.Write(og.RowAddr(d), og.RowBytes())
+		}
+		sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * int64(2*og.Cols))
+	})
+	k.Finish()
+	ctx.end(sp)
 	msgMat.Free()
 	return out, nil
+}
+
+// dlEdgeMessages materializes the per-edge dense messages h(x_s, g(x_s, x_d))
+// the way a DL framework does — the lowering the DL-approach uses for every
+// layer and GNNAdvisor for edge weighting. Without edge weighting only the src
+// matrix is gathered and is the message matrix. With it, both endpoint
+// matrices are gathered, a dense g kernel writes the weight matrix and the h
+// kernel overwrites the gathered src matrix in place (the framework reuses
+// the gather output buffer), so the peak holds three per-edge matrices.
+func dlEdgeMessages(ctx *Ctx, csr *graph.BCSR, x Geom, m Modes) (deviceBytes, error) {
+	nEdges, weighted := csr.NumEdges(), m.HasEdgeWeight()
+	sp := ctx.begin(metrics.StageSparse2Dense)
+	srcMat, err := allocDeviceBytes(ctx, nEdges, x.Cols, "dl-gathered-src")
+	if err != nil {
+		return deviceBytes{}, err
+	}
+	var dstMat deviceBytes
+	if weighted {
+		if dstMat, err = allocDeviceBytes(ctx, nEdges, x.Cols, "dl-gathered-dst"); err != nil {
+			return deviceBytes{}, err
+		}
+	}
+	k := ctx.Dev.StartKernel("dl-gather")
+	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+		for d := lo; d < hi; d++ {
+			base := int(csr.Ptr[d])
+			for i, s := range csr.Neighbors(graph.VID(d)) {
+				sm.Read(x.RowAddr(int(s)), x.RowBytes())
+				sm.Write(srcMat.RowAddr(base+i), srcMat.RowBytes())
+				if weighted {
+					sm.Read(x.RowAddr(d), x.RowBytes())
+					sm.Write(dstMat.RowAddr(base+i), dstMat.RowBytes())
+				}
+			}
+		}
+	})
+	k.Finish()
+	ctx.end(sp)
+	if !weighted {
+		return srcMat, nil
+	}
+
+	sp = ctx.begin(metrics.StageEdgeWeight)
+	wMat, err := allocDeviceBytes(ctx, nEdges, m.WeightCols(x.Cols), "dl-edge-weights")
+	if err != nil {
+		return deviceBytes{}, err
+	}
+	k = ctx.Dev.StartKernel("dl-edgeweight")
+	edgeFLOPs := m.edgeWeightFLOPs(x.Cols) + m.messageFLOPs(x.Cols)
+	runSMsChunked(k, nEdges, func(sm *gpusim.SMContext, lo, hi int) {
+		for e := lo; e < hi; e++ {
+			sm.Read(srcMat.RowAddr(e), srcMat.RowBytes())
+			sm.Read(dstMat.RowAddr(e), dstMat.RowBytes())
+			sm.Write(srcMat.RowAddr(e), srcMat.RowBytes())
+		}
+		sm.AddFLOPs(int64(hi-lo) * edgeFLOPs)
+	})
+	k.Finish()
+	wMat.Free()
+	ctx.end(sp)
+	dstMat.Free()
+	return srcMat, nil
 }
 
 // Backward implements Strategy: the gradient is first expanded to a dense
@@ -126,114 +145,79 @@ func (DLApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) 
 	if dOut.M.Rows != csr.NumDst {
 		return nil, errors.New("kernels: backward gradient rows != NumDst")
 	}
-	dim := x.M.Cols
-	nEdges := csr.NumEdges()
-	invDeg := ctx.InvDeg(csr)
+	xg, dOutG := x.Geom(), dOut.Geom()
+	dim := xg.Cols
 
 	// Expand dOut to a dense per-edge gradient matrix (gather by dst).
-	var dMsgMat *DeviceMatrix
-	err = ctx.track(metrics.StageSparse2Dense, func() error {
-		var err error
-		dMsgMat, err = AllocDeviceMatrix(ctx, nEdges, dim, "dl-bwp-dmsg")
-		if err != nil {
-			return err
-		}
-		k := ctx.Dev.StartKernel("dl-bwp-gather")
-		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				scale := aggrScale(m, invDeg, graph.VID(d))
-				dORow := dOut.M.Row(d)
-				base := int(csr.Ptr[d])
-				sm.Read(dOut.RowAddr(d), dOut.RowBytes())
-				for i := 0; i < csr.Degree(graph.VID(d)); i++ {
-					e := base + i
-					drow := dMsgMat.M.Row(e)
-					for j := range drow {
-						drow[j] = dORow[j] * scale
-					}
-					sm.AddFLOPs(int64(dim))
-					sm.Write(dMsgMat.RowAddr(e), dMsgMat.RowBytes())
-				}
-			}
-		})
-		k.Finish()
-		return nil
-	})
+	sp := ctx.begin(metrics.StageSparse2Dense)
+	dMsgMat, err := allocDeviceBytes(ctx, csr.NumEdges(), dim, "dl-bwp-dmsg")
 	if err != nil {
 		return nil, err
 	}
+	k := ctx.Dev.StartKernel("dl-bwp-gather")
+	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+		for d := lo; d < hi; d++ {
+			sm.Read(dOutG.RowAddr(d), dOutG.RowBytes())
+			for e := int(csr.Ptr[d]); e < int(csr.Ptr[d+1]); e++ {
+				sm.Write(dMsgMat.RowAddr(e), dMsgMat.RowBytes())
+			}
+		}
+		sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * int64(dim))
+	})
+	k.Finish()
+	ctx.end(sp)
 
 	// Scatter-add per-edge gradients to srcs (and dsts for weighted modes).
 	// The scatter runs over the src-indexed view; PyG realizes this with
 	// atomics inside scatter_add, we realize it with a race-free per-src
-	// traversal whose cost is charged to the aggregation phase.
-	csc, bwpErr := func() (*graph.BCSC, error) {
-		if g.CSC != nil {
-			return g.CSC, nil
-		}
-		return graph.BCSRToBCSC(csr), nil
-	}()
-	if bwpErr != nil {
-		return nil, bwpErr
-	}
-	// Edge id mapping from CSC traversal: per-src edge ids in CSR order,
-	// memoized on the Ctx so repeated backward passes reuse the mapping.
+	// traversal whose cost is charged to the aggregation phase. The view is
+	// host-side and uncharged; edgeOfCSC maps its slots to the CSR-ordered
+	// rows of the per-edge matrix.
+	csc := ctx.hostCSC(g)
 	edgeOfCSC := ctx.cscEdgeIDs(csr, csc)
 
-	var dx *DeviceMatrix
-	err = ctx.track(metrics.StageAggregation, func() error {
-		var err error
-		dx, err = AllocDeviceMatrix(ctx, csr.NumSrc, dim, "dl-bwp-dx")
-		if err != nil {
-			return err
-		}
-		k := ctx.Dev.StartKernel("dl-bwp-scatter")
-		runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				srcRow := x.M.Row(s)
-				sm.Read(x.RowAddr(s), x.RowBytes())
-				dxRow := dx.M.Row(s)
-				base := int(csc.Ptr[s])
-				for i, d := range csc.Neighbors(graph.VID(s)) {
-					e := edgeOfCSC[base+i]
-					sm.Read(dMsgMat.RowAddr(int(e)), dMsgMat.RowBytes())
-					sm.Read(x.RowAddr(int(d)), x.RowBytes())
-					sm.AddFLOPs(m.msgBackwardSrc(srcRow, x.M.Row(int(d)), dMsgMat.M.Row(int(e)), dxRow))
-				}
-				sm.Write(dx.RowAddr(s), dx.RowBytes())
-			}
-		})
-		k.Finish()
-		return nil
-	})
+	sp = ctx.begin(metrics.StageAggregation)
+	dx, err := AllocDeviceMatrix(ctx, csr.NumSrc, dim, "dl-bwp-dx")
 	if err != nil {
 		return nil, err
 	}
+	ctx.aggregateBackward(csr, csc, x.M, dOut.M, dx.M, m)
+	dxg := dx.Geom()
+	k = ctx.Dev.StartKernel("dl-bwp-scatter")
+	srcFLOPs := m.msgBackwardSrcFLOPs(dim)
+	runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			sm.Read(xg.RowAddr(s), xg.RowBytes())
+			base := int(csc.Ptr[s])
+			for i, d := range csc.Neighbors(graph.VID(s)) {
+				sm.Read(dMsgMat.RowAddr(int(edgeOfCSC[base+i])), dMsgMat.RowBytes())
+				sm.Read(xg.RowAddr(int(d)), xg.RowBytes())
+			}
+			sm.Write(dxg.RowAddr(s), dxg.RowBytes())
+		}
+		sm.AddFLOPs(int64(csc.Ptr[hi]-csc.Ptr[lo]) * srcFLOPs)
+	})
+	k.Finish()
+	ctx.end(sp)
 
 	if m.HasDstGrad() {
-		err = ctx.track(metrics.StageEdgeWeight, func() error {
-			k := ctx.Dev.StartKernel("dl-bwp-dstgrad")
-			runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-				for d := lo; d < hi; d++ {
-					dstRow := x.M.Row(d)
-					sm.Read(x.RowAddr(d), x.RowBytes())
-					dxRow := dx.M.Row(d)
-					base := int(csr.Ptr[d])
-					for i, s := range csr.Neighbors(graph.VID(d)) {
-						e := base + i
-						sm.Read(dMsgMat.RowAddr(e), dMsgMat.RowBytes())
-						sm.Read(x.RowAddr(int(s)), x.RowBytes())
-						sm.AddFLOPs(m.msgBackwardDst(x.M.Row(int(s)), dstRow, dMsgMat.M.Row(e), dxRow))
-					}
-					sm.Write(dx.RowAddr(d), dx.RowBytes())
+		sp = ctx.begin(metrics.StageEdgeWeight)
+		k := ctx.Dev.StartKernel("dl-bwp-dstgrad")
+		dstFLOPs := m.msgBackwardDstFLOPs(dim)
+		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+			for d := lo; d < hi; d++ {
+				sm.Read(xg.RowAddr(d), xg.RowBytes())
+				base := int(csr.Ptr[d])
+				for i, s := range csr.Neighbors(graph.VID(d)) {
+					sm.Read(dMsgMat.RowAddr(base+i), dMsgMat.RowBytes())
+					sm.Read(xg.RowAddr(int(s)), xg.RowBytes())
 				}
-			})
-			k.Finish()
-			return nil
+				sm.Write(dxg.RowAddr(d), dxg.RowBytes())
+			}
+			sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * dstFLOPs)
 		})
-		if err != nil {
-			return nil, err
-		}
+		k.Finish()
+		ctx.end(sp)
 	}
 	dMsgMat.Free()
 	return dx, nil

@@ -308,34 +308,15 @@ func TestModesValidate(t *testing.T) {
 	}
 }
 
-// Property: strategies agree pairwise on random graphs (testing/quick over
-// graph shape parameters).
+// TestQuickStrategyEquivalence samples FuzzAggregateVsReference's property
+// for tier-1 (testing/quick over its parameters): forward and backward, all
+// three mode sets, every strategy.
 func TestQuickStrategyEquivalence(t *testing.T) {
-	f := func(seed uint64, nDstRaw, nSrcExtraRaw, fanoutRaw, dimRaw uint8) bool {
-		nDst := 1 + int(nDstRaw)%30
-		nSrc := nDst + int(nSrcExtraRaw)%30
-		fanout := 1 + int(fanoutRaw)%6
-		dim := 1 + int(dimRaw)%12
-		rng := tensor.NewRNG(seed)
-		csr := randomBipartite(nDst, nSrc, fanout, rng)
-		x := tensor.Random(nSrc, dim, 1, rng)
-		m := NGCFModes()
-		want := refForward(csr, x, m)
-		for _, s := range allStrategies {
-			dev := testDevice()
-			ctx := NewCtx(dev)
-			xd, _ := WrapDeviceMatrix(ctx, x.Clone(), 0, "x")
-			got, err := s.Forward(ctx, &Graphs{CSR: csr}, xd, m)
-			if err != nil {
-				return false
-			}
-			if got.M.MaxAbsDiff(want) > 1e-4 {
-				return false
-			}
-		}
-		return true
+	f := func(seed uint64, nDst, nSrcExtra, maxDeg, dim, flags uint8) bool {
+		aggregateCase{seed, nDst, nSrcExtra, maxDeg % 32, dim, flags}.check(t)
+		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

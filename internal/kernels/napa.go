@@ -45,6 +45,7 @@ type napaNumeric struct {
 	x, dOut, wMat, out *tensor.Matrix // out is dx in the backward passes
 	invDeg             []float32
 	msg, w             [][]float32 // per-chunk scratch rows
+	argmax             []int32     // max-pooling's arg-max sources (sagePoolTask)
 	n, chunk           int
 }
 
@@ -83,6 +84,42 @@ func commonRowBytes(a, b Geom) int64 {
 	return a.RowBytes()
 }
 
+// aggregate is the one numeric forward pass of a sparse layer, whatever the
+// strategy: out[d] = f over d's edges of h(x_s, g(x_s, x_d)), each dst folding
+// its edges in csr's storage order, dst chunks dealt onto the worker pool. It
+// touches no device; the strategy that calls it replays its own launches as
+// trace passes.
+func (c *Ctx) aggregate(csr *graph.BCSR, x, out *tensor.Matrix, m Modes) {
+	n := c.numSMs()
+	c.napa = napaNumeric{csr: csr, m: m, x: x, out: out, invDeg: c.InvDeg(csr),
+		msg: c.msgScratch(n, x.Cols), w: c.wScratch(n, max(m.WeightCols(x.Cols), 1))}
+	c.napa.run(n, csr.NumDst, napaFusedTask)
+}
+
+// aggregateBackward is the one numeric backward pass: the src-side gradient
+// (f′, h′ of Fig 3b) per src over csc and, for edge-weighted modes, the
+// dst-side gradient (g′, Fig 3c) per dst over csr, both into dx.
+func (c *Ctx) aggregateBackward(csr *graph.BCSR, csc *graph.BCSC, x, dOut, dx *tensor.Matrix, m Modes) {
+	c.pullBackward(csr, csc, x, dOut, dx, m)
+	if m.HasDstGrad() {
+		c.applyBackward(csr, x, dOut, dx, m)
+	}
+}
+
+// pullBackward is aggregateBackward's src-side half.
+func (c *Ctx) pullBackward(csr *graph.BCSR, csc *graph.BCSC, x, dOut, dx *tensor.Matrix, m Modes) {
+	n := c.numSMs()
+	c.napa = napaNumeric{csc: csc, m: m, x: x, dOut: dOut, out: dx, invDeg: c.InvDeg(csr), msg: c.msgScratch(n, x.Cols)}
+	c.napa.run(n, csc.NumSrc, napaPullBackwardTask)
+}
+
+// applyBackward is aggregateBackward's dst-side half.
+func (c *Ctx) applyBackward(csr *graph.BCSR, x, dOut, dx *tensor.Matrix, m Modes) {
+	n := c.numSMs()
+	c.napa = napaNumeric{csr: csr, m: m, x: x, dOut: dOut, out: dx, invDeg: c.InvDeg(csr), msg: c.msgScratch(n, x.Cols)}
+	c.napa.run(n, csr.NumDst, napaApplyBackwardTask)
+}
+
 // Forward implements Strategy: NeighborApply (edge weighting) fused with
 // Pull (aggregation), dst-chunked across SMs. Because both primitives
 // visit the same dst and schedule feature-wise on the same SM, the weight
@@ -99,30 +136,23 @@ func (NAPA) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*DeviceMatri
 		return nil, err
 	}
 	dim := x.M.Cols
-	start := time.Now()
-	beforeWork := ctx.Dev.Snapshot()
+	sp := ctx.begin(metrics.StageAggregation)
 	out, err := AllocDeviceMatrix(ctx, csr.NumDst, dim, "napa-aggr-out")
 	if err != nil {
 		return nil, err
 	}
-	ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, out: out.M, invDeg: ctx.InvDeg(csr),
-		msg: ctx.msgScratch(ctx.numSMs(), dim), w: ctx.wScratch(ctx.numSMs(), max(m.WeightCols(dim), 1))}
-	ctx.napa.run(ctx.numSMs(), csr.NumDst, napaFusedTask)
+	ctx.aggregate(csr, x.M, out.M, m)
 	NAPA{}.TraceForward(ctx, csr, x.Geom(), out.Geom(), m)
+	elapsed := ctx.end(sp)
 
-	// The fused kernel covers both primitives (booked by hand: a closure
-	// handed to track would move out to the heap); apportion its host time
-	// between edge weighting and aggregation by the share of an edge's counted
-	// FLOPs that weigh it, so Fig 16 stays meaningful. The device work all
-	// lands under aggregation.
-	elapsed := time.Since(start)
-	ctx.Work[metrics.StageAggregation] = ctx.Work[metrics.StageAggregation].Add(ctx.Dev.Snapshot().Sub(beforeWork))
-	var w time.Duration
+	// The fused kernel covers both primitives: its device work all lands under
+	// aggregation, and its host time moves to edge weighting by the share of
+	// an edge's counted FLOPs that weigh it, so Fig 16 stays meaningful.
 	if ew := m.edgeWeightFLOPs(dim); ew > 0 {
-		w = time.Duration(float64(elapsed) * float64(ew) / float64(ew+m.messageFLOPs(dim)+int64(2*dim)))
+		w := time.Duration(float64(elapsed) * float64(ew) / float64(ew+m.messageFLOPs(dim)+int64(2*dim)))
+		ctx.Stages.Add(metrics.StageAggregation, -w)
+		ctx.Stages.Add(metrics.StageEdgeWeight, w)
 	}
-	ctx.Stages.Add(metrics.StageEdgeWeight, w)
-	ctx.Stages.Add(metrics.StageAggregation, elapsed-w)
 	return out, nil
 }
 
@@ -191,22 +221,15 @@ func NeighborApplyKernel(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*
 	if !m.HasEdgeWeight() {
 		return nil, nil
 	}
-	dim := x.M.Cols
-	var wMat *DeviceMatrix
-	err := ctx.track(metrics.StageEdgeWeight, func() error {
-		var err error
-		wMat, err = AllocDeviceMatrix(ctx, csr.NumEdges(), m.WeightCols(dim), "napa-edge-weights")
-		if err != nil {
-			return err
-		}
-		ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, wMat: wMat.M}
-		ctx.napa.run(ctx.numSMs(), csr.NumDst, napaApplyTask)
-		traceNeighborApply(ctx, csr, x.Geom(), wMat.Geom(), m)
-		return nil
-	})
+	sp := ctx.begin(metrics.StageEdgeWeight)
+	wMat, err := AllocDeviceMatrix(ctx, csr.NumEdges(), m.WeightCols(x.M.Cols), "napa-edge-weights")
 	if err != nil {
 		return nil, err
 	}
+	ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, wMat: wMat.M}
+	ctx.napa.run(ctx.numSMs(), csr.NumDst, napaApplyTask)
+	traceNeighborApply(ctx, csr, x.Geom(), wMat.Geom(), m)
+	ctx.end(sp)
 	return wMat, nil
 }
 
@@ -251,26 +274,20 @@ func traceNeighborApply(ctx *Ctx, csr *graph.BCSR, x, wMat Geom, m Modes) {
 // across the dst's edges. wMat may be nil for unweighted modes.
 func PullKernel(ctx *Ctx, csr *graph.BCSR, x, wMat *DeviceMatrix, m Modes) (*DeviceMatrix, error) {
 	dim := x.M.Cols
-	var out *DeviceMatrix
-	err := ctx.track(metrics.StageAggregation, func() error {
-		var err error
-		out, err = AllocDeviceMatrix(ctx, csr.NumDst, dim, "napa-aggr-out")
-		if err != nil {
-			return err
-		}
-		ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, out: out.M, invDeg: ctx.InvDeg(csr),
-			msg: ctx.msgScratch(ctx.numSMs(), dim)}
-		var wg Geom // zero: no weight rows to read
-		if wMat != nil {
-			ctx.napa.wMat, wg = wMat.M, wMat.Geom()
-		}
-		ctx.napa.run(ctx.numSMs(), csr.NumDst, napaPullTask)
-		tracePull(ctx, csr, x.Geom(), wg, out.Geom(), m)
-		return nil
-	})
+	sp := ctx.begin(metrics.StageAggregation)
+	out, err := AllocDeviceMatrix(ctx, csr.NumDst, dim, "napa-aggr-out")
 	if err != nil {
 		return nil, err
 	}
+	ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, out: out.M, invDeg: ctx.InvDeg(csr),
+		msg: ctx.msgScratch(ctx.numSMs(), dim)}
+	var wg Geom // zero: no weight rows to read
+	if wMat != nil {
+		ctx.napa.wMat, wg = wMat.M, wMat.Geom()
+	}
+	ctx.napa.run(ctx.numSMs(), csr.NumDst, napaPullTask)
+	tracePull(ctx, csr, x.Geom(), wg, out.Geom(), m)
+	ctx.end(sp)
 	return out, nil
 }
 
@@ -349,37 +366,20 @@ func (NAPA) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*Devi
 	if dOut.M.Rows != csr.NumDst {
 		return nil, errors.New("kernels: backward gradient rows != NumDst")
 	}
-	dim := x.M.Cols
-	invDeg := ctx.InvDeg(csr)
-
-	var dx *DeviceMatrix
-	err = ctx.track(metrics.StageAggregation, func() error {
-		var err error
-		dx, err = AllocDeviceMatrix(ctx, csr.NumSrc, dim, "napa-bwp-dx")
-		if err != nil {
-			return err
-		}
-		ctx.napa = napaNumeric{csc: csc, m: m, x: x.M, dOut: dOut.M, out: dx.M, invDeg: invDeg,
-			msg: ctx.msgScratch(ctx.numSMs(), dim)}
-		ctx.napa.run(ctx.numSMs(), csc.NumSrc, napaPullBackwardTask)
-		tracePullBackward(ctx, csc, x.Geom(), dOut.Geom(), dx.Geom(), m)
-		return nil
-	})
+	sp := ctx.begin(metrics.StageAggregation)
+	dx, err := AllocDeviceMatrix(ctx, csr.NumSrc, x.M.Cols, "napa-bwp-dx")
 	if err != nil {
 		return nil, err
 	}
+	ctx.pullBackward(csr, csc, x.M, dOut.M, dx.M, m)
+	tracePullBackward(ctx, csc, x.Geom(), dOut.Geom(), dx.Geom(), m)
+	ctx.end(sp)
 
 	if m.HasDstGrad() {
-		err = ctx.track(metrics.StageEdgeWeight, func() error {
-			ctx.napa = napaNumeric{csr: csr, m: m, x: x.M, dOut: dOut.M, out: dx.M, invDeg: invDeg,
-				msg: ctx.msgScratch(ctx.numSMs(), dim)}
-			ctx.napa.run(ctx.numSMs(), csr.NumDst, napaApplyBackwardTask)
-			traceApplyBackward(ctx, csr, x.Geom(), dOut.Geom(), dx.Geom(), m)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		sp = ctx.begin(metrics.StageEdgeWeight)
+		ctx.applyBackward(csr, x.M, dOut.M, dx.M, m)
+		traceApplyBackward(ctx, csr, x.Geom(), dOut.Geom(), dx.Geom(), m)
+		ctx.end(sp)
 	}
 	return dx, nil
 }

@@ -62,12 +62,11 @@ func TestStageWorkPinned(t *testing.T) {
 // device snapshot, the record's Add and the work cell — allocates nothing.
 func TestTrackAllocFree(t *testing.T) {
 	ctx := NewCtx(testDevice())
-	noop := func() error { return nil }
-	if n := testing.AllocsPerRun(100, func() { _ = ctx.track(metrics.StageCombination, noop) }); n != 0 {
-		t.Errorf("track's bookkeeping allocates %v per kernel", n)
+	if n := testing.AllocsPerRun(100, func() { ctx.end(ctx.begin(metrics.StageCombination)) }); n != 0 {
+		t.Errorf("a span's bookkeeping allocates %v per kernel", n)
 	}
 	if ctx.Work[metrics.StageCombination] != (gpusim.Counters{}) || ctx.Stages[metrics.StageCombination] <= 0 {
-		t.Errorf("track booked work %+v, host time %v for a kernel that only took time",
+		t.Errorf("begin/end booked work %+v, host time %v for a kernel that only took time",
 			ctx.Work[metrics.StageCombination], ctx.Stages[metrics.StageCombination])
 	}
 }

@@ -8,13 +8,13 @@ import (
 	"graphtensor/internal/tensor"
 )
 
-// TestGraphApproachForwardSteadyAllocs guards the flat-accumulator rework:
-// with a warm Ctx (scratch, flat partials and per-graph memos established)
-// the Graph-approach forward must stay within a small constant allocation
-// budget per launch — the per-SM partial maps it replaced cost ~1.8k
-// allocations per launch on this shape. What remains is the out/weight
-// device matrices' wrappers and buffers (their storage is pooled), one
-// Kernel per launch and the tracking closures.
+// TestGraphApproachForwardSteadyAllocs: with a warm Ctx (scratch and
+// per-graph memos established) the Graph-approach forward stays within a small
+// constant allocation budget per launch — the per-SM partial maps it once kept
+// cost ~1.8k allocations per launch on this shape, and it keeps no partial
+// sums on the host at all now. What remains is the output matrix's wrapper
+// and buffer (its storage is pooled), the weight matrix's buffer, one Kernel
+// and one trace closure per launch and the merge pass's holder counts.
 func TestGraphApproachForwardSteadyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -48,9 +48,9 @@ func TestGraphApproachForwardSteadyAllocs(t *testing.T) {
 }
 
 // TestGraphApproachDeterminismAcrossWorkerCounts is the kernel-level
-// analogue of the tensor package's worker-count test: the pooled runSMs
-// dispatch and the flat accumulator must produce bitwise identical outputs
-// and identical device counters at GOMAXPROCS 1 and 8.
+// analogue of the tensor package's worker-count test: the numeric pass on the
+// worker pool and the pooled runSMs dispatch of the trace must produce bitwise
+// identical outputs and identical device counters at GOMAXPROCS 1 and 8.
 func TestGraphApproachDeterminismAcrossWorkerCounts(t *testing.T) {
 	g, x := workspaceGraph(t)
 	modes := NGCFModes()

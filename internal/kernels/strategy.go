@@ -30,21 +30,6 @@ func invDegFromCSR(csr *graph.BCSR) []float32 {
 	return out
 }
 
-// invDegFromCOO returns 1/deg per dst computed from an edge list.
-func invDegFromCOO(coo *graph.BCOO) []float32 {
-	deg := make([]int32, coo.NumDst)
-	for _, d := range coo.Dst {
-		deg[d]++
-	}
-	out := make([]float32, coo.NumDst)
-	for i, c := range deg {
-		if c > 0 {
-			out[i] = 1 / float32(c)
-		}
-	}
-	return out
-}
-
 // aggrScale returns the per-dst message scale for the aggregation mode:
 // 1/deg for mean, 1 for sum.
 func aggrScale(m Modes, invDeg []float32, d graph.VID) float32 {
