@@ -55,6 +55,9 @@ type Model struct {
 	// the query was batched). Nil means decide per batch shape.
 	layerForce []dkp.Placement
 	dkpOn      bool
+	// fr is the result Forward hands out, retained across passes: a model
+	// runs one pass at a time, and its result is valid until the next.
+	fr ForwardResult
 }
 
 // NewModel initializes layer parameters (Glorot uniform).
@@ -189,8 +192,9 @@ type layerCache struct {
 
 // release frees the forward intermediates the layer still holds — what only
 // its own backward pass reads, so Backward calls it once the layer is
-// consumed and Infer straight after the forward pass. The layer's input and
-// output are the neighbouring layers' and stay.
+// consumed and Infer straight after the forward pass — and forgets every
+// handle but the placement. The layer's input and output are the
+// neighbouring layers' and stay allocated.
 func (c *layerCache) release() {
 	c.agg.Free()
 	if c.cf != nil {
@@ -198,10 +202,11 @@ func (c *layerCache) release() {
 		c.cf.WAgg.Free()
 	}
 	tensor.Put(c.pre)
-	c.pre = nil
+	*c = layerCache{placement: c.placement}
 }
 
-// ForwardResult is a model forward pass: logits plus per-layer caches.
+// ForwardResult is a model forward pass: logits plus per-layer caches. The
+// model retains it: it is valid until the model's next Forward.
 type ForwardResult struct {
 	Logits *kernels.DeviceMatrix
 	caches []layerCache
@@ -225,7 +230,13 @@ func (m *Model) Forward(ctx *kernels.Ctx, in *Input) (*ForwardResult, error) {
 	if len(in.Graphs) != len(m.Layers) {
 		return nil, fmt.Errorf("core: %d layer graphs for %d layers", len(in.Graphs), len(m.Layers))
 	}
-	fr := &ForwardResult{caches: make([]layerCache, len(m.Layers))}
+	fr := &m.fr
+	if cap(fr.caches) < len(m.Layers) {
+		fr.caches = make([]layerCache, len(m.Layers))
+	}
+	fr.caches = fr.caches[:len(m.Layers)]
+	clear(fr.caches)
+	fr.Logits = nil
 	x := in.X
 	for li, l := range m.Layers {
 		g := &in.Graphs[li]
@@ -404,6 +415,7 @@ func (m *Model) ForwardBackward(ctx *kernels.Ctx, in *Input, norm int) (float64,
 	err = m.Backward(ctx, in, fr, dLogits)
 	tensor.Put(dLogits)
 	fr.Logits.Free()
+	fr.Logits = nil
 	return lossSum, fr, err
 }
 
@@ -433,5 +445,7 @@ func (m *Model) Infer(ctx *kernels.Ctx, in *Input) (*kernels.DeviceMatrix, error
 	for i := range fr.caches {
 		fr.caches[i].release()
 	}
-	return fr.Logits, nil
+	logits := fr.Logits
+	fr.Logits = nil
+	return logits, nil
 }

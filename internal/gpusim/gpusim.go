@@ -79,14 +79,14 @@ type Device struct {
 	// pcie is the device's one host→device link engine (see PCIe).
 	pcie PCIe
 
-	// smMu guards smFree, the pool of recycled SMContext sets. Kernel
-	// launches are frequent (one per GNN stage per batch) and each needs
-	// NumSMs contexts with their cache maps and LRU nodes; recycling them
-	// across launches, a launch's set as a unit, removes the dominant
-	// allocation cost of the simulator while preserving the
-	// cold-cache-per-kernel semantics (contexts are reset at checkout).
-	smMu   sync.Mutex
-	smFree [][]*SMContext
+	// smMu guards kFree, the pool of finished launches. Kernel launches are
+	// frequent (one per GNN stage per batch, per shard) and each needs a
+	// header and NumSMs contexts with their cache slots; recycling them
+	// across launches, header and set as one unit, removes every allocation
+	// of a warm launch while preserving the cold-cache-per-kernel semantics
+	// (contexts are reset at checkout).
+	smMu  sync.Mutex
+	kFree []*Kernel
 
 	// dead flips once when Kill is called (fault injection): every
 	// subsequent Alloc fails with *DeviceLostError. Kernels allocate
@@ -175,25 +175,36 @@ func (e *OOMError) Error() string {
 // at 0 and never rewinds, so no buffer ever lies below zero: kernels reserve
 // that space for data resident across launches (the weight tile).
 func (d *Device) Alloc(size int64, label string) (*Buffer, error) {
+	var b Buffer
+	if err := d.AllocInto(&b, size, label); err != nil {
+		return nil, err
+	}
+	return &b, nil
+}
+
+// AllocInto is Alloc into a caller-owned Buffer — the destination-passing
+// form, for a caller that keeps the buffer inside a header of its own. b is
+// overwritten on success and untouched on failure.
+func (d *Device) AllocInto(b *Buffer, size int64, label string) error {
 	if size < 0 {
 		panic("gpusim: negative allocation")
 	}
 	if d.dead.Load() {
-		return nil, &DeviceLostError{Label: label}
+		return &DeviceLostError{Label: label}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.cfg.MemoryBytes > 0 && d.inUse+size > d.cfg.MemoryBytes {
-		return nil, &OOMError{Label: label, Requested: size, InUse: d.inUse, Capacity: d.cfg.MemoryBytes}
+		return &OOMError{Label: label, Requested: size, InUse: d.inUse, Capacity: d.cfg.MemoryBytes}
 	}
-	b := &Buffer{dev: d, base: d.nextMem, size: size, label: label}
+	*b = Buffer{dev: d, base: d.nextMem, size: size, label: label}
 	// Align the next base to a cache line so buffers never share lines.
 	d.nextMem += (size + d.cfg.CacheLineBytes - 1) / d.cfg.CacheLineBytes * d.cfg.CacheLineBytes
 	d.inUse += size
 	if d.inUse > d.peak {
 		d.peak = d.inUse
 	}
-	return b, nil
+	return nil
 }
 
 // Free releases the buffer. Freeing twice is a no-op, so an executor's batch

@@ -1,20 +1,17 @@
 package gpusim
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // Kernel is one simulated GPU kernel launch. Obtain per-SM contexts with
 // SM(i), record accesses from (at most) one goroutine per context, then call
 // Finish to flush per-SM tallies into the device counters and retrieve the
 // kernel's own stats.
 type Kernel struct {
-	dev  *Device
-	name string
-	sms  []*SMContext
-	once sync.Once
-	st   KernelStats
+	dev      *Device
+	name     string
+	sms      []*SMContext
+	finished bool
+	st       KernelStats
 }
 
 // KernelStats summarizes one kernel launch.
@@ -28,25 +25,27 @@ type KernelStats struct {
 }
 
 // StartKernel begins a kernel launch. Each SM starts with a cold cache,
-// which matches the paper's per-kernel Nsight measurements. The launch
-// checks a whole set of NumSMs contexts out of the device's recycle pool —
-// kernels open at once hold disjoint sets — and Finish returns it, so SM(i)
-// results must not be retained past Finish.
+// which matches the paper's per-kernel Nsight measurements. A launch is one
+// pooled unit — the Kernel header and a whole set of NumSMs contexts — checked
+// out of the device's recycle pool (kernels open at once hold disjoint units)
+// and returned by Finish, so a warm launch allocates nothing. The Kernel and
+// its SM(i) results must not be retained past Finish.
 func (d *Device) StartKernel(name string) *Kernel {
 	d.launches.Add(1)
-	k := &Kernel{dev: d, name: name}
+	var k *Kernel
 	d.smMu.Lock()
-	if n := len(d.smFree); n > 0 {
-		k.sms, d.smFree[n-1] = d.smFree[n-1], nil
-		d.smFree = d.smFree[:n-1]
+	if n := len(d.kFree); n > 0 {
+		k, d.kFree[n-1] = d.kFree[n-1], nil
+		d.kFree = d.kFree[:n-1]
 	}
 	d.smMu.Unlock()
-	if k.sms == nil {
-		k.sms = make([]*SMContext, d.cfg.NumSMs)
+	if k == nil {
+		k = &Kernel{dev: d, sms: make([]*SMContext, d.cfg.NumSMs)}
 		for i := range k.sms {
 			k.sms[i] = newSMContext(d.cfg)
 		}
 	}
+	k.name, k.finished, k.st = name, false, KernelStats{}
 	// A pooled set is reset at checkout, so the counters of a finished
 	// kernel stay readable until its contexts are handed out again.
 	for _, sm := range k.sms {
@@ -61,32 +60,34 @@ func (k *Kernel) NumSMs() int { return len(k.sms) }
 // SM returns the context of streaming multiprocessor i.
 func (k *Kernel) SM(i int) *SMContext { return k.sms[i] }
 
-// Finish aggregates all SM contexts into the device counters and returns
-// the contexts to the device recycle pool; it is idempotent and returns
-// the kernel's stats. SMContexts obtained via SM must not be used after
-// Finish (SM panics once the contexts are recycled).
+// Finish aggregates all SM contexts into the device counters, returns the
+// launch to the device recycle pool and returns the kernel's stats. A second
+// Finish by the same holder returns the same stats and does nothing else —
+// until the next StartKernel checks the unit out again, after which the
+// handle is another launch's.
 func (k *Kernel) Finish() KernelStats {
-	k.once.Do(func() {
-		st := KernelStats{Name: k.name}
-		for _, sm := range k.sms {
-			st.FLOPs += sm.flops
-			st.GlobalLoads += sm.loads
-			st.GlobalStores += sm.stores
-			st.CacheHits += sm.hits
-		}
-		st.CacheBytes = st.GlobalLoads * k.dev.cfg.CacheLineBytes
-		k.dev.flops.Add(st.FLOPs)
-		k.dev.globalLoads.Add(st.GlobalLoads)
-		k.dev.globalStores.Add(st.GlobalStores)
-		k.dev.cacheHits.Add(st.CacheHits)
-		k.dev.cacheBytes.Add(st.CacheBytes)
-		k.st = st
-		k.dev.smMu.Lock()
-		k.dev.smFree = append(k.dev.smFree, k.sms)
-		k.dev.smMu.Unlock()
-		k.sms = nil
-	})
-	return k.st
+	if k.finished {
+		return k.st
+	}
+	st := KernelStats{Name: k.name}
+	for _, sm := range k.sms {
+		st.FLOPs += sm.flops
+		st.GlobalLoads += sm.loads
+		st.GlobalStores += sm.stores
+		st.CacheHits += sm.hits
+	}
+	st.CacheBytes = st.GlobalLoads * k.dev.cfg.CacheLineBytes
+	d := k.dev
+	d.flops.Add(st.FLOPs)
+	d.globalLoads.Add(st.GlobalLoads)
+	d.globalStores.Add(st.GlobalStores)
+	d.cacheHits.Add(st.CacheHits)
+	d.cacheBytes.Add(st.CacheBytes)
+	k.st, k.finished = st, true
+	d.smMu.Lock()
+	d.kFree = append(d.kFree, k)
+	d.smMu.Unlock()
+	return st
 }
 
 // SMContext records the memory traffic of one streaming multiprocessor

@@ -77,14 +77,14 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
-// TestStartKernelAllocFloor: a warm launch allocates its Kernel header and
-// nothing else — the SM set is checked out and returned as a unit — and two
+// TestStartKernelAllocFloor: a warm launch allocates nothing — the Kernel
+// header and its SM set are checked out and returned as one unit — and two
 // kernels open on one device at once hold disjoint sets, each cold.
 func TestStartKernelAllocFloor(t *testing.T) {
 	d := NewDevice(DefaultConfig())
 	d.StartKernel("warm").Finish()
-	if n := testing.AllocsPerRun(100, func() { d.StartKernel("empty").Finish() }); n > 1 {
-		t.Errorf("StartKernel+Finish allocates %.1f times per launch, want <= 1", n)
+	if n := testing.AllocsPerRun(100, func() { d.StartKernel("empty").Finish() }); n != 0 {
+		t.Errorf("StartKernel+Finish allocates %.1f times per launch, want 0", n)
 	}
 
 	buf := d.MustAlloc(4096, "data")

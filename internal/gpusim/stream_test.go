@@ -106,14 +106,76 @@ func simulateRows(sm *SMContext, base, rowBytes int64, rows, scans int) {
 
 func tallies(sm *SMContext) [4]int64 { return [4]int64{sm.loads, sm.hits, sm.stores, sm.flops} }
 
-// TestReadRowsMatchesSimulation is the closed form's property test. Two
-// contexts of the same geometry receive the same random sequence of streamed
-// passes, single reads, writes and FLOPs — one through ReadRows wherever it
-// agrees to account a pass, the other line by line. After every step their
-// loads, hits, stores and FLOPs must be equal; a refusal must have touched
-// nothing; and the LRU state must be equal at the end, both as the cache
-// holds it once the owed lines are settled and as later accesses observe it
-// (the trailing reads of each sequence land on lines the passes touched).
+// rowPass is one step of a ReadRows property stream: optionally a simulated
+// Read (readSize > 0) — after which the context is warm and later passes
+// must be refused — then scans passes over rows rows of rowBytes from base.
+type rowPass struct {
+	readAddr, readSize int64
+	base, rowBytes     int64
+	rows, scans        int
+}
+
+// checkReadRows holds the closed form to the line-by-line stream on one
+// sequence. Two contexts of the same geometry receive the same passes, single
+// reads, writes and FLOPs — one through ReadRows wherever it agrees to account
+// a pass, the other line by line. After every step their loads, hits, stores
+// and FLOPs must be equal; a refusal must have touched nothing; and the LRU
+// state must be equal at the end, both as the cache holds it once the owed
+// lines are settled (no trailing reads) and as later accesses observe it
+// (the trailing reads, address and size). It returns how many passes took the
+// closed form and how many were refused.
+func checkReadRows(t *testing.T, line, capacity int64, passes []rowPass, trailing [][2]int64) (accepted, refused int) {
+	t.Helper()
+	cfg := Config{NumSMs: 1, CacheLineBytes: line, CacheBytesPerSM: capacity * line}
+	fast, ref := newSMContext(cfg), newSMContext(cfg)
+	for step, p := range passes {
+		if p.readSize > 0 {
+			fast.Read(p.readAddr, p.readSize)
+			ref.Read(p.readAddr, p.readSize)
+		}
+		before, order := tallies(fast), fast.cache.order()
+		owed, owedLast := fast.owed, fast.owedLast
+		if fast.ReadRows(p.base, p.rowBytes, p.rows, p.scans) {
+			accepted++
+		} else {
+			refused++
+			if tallies(fast) != before || !slices.Equal(fast.cache.order(), order) ||
+				fast.owed != owed || fast.owedLast != owedLast {
+				t.Fatalf("step %d: ReadRows refused but changed the context", step)
+			}
+			simulateRows(fast, p.base, p.rowBytes, p.rows, p.scans)
+		}
+		simulateRows(ref, p.base, p.rowBytes, p.rows, p.scans)
+		fast.Write(p.base, p.rowBytes)
+		ref.Write(p.base, p.rowBytes)
+		fast.AddFLOPs(int64(p.rows))
+		ref.AddFLOPs(int64(p.rows))
+		if got, want := tallies(fast), tallies(ref); got != want {
+			t.Fatalf("line %d, capacity %d, step %d ReadRows(%d, %d, %d, %d): loads/hits/stores/flops %v, simulated %v",
+				line, capacity, step, p.base, p.rowBytes, p.rows, p.scans, got, want)
+		}
+	}
+	for _, r := range trailing {
+		fast.Read(r[0], r[1])
+		ref.Read(r[0], r[1])
+	}
+	if got, want := tallies(fast), tallies(ref); got != want {
+		t.Fatalf("line %d, capacity %d: after trailing reads loads/hits/stores/flops %v, simulated %v", line, capacity, got, want)
+	}
+	if len(trailing) == 0 {
+		fast.settle()
+	}
+	if got, want := fast.cache.order(), ref.cache.order(); !slices.Equal(got, want) {
+		t.Fatalf("line %d, capacity %d: LRU state differs from the simulated stream's\n got %v\nwant %v", line, capacity, got, want)
+	}
+	return accepted, refused
+}
+
+// TestReadRowsMatchesSimulation is the closed form's property test and the
+// tier-1 twin of FuzzReadRowsVsSimulated: random sequences of streamed
+// passes — aligned or not, below zero like the weight tile, overlapping
+// earlier passes, behind a simulated read — checked by checkReadRows, half of
+// them with trailing reads around the passes.
 func TestReadRowsMatchesSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	pick := func(lo, hi int) int { return lo + rng.Intn(hi-lo+1) }
@@ -121,8 +183,6 @@ func TestReadRowsMatchesSimulation(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		line := []int64{32, 64, 128}[rng.Intn(3)]
 		capacity := []int64{1, 2, 7, 512}[rng.Intn(4)]
-		cfg := Config{NumSMs: 1, CacheLineBytes: line, CacheBytesPerSM: capacity * line}
-		fast, ref := newSMContext(cfg), newSMContext(cfg)
 
 		// Most trials are small so that a few can be as large as a real
 		// layer-1 launch without the simulated side taking seconds.
@@ -132,6 +192,7 @@ func TestReadRowsMatchesSimulation(t *testing.T) {
 		}
 		region := int64(1 << 22)
 		next := int64(pick(0, 4096))
+		var passes []rowPass
 		var touched []int64 // bases of the passes so far, for overlaps and trailing reads
 		for step, steps := 0, pick(1, 4); step < steps; step++ {
 			rows, rowBytes, scans := pick(1, maxRows), int64(pick(4, maxBytes)), pick(1, 9)
@@ -154,56 +215,87 @@ func TestReadRowsMatchesSimulation(t *testing.T) {
 			}
 			next += int64(rows)*rowBytes + int64(pick(0, 3))*line + int64(pick(0, 40))
 			touched = append(touched, base)
-
+			p := rowPass{base: base, rowBytes: rowBytes, rows: rows, scans: scans}
 			if rng.Intn(5) == 0 { // a simulated read in between: later passes must be refused
-				addr, size := base-int64(pick(0, 200)), int64(pick(1, 300))
-				fast.Read(addr, size)
-				ref.Read(addr, size)
+				p.readAddr, p.readSize = base-int64(pick(0, 200)), int64(pick(1, 300))
 			}
-			before, order := tallies(fast), fast.cache.order()
-			owed, owedLast := fast.owed, fast.owedLast
-			if fast.ReadRows(base, rowBytes, rows, scans) {
-				accepted++
-			} else {
-				refused++
-				if tallies(fast) != before || !slices.Equal(fast.cache.order(), order) ||
-					fast.owed != owed || fast.owedLast != owedLast {
-					t.Fatalf("trial %d: ReadRows refused but changed the context", trial)
-				}
-				simulateRows(fast, base, rowBytes, rows, scans)
-			}
-			simulateRows(ref, base, rowBytes, rows, scans)
-			fast.Write(base, rowBytes)
-			ref.Write(base, rowBytes)
-			fast.AddFLOPs(int64(rows))
-			ref.AddFLOPs(int64(rows))
-			if got, want := tallies(fast), tallies(ref); got != want {
-				t.Fatalf("trial %d (line %d, capacity %d) after ReadRows(%d, %d, %d, %d): loads/hits/stores/flops %v, simulated %v",
-					trial, line, capacity, base, rowBytes, rows, scans, got, want)
-			}
+			passes = append(passes, p)
 		}
-
+		var trailing [][2]int64
 		if trial%2 == 0 {
 			// Later accesses see the same cache: re-read around the passes.
 			for i := 0; i < 8; i++ {
-				addr, size := touched[rng.Intn(len(touched))]+int64(pick(-100, 4000)), int64(pick(1, 400))
-				fast.Read(addr, size)
-				ref.Read(addr, size)
+				trailing = append(trailing, [2]int64{touched[rng.Intn(len(touched))] + int64(pick(-100, 4000)), int64(pick(1, 400))})
 			}
-			if got, want := tallies(fast), tallies(ref); got != want {
-				t.Fatalf("trial %d: after trailing reads loads/hits/stores/flops %v, simulated %v", trial, got, want)
-			}
-		} else {
-			fast.settle()
 		}
-		if got, want := fast.cache.order(), ref.cache.order(); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (line %d, capacity %d): LRU state differs from the simulated stream's\n got %v\nwant %v",
-				trial, line, capacity, got, want)
-		}
+		a, r := checkReadRows(t, line, capacity, passes, trailing)
+		accepted += a
+		refused += r
 	}
 	if accepted < 200 || refused < 50 {
 		t.Fatalf("the sequences took the closed form %d times and the refusal %d times; both must be exercised", accepted, refused)
 	}
+}
+
+// readRowsProgram decodes a fuzzed program into checkReadRows' arguments: a
+// line of 4–128 bytes, a cache of 1–600 lines, up to six passes of ten bytes
+// each — row bytes (1–4096), rows (1–512), scans (1–9), a base within ±8 MB,
+// then flags (aligned base, whole-line rows, overlapping the previous pass, a
+// simulated read first) and their parameter — and trailing reads from the
+// rest, three bytes each. A pass whose simulated stream exceeds 2^18 line
+// touches is dropped to keep an execution short.
+func readRowsProgram(lineLog uint8, capLines uint16, prog []byte) (line, capacity int64, passes []rowPass, trailing [][2]int64) {
+	line, capacity = 4<<(lineLog%6), 1+int64(capLines%600)
+	var bases []int64
+	for len(prog) >= 10 && len(passes) < 6 {
+		b := prog[:10]
+		prog = prog[10:]
+		p := rowPass{
+			rowBytes: 1 + (int64(b[0])<<8|int64(b[1]))%4096,
+			rows:     1 + (int(b[2])<<8|int(b[3]))%512,
+			scans:    1 + int(b[4])%9,
+			base:     (int64(b[5])<<16 | int64(b[6])<<8 | int64(b[7])) - 1<<23,
+		}
+		flags, param := b[8], int64(b[9])
+		if flags&1 != 0 {
+			p.base = p.base / line * line
+		}
+		if flags&2 != 0 {
+			p.rowBytes = (p.rowBytes/line + 1) * line
+		}
+		if flags&4 != 0 && len(bases) > 0 {
+			p.base = bases[len(bases)-1] + param%3*line
+		}
+		if flags&8 != 0 {
+			p.readAddr, p.readSize = p.base-param, 1+2*param
+		}
+		if int64(p.rows)*int64(p.scans)*(p.rowBytes/line+2) > 1<<18 {
+			continue
+		}
+		bases = append(bases, p.base)
+		passes = append(passes, p)
+	}
+	for len(bases) > 0 && len(prog) >= 3 {
+		addr := bases[int(prog[0])%len(bases)] + int64(int8(prog[1]))*16
+		trailing = append(trailing, [2]int64{addr, 1 + 2*int64(prog[2])})
+		prog = prog[3:]
+	}
+	return line, capacity, passes, trailing
+}
+
+// FuzzReadRowsVsSimulated: whatever the row size, row count, scans, base and
+// cache size, ReadRows accounts exactly what the line-by-line Read loop
+// counts and leaves the state it leaves — or refuses, having changed
+// nothing. The committed corpus (testdata/fuzz) holds train-heavy's dense
+// pass (544-wide rows, 68 whole lines, 512-line cache), train-light's
+// 48-byte rows that straddle lines, a pass wider than the cache scanned
+// again, a pass behind a simulated read (refused), and one overlapping the
+// lines the previous pass still owes, below zero like the weight tile.
+func FuzzReadRowsVsSimulated(f *testing.F) {
+	f.Fuzz(func(t *testing.T, lineLog uint8, capLines uint16, prog []byte) {
+		line, capacity, passes, trailing := readRowsProgram(lineLog, capLines, prog)
+		checkReadRows(t, line, capacity, passes, trailing)
+	})
 }
 
 // TestReadRowsAcrossLaunches: a recycled context owes nothing and is cold

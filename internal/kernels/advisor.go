@@ -85,40 +85,58 @@ func (a Advisor) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Device
 		return nil, err
 	}
 	ctx.aggregate(csr, x.M, out.M, m)
-	og := out.Geom()
 	k := ctx.Dev.StartKernel("advisor-aggr")
 	edgeFLOPs := int64(2 * dim)
 	if !perEdge {
 		edgeFLOPs += m.messageFLOPs(dim)
 	}
-	runSMs(k, nGroups, func(sm *gpusim.SMContext, u int) {
-		for e := starts[u]; e < starts[u+1]; e++ {
-			if perEdge {
-				sm.Read(msgMat.RowAddr(int(e)), msgMat.RowBytes())
-			} else {
-				sm.Read(xg.RowAddr(int(csr.Srcs[e])), xg.RowBytes())
-			}
-		}
-		sm.AddFLOPs(int64(starts[u+1]-starts[u]) * edgeFLOPs)
-		// The partial row spills to global memory: this store plus the
-		// merge below is the cross-SM synchronization GNNAdvisor pays.
-		sm.Write(partials.RowAddr(u), partials.RowBytes())
-	})
+	ctx.trace = traceArgs{csr: csr, idx: starts, in: xg, edges: msgMat.Geom, edges2: partials.Geom, weighted: perEdge, flops: edgeFLOPs}
+	ctx.runSMs(k, nGroups, advisorAggrTrace)
 	// Merge partials per dst (groups are dst-contiguous).
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			for u := first[d]; u < first[d+1]; u++ {
-				sm.Read(partials.RowAddr(int(u)), partials.RowBytes())
-			}
-			sm.Write(og.RowAddr(d), og.RowBytes())
-		}
-		sm.AddFLOPs(int64(first[hi]-first[lo]) * int64(dim))
-	})
-	k.Finish()
+	ctx.trace = traceArgs{idx: first, edges: partials.Geom, out: out.Geom(), flops: int64(dim)}
+	ctx.runSMsChunked(k, csr.NumDst, advisorMergeTrace)
+	ctx.finish(k)
 	partials.Free()
 	ctx.end(sp)
 	msgMat.Free()
 	return out, nil
+}
+
+// advisorAggrTrace is the advisor-aggr launch over neighbour groups [lo, hi)
+// on one SM: group u covers edges [trace.idx[u], trace.idx[u+1]) and reads
+// per edge its message row (trace.edges, when messages were materialized:
+// trace.weighted) or the src row of x (trace.in), then writes the group's
+// partial row (trace.edges2). trace.flops is the FLOPs of one edge.
+func advisorAggrTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csr, starts, x, msgMat, partials := a.csr, a.idx, a.in, a.edges, a.edges2
+	for u := lo; u < hi; u++ {
+		for e := starts[u]; e < starts[u+1]; e++ {
+			if a.weighted {
+				sm.Read(msgMat.RowAddr(int(e)), msgMat.RowBytes())
+			} else {
+				sm.Read(x.RowAddr(int(csr.Srcs[e])), x.RowBytes())
+			}
+		}
+		sm.AddFLOPs(int64(starts[u+1]-starts[u]) * a.flops)
+		// The partial row spills to global memory: this store plus the
+		// merge below is the cross-SM synchronization GNNAdvisor pays.
+		sm.Write(partials.RowAddr(u), partials.RowBytes())
+	}
+}
+
+// advisorMergeTrace is the advisor merge on one SM: dst d reads the partial
+// rows (trace.edges) of its groups [trace.idx[d], trace.idx[d+1]) and writes
+// its output row (trace.out). trace.flops is the FLOPs of one partial.
+func advisorMergeTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	first, partials, out := c.trace.idx, c.trace.edges, c.trace.out
+	for d := lo; d < hi; d++ {
+		for u := first[d]; u < first[d+1]; u++ {
+			sm.Read(partials.RowAddr(int(u)), partials.RowBytes())
+		}
+		sm.Write(out.RowAddr(d), out.RowBytes())
+	}
+	sm.AddFLOPs(int64(first[hi]-first[lo]) * c.trace.flops)
 }
 
 // Backward implements Strategy. GNNAdvisor's backward reuses the same

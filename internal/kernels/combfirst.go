@@ -100,7 +100,7 @@ func CombFirstForward(ctx *Ctx, g *Graphs, x *DeviceMatrix, w *tensor.Matrix, m 
 		}
 		sp := ctx.begin(metrics.StageCombination)
 		k := ctx.Dev.StartKernel("combfirst-sum")
-		runSMsChunked(k, branch1.M.Rows, func(sm *gpusim.SMContext, lo, hi int) {
+		ctx.runSMsChunked(k, branch1.M.Rows, func(_ *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				sm.Read(branch1.RowAddr(i), branch1.RowBytes())
 				sm.Read(branch2.RowAddr(i), branch2.RowBytes())
@@ -167,7 +167,7 @@ func napaScaledPull(ctx *Ctx, csr *graph.BCSR, x, t *DeviceMatrix, m Modes) (*De
 		return nil, err
 	}
 	k := ctx.Dev.StartKernel("napa-neighborapply")
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+	ctx.runSMsChunked(k, csr.NumDst, func(_ *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
 		for d := lo; d < hi; d++ {
 			sm.Read(x.RowAddr(d), x.RowBytes())
 			base := int(csr.Ptr[d])
@@ -188,7 +188,7 @@ func napaScaledPull(ctx *Ctx, csr *graph.BCSR, x, t *DeviceMatrix, m Modes) (*De
 	}
 	invDeg := ctx.InvDeg(csr)
 	k = ctx.Dev.StartKernel("napa-pull")
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+	ctx.runSMsChunked(k, csr.NumDst, func(_ *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
 		for d := lo; d < hi; d++ {
 			orow := out.M.Row(d)
 			scale := aggrScale(m, invDeg, graph.VID(d))
@@ -235,7 +235,7 @@ func napaScaledPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x *DeviceMatri
 	dxW := tensor.Get(csr.NumSrc, dim) // weight-path gradient (host staging, pooled)
 	sp := ctx.begin(metrics.StageAggregation)
 	k := ctx.Dev.StartKernel("napa-pull-bwp")
-	runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
+	ctx.runSMsChunked(k, csc.NumSrc, func(_ *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
 		for s := lo; s < hi; s++ {
 			sm.Read(x.RowAddr(s), x.RowBytes())
 			sm.Read(res.T.RowAddr(s), res.T.RowBytes())
@@ -270,7 +270,7 @@ func napaScaledPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x *DeviceMatri
 		}
 	})
 	// dst side of dα: dX_d += Σ_s dα·x_s/dim, per dst over CSR.
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+	ctx.runSMsChunked(k, csr.NumDst, func(_ *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
 		for d := lo; d < hi; d++ {
 			sm.Read(dPre.RowAddr(d), dPre.RowBytes())
 			sm.Read(x.RowAddr(d), x.RowBytes())
@@ -320,7 +320,7 @@ func napaWeightPull(ctx *Ctx, csr *graph.BCSR, x *DeviceMatrix, m Modes) (*Devic
 	invDeg := ctx.InvDeg(csr)
 	k := ctx.Dev.StartKernel("napa-weightpull")
 	wS := ctx.wScratch(k.NumSMs(), x.M.Cols)
-	runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, smID, lo, hi int) {
+	ctx.runSMsChunked(k, csr.NumDst, func(_ *Ctx, sm *gpusim.SMContext, smID, lo, hi int) {
 		w := wS[smID]
 		for d := lo; d < hi; d++ {
 			sm.Read(x.RowAddr(d), x.RowBytes())
@@ -357,7 +357,7 @@ func napaWeightPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x, dWAgg, dx *
 	sp := ctx.begin(metrics.StageEdgeWeight)
 	k := ctx.Dev.StartKernel("napa-weightpull-bwp")
 	// src side: d(w_e)/d(x_s) = x_d.
-	runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
+	ctx.runSMsChunked(k, csc.NumSrc, func(_ *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
 		for s := lo; s < hi; s++ {
 			sm.Read(x.RowAddr(s), x.RowBytes())
 			dxRow := dx.M.Row(s)
@@ -376,7 +376,7 @@ func napaWeightPullBackward(ctx *Ctx, g *Graphs, csr *graph.BCSR, x, dWAgg, dx *
 		}
 	})
 	// dst side: d(w_e)/d(x_d) = x_s.
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
+	ctx.runSMsChunked(k, csr.NumDst, func(_ *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
 		for d := lo; d < hi; d++ {
 			sm.Read(dWAgg.RowAddr(d), dWAgg.RowBytes())
 			scale := aggrScale(m, invDeg, graph.VID(d))

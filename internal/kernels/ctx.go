@@ -48,9 +48,12 @@ type Ctx struct {
 	// dwBuf is LinearBackward's retained Xᵀ·dY product buffer.
 	dwBuf tensor.Matrix
 
-	// napa is the argument block of the NAPA numeric pass in flight (zero
-	// between launches).
-	napa napaNumeric
+	// napa is the argument block of the NAPA numeric pass in flight, trace
+	// that of the trace pass in flight and smRun the launch dispatching it
+	// (all zero between launches).
+	napa  napaNumeric
+	trace traceArgs
+	smRun smRun
 
 	// simulate makes every trace pass replay its stream line by line — no
 	// closed form for a dense stream, no row unit for a sparse launch; tests
@@ -63,6 +66,9 @@ type Ctx struct {
 	cscEdges  map[*graph.BCSR][]int32
 	csrOf     map[*graph.BCOO]*graph.BCSR
 	cscOf     map[*graph.BCSR]*graph.BCSC
+
+	// invDegBuf backs the invDegCSR memo's slices, retained across batches.
+	invDegBuf []float32
 
 	// blockBuf backs edgeBlocks' run-aligned block boundaries; recomputed
 	// per launch (an O(E) walk, noise next to the per-edge kernel work) so
@@ -139,9 +145,34 @@ func memoized[K comparable, V any](m *map[K]V, k K, derive func() V) V {
 
 // InvDeg returns 1/deg per dst (0 for isolated dsts) for csr, memoized on
 // the Ctx so every strategy, pass and layer sharing the graph within a
-// batch computes it once.
+// batch computes it once. The slice lives in storage the Ctx retains: it is
+// valid while the memo holds it — until EndBatch, or the memo's backstop
+// clear for a caller that never ends a batch.
 func (c *Ctx) InvDeg(csr *graph.BCSR) []float32 {
-	return memoized(&c.invDegCSR, csr, func() []float32 { return invDegFromCSR(csr) })
+	return memoized(&c.invDegCSR, csr, func() []float32 { return c.invDegOf(csr) })
+}
+
+// invDegOf computes csr's inverse degrees into the next csr.NumDst entries of
+// invDegBuf. With the memo empty no slice of the buffer is live, so it starts
+// over; a buffer too small is replaced, not grown in place, so the slices
+// the memo still holds keep their storage.
+func (c *Ctx) invDegOf(csr *graph.BCSR) []float32 {
+	n, used := csr.NumDst, len(c.invDegBuf)
+	if len(c.invDegCSR) == 0 {
+		used = 0
+	}
+	if used+n > cap(c.invDegBuf) {
+		c.invDegBuf, used = make([]float32, 0, 2*used+n), 0
+	}
+	c.invDegBuf = c.invDegBuf[:used+n]
+	out := c.invDegBuf[used : used+n : used+n]
+	for d := range out {
+		out[d] = 0
+		if deg := csr.Degree(graph.VID(d)); deg > 0 {
+			out[d] = 1 / float32(deg)
+		}
+	}
+	return out
 }
 
 // cscEdgeIDs returns edgeIDsForCSC(csr, csc) memoized by the CSR identity

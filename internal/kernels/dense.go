@@ -92,21 +92,28 @@ func TraceLinearBackward(ctx *Ctx, dy, dx Geom) {
 // stream is one pass over all of dY per row it owns.
 func traceDW(ctx *Ctx, dy Geom, wRows int, x *tensor.Matrix) {
 	k := ctx.Dev.StartKernel("linear-bwp-dw")
-	rowFLOPs := int64(2 * dy.Rows * dy.Cols)
-	dense := x == nil || zeroFree(x)
-	runSMsChunked(k, wRows, func(sm *gpusim.SMContext, lo, hi int) {
-		if !(dense && ctx.streamed(sm, dy.Addr, dy.RowBytes(), dy.Rows, hi-lo)) {
-			for r := lo; r < hi; r++ {
-				for i := 0; i < dy.Rows; i++ {
-					if x == nil || x.At(i, r) != 0 {
-						sm.Read(dy.RowAddr(i), dy.RowBytes())
-					}
+	if x != nil && zeroFree(x) {
+		x = nil
+	}
+	ctx.trace = traceArgs{grad: dy, act: x, flops: int64(2 * dy.Rows * dy.Cols)}
+	ctx.runSMsChunked(k, wRows, dwTrace)
+	ctx.finish(k)
+}
+
+// dwTrace is traceDW on one SM: trace.grad is dY, trace.act the activations
+// (nil: zero-free), trace.flops the FLOPs of one dW row.
+func dwTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	dy, x := c.trace.grad, c.trace.act
+	if !(x == nil && c.streamed(sm, dy.Addr, dy.RowBytes(), dy.Rows, hi-lo)) {
+		for r := lo; r < hi; r++ {
+			for i := 0; i < dy.Rows; i++ {
+				if x == nil || x.At(i, r) != 0 {
+					sm.Read(dy.RowAddr(i), dy.RowBytes())
 				}
 			}
 		}
-		sm.AddFLOPs(int64(hi-lo) * rowFLOPs)
-	})
-	k.Finish()
+	}
+	sm.AddFLOPs(int64(hi-lo) * c.trace.flops)
 }
 
 // zeroFree reports whether no element of m compares equal to zero.
@@ -145,15 +152,20 @@ func (c *Ctx) traceRows(sm *gpusim.SMContext, in, out Geom, lo, hi int, rowFLOPs
 // multiply-adds and a write of the output row.
 func traceRowGEMM(ctx *Ctx, name string, in, out Geom) {
 	k := ctx.Dev.StartKernel(name)
-	rowFLOPs := int64(2 * in.Cols * out.Cols)
+	ctx.trace = traceArgs{in: in, out: out, flops: int64(2 * in.Cols * out.Cols)}
+	ctx.runSMsChunked(k, in.Rows, rowGEMMTrace)
+	ctx.finish(k)
+}
+
+// rowGEMMTrace is traceRowGEMM on one SM: trace.in and trace.out are the
+// GEMM's input and output, trace.flops the FLOPs of one row.
+func rowGEMMTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	in, out := c.trace.in, c.trace.out
 	wBytes := int64(in.Cols) * int64(out.Cols) * 4
-	runSMsChunked(k, in.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-		if !ctx.streamed(sm, weightsAddr, wBytes, 1, 1) {
-			sm.Read(weightsAddr, wBytes)
-		}
-		ctx.traceRows(sm, in, out, lo, hi, rowFLOPs)
-	})
-	k.Finish()
+	if !c.streamed(sm, weightsAddr, wBytes, 1, 1) {
+		sm.Read(weightsAddr, wBytes)
+	}
+	c.traceRows(sm, in, out, lo, hi, c.trace.flops)
 }
 
 // BiasReLU applies y = max(0, x + b) in place on device and returns the
@@ -212,8 +224,12 @@ func biasReLUBackward(dy, pre *tensor.Matrix, dBias []float32) {
 // read, rowFLOPs and a write of the same row.
 func traceElementwise(ctx *Ctx, name string, m Geom, rowFLOPs int64) {
 	k := ctx.Dev.StartKernel(name)
-	runSMsChunked(k, m.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-		ctx.traceRows(sm, m, m, lo, hi, rowFLOPs)
-	})
-	k.Finish()
+	ctx.trace = traceArgs{in: m, flops: rowFLOPs}
+	ctx.runSMsChunked(k, m.Rows, elementwiseTrace)
+	ctx.finish(k)
+}
+
+// elementwiseTrace is traceElementwise on one SM: trace.in is the matrix.
+func elementwiseTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	c.traceRows(sm, c.trace.in, c.trace.in, lo, hi, c.trace.flops)
 }

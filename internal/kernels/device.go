@@ -23,19 +23,21 @@ package kernels
 
 import (
 	"math"
-	"sync"
 
 	"graphtensor/internal/gpusim"
+	"graphtensor/internal/graph"
 	"graphtensor/internal/sched"
 	"graphtensor/internal/tensor"
 )
 
 // DeviceMatrix pairs a host-resident matrix (the real data our kernels
 // compute on) with its simulated device allocation (the addresses the cache
-// model sees).
+// model sees). The allocation lives in the header, so a device matrix is one
+// heap object. Headers are never recycled: a stale handle keeps reading
+// M == nil once its storage went back, and its Free stays a no-op.
 type DeviceMatrix struct {
 	M   *tensor.Matrix
-	Buf *gpusim.Buffer
+	buf gpusim.Buffer
 
 	// scope is the batch scope M's storage is borrowed from — set by
 	// AllocDeviceMatrix, nil for a wrapped matrix (M is its caller's) and
@@ -67,11 +69,15 @@ func AllocDeviceMatrix(c *Ctx, rows, cols int, label string) (*DeviceMatrix, err
 // batch's embedding rows (its graph structures) and no kernel addresses;
 // zero for a plain matrix.
 func WrapDeviceMatrix(c *Ctx, m *tensor.Matrix, tail int64, label string) (*DeviceMatrix, error) {
-	buf, err := c.alloc(m.Bytes()+tail, label)
-	if err != nil {
+	// The allocation is made into a stack value and moved into the header
+	// once it succeeded, so a refused one costs no header.
+	var buf gpusim.Buffer
+	if err := c.Dev.AllocInto(&buf, m.Bytes()+tail, label); err != nil {
 		return nil, err
 	}
-	return &DeviceMatrix{M: m, Buf: buf}, nil
+	dm := &DeviceMatrix{M: m, buf: buf}
+	c.bufs = append(c.bufs, &dm.buf)
+	return dm, nil
 }
 
 // Geom is the geometry of a device-resident float32 matrix — where its rows
@@ -90,7 +96,7 @@ func (g Geom) RowBytes() int64 { return int64(g.Cols) * 4 }
 
 // Geom returns the matrix's geometry.
 func (dm *DeviceMatrix) Geom() Geom {
-	return Geom{Addr: dm.Buf.Addr(0), Rows: dm.M.Rows, Cols: dm.M.Cols}
+	return Geom{Addr: dm.buf.Addr(0), Rows: dm.M.Rows, Cols: dm.M.Cols}
 }
 
 // AllocGeom reserves the device bytes of a rows×cols matrix in c's batch
@@ -125,7 +131,7 @@ func allocDeviceBytes(c *Ctx, rows, cols int, label string) (deviceBytes, error)
 
 // RowAddr returns the device address of row i.
 func (dm *DeviceMatrix) RowAddr(i int) int64 {
-	return dm.Buf.Addr(int64(i) * int64(dm.M.Cols) * 4)
+	return dm.buf.Addr(int64(i) * int64(dm.M.Cols) * 4)
 }
 
 // RowBytes returns the byte length of one row.
@@ -137,7 +143,7 @@ func (dm *DeviceMatrix) Free() {
 	if dm == nil {
 		return
 	}
-	dm.Buf.Free()
+	dm.buf.Free()
 	dm.giveBack()
 }
 
@@ -164,115 +170,111 @@ func (dm *DeviceMatrix) giveBack() {
 	dm.M, dm.scope = nil, nil
 }
 
+// smBody is the body of a simulated launch on one SM: units [lo, hi) of the
+// launch, on sm, the context of SM smID. A trace pass passes a top-level
+// function that reads the rest of its arguments from c.trace, so dispatching
+// a launch allocates nothing.
+type smBody func(c *Ctx, sm *gpusim.SMContext, smID, lo, hi int)
+
 // smRun carries one simulated kernel launch onto the shared worker pool.
 // The dispatch unit is the SM index: each claimed SM is processed start to
 // finish by exactly one participant, so per-SM access streams — and with
-// them the modeled counters — are deterministic at any worker count.
-// Instances are pooled so steady-state launches allocate only the kernel
-// body's own closure.
+// them the modeled counters — are deterministic at any worker count. The one
+// instance is owned by the Ctx, whose launches are sequential.
 type smRun struct {
+	c      *Ctx
 	k      *gpusim.Kernel
 	n      int
 	numSMs int
 	chunk  int
-	fn     func(sm *gpusim.SMContext, unit int)
-	fnIdx  func(sm *gpusim.SMContext, smID, lo, hi int)
-}
-
-var smRunPool = sync.Pool{New: func() any { return new(smRun) }}
-
-func getSMRun(k *gpusim.Kernel, n int) *smRun {
-	r := smRunPool.Get().(*smRun)
-	r.k, r.n, r.numSMs = k, n, k.NumSMs()
-	return r
-}
-
-func putSMRun(r *smRun) {
-	*r = smRun{}
-	smRunPool.Put(r)
+	body   smBody
 }
 
 // smStripeTask replays units u ≡ smID (mod numSMs) on each claimed SM, in
 // ascending unit order — the same per-SM stream the serial path produces.
-func smStripeTask(ctx any, lo, hi int) {
-	r := ctx.(*smRun)
+func smStripeTask(arg any, lo, hi int) {
+	r := arg.(*smRun)
 	for smID := lo; smID < hi; smID++ {
 		sm := r.k.SM(smID)
 		for u := smID; u < r.n; u += r.numSMs {
-			r.fn(sm, u)
+			r.body(r.c, sm, smID, u, u+1)
 		}
 	}
 }
 
-// smChunkTask hands each claimed SM its contiguous [lo,hi) unit range.
-func smChunkTask(ctx any, lo, hi int) {
-	r := ctx.(*smRun)
+// smChunkTask hands each claimed SM its contiguous unit range.
+func smChunkTask(arg any, lo, hi int) {
+	r := arg.(*smRun)
 	for smID := lo; smID < hi; smID++ {
-		cLo, cHi := smID*r.chunk, (smID+1)*r.chunk
+		cLo, cHi := smID*r.chunk, min((smID+1)*r.chunk, r.n)
 		if cLo >= r.n {
 			return
 		}
-		if cHi > r.n {
-			cHi = r.n
-		}
-		r.fnIdx(r.k.SM(smID), smID, cLo, cHi)
+		r.body(r.c, r.k.SM(smID), smID, cLo, cHi)
 	}
 }
 
 // runSMs executes a kernel across the simulated SMs: work unit u of n is
-// processed on SM (u mod NumSMs) in per-SM submission order. Real
-// parallelism dispatches SM indices onto the shared worker pool; each SM
-// context is claimed by exactly one participant, so access recording is
-// race-free and the per-SM access streams are deterministic.
-func runSMs(k *gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, unit int)) {
-	numSMs := k.NumSMs()
-	workers := sched.Workers(numSMs)
-	if n == 0 {
-		return
-	}
-	if workers <= 1 {
-		for u := 0; u < n; u++ {
-			fn(k.SM(u%numSMs), u)
-		}
-		return
-	}
-	r := getSMRun(k, n)
-	r.fn = fn
-	sched.RunChunk(numSMs, 1, workers, r, smStripeTask)
-	putSMRun(r)
+// processed on SM (u mod NumSMs) in per-SM submission order, one body call
+// per unit. Real parallelism dispatches SM indices onto the shared worker
+// pool; each SM context is claimed by exactly one participant, so access
+// recording is race-free and the per-SM access streams are deterministic.
+func (c *Ctx) runSMs(k *gpusim.Kernel, n int, body smBody) {
+	c.dispatch(k, n, 0, body, smStripeTask)
 }
 
 // runSMsChunked partitions n work units into NumSMs contiguous chunks, one
 // per SM (the scheduling NAPA uses: all features of one dst stay on one
 // SM, and consecutive dsts map to the same SM run).
-func runSMsChunked(k *gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, lo, hi int)) {
-	runSMsChunkedIdx(k, n, func(sm *gpusim.SMContext, _, lo, hi int) { fn(sm, lo, hi) })
+func (c *Ctx) runSMsChunked(k *gpusim.Kernel, n int, body smBody) {
+	numSMs := k.NumSMs()
+	c.dispatch(k, n, (n+numSMs-1)/numSMs, body, smChunkTask)
 }
 
-// runSMsChunkedIdx is runSMsChunked but also hands fn the SM index, which
-// kernels use to pick their per-SM scratch rows from the Ctx workspace.
-func runSMsChunkedIdx(k *gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, smID, lo, hi int)) {
-	numSMs := k.NumSMs()
-	workers := sched.Workers(numSMs)
+// dispatch runs task over the SMs of k: on the calling goroutine when the
+// pool offers no second worker, on the pool otherwise.
+func (c *Ctx) dispatch(k *gpusim.Kernel, n, chunk int, body smBody, task func(arg any, lo, hi int)) {
 	if n == 0 {
 		return
 	}
-	chunk := (n + numSMs - 1) / numSMs
-	if workers <= 1 {
-		for smID := 0; smID < numSMs; smID++ {
-			lo, hi := smID*chunk, (smID+1)*chunk
-			if lo >= n {
-				break
-			}
-			if hi > n {
-				hi = n
-			}
-			fn(k.SM(smID), smID, lo, hi)
-		}
-		return
+	numSMs := k.NumSMs()
+	r := &c.smRun
+	*r = smRun{c: c, k: k, n: n, numSMs: numSMs, chunk: chunk, body: body}
+	if workers := sched.Workers(numSMs); workers <= 1 {
+		task(r, 0, numSMs)
+	} else {
+		sched.RunChunk(numSMs, 1, workers, r, task)
 	}
-	r := getSMRun(k, n)
-	r.chunk, r.fnIdx = chunk, fn
-	sched.RunChunk(numSMs, 1, workers, r, smChunkTask)
-	putSMRun(r)
+	*r = smRun{}
+}
+
+// traceArgs is the argument block of the trace pass in flight: what a
+// launch's per-SM body reads besides its SM and unit range. Like Ctx.napa it
+// is owned by the Ctx, and finish zeroes it after every launch, so the Ctx
+// pins no batch storage between launches. Each launch documents which
+// fields it sets.
+type traceArgs struct {
+	csr *graph.BCSR
+	csc *graph.BCSC
+	coo *graph.BCOO
+	// in is the matrix a launch reads row by row (x, a GEMM's input), grad
+	// the upstream gradient, out the matrix it writes.
+	in, grad, out Geom
+	// edges and edges2 are per-edge (or per-group) device matrices: weights,
+	// gathered rows, messages, partial sums.
+	edges, edges2 Geom
+	// idx holds a launch's structural indices: edge-block or neighbour-group
+	// boundaries, merge holder counts, CSC→CSR edge ids.
+	idx []int32
+	// act is traceDW's activation matrix when it has a zero (nil: zero-free).
+	act      *tensor.Matrix
+	flops    int64 // per-row or per-edge FLOPs, as the launch states
+	unit     int64 // the row size offered to every SM (Ctx.rowUnit)
+	weighted bool  // the launch also reads dst rows or per-edge messages
+}
+
+// finish closes launch k and forgets its trace arguments.
+func (c *Ctx) finish(k *gpusim.Kernel) {
+	k.Finish()
+	c.trace = traceArgs{}
 }

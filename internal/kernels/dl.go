@@ -52,18 +52,10 @@ func (DLApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*Devic
 		return nil, err
 	}
 	ctx.aggregate(csr, x.M, out.M, m)
-	og := out.Geom()
 	k := ctx.Dev.StartKernel("dl-scatter")
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			for e := int(csr.Ptr[d]); e < int(csr.Ptr[d+1]); e++ {
-				sm.Read(msgMat.RowAddr(e), msgMat.RowBytes())
-			}
-			sm.Write(og.RowAddr(d), og.RowBytes())
-		}
-		sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * int64(2*og.Cols))
-	})
-	k.Finish()
+	ctx.trace = traceArgs{csr: csr, edges: msgMat.Geom, out: out.Geom(), flops: int64(2 * x.M.Cols)}
+	ctx.runSMsChunked(k, csr.NumDst, dlScatterTrace)
+	ctx.finish(k)
 	ctx.end(sp)
 	msgMat.Free()
 	return out, nil
@@ -90,20 +82,9 @@ func dlEdgeMessages(ctx *Ctx, csr *graph.BCSR, x Geom, m Modes) (deviceBytes, er
 		}
 	}
 	k := ctx.Dev.StartKernel("dl-gather")
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			base := int(csr.Ptr[d])
-			for i, s := range csr.Neighbors(graph.VID(d)) {
-				sm.Read(x.RowAddr(int(s)), x.RowBytes())
-				sm.Write(srcMat.RowAddr(base+i), srcMat.RowBytes())
-				if weighted {
-					sm.Read(x.RowAddr(d), x.RowBytes())
-					sm.Write(dstMat.RowAddr(base+i), dstMat.RowBytes())
-				}
-			}
-		}
-	})
-	k.Finish()
+	ctx.trace = traceArgs{csr: csr, in: x, edges: srcMat.Geom, edges2: dstMat.Geom, weighted: weighted}
+	ctx.runSMsChunked(k, csr.NumDst, dlGatherTrace)
+	ctx.finish(k)
 	ctx.end(sp)
 	if !weighted {
 		return srcMat, nil
@@ -115,16 +96,9 @@ func dlEdgeMessages(ctx *Ctx, csr *graph.BCSR, x Geom, m Modes) (deviceBytes, er
 		return deviceBytes{}, err
 	}
 	k = ctx.Dev.StartKernel("dl-edgeweight")
-	edgeFLOPs := m.edgeWeightFLOPs(x.Cols) + m.messageFLOPs(x.Cols)
-	runSMsChunked(k, nEdges, func(sm *gpusim.SMContext, lo, hi int) {
-		for e := lo; e < hi; e++ {
-			sm.Read(srcMat.RowAddr(e), srcMat.RowBytes())
-			sm.Read(dstMat.RowAddr(e), dstMat.RowBytes())
-			sm.Write(srcMat.RowAddr(e), srcMat.RowBytes())
-		}
-		sm.AddFLOPs(int64(hi-lo) * edgeFLOPs)
-	})
-	k.Finish()
+	ctx.trace = traceArgs{edges: srcMat.Geom, edges2: dstMat.Geom, flops: m.edgeWeightFLOPs(x.Cols) + m.messageFLOPs(x.Cols)}
+	ctx.runSMsChunked(k, nEdges, dlEdgeWeightTrace)
+	ctx.finish(k)
 	wMat.Free()
 	ctx.end(sp)
 	dstMat.Free()
@@ -155,16 +129,9 @@ func (DLApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) 
 		return nil, err
 	}
 	k := ctx.Dev.StartKernel("dl-bwp-gather")
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			sm.Read(dOutG.RowAddr(d), dOutG.RowBytes())
-			for e := int(csr.Ptr[d]); e < int(csr.Ptr[d+1]); e++ {
-				sm.Write(dMsgMat.RowAddr(e), dMsgMat.RowBytes())
-			}
-		}
-		sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * int64(dim))
-	})
-	k.Finish()
+	ctx.trace = traceArgs{csr: csr, grad: dOutG, edges: dMsgMat.Geom, flops: int64(dim)}
+	ctx.runSMsChunked(k, csr.NumDst, dlBwpGatherTrace)
+	ctx.finish(k)
 	ctx.end(sp)
 
 	// Scatter-add per-edge gradients to srcs (and dsts for weighted modes).
@@ -184,43 +151,119 @@ func (DLApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) 
 	ctx.aggregateBackward(csr, csc, x.M, dOut.M, dx.M, m)
 	dxg := dx.Geom()
 	k = ctx.Dev.StartKernel("dl-bwp-scatter")
-	srcFLOPs := m.msgBackwardSrcFLOPs(dim)
-	runSMsChunked(k, csc.NumSrc, func(sm *gpusim.SMContext, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			sm.Read(xg.RowAddr(s), xg.RowBytes())
-			base := int(csc.Ptr[s])
-			for i, d := range csc.Neighbors(graph.VID(s)) {
-				sm.Read(dMsgMat.RowAddr(int(edgeOfCSC[base+i])), dMsgMat.RowBytes())
-				sm.Read(xg.RowAddr(int(d)), xg.RowBytes())
-			}
-			sm.Write(dxg.RowAddr(s), dxg.RowBytes())
-		}
-		sm.AddFLOPs(int64(csc.Ptr[hi]-csc.Ptr[lo]) * srcFLOPs)
-	})
-	k.Finish()
+	ctx.trace = traceArgs{csc: csc, in: xg, edges: dMsgMat.Geom, idx: edgeOfCSC, out: dxg, flops: m.msgBackwardSrcFLOPs(dim)}
+	ctx.runSMsChunked(k, csc.NumSrc, dlBwpScatterTrace)
+	ctx.finish(k)
 	ctx.end(sp)
 
 	if m.HasDstGrad() {
 		sp = ctx.begin(metrics.StageEdgeWeight)
 		k := ctx.Dev.StartKernel("dl-bwp-dstgrad")
-		dstFLOPs := m.msgBackwardDstFLOPs(dim)
-		runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				sm.Read(xg.RowAddr(d), xg.RowBytes())
-				base := int(csr.Ptr[d])
-				for i, s := range csr.Neighbors(graph.VID(d)) {
-					sm.Read(dMsgMat.RowAddr(base+i), dMsgMat.RowBytes())
-					sm.Read(xg.RowAddr(int(s)), xg.RowBytes())
-				}
-				sm.Write(dxg.RowAddr(d), dxg.RowBytes())
-			}
-			sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * dstFLOPs)
-		})
-		k.Finish()
+		ctx.trace = traceArgs{csr: csr, in: xg, edges: dMsgMat.Geom, out: dxg, flops: m.msgBackwardDstFLOPs(dim)}
+		ctx.runSMsChunked(k, csr.NumDst, dlBwpDstGradTrace)
+		ctx.finish(k)
 		ctx.end(sp)
 	}
 	dMsgMat.Free()
 	return dx, nil
+}
+
+// dlScatterTrace is the dl-scatter launch on one SM: per dst its edges'
+// message rows (trace.edges), then a write of the output row; trace.flops is
+// the FLOPs of one edge.
+func dlScatterTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	csr, msgMat, out := c.trace.csr, c.trace.edges, c.trace.out
+	for d := lo; d < hi; d++ {
+		for e := int(csr.Ptr[d]); e < int(csr.Ptr[d+1]); e++ {
+			sm.Read(msgMat.RowAddr(e), msgMat.RowBytes())
+		}
+		sm.Write(out.RowAddr(d), out.RowBytes())
+	}
+	sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * c.trace.flops)
+}
+
+// dlGatherTrace is the dl-gather launch on one SM: per edge the src row of x
+// (trace.in) into the gathered src matrix (trace.edges) and, weighted, the
+// dst row into the gathered dst matrix (trace.edges2).
+func dlGatherTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csr, x, srcMat, dstMat := a.csr, a.in, a.edges, a.edges2
+	for d := lo; d < hi; d++ {
+		base := int(csr.Ptr[d])
+		for i, s := range csr.Neighbors(graph.VID(d)) {
+			sm.Read(x.RowAddr(int(s)), x.RowBytes())
+			sm.Write(srcMat.RowAddr(base+i), srcMat.RowBytes())
+			if a.weighted {
+				sm.Read(x.RowAddr(d), x.RowBytes())
+				sm.Write(dstMat.RowAddr(base+i), dstMat.RowBytes())
+			}
+		}
+	}
+}
+
+// dlEdgeWeightTrace is the dl-edgeweight launch on one SM: per edge both
+// gathered rows (trace.edges, trace.edges2) and the message written over the
+// src one; trace.flops is the FLOPs of one edge.
+func dlEdgeWeightTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	srcMat, dstMat := c.trace.edges, c.trace.edges2
+	for e := lo; e < hi; e++ {
+		sm.Read(srcMat.RowAddr(e), srcMat.RowBytes())
+		sm.Read(dstMat.RowAddr(e), dstMat.RowBytes())
+		sm.Write(srcMat.RowAddr(e), srcMat.RowBytes())
+	}
+	sm.AddFLOPs(int64(hi-lo) * c.trace.flops)
+}
+
+// dlBwpGatherTrace is the dl-bwp-gather launch on one SM: per dst its
+// gradient row (trace.grad), written once per edge into the per-edge
+// gradient matrix (trace.edges); trace.flops is the FLOPs of one edge.
+func dlBwpGatherTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	csr, dOut, dMsg := c.trace.csr, c.trace.grad, c.trace.edges
+	for d := lo; d < hi; d++ {
+		sm.Read(dOut.RowAddr(d), dOut.RowBytes())
+		for e := int(csr.Ptr[d]); e < int(csr.Ptr[d+1]); e++ {
+			sm.Write(dMsg.RowAddr(e), dMsg.RowBytes())
+		}
+	}
+	sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * c.trace.flops)
+}
+
+// dlBwpScatterTrace is the dl-bwp-scatter launch on one SM: per src its row
+// of x (trace.in), then per out-edge the edge's gradient row (trace.edges,
+// found through the CSC→CSR edge ids in trace.idx) and the dst's row; a write
+// of the dx row (trace.out). trace.flops is the FLOPs of one edge.
+func dlBwpScatterTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csc, x, dMsg, edgeOfCSC, dx := a.csc, a.in, a.edges, a.idx, a.out
+	for s := lo; s < hi; s++ {
+		sm.Read(x.RowAddr(s), x.RowBytes())
+		base := int(csc.Ptr[s])
+		for i, d := range csc.Neighbors(graph.VID(s)) {
+			sm.Read(dMsg.RowAddr(int(edgeOfCSC[base+i])), dMsg.RowBytes())
+			sm.Read(x.RowAddr(int(d)), x.RowBytes())
+		}
+		sm.Write(dx.RowAddr(s), dx.RowBytes())
+	}
+	sm.AddFLOPs(int64(csc.Ptr[hi]-csc.Ptr[lo]) * a.flops)
+}
+
+// dlBwpDstGradTrace is the dl-bwp-dstgrad launch on one SM: per dst its row
+// of x (trace.in), then per edge the edge's gradient row (trace.edges) and
+// the src's row; a write of the dx row (trace.out). trace.flops is the FLOPs
+// of one edge.
+func dlBwpDstGradTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csr, x, dMsg, dx := a.csr, a.in, a.edges, a.out
+	for d := lo; d < hi; d++ {
+		sm.Read(x.RowAddr(d), x.RowBytes())
+		base := int(csr.Ptr[d])
+		for i, s := range csr.Neighbors(graph.VID(d)) {
+			sm.Read(dMsg.RowAddr(base+i), dMsg.RowBytes())
+			sm.Read(x.RowAddr(int(s)), x.RowBytes())
+		}
+		sm.Write(dx.RowAddr(d), dx.RowBytes())
+	}
+	sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * a.flops)
 }
 
 // edgeIDsForCSC returns, for each position in the CSC adjacency array, the

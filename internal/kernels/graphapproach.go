@@ -59,16 +59,22 @@ func partialHolders(numSMs, n int, dstOf []graph.VID, firstEdge []int32, numDst 
 // traceMerge is the second pass of an edge-parallel launch k: each dst row of
 // out, dst-chunked across SMs, gathers the partial rows holders counts for it
 // and is written once.
-func traceMerge(k *gpusim.Kernel, out Geom, holders []int32) {
-	runSMsChunked(k, out.Rows, func(sm *gpusim.SMContext, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			for i := int32(0); i < holders[d]; i++ {
-				sm.Read(out.RowAddr(d), out.RowBytes())
-			}
-			sm.AddFLOPs(int64(holders[d]) * int64(out.Cols))
-			sm.Write(out.RowAddr(d), out.RowBytes())
+func (c *Ctx) traceMerge(k *gpusim.Kernel, out Geom, holders []int32) {
+	c.trace = traceArgs{out: out, idx: holders}
+	c.runSMsChunked(k, out.Rows, mergeTrace)
+}
+
+// mergeTrace is traceMerge on one SM: trace.out is the merged matrix,
+// trace.idx the holder counts.
+func mergeTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	out, holders := c.trace.out, c.trace.idx
+	for d := lo; d < hi; d++ {
+		for i := int32(0); i < holders[d]; i++ {
+			sm.Read(out.RowAddr(d), out.RowBytes())
 		}
-	})
+		sm.AddFLOPs(int64(holders[d]) * int64(out.Cols))
+		sm.Write(out.RowAddr(d), out.RowBytes())
+	}
 }
 
 // Forward implements Strategy.
@@ -109,21 +115,10 @@ func (GraphApproach) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*De
 	k := ctx.Dev.StartKernel("ga-spmm")
 	blocks := ctx.edgeBlocks(coo)
 	nBlocks := len(blocks) - 1
-	edgeFLOPs := m.messageFLOPs(dim) + int64(2*dim)
-	runSMs(k, nBlocks, func(sm *gpusim.SMContext, b int) {
-		lo, hi := int(blocks[b]), int(blocks[b+1])
-		d := int(coo.Dst[lo]) // run-aligned: one dst per block
-		for e := lo; e < hi; e++ {
-			sm.Read(xg.RowAddr(int(coo.Src[e])), xg.RowBytes())
-			if wMat.Rows > 0 {
-				sm.Read(wMat.RowAddr(e), wMat.RowBytes())
-			}
-			sm.Write(og.RowAddr(d), og.RowBytes())
-		}
-		sm.AddFLOPs(int64(hi-lo) * edgeFLOPs)
-	})
-	traceMerge(k, og, partialHolders(k.NumSMs(), nBlocks, coo.Dst, blocks, coo.NumDst))
-	k.Finish()
+	ctx.trace = traceArgs{coo: coo, idx: blocks, in: xg, edges: wMat.Geom, out: og, flops: m.messageFLOPs(dim) + int64(2*dim)}
+	ctx.runSMs(k, nBlocks, gaSpMMTrace)
+	ctx.traceMerge(k, og, partialHolders(k.NumSMs(), nBlocks, coo.Dst, blocks, coo.NumDst))
+	ctx.finish(k)
 	ctx.end(sp)
 	wMat.Free()
 	return out, nil
@@ -150,18 +145,9 @@ func gaSDDMM(ctx *Ctx, coo *graph.BCOO, xg Geom, m Modes) (deviceBytes, error) {
 	// A thread block covers a small contiguous edge range; blocks are
 	// spread round-robin across SMs, so edges of one dst still scatter
 	// across SMs (the cache bloat), with only intra-block reuse.
-	nEdges := coo.NumEdges()
-	edgeFLOPs := m.edgeWeightFLOPs(xg.Cols)
-	runSMs(k, (nEdges+edgeBlock-1)/edgeBlock, func(sm *gpusim.SMContext, b int) {
-		lo, hi := b*edgeBlock, min((b+1)*edgeBlock, nEdges)
-		for e := lo; e < hi; e++ {
-			sm.Read(xg.RowAddr(int(coo.Src[e])), xg.RowBytes())
-			sm.Read(xg.RowAddr(int(coo.Dst[e])), xg.RowBytes()) // dst row re-fetched per block: cache bloat
-			sm.Write(wMat.RowAddr(e), wMat.RowBytes())
-		}
-		sm.AddFLOPs(int64(hi-lo) * edgeFLOPs)
-	})
-	k.Finish()
+	ctx.trace = traceArgs{coo: coo, in: xg, edges: wMat.Geom, flops: m.edgeWeightFLOPs(xg.Cols)}
+	ctx.runSMs(k, (coo.NumEdges()+edgeBlock-1)/edgeBlock, gaSDDMMTrace)
+	ctx.finish(k)
 	ctx.end(sp)
 	return wMat, nil
 }
@@ -193,39 +179,100 @@ func (GraphApproach) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Mode
 	ctx.aggregateBackward(ctx.hostCSR(g), csc, x.M, dOut.M, dx.M, m)
 	dxg := dx.Geom()
 	k := ctx.Dev.StartKernel("ga-spmm-bwp")
-	srcFLOPs := int64(dim) + m.msgBackwardSrcFLOPs(dim)
-	runSMs(k, csc.NumSrc, func(sm *gpusim.SMContext, s int) {
-		sm.Read(xg.RowAddr(s), xg.RowBytes())
-		nbrs := csc.Neighbors(graph.VID(s))
-		for _, d := range nbrs {
-			sm.Read(dOutG.RowAddr(int(d)), dOutG.RowBytes()) // dOut rows re-fetched per src
-			sm.Read(xg.RowAddr(int(d)), xg.RowBytes())
-		}
-		sm.AddFLOPs(int64(len(nbrs)) * srcFLOPs)
-		sm.Write(dxg.RowAddr(s), dxg.RowBytes())
-	})
-	k.Finish()
+	ctx.trace = traceArgs{csc: csc, in: xg, grad: dOutG, out: dxg, flops: int64(dim) + m.msgBackwardSrcFLOPs(dim)}
+	ctx.runSMs(k, csc.NumSrc, gaSpMMBackwardTrace)
+	ctx.finish(k)
 	ctx.end(sp)
 
 	if m.HasDstGrad() {
 		sp = ctx.begin(metrics.StageEdgeWeight)
 		k := ctx.Dev.StartKernel("ga-sddmm-bwp")
 		// Edges are scheduled per-edge round-robin (e ≡ smID mod numSMs).
-		dstFLOPs := int64(dim) + m.msgBackwardDstFLOPs(dim)
-		runSMs(k, coo.NumEdges(), func(sm *gpusim.SMContext, e int) {
-			d := int(coo.Dst[e])
-			sm.Read(xg.RowAddr(int(coo.Src[e])), xg.RowBytes())
-			sm.Read(xg.RowAddr(d), xg.RowBytes())
-			sm.Read(dOutG.RowAddr(d), dOutG.RowBytes())
-			sm.AddFLOPs(dstFLOPs)
-			sm.Write(dxg.RowAddr(d), dxg.RowBytes())
-		})
+		ctx.trace = traceArgs{coo: coo, in: xg, grad: dOutG, out: dxg, flops: int64(dim) + m.msgBackwardDstFLOPs(dim)}
+		ctx.runSMs(k, coo.NumEdges(), gaSDDMMBackwardTrace)
 		// Only the dst rows of dx (a prefix of the src space) hold partials.
 		dstRows := dxg
 		dstRows.Rows = coo.NumDst
-		traceMerge(k, dstRows, partialHolders(k.NumSMs(), coo.NumEdges(), coo.Dst, nil, coo.NumDst))
-		k.Finish()
+		ctx.traceMerge(k, dstRows, partialHolders(k.NumSMs(), coo.NumEdges(), coo.Dst, nil, coo.NumDst))
+		ctx.finish(k)
 		ctx.end(sp)
 	}
 	return dx, nil
+}
+
+// gaSpMMTrace is the ga-spmm launch over edge blocks [lo, hi) on one SM:
+// trace.idx holds the run-aligned block boundaries over trace.coo, and per
+// edge the SM reads the src row of x (trace.in) and, when weights were
+// materialized, the edge's weight row (trace.edges), and writes the dst's
+// partial row of trace.out. trace.flops is the FLOPs of one edge.
+func gaSpMMTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	coo, blocks, x, wMat, out := a.coo, a.idx, a.in, a.edges, a.out
+	for b := lo; b < hi; b++ {
+		eLo, eHi := int(blocks[b]), int(blocks[b+1])
+		d := int(coo.Dst[eLo]) // run-aligned: one dst per block
+		for e := eLo; e < eHi; e++ {
+			sm.Read(x.RowAddr(int(coo.Src[e])), x.RowBytes())
+			if wMat.Rows > 0 {
+				sm.Read(wMat.RowAddr(e), wMat.RowBytes())
+			}
+			sm.Write(out.RowAddr(d), out.RowBytes())
+		}
+		sm.AddFLOPs(int64(eHi-eLo) * a.flops)
+	}
+}
+
+// gaSDDMMTrace is the ga-sddmm launch over edge blocks [lo, hi) of
+// edgeBlock edges on one SM: per edge both endpoint rows of x (trace.in) and
+// a write of the edge's weight row (trace.edges). trace.flops is the FLOPs
+// of one edge.
+func gaSDDMMTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	coo, x, wMat := a.coo, a.in, a.edges
+	nEdges := coo.NumEdges()
+	for b := lo; b < hi; b++ {
+		eLo, eHi := b*edgeBlock, min((b+1)*edgeBlock, nEdges)
+		for e := eLo; e < eHi; e++ {
+			sm.Read(x.RowAddr(int(coo.Src[e])), x.RowBytes())
+			sm.Read(x.RowAddr(int(coo.Dst[e])), x.RowBytes()) // dst row re-fetched per block: cache bloat
+			sm.Write(wMat.RowAddr(e), wMat.RowBytes())
+		}
+		sm.AddFLOPs(int64(eHi-eLo) * a.flops)
+	}
+}
+
+// gaSpMMBackwardTrace is the ga-spmm-bwp launch over srcs [lo, hi) on one
+// SM: per src its row of x (trace.in), per out-edge the dst's gradient row
+// (trace.grad) and embedding row, and a write of the dx row (trace.out).
+// trace.flops is the FLOPs of one edge.
+func gaSpMMBackwardTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csc, x, dOut, dx := a.csc, a.in, a.grad, a.out
+	for s := lo; s < hi; s++ {
+		sm.Read(x.RowAddr(s), x.RowBytes())
+		nbrs := csc.Neighbors(graph.VID(s))
+		for _, d := range nbrs {
+			sm.Read(dOut.RowAddr(int(d)), dOut.RowBytes()) // dOut rows re-fetched per src
+			sm.Read(x.RowAddr(int(d)), x.RowBytes())
+		}
+		sm.AddFLOPs(int64(len(nbrs)) * a.flops)
+		sm.Write(dx.RowAddr(s), dx.RowBytes())
+	}
+}
+
+// gaSDDMMBackwardTrace is the ga-sddmm-bwp launch over edges [lo, hi) on one
+// SM: per edge both endpoint rows of x (trace.in) and the dst's gradient row
+// (trace.grad), and a write of the dst's partial row of dx (trace.out).
+// trace.flops is the FLOPs of one edge.
+func gaSDDMMBackwardTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	coo, x, dOut, dx := a.coo, a.in, a.grad, a.out
+	for e := lo; e < hi; e++ {
+		d := int(coo.Dst[e])
+		sm.Read(x.RowAddr(int(coo.Src[e])), x.RowBytes())
+		sm.Read(x.RowAddr(d), x.RowBytes())
+		sm.Read(dOut.RowAddr(d), dOut.RowBytes())
+		sm.AddFLOPs(a.flops)
+		sm.Write(dx.RowAddr(d), dx.RowBytes())
+	}
 }

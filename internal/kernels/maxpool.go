@@ -34,20 +34,26 @@ func SAGEPoolForward(ctx *Ctx, g *Graphs, x *DeviceMatrix) (*DeviceMatrix, []int
 	ctx.napa = napaNumeric{csr: csr, x: x.M, out: out.M, argmax: argmax}
 	ctx.napa.run(ctx.numSMs(), csr.NumDst, sagePoolTask)
 
-	xg, og := x.Geom(), out.Geom()
 	k := ctx.Dev.StartKernel("napa-sage-pool")
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-		for d := lo; d < hi; d++ {
-			for _, s := range csr.Neighbors(graph.VID(d)) {
-				sm.Read(xg.RowAddr(int(s)), xg.RowBytes())
-			}
-			sm.Write(og.RowAddr(d), og.RowBytes())
-		}
-		sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * int64(dim))
-	})
-	k.Finish()
+	ctx.trace = traceArgs{csr: csr, in: x.Geom(), out: out.Geom(), flops: int64(dim)}
+	ctx.runSMsChunked(k, csr.NumDst, sagePoolTrace)
+	ctx.finish(k)
 	ctx.end(sp)
 	return out, argmax, nil
+}
+
+// sagePoolTrace is the napa-sage-pool launch on one SM: per dst the src rows
+// of x (trace.in) and a write of the output row (trace.out); trace.flops is
+// the FLOPs of one edge.
+func sagePoolTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	csr, x, out := c.trace.csr, c.trace.in, c.trace.out
+	for d := lo; d < hi; d++ {
+		for _, s := range csr.Neighbors(graph.VID(d)) {
+			sm.Read(x.RowAddr(int(s)), x.RowBytes())
+		}
+		sm.Write(out.RowAddr(d), out.RowBytes())
+	}
+	sm.AddFLOPs(int64(csr.Ptr[hi]-csr.Ptr[lo]) * c.trace.flops)
 }
 
 // sagePoolTask is SAGEPoolForward's numeric pass: per dst the running

@@ -193,23 +193,29 @@ func napaFusedTask(arg any, first, last int) {
 // resident in the SM until the dst is done.
 func (NAPA) TraceForward(ctx *Ctx, csr *graph.BCSR, x, out Geom, m Modes) {
 	k := ctx.Dev.StartKernel("napa-fused")
-	weighted := m.HasEdgeWeight()
-	edgeFLOPs := m.edgeWeightFLOPs(x.Cols) + m.messageFLOPs(x.Cols) + int64(2*x.Cols)
-	runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, _, lo, hi int) {
-		ctx.rowUnit(sm, x.RowBytes())
-		for d := lo; d < hi; d++ {
-			if weighted {
-				sm.Read(x.RowAddr(d), x.RowBytes())
-			}
-			nbrs := csr.Neighbors(graph.VID(d))
-			for _, s := range nbrs {
-				sm.Read(x.RowAddr(int(s)), x.RowBytes())
-			}
-			sm.AddFLOPs(int64(len(nbrs)) * edgeFLOPs)
-			sm.Write(out.RowAddr(d), out.RowBytes())
+	ctx.trace = traceArgs{csr: csr, in: x, out: out, unit: x.RowBytes(), weighted: m.HasEdgeWeight(),
+		flops: m.edgeWeightFLOPs(x.Cols) + m.messageFLOPs(x.Cols) + int64(2*x.Cols)}
+	ctx.runSMsChunked(k, csr.NumDst, fusedTrace)
+	ctx.finish(k)
+}
+
+// fusedTrace is TraceForward on one SM: trace.in is x, trace.flops the FLOPs
+// of one edge.
+func fusedTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csr, x, out := a.csr, a.in, a.out
+	c.rowUnit(sm, a.unit)
+	for d := lo; d < hi; d++ {
+		if a.weighted {
+			sm.Read(x.RowAddr(d), x.RowBytes())
 		}
-	})
-	k.Finish()
+		nbrs := csr.Neighbors(graph.VID(d))
+		for _, s := range nbrs {
+			sm.Read(x.RowAddr(int(s)), x.RowBytes())
+		}
+		sm.AddFLOPs(int64(len(nbrs)) * a.flops)
+		sm.Write(out.RowAddr(d), out.RowBytes())
+	}
 }
 
 // NeighborApplyKernel is the NAPA NeighborApply primitive (§IV-B Fig 9b):
@@ -252,21 +258,27 @@ func napaApplyTask(arg any, first, last int) {
 // per edge the src row and a write of the edge's weight row.
 func traceNeighborApply(ctx *Ctx, csr *graph.BCSR, x, wMat Geom, m Modes) {
 	k := ctx.Dev.StartKernel("napa-neighborapply")
-	edgeFLOPs := m.edgeWeightFLOPs(x.Cols)
-	runSMsChunked(k, csr.NumDst, func(sm *gpusim.SMContext, lo, hi int) {
-		ctx.rowUnit(sm, x.RowBytes())
-		for d := lo; d < hi; d++ {
-			sm.Read(x.RowAddr(d), x.RowBytes())
-			base := int(csr.Ptr[d])
-			nbrs := csr.Neighbors(graph.VID(d))
-			for i, s := range nbrs {
-				sm.Read(x.RowAddr(int(s)), x.RowBytes())
-				sm.Write(wMat.RowAddr(base+i), wMat.RowBytes())
-			}
-			sm.AddFLOPs(int64(len(nbrs)) * edgeFLOPs)
+	ctx.trace = traceArgs{csr: csr, in: x, edges: wMat, unit: x.RowBytes(), flops: m.edgeWeightFLOPs(x.Cols)}
+	ctx.runSMsChunked(k, csr.NumDst, neighborApplyTrace)
+	ctx.finish(k)
+}
+
+// neighborApplyTrace is traceNeighborApply on one SM: trace.in is x,
+// trace.edges the weight rows, trace.flops the FLOPs of one edge.
+func neighborApplyTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csr, x, wMat := a.csr, a.in, a.edges
+	c.rowUnit(sm, a.unit)
+	for d := lo; d < hi; d++ {
+		sm.Read(x.RowAddr(d), x.RowBytes())
+		base := int(csr.Ptr[d])
+		nbrs := csr.Neighbors(graph.VID(d))
+		for i, s := range nbrs {
+			sm.Read(x.RowAddr(int(s)), x.RowBytes())
+			sm.Write(wMat.RowAddr(base+i), wMat.RowBytes())
 		}
-	})
-	k.Finish()
+		sm.AddFLOPs(int64(len(nbrs)) * a.flops)
+	}
 }
 
 // PullKernel is the NAPA Pull primitive (§IV-B Fig 9c): it aggregates
@@ -322,28 +334,35 @@ func napaPullTask(arg any, first, last int) {
 // the launch at line granularity.
 func tracePull(ctx *Ctx, csr *graph.BCSR, x, wMat, out Geom, m Modes) {
 	k := ctx.Dev.StartKernel("napa-pull")
-	weights := wMat.Rows > 0
 	unit := x.RowBytes()
-	if weights {
+	if wMat.Rows > 0 {
 		unit = commonRowBytes(x, wMat)
 	}
-	edgeFLOPs := m.messageFLOPs(x.Cols) + int64(2*x.Cols)
-	runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, _, lo, hi int) {
-		ctx.rowUnit(sm, unit)
-		for d := lo; d < hi; d++ {
-			base := int(csr.Ptr[d])
-			nbrs := csr.Neighbors(graph.VID(d))
-			for i, s := range nbrs {
-				sm.Read(x.RowAddr(int(s)), x.RowBytes())
-				if weights {
-					sm.Read(wMat.RowAddr(base+i), wMat.RowBytes())
-				}
+	ctx.trace = traceArgs{csr: csr, in: x, edges: wMat, out: out, unit: unit,
+		flops: m.messageFLOPs(x.Cols) + int64(2*x.Cols)}
+	ctx.runSMsChunked(k, csr.NumDst, pullTrace)
+	ctx.finish(k)
+}
+
+// pullTrace is tracePull on one SM: trace.in is x, trace.edges the weight
+// rows (none when it has no rows), trace.flops the FLOPs of one edge.
+func pullTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csr, x, wMat, out := a.csr, a.in, a.edges, a.out
+	weights := wMat.Rows > 0
+	c.rowUnit(sm, a.unit)
+	for d := lo; d < hi; d++ {
+		base := int(csr.Ptr[d])
+		nbrs := csr.Neighbors(graph.VID(d))
+		for i, s := range nbrs {
+			sm.Read(x.RowAddr(int(s)), x.RowBytes())
+			if weights {
+				sm.Read(wMat.RowAddr(base+i), wMat.RowBytes())
 			}
-			sm.AddFLOPs(int64(len(nbrs)) * edgeFLOPs)
-			sm.Write(out.RowAddr(d), out.RowBytes())
 		}
-	})
-	k.Finish()
+		sm.AddFLOPs(int64(len(nbrs)) * a.flops)
+		sm.Write(out.RowAddr(d), out.RowBytes())
+	}
 }
 
 // Backward implements Strategy. The src-side gradient (f′, h′ of Fig 3b)
@@ -419,22 +438,28 @@ func napaPullBackwardTask(arg any, first, last int) {
 // out-edge the dst's gradient row and embedding row; a write of the dx row.
 func tracePullBackward(ctx *Ctx, csc *graph.BCSC, x, dOut, dx Geom, m Modes) {
 	k := ctx.Dev.StartKernel("napa-pull-bwp")
-	unit := commonRowBytes(x, dOut)
-	edgeFLOPs := int64(x.Cols) + m.msgBackwardSrcFLOPs(x.Cols)
-	runSMsChunkedIdx(k, csc.NumSrc, func(sm *gpusim.SMContext, _, lo, hi int) {
-		ctx.rowUnit(sm, unit)
-		for s := lo; s < hi; s++ {
-			sm.Read(x.RowAddr(s), x.RowBytes())
-			nbrs := csc.Neighbors(graph.VID(s))
-			for _, d := range nbrs {
-				sm.Read(dOut.RowAddr(int(d)), dOut.RowBytes())
-				sm.Read(x.RowAddr(int(d)), x.RowBytes())
-			}
-			sm.AddFLOPs(int64(len(nbrs)) * edgeFLOPs)
-			sm.Write(dx.RowAddr(s), dx.RowBytes())
+	ctx.trace = traceArgs{csc: csc, in: x, grad: dOut, out: dx, unit: commonRowBytes(x, dOut),
+		flops: int64(x.Cols) + m.msgBackwardSrcFLOPs(x.Cols)}
+	ctx.runSMsChunked(k, csc.NumSrc, pullBackwardTrace)
+	ctx.finish(k)
+}
+
+// pullBackwardTrace is tracePullBackward on one SM: trace.in is x,
+// trace.grad dOut, trace.out dx, trace.flops the FLOPs of one edge.
+func pullBackwardTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csc, x, dOut, dx := a.csc, a.in, a.grad, a.out
+	c.rowUnit(sm, a.unit)
+	for s := lo; s < hi; s++ {
+		sm.Read(x.RowAddr(s), x.RowBytes())
+		nbrs := csc.Neighbors(graph.VID(s))
+		for _, d := range nbrs {
+			sm.Read(dOut.RowAddr(int(d)), dOut.RowBytes())
+			sm.Read(x.RowAddr(int(d)), x.RowBytes())
 		}
-	})
-	k.Finish()
+		sm.AddFLOPs(int64(len(nbrs)) * a.flops)
+		sm.Write(dx.RowAddr(s), dx.RowBytes())
+	}
 }
 
 // napaApplyBackwardTask is the dst-side numeric pass. dst d is also a
@@ -464,20 +489,26 @@ func napaApplyBackwardTask(arg any, first, last int) {
 // dx row.
 func traceApplyBackward(ctx *Ctx, csr *graph.BCSR, x, dOut, dx Geom, m Modes) {
 	k := ctx.Dev.StartKernel("napa-neighborapply-bwp")
-	unit := commonRowBytes(x, dOut)
-	edgeFLOPs := m.msgBackwardDstFLOPs(x.Cols)
-	runSMsChunkedIdx(k, csr.NumDst, func(sm *gpusim.SMContext, _, lo, hi int) {
-		ctx.rowUnit(sm, unit)
-		for d := lo; d < hi; d++ {
-			sm.Read(dOut.RowAddr(d), dOut.RowBytes())
-			sm.Read(x.RowAddr(d), x.RowBytes())
-			nbrs := csr.Neighbors(graph.VID(d))
-			for _, s := range nbrs {
-				sm.Read(x.RowAddr(int(s)), x.RowBytes())
-			}
-			sm.AddFLOPs(int64(x.Cols) + int64(len(nbrs))*edgeFLOPs)
-			sm.Write(dx.RowAddr(d), dx.RowBytes())
+	ctx.trace = traceArgs{csr: csr, in: x, grad: dOut, out: dx, unit: commonRowBytes(x, dOut),
+		flops: m.msgBackwardDstFLOPs(x.Cols)}
+	ctx.runSMsChunked(k, csr.NumDst, applyBackwardTrace)
+	ctx.finish(k)
+}
+
+// applyBackwardTrace is traceApplyBackward on one SM: trace.in is x,
+// trace.grad dOut, trace.out dx, trace.flops the FLOPs of one edge.
+func applyBackwardTrace(c *Ctx, sm *gpusim.SMContext, _, lo, hi int) {
+	a := &c.trace
+	csr, x, dOut, dx := a.csr, a.in, a.grad, a.out
+	c.rowUnit(sm, a.unit)
+	for d := lo; d < hi; d++ {
+		sm.Read(dOut.RowAddr(d), dOut.RowBytes())
+		sm.Read(x.RowAddr(d), x.RowBytes())
+		nbrs := csr.Neighbors(graph.VID(d))
+		for _, s := range nbrs {
+			sm.Read(x.RowAddr(int(s)), x.RowBytes())
 		}
-	})
-	k.Finish()
+		sm.AddFLOPs(int64(x.Cols) + int64(len(nbrs))*a.flops)
+		sm.Write(dx.RowAddr(d), dx.RowBytes())
+	}
 }

@@ -18,18 +18,6 @@ type Strategy interface {
 	Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*DeviceMatrix, error)
 }
 
-// invDegFromCSR returns 1/deg per dst (0 for isolated dsts) for mean
-// aggregation scaling.
-func invDegFromCSR(csr *graph.BCSR) []float32 {
-	out := make([]float32, csr.NumDst)
-	for d := 0; d < csr.NumDst; d++ {
-		if deg := csr.Degree(graph.VID(d)); deg > 0 {
-			out[d] = 1 / float32(deg)
-		}
-	}
-	return out
-}
-
 // aggrScale returns the per-dst message scale for the aggregation mode:
 // 1/deg for mean, 1 for sum.
 func aggrScale(m Modes, invDeg []float32, d graph.VID) float32 {

@@ -27,6 +27,13 @@
 // busy (including nested dispatch from inside a worker), the caller simply
 // executes all chunks itself. The pool can therefore never deadlock, only
 // degrade to the serial path under saturation.
+//
+// Panics: a chunk body that panics, on whichever participant runs it, is
+// recovered there; the chunks not yet started are skipped, and once every
+// participant has left the region the dispatcher re-raises the first panic
+// value on its own goroutine — what the serial path does by itself. The
+// caller's recovery boundary therefore sees a panic at any worker count, no
+// worker dies with it, and the pool stays usable.
 package sched
 
 import (
@@ -55,6 +62,11 @@ type job struct {
 	filled  atomic.Int64  // chunks completed
 	refs    atomic.Int64  // participants holding the job
 	wake    chan struct{} // buffered 1; signaled when filled reaches nChunks
+	// failed is set by the first chunk body that panicked, which stores the
+	// value in panicked before it counts its chunk; the dispatcher reads it
+	// after the wake, so the fill count orders the two.
+	failed   atomic.Bool
+	panicked any
 }
 
 var jobPool = sync.Pool{New: func() any { return &job{wake: make(chan struct{}, 1)} }}
@@ -105,11 +117,24 @@ func (j *job) run() {
 		if hi > n {
 			hi = n
 		}
-		j.fn(j.ctx, int(lo), int(hi))
+		if !j.failed.Load() {
+			j.call(int(lo), int(hi))
+		}
 		if j.filled.Add(1) == nChunks {
 			j.wake <- struct{}{}
 		}
 	}
+}
+
+// call runs one chunk body, recording its panic instead of unwinding the
+// participant.
+func (j *job) call(lo, hi int) {
+	defer func() {
+		if p := recover(); p != nil && j.failed.CompareAndSwap(false, true) {
+			j.panicked = p
+		}
+	}()
+	j.fn(j.ctx, lo, hi)
 }
 
 // release drops one participant reference; the last one recycles the job.
@@ -192,5 +217,11 @@ func RunChunk(n, chunk, workers int, ctx any, fn func(ctx any, lo, hi int)) {
 
 	j.run()
 	<-j.wake
+	p := j.panicked
+	j.panicked = nil
+	j.failed.Store(false)
 	j.release()
+	if p != nil {
+		panic(p)
+	}
 }

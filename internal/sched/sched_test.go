@@ -115,3 +115,53 @@ func TestRunZeroAlloc(t *testing.T) {
 		t.Errorf("Run allocates %.1f times per dispatch, want 0", allocs)
 	}
 }
+
+// chunkPanic is the value the panic tests raise inside a chunk body.
+type chunkPanic struct{ at int }
+
+// recoverRun runs RunChunk and returns what its caller recovers.
+func recoverRun(n, chunk int, fn func(ctx any, lo, hi int)) (p any) {
+	defer func() { p = recover() }()
+	RunChunk(n, chunk, Workers(n), nil, fn)
+	return nil
+}
+
+// TestChunkPanicReachesDispatcher: a panic in a chunk body — on a pool
+// worker or on the dispatcher itself — surfaces on the dispatching goroutine
+// with its value, as on the serial path, and the pool stays usable: the next
+// region covers every index once. Run it at -cpu 1,4.
+func TestChunkPanicReachesDispatcher(t *testing.T) {
+	for _, n := range []int{1, 8, 64, 257} {
+		for _, at := range []int{0, n / 2, n - 1, -1} { // -1: every index panics
+			p := recoverRun(n, 1, func(_ any, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					if i == at || at < 0 {
+						panic(chunkPanic{i})
+					}
+				}
+			})
+			got, ok := p.(chunkPanic)
+			if !ok || (at >= 0 && got.at != at) {
+				t.Fatalf("n=%d panic at %d: the caller recovered %v", n, at, p)
+			}
+			var hits atomic.Int64
+			RunChunk(n, 1, Workers(n), nil, func(_ any, lo, hi int) { hits.Add(int64(hi - lo)) })
+			if hits.Load() != int64(n) {
+				t.Fatalf("n=%d: after a panic the pool processed %d of %d indices", n, hits.Load(), n)
+			}
+		}
+	}
+	// A panic in a nested region unwinds through the outer one.
+	p := recoverRun(16, 1, func(_ any, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			Run(32, Workers(32), nil, func(_ any, l, h int) {
+				if i == 5 && l == 0 {
+					panic(chunkPanic{5})
+				}
+			})
+		}
+	})
+	if p != (chunkPanic{5}) {
+		t.Fatalf("nested panic: the caller recovered %v", p)
+	}
+}

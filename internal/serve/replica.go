@@ -7,6 +7,7 @@ import (
 	"graphtensor/internal/gpusim"
 	"graphtensor/internal/pipeline"
 	"graphtensor/internal/prep"
+	"graphtensor/internal/tensor"
 )
 
 // replica is one serving replica: the multigpu per-device machinery — a
@@ -307,8 +308,9 @@ func (r *replica) failover(mb *microBatch) bool {
 	return false
 }
 
-// inferBatch runs FWP over the batch on the replica's engine and scatters
-// each ticket's logit rows into its caller-owned buffer.
+// inferBatch runs FWP over the batch on the replica's engine, scatters each
+// ticket's logit rows into its caller-owned buffer and hands the detached
+// logits' storage back to the tensor pool: once scattered, nobody reads it.
 func (r *replica) inferBatch(b *prep.Batch, mb *microBatch) error {
 	// The batch's host→device scatter is accounted on this replica's
 	// device link (modeled time only) — cache-resident embedding rows are
@@ -325,5 +327,7 @@ func (r *replica) inferBatch(b *prep.Batch, mb *microBatch) error {
 			copy(tk.out[i*od:(i+1)*od], logits.M.Row(int(mb.index[d])))
 		}
 	}
+	tensor.Put(logits.M)
+	logits.M = nil
 	return nil
 }
