@@ -79,7 +79,7 @@ func buildInput(engine *core.Engine, ds *datasets.Dataset) *core.Input {
 		}
 		graphs[l-1] = prep.BuildLayer(coo, prep.FormatCSRCSC)
 	}
-	embed := prep.Lookup(nil, ds.Features, res.Table)
+	embed := prep.Lookup(nil, nil, ds.Features, res.Table)
 	x, err := engine.Upload(embed.Data, "x")
 	if err != nil {
 		panic(err)

@@ -40,7 +40,7 @@ func main() {
 		panic(err)
 	}
 	ld := prep.BuildLayer(coo, prep.FormatCSRCSC)
-	embed := prep.Lookup(nil, ds.Features, batch.Table)
+	embed := prep.Lookup(nil, nil, ds.Features, batch.Table)
 
 	x, err := engine.Upload(embed.Data, "embeddings")
 	if err != nil {

@@ -72,8 +72,9 @@ func (e *Engine) stage(graphs []kernels.Graphs, x *tensor.Matrix, labels []int32
 // Infer runs forward propagation only over one batch — graphs are its layer
 // subgraphs, x its embedding rows — and closes the batch scope. The
 // returned logits are the caller's: their device buffer is already
-// released, their host matrix is detached from the scope and never
-// recycled, so it stays readable for as long as the caller keeps it.
+// released, and they sit in the header Detach made — the one handle that
+// outlives the scope — so their host matrix stays readable for as long as
+// the caller keeps it.
 func (e *Engine) Infer(m *Model, graphs []kernels.Graphs, x *tensor.Matrix, linkBytes int64) (*kernels.DeviceMatrix, error) {
 	defer e.EndBatch()
 	in, err := e.stage(graphs, x, nil, linkBytes)
@@ -84,8 +85,7 @@ func (e *Engine) Infer(m *Model, graphs []kernels.Graphs, x *tensor.Matrix, link
 	if err != nil {
 		return nil, err
 	}
-	logits.Detach()
-	return logits, nil
+	return logits.Detach(), nil
 }
 
 // ForwardBackward stages one batch or gradient shard and runs

@@ -121,9 +121,9 @@ func TestInferLogitsOutliveScope(t *testing.T) {
 	}
 }
 
-// TestTrainStepAllocBytesFlat: a warm training step allocates headers,
-// closures and per-graph index slices — nothing that scales with the
-// feature width, because every matrix the kernels hand out borrows its
+// TestTrainStepAllocBytesFlat: a warm training step allocates nothing that
+// scales with the feature width (TestTrainStepAllocFree: nothing at all),
+// because every matrix the kernels hand out borrows its
 // storage from the tensor pool and returns it within the batch. The step
 // runs on the train-heavy model shape (NGCF, 544 features) and on one an
 // eighth as wide; both stay under the same small bound, two orders of
@@ -159,6 +159,45 @@ func TestTrainStepAllocBytesFlat(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if kb := float64(after.TotalAlloc-before.TotalAlloc) / steps / 1024; kb > boundKB {
 			t.Errorf("dim %d: a warm TrainStep allocates %.1f KB, want <= %d KB at any feature width", dim, kb, boundKB)
+		}
+	}
+}
+
+// TestTrainStepAllocFree: a warm Engine.TrainStep — staging, forward,
+// backward, the update and the EndBatch that closes the scope — allocates
+// nothing: every matrix borrows pooled storage, every header comes from the
+// scope's slab and every launch from the device's pool. The floor gates at
+// GOMAXPROCS=1; with more procs the figure is reported.
+func TestTrainStepAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, mc := range []struct {
+		name  string
+		modes kernels.Modes
+	}{{"gcn", kernels.GCNModes()}, {"ngcf", kernels.NGCFModes()}} {
+		eng := NewEngine(testDevice().Config())
+		in := buildInput(t, kernels.NewCtx(testDevice()), 64, 256, 1024, 12, 3)
+		model, err := NewModel(Config{Strategy: kernels.NAPA{}, Specs: modelSpecs(mc.modes, 12, 16, 8), Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			if _, err := eng.TrainStep(model, in.Graphs, in.X.M, in.Labels, 0.01, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		step()
+		n := testing.AllocsPerRun(20, step)
+		if procs := runtime.GOMAXPROCS(0); procs > 1 {
+			t.Logf("%s, GOMAXPROCS=%d: a warm TrainStep allocates %.1f times", mc.name, procs, n)
+		} else if n != 0 {
+			t.Errorf("%s: a warm TrainStep allocates %.1f times, want 0", mc.name, n)
+		}
+		if got := eng.Dev.MemInUse(); got != 0 {
+			t.Errorf("%s: MemInUse %d after TrainStep, want 0", mc.name, got)
 		}
 	}
 }

@@ -15,7 +15,7 @@ package datasets
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"graphtensor/internal/graph"
 	"graphtensor/internal/tensor"
@@ -307,23 +307,23 @@ func genNearRegular(v, e int, rng *tensor.RNG) *graph.CSR {
 
 // BatchDsts deterministically selects a training batch of n dst vertices
 // (the paper uses batches of 300 vertices). Vertices are drawn without
-// replacement.
+// replacement: the first n distinct draws, returned in ascending order. Each
+// draw is binary-searched in, and inserted into, the sorted prefix built so
+// far, so the returned slice is the one allocation; safe for concurrent use.
 func (d *Dataset) BatchDsts(n int, seed uint64) []graph.VID {
 	if n > d.NumVertices() {
 		n = d.NumVertices()
 	}
 	rng := tensor.NewRNG(seed ^ seedFor(d.Spec.Name))
-	seen := make(map[graph.VID]struct{}, n)
 	out := make([]graph.VID, 0, n)
 	for len(out) < n {
 		v := graph.VID(rng.Intn(d.NumVertices()))
-		if _, dup := seen[v]; dup {
+		i, dup := slices.BinarySearch(out, v)
+		if dup {
 			continue
 		}
-		seen[v] = struct{}{}
-		out = append(out, v)
+		out = slices.Insert(out, i, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -228,6 +228,9 @@ func (b *Buffer) Addr(offset int64) int64 {
 	return b.base + offset
 }
 
+// Label returns the name the buffer was allocated under.
+func (b *Buffer) Label() string { return b.label }
+
 // MemInUse returns the bytes currently allocated.
 func (d *Device) MemInUse() int64 {
 	d.mu.Lock()

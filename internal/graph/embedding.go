@@ -22,15 +22,21 @@ func NewEmbeddingTable(n, dim int) *EmbeddingTable {
 	return &EmbeddingTable{Dim: dim, Data: tensor.New(n, dim)}
 }
 
-// NewEmbeddingTableArena allocates the table storage from a batch-scoped
-// arena, so per-batch embedding tables are recycled instead of reallocated
-// (the prefetch-ring discipline). A nil arena falls back to a plain
-// allocation.
-func NewEmbeddingTableArena(a *tensor.Arena, n, dim int) *EmbeddingTable {
-	if a == nil {
-		return NewEmbeddingTable(n, dim)
+// EmbeddingTableInto makes t an n×dim table whose storage comes from a
+// batch-scoped arena, so per-batch embedding tables are recycled instead of
+// reallocated (the prefetch-ring discipline), and returns it. t is a header
+// the caller retains across batches; nil makes a fresh one. A nil arena
+// falls back to a plain allocation.
+func EmbeddingTableInto(t *EmbeddingTable, a *tensor.Arena, n, dim int) *EmbeddingTable {
+	if t == nil {
+		t = new(EmbeddingTable)
 	}
-	return &EmbeddingTable{Dim: dim, Data: a.Get(n, dim)}
+	if a == nil {
+		*t = EmbeddingTable{Dim: dim, Data: tensor.New(n, dim)}
+	} else {
+		*t = EmbeddingTable{Dim: dim, Data: a.Get(n, dim)}
+	}
+	return t
 }
 
 // NumVertices returns the number of rows in the table.

@@ -18,23 +18,26 @@ import (
 // every kernel launch, derived per-graph quantities (inverse degrees,
 // CSC-order edge ids) are memoized so strategies and passes that share a
 // graph within a batch never recompute them, and every device allocation
-// made through the Ctx (AllocDeviceMatrix, WrapDeviceMatrix, the format
-// translations' scratch) is recorded so that EndBatch frees whatever the
-// batch's kernels left behind — the device buffers and, for the matrices
-// AllocDeviceMatrix handed out, the host storage they borrowed from the
-// tensor pool. Allocations made on the device directly are not the Ctx's
-// and are never swept.
+// made through the Ctx (AllocDeviceMatrix, WrapDeviceMatrix, a strategy's
+// intermediates, the format translations' scratch) lives in a header of the
+// Ctx's slab, so that EndBatch frees whatever the batch's kernels left behind
+// — the device buffers and, for the matrices AllocDeviceMatrix handed out,
+// the host storage they borrowed from the tensor pool — and reuses the
+// headers for the next batch. Allocations made on the device directly are
+// not the Ctx's and are never swept.
 type Ctx struct {
 	Dev    *gpusim.Device
 	Stages metrics.Stages
 	Work   [metrics.NumStages]gpusim.Counters
 
-	// bufs records the device buffers allocated through the Ctx since the
-	// last EndBatch.
+	// hdrs is the scope's record: the first nHdr headers are the ones taken
+	// since the last EndBatch. Chunks never move, so a header's address is
+	// stable for its batch; the slab is retained across batches.
+	hdrs []*[hdrChunk]DeviceMatrix
+	nHdr int
+	// bufs points at the device buffer of every header taken — or, once
+	// Detach moved one out, at the detached header's — for EndBatch to free.
 	bufs []*gpusim.Buffer
-	// mats records the matrices AllocDeviceMatrix handed out since the last
-	// EndBatch; the ones still holding pooled storage are swept there.
-	mats []*DeviceMatrix
 
 	// Reusable per-SM scratch: msgBuf/wBuf back the row views handed to
 	// kernel chunks. Kernel launches within a Ctx are sequential, and
@@ -80,8 +83,12 @@ type Ctx struct {
 // with room for a two-layer training batch's buffers, so a cold Ctx does
 // not regrow it (a persistent one keeps whatever it grew to).
 func NewCtx(dev *gpusim.Device) *Ctx {
-	return &Ctx{Dev: dev, bufs: make([]*gpusim.Buffer, 0, 32), mats: make([]*DeviceMatrix, 0, 32)}
+	return &Ctx{Dev: dev, bufs: make([]*gpusim.Buffer, 0, 32)}
 }
+
+// hdrChunk is the number of headers one slab chunk holds: a two-layer
+// training batch's allocations, so a warm Ctx rarely holds more than one.
+const hdrChunk = 32
 
 // memoCap is the backstop bound on the per-Ctx memo maps for callers that
 // never signal batch boundaries: when full, a memo map is cleared before
@@ -97,7 +104,9 @@ const memoCap = 8
 // The host storage of every matrix AllocDeviceMatrix handed out goes back
 // to the tensor pool with it: such a matrix's M is valid until its Free or
 // this call, whichever is first (a wrapped matrix's M is its caller's and
-// is left alone; Detach exempts a result that outlives the batch). The
+// is left alone). Every header the batch took is zeroed and reused by the
+// next batch, so no handle outlives this call — bar the one Detach returned;
+// with poisonFreed set the headers are retired and stamped dead instead. The
 // per-SM scratch buffers are retained — they are shape-dependent, not
 // graph-dependent. Call it when a training/inference batch completes or
 // fails.
@@ -111,20 +120,37 @@ func (c *Ctx) EndBatch() {
 		c.bufs[i] = nil
 	}
 	c.bufs = c.bufs[:0]
-	for i, dm := range c.mats {
+	for i := 0; i < c.nHdr; i++ {
+		dm := &c.hdrs[i/hdrChunk][i%hdrChunk]
 		dm.giveBack()
-		c.mats[i] = nil
+		if poisonFreed {
+			dm.M, dm.scope, dm.dead = nil, nil, true
+		} else {
+			*dm = DeviceMatrix{}
+		}
 	}
-	c.mats = c.mats[:0]
+	if poisonFreed {
+		clear(c.hdrs)
+		c.hdrs = c.hdrs[:0]
+	}
+	c.nHdr = 0
 }
 
-// alloc reserves device memory inside the batch scope.
-func (c *Ctx) alloc(size int64, label string) (*gpusim.Buffer, error) {
-	b, err := c.Dev.Alloc(size, label)
-	if err == nil {
-		c.bufs = append(c.bufs, b)
+// header reserves size bytes of device memory in the batch scope, into the
+// next header of the slab. A refused allocation takes no header.
+func (c *Ctx) header(size int64, label string) (*DeviceMatrix, error) {
+	i := c.nHdr / hdrChunk
+	if i == len(c.hdrs) {
+		c.hdrs = append(c.hdrs, new([hdrChunk]DeviceMatrix))
 	}
-	return b, err
+	dm := &c.hdrs[i][c.nHdr%hdrChunk]
+	if err := c.Dev.AllocInto(&dm.buf, size, label); err != nil {
+		return nil, err
+	}
+	c.nHdr++
+	dm.scope = c
+	c.bufs = append(c.bufs, &dm.buf)
+	return dm, nil
 }
 
 // memoized returns (*m)[k], deriving and inserting it on a miss; a memo at
@@ -309,12 +335,12 @@ func (c *Ctx) ensureCSR(g *Graphs) (*graph.BCSR, error) {
 	}
 	sp := c.begin(metrics.StageTranslation)
 	csr, stats := graph.BCOOToBCSR(g.COO)
-	scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
+	scratch, err := c.header(stats.BufferBytes, "format-translation-scratch")
 	if err != nil {
 		return nil, err
 	}
-	_, err = c.alloc(csr.Bytes(), "translated-csr")
-	scratch.Free()
+	_, err = c.header(csr.Bytes(), "translated-csr")
+	scratch.buf.Free()
 	if err != nil {
 		return nil, err
 	}
@@ -331,11 +357,11 @@ func (c *Ctx) ensureCSC(g *Graphs) (*graph.BCSC, error) {
 	sp := c.begin(metrics.StageTranslation)
 	if g.COO != nil {
 		csc, stats := graph.BCOOToBCSC(g.COO)
-		scratch, err := c.alloc(stats.BufferBytes, "format-translation-scratch")
+		scratch, err := c.header(stats.BufferBytes, "format-translation-scratch")
 		if err != nil {
 			return nil, err
 		}
-		scratch.Free()
+		scratch.buf.Free()
 		g.CSC = csc
 	} else {
 		g.CSC = graph.BCSRToBCSC(g.CSR)

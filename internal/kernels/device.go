@@ -22,6 +22,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 
 	"graphtensor/internal/gpusim"
@@ -32,17 +33,24 @@ import (
 
 // DeviceMatrix pairs a host-resident matrix (the real data our kernels
 // compute on) with its simulated device allocation (the addresses the cache
-// model sees). The allocation lives in the header, so a device matrix is one
-// heap object. Headers are never recycled: a stale handle keeps reading
-// M == nil once its storage went back, and its Free stays a no-op.
+// model sees). The allocation lives in the header, and the header lives in
+// its batch scope's slab (Ctx.hdrs): EndBatch zeroes it and the next batch
+// reuses it. A handle therefore dies with its scope — using a swept one is a
+// programmer error, which poison mode (poisonFreed) turns into a panic — and Detach is the
+// one way out: it moves the matrix into a header of its own.
 type DeviceMatrix struct {
 	M   *tensor.Matrix
 	buf gpusim.Buffer
 
-	// scope is the batch scope M's storage is borrowed from — set by
-	// AllocDeviceMatrix, nil for a wrapped matrix (M is its caller's) and
-	// once the storage went back or was detached.
-	scope *Ctx
+	// scope is the batch scope whose slab holds the header, nil for a
+	// detached one. pooled says M is borrowed from the tensor pool
+	// (AllocDeviceMatrix) and goes back at Free or EndBatch; a wrapped
+	// matrix's M is its caller's.
+	scope  *Ctx
+	pooled bool
+	// dead marks a header its scope swept with poisonFreed set: it is never
+	// reused, and every use of it panics.
+	dead bool
 }
 
 // AllocDeviceMatrix allocates a zeroed rows×cols device matrix in c's batch
@@ -56,8 +64,7 @@ func AllocDeviceMatrix(c *Ctx, rows, cols int, label string) (*DeviceMatrix, err
 		tensor.Put(m)
 		return nil, err
 	}
-	dm.scope = c
-	c.mats = append(c.mats, dm)
+	dm.pooled = true
 	return dm, nil
 }
 
@@ -69,14 +76,11 @@ func AllocDeviceMatrix(c *Ctx, rows, cols int, label string) (*DeviceMatrix, err
 // batch's embedding rows (its graph structures) and no kernel addresses;
 // zero for a plain matrix.
 func WrapDeviceMatrix(c *Ctx, m *tensor.Matrix, tail int64, label string) (*DeviceMatrix, error) {
-	// The allocation is made into a stack value and moved into the header
-	// once it succeeded, so a refused one costs no header.
-	var buf gpusim.Buffer
-	if err := c.Dev.AllocInto(&buf, m.Bytes()+tail, label); err != nil {
+	dm, err := c.header(m.Bytes()+tail, label)
+	if err != nil {
 		return nil, err
 	}
-	dm := &DeviceMatrix{M: m, buf: buf}
-	c.bufs = append(c.bufs, &dm.buf)
+	dm.M = m
 	return dm, nil
 }
 
@@ -96,6 +100,7 @@ func (g Geom) RowBytes() int64 { return int64(g.Cols) * 4 }
 
 // Geom returns the matrix's geometry.
 func (dm *DeviceMatrix) Geom() Geom {
+	dm.live()
 	return Geom{Addr: dm.buf.Addr(0), Rows: dm.M.Rows, Cols: dm.M.Cols}
 }
 
@@ -122,15 +127,16 @@ type deviceBytes struct {
 func (db deviceBytes) Free() { db.buf.Free() }
 
 func allocDeviceBytes(c *Ctx, rows, cols int, label string) (deviceBytes, error) {
-	buf, err := c.alloc(int64(rows)*int64(cols)*4, label)
+	h, err := c.header(int64(rows)*int64(cols)*4, label)
 	if err != nil {
 		return deviceBytes{}, err
 	}
-	return deviceBytes{Geom{Addr: buf.Addr(0), Rows: rows, Cols: cols}, buf}, nil
+	return deviceBytes{Geom{Addr: h.buf.Addr(0), Rows: rows, Cols: cols}, &h.buf}, nil
 }
 
 // RowAddr returns the device address of row i.
 func (dm *DeviceMatrix) RowAddr(i int) int64 {
+	dm.live()
 	return dm.buf.Addr(int64(i) * int64(dm.M.Cols) * 4)
 }
 
@@ -138,36 +144,67 @@ func (dm *DeviceMatrix) RowAddr(i int) int64 {
 func (dm *DeviceMatrix) RowBytes() int64 { return int64(dm.M.Cols) * 4 }
 
 // Free releases the device allocation and, for a matrix allocated in a batch
-// scope, hands M's storage back to the tensor pool. Freeing twice is a no-op.
+// scope, hands M's storage back to the tensor pool. Freeing twice is a
+// no-op, and so is freeing a detached matrix after its scope ended.
 func (dm *DeviceMatrix) Free() {
 	if dm == nil {
+		return
+	}
+	dm.live()
+	if dm.M == nil { // storage already back, or the header was detached from
 		return
 	}
 	dm.buf.Free()
 	dm.giveBack()
 }
 
-// Detach makes M the caller's: the scope that allocated the matrix will not
-// recycle its storage, at Free or at EndBatch. For a result that outlives
-// its batch (Engine.Infer's logits).
-func (dm *DeviceMatrix) Detach() { dm.scope = nil }
+// Detach moves the matrix out of its batch scope into a header of its own
+// and returns that header, for a result that outlives its batch
+// (Engine.Infer's logits). The scope never recycles the returned M, but its
+// device bytes are still the scope's and go at EndBatch: the record moves
+// with them, so they are freed once. The header dm is dead from here on.
+func (dm *DeviceMatrix) Detach() *DeviceMatrix {
+	dm.live()
+	c := dm.scope
+	if c == nil {
+		return dm
+	}
+	d := &DeviceMatrix{M: dm.M, buf: dm.buf}
+	for i := len(c.bufs) - 1; i >= 0; i-- {
+		if c.bufs[i] == &dm.buf {
+			c.bufs[i] = &d.buf
+			break
+		}
+	}
+	dm.M, dm.scope, dm.pooled = nil, nil, false
+	return d
+}
 
 // poisonFreed makes giveBack fill a matrix with NaN on its way to the pool,
-// so a read past the lifetime AllocDeviceMatrix states shows up in a result.
-// Tests set it while no engine runs; it is package-wide, not a Ctx field,
-// because a server's replicas build their Ctx where no test can reach it.
+// so a read past the lifetime AllocDeviceMatrix states shows up in a result,
+// and makes EndBatch retire the headers it sweeps instead of reusing them,
+// so a handle used past its scope panics (live). Tests set it while no
+// engine runs; it is package-wide, not a Ctx field, because a server's
+// replicas build their Ctx where no test can reach it.
 var poisonFreed bool
 
-// giveBack returns scope-owned storage to the tensor pool.
+// live panics on a header its scope swept in poison mode.
+func (dm *DeviceMatrix) live() {
+	if dm.dead {
+		panic(fmt.Sprintf("kernels: device matrix %q used after its batch scope ended", dm.buf.Label()))
+	}
+}
+
+// giveBack returns pooled storage to the tensor pool.
 func (dm *DeviceMatrix) giveBack() {
-	if dm.scope == nil {
+	if !dm.pooled {
 		return
 	}
 	if poisonFreed {
 		dm.M.Fill(float32(math.NaN()))
 	}
 	tensor.Put(dm.M)
-	dm.M, dm.scope = nil, nil
+	dm.M, dm.pooled = nil, false
 }
 
 // smBody is the body of a simulated launch on one SM: units [lo, hi) of the

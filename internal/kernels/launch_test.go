@@ -1,6 +1,10 @@
 package kernels
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // TestLaunchAllocFree: on a warm Ctx a launch allocates nothing — the Kernel
 // header and its SM set come back from the device pool, the trace pass is a
@@ -48,57 +52,85 @@ func TestLaunchAllocFree(t *testing.T) {
 	}
 }
 
-// TestStaleHandleFreeIsNoOp: a device matrix header is never recycled, so a
-// handle kept past its batch — the detached logits an evaluation frees after
-// the engine closed the scope, or a scope-owned matrix the sweep took — stays
-// stale: freeing it three batches later touches neither the device's
-// accounting nor any buffer of the batches since.
+// TestStaleHandleFreeIsNoOp: a handle kept past its batch is either the one
+// Detach returned — the logits an evaluation frees after the engine closed
+// the scope — whose late Free touches neither the device's accounting nor
+// any buffer of the batches since, or a header the scope swept, which is
+// dead: with PoisonFreed set, freeing it panics and moves nothing.
 func TestStaleHandleFreeIsNoOp(t *testing.T) {
 	dev := testDevice()
 	ctx := NewCtx(dev)
+	// openBatches runs three more batches and leaves the last one open with
+	// three live matrices, filled per batch.
+	openBatches := func() []*DeviceMatrix {
+		var live []*DeviceMatrix
+		for batch := 1; batch <= 3; batch++ {
+			ctx.EndBatch()
+			live = live[:0]
+			for i, cols := range []int{3, 5, 7} {
+				m, err := AllocDeviceMatrix(ctx, 8, cols, "live")
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.M.Fill(float32(10*batch + i))
+				live = append(live, m)
+			}
+		}
+		return live
+	}
+	untouched := func(what string, inUse int64, live []*DeviceMatrix) {
+		t.Helper()
+		if got := dev.MemInUse(); got != inUse {
+			t.Fatalf("%s moved MemInUse %d -> %d", what, inUse, got)
+		}
+		for i, m := range live {
+			if m.M == nil || m.M.At(7, 0) != float32(30+i) {
+				t.Fatalf("live matrix %d of the open batch was touched by %s", i, what)
+			}
+		}
+	}
+
 	logits, err := AllocDeviceMatrix(ctx, 8, 3, "logits")
 	if err != nil {
 		t.Fatal(err)
 	}
 	logits.M.Fill(7)
-	logits.Detach()
+	logits = logits.Detach()
+	live := openBatches()
+	inUse := dev.MemInUse()
+	logits.Free()
+	untouched("a late Free of a detached handle", inUse, live)
+	if logits.M == nil || logits.M.At(0, 0) != 7 {
+		t.Fatal("a detached matrix's storage is its holder's: a late Free must leave it readable")
+	}
+
+	PoisonFreed(t)
 	swept, err := AllocDeviceMatrix(ctx, 8, 5, "swept")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.EndBatch()
-
-	var live []*DeviceMatrix
-	for batch := 1; batch <= 3; batch++ {
-		if batch > 1 {
-			ctx.EndBatch()
-		}
-		live = live[:0]
-		for i, cols := range []int{3, 5, 7} {
-			m, err := AllocDeviceMatrix(ctx, 8, cols, "live")
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.M.Fill(float32(10*batch + i))
-			live = append(live, m)
-		}
+	live = openBatches()
+	inUse = dev.MemInUse()
+	for _, use := range []struct {
+		name string
+		run  func()
+	}{
+		{"Free", swept.Free}, {"Geom", func() { swept.Geom() }}, {"RowAddr", func() { swept.RowAddr(0) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s on a swept handle must panic under PoisonFreed", use.name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, `"swept"`) {
+					t.Errorf("%s on a swept handle panicked with %q, want the header's label", use.name, msg)
+				}
+			}()
+			use.run()
+		}()
 	}
-	inUse := dev.MemInUse()
-	logits.Free()
-	swept.Free()
-	if got := dev.MemInUse(); got != inUse {
-		t.Fatalf("freeing stale handles moved MemInUse %d -> %d", inUse, got)
-	}
-	for i, m := range live {
-		if m.M == nil || m.M.At(7, 0) != float32(30+i) {
-			t.Fatalf("live matrix %d of the open batch was touched by a stale Free", i)
-		}
-	}
+	untouched("a Free of a swept handle", inUse, live)
 	if swept.M != nil {
-		t.Fatal("a swept handle must keep reading M == nil")
-	}
-	if logits.M == nil || logits.M.At(0, 0) != 7 {
-		t.Fatal("a detached matrix's storage is its holder's: a late Free must leave it readable")
+		t.Fatal("a swept handle must read M == nil")
 	}
 	ctx.EndBatch()
 	if got := dev.MemInUse(); got != 0 {

@@ -12,7 +12,8 @@ import (
 // the scope allocated is borrowed from the tensor pool for the same span:
 // M is valid until the matrix's Free or the scope's EndBatch, whichever is
 // first; a wrapped matrix's M is its caller's and a detached one its
-// holder's.
+// holder's. The handles themselves end with the scope, bar the one Detach
+// returns.
 
 func TestBatchScopeFreesLeftovers(t *testing.T) {
 	dev := testDevice()
@@ -20,12 +21,17 @@ func TestBatchScopeFreesLeftovers(t *testing.T) {
 
 	kept, _ := AllocDeviceMatrix(ctx, 16, 16, "kept")     // 1024 B
 	leaked, _ := AllocDeviceMatrix(ctx, 32, 16, "leaked") // 2048 B
-	wrapped, _ := WrapDeviceMatrix(ctx, tensor.New(4, 16), 0, "wrapped")
-	detached, _ := AllocDeviceMatrix(ctx, 4, 16, "detached")
-	detached.Detach()
+	host := tensor.New(4, 16)
+	wrapped, _ := WrapDeviceMatrix(ctx, host, 0, "wrapped")
+	scoped, _ := AllocDeviceMatrix(ctx, 4, 16, "detached")
+	detached := scoped.Detach()
+	if scoped.M != nil {
+		t.Fatal("Detach must move the matrix out of the scope's header")
+	}
 	wrapped.Free()
 	detached.Free()
 	kept.Free() // batch code freeing its own buffers is fine
+	kept.Free()
 	if kept.M != nil {
 		t.Fatal("Free must take a scope-owned matrix's storage back")
 	}
@@ -42,19 +48,16 @@ func TestBatchScopeFreesLeftovers(t *testing.T) {
 	}
 	// The sweep took the leaked matrix's storage with its device buffer;
 	// the wrapped and the detached matrix are not the scope's to recycle.
-	// Freeing any of them again is a no-op.
+	// Freeing the detached one again is a no-op.
 	if leaked.M != nil {
 		t.Fatal("EndBatch must take a swept matrix's storage back")
 	}
-	if len(wrapped.M.Data) != 4*16 || len(detached.M.Data) != 4*16 {
+	if len(host.Data) != 4*16 || len(detached.M.Data) != 4*16 {
 		t.Fatal("EndBatch must leave wrapped and detached host matrices readable")
 	}
-	wrapped.Free()
 	detached.Free()
-	leaked.Free()
-	kept.Free()
 	if got := dev.MemInUse(); got != 0 {
-		t.Fatalf("MemInUse %d after double free, want 0", got)
+		t.Fatalf("MemInUse %d after a late free of the detached matrix, want 0", got)
 	}
 
 	// The scope reopens by itself: the next batch is recorded too.
@@ -64,6 +67,48 @@ func TestBatchScopeFreesLeftovers(t *testing.T) {
 	ctx.EndBatch()
 	if got := dev.MemInUse(); got != 0 {
 		t.Fatalf("MemInUse %d after second EndBatch, want 0", got)
+	}
+}
+
+// TestHeaderSlabReuse: the headers a batch takes come back to its scope at
+// EndBatch and the next batch reuses them, so a warm batch of one alloc+free
+// allocates nothing — at a width whose rows straddle cache lines (12) and one whose
+// rows are whole lines (544).
+func TestHeaderSlabReuse(t *testing.T) {
+	dev := testDevice()
+	ctx := NewCtx(dev)
+	first, err := AllocDeviceMatrix(ctx, 4, 4, "first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.EndBatch()
+	again, err := AllocDeviceMatrix(ctx, 4, 4, "again")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatal("a warm AllocDeviceMatrix must reuse a header the last EndBatch swept")
+	}
+	ctx.EndBatch()
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	for _, width := range []int{12, 544} {
+		run := func() {
+			dm, err := AllocDeviceMatrix(ctx, 64, width, "warm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dm.Free()
+			ctx.EndBatch()
+		}
+		run()
+		if n := testing.AllocsPerRun(50, run); n != 0 {
+			t.Errorf("width %d: a warm AllocDeviceMatrix+Free+EndBatch allocates %.1f times, want 0", width, n)
+		}
+		if got := dev.MemInUse(); got != 0 {
+			t.Fatalf("width %d: MemInUse %d after EndBatch, want 0", width, got)
+		}
 	}
 }
 
@@ -109,7 +154,7 @@ func TestAllocDeviceMatrixFailureReturnsStorage(t *testing.T) {
 	if n := testing.AllocsPerRun(50, fail); n > 1 {
 		t.Errorf("a failing AllocDeviceMatrix allocates %.1f times, want <= 1: its storage must go back to the pool", n)
 	}
-	if len(ctx.mats) != 0 {
-		t.Errorf("a failed allocation left %d matrices recorded in the scope", len(ctx.mats))
+	if ctx.nHdr != 0 || len(ctx.bufs) != 0 {
+		t.Errorf("a failed allocation left %d headers recorded in the scope", ctx.nHdr)
 	}
 }

@@ -168,7 +168,7 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 	nTotal := res.NumVertices()
 
 	st := time.Now()
-	embed := graph.NewEmbeddingTableArena(arena, nTotal, dim)
+	embed := graph.EmbeddingTableInto(structs.TakeEmbed(), arena, nTotal, dim)
 	bd.Add(metrics.StageTransfer, time.Since(st))
 
 	// Stream chunks as they land; the K subtasks keep producing while we

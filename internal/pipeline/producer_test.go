@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"graphtensor/internal/graph"
@@ -89,13 +90,14 @@ func TestSlotReuseNoAliasingAcrossSlots(t *testing.T) {
 }
 
 // TestRingProducerAllocFlat is the leak guard of the producer pool: with a
-// warm shared slot rotation, the marginal allocations of one more
-// steady-state batch through the (synchronous) ring are a small constant —
-// epoch-length-independent, so ring-driven epoch allocs/op cannot grow with
-// the schedule. It covers both producer disciplines: the serial chain and
-// the pipelined scheduler, whose persistent subtask engine must leave no
-// per-batch dispatch allocations (no hop-done channels, semaphores or
-// subtask closures).
+// warm slot rotation, one more steady-state batch through the (synchronous)
+// ring — Next and Release — allocates nothing, so ring-driven epoch
+// allocs/op cannot grow with the schedule. It covers both producer
+// disciplines: the serial chain and the pipelined scheduler, whose
+// persistent subtask engine must leave no per-batch dispatch allocations
+// (no hop-done channels, semaphores or subtask closures). The floor of 0
+// gates at GOMAXPROCS=1; with more procs (parallel sampling runs) the
+// figure is reported only.
 func TestRingProducerAllocFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -115,30 +117,25 @@ func TestRingProducerAllocFlat(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			slots := NewSlotRing(2)
 			// A fixed dst list: shapes repeat, so steady state is pure reuse.
 			dsts := ds.BatchDsts(20, 7)
-
-			epoch := func(batches int) {
-				ring := NewRing(0, batches, slots,
-					func(int) []graph.VID { return dsts }, fx.prepare)
-				for i := 0; i < batches; i++ {
-					b, err := ring.Next()
-					if err != nil {
-						t.Fatal(err)
-					}
-					b.Release()
+			ring := NewRing(0, 100, nil, func(int) []graph.VID { return dsts }, fx.prepare)
+			defer ring.Stop()
+			step := func() {
+				b, err := ring.Next()
+				if err != nil {
+					t.Fatal(err)
 				}
-				ring.Stop()
+				b.Release()
 			}
-			epoch(4) // warm the slots and every pooled buffer
-
-			a4 := testing.AllocsPerRun(10, func() { epoch(4) })
-			a12 := testing.AllocsPerRun(10, func() { epoch(12) })
-			marginal := (a12 - a4) / 8
-			if marginal > 10 {
-				t.Errorf("steady-state producer allocates %.1f allocs per extra batch (epoch 4: %.0f, epoch 12: %.0f); want a small constant",
-					marginal, a4, a12)
+			for i := 0; i < 4; i++ { // warm both slots and every pooled buffer
+				step()
+			}
+			n := testing.AllocsPerRun(50, step)
+			if procs := runtime.GOMAXPROCS(0); procs > 1 {
+				t.Logf("GOMAXPROCS=%d: a warm Next+Release allocates %.1f times", procs, n)
+			} else if n != 0 {
+				t.Errorf("a warm Next+Release allocates %.1f times, want 0", n)
 			}
 		})
 	}

@@ -144,10 +144,7 @@ func (r *Ring) prepareInto(dsts []graph.VID, s *Slot) (*prep.Batch, error) {
 		r.slots <- s
 		return nil, err
 	}
-	b.OnRelease = func() {
-		s.Recycle(b)
-		r.slots <- s
-	}
+	s.lend(b, r.slots)
 	return b, nil
 }
 

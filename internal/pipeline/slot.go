@@ -15,11 +15,35 @@ import (
 type Slot struct {
 	Arena   *tensor.Arena
 	Structs *prep.Structs
+
+	// lent is the batch the slot is lent to and home the rotation it
+	// re-enters on that batch's Release; release, the batch's OnRelease,
+	// is built once per slot, not once per batch.
+	lent    *prep.Batch
+	home    chan *Slot
+	release func()
 }
 
 // NewSlot returns a slot with a fresh arena and structure pool.
 func NewSlot() *Slot {
-	return &Slot{Arena: tensor.NewArena(), Structs: prep.NewStructs()}
+	s := &Slot{Arena: tensor.NewArena(), Structs: prep.NewStructs()}
+	s.release = s.returnHome
+	return s
+}
+
+// lend hooks b's release to recycle the slot and send it back to home.
+func (s *Slot) lend(b *prep.Batch, home chan *Slot) {
+	s.lent, s.home = b, home
+	b.OnRelease = s.release
+}
+
+// returnHome recycles the lent batch into the slot and re-enters the
+// rotation.
+func (s *Slot) returnHome() {
+	b := s.lent
+	s.lent = nil
+	s.Recycle(b)
+	s.home <- s
 }
 
 // TensorArena returns the slot's arena (nil on a nil slot), for callers

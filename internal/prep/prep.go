@@ -155,11 +155,12 @@ func BuildLayer(coo *graph.BCOO, format Format) LayerData {
 }
 
 // Lookup gathers the embeddings of every sampled vertex into a table
-// indexed by new VID (the K task), drawn from the batch-scoped arena a (nil
-// falls back to a plain allocation).
-func Lookup(a *tensor.Arena, features *graph.EmbeddingTable, table *vidmap.Table) *graph.EmbeddingTable {
+// indexed by new VID (the K task): into the header dst (nil: a fresh one),
+// its rows drawn from the batch-scoped arena a (nil falls back to a plain
+// allocation).
+func Lookup(dst *graph.EmbeddingTable, a *tensor.Arena, features *graph.EmbeddingTable, table *vidmap.Table) *graph.EmbeddingTable {
 	vids := table.OrigSlice(0, table.Len())
-	out := graph.NewEmbeddingTableArena(a, len(vids), features.Dim)
+	out := graph.EmbeddingTableInto(dst, a, len(vids), features.Dim)
 	features.GatherInto(out, vids, 0, len(vids))
 	return out
 }
@@ -232,7 +233,7 @@ func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 	bd.Add(metrics.StageReindex, time.Since(t0))
 
 	t0 = time.Now()
-	embed := Lookup(cfg.Arena, features, res.Table)
+	embed := Lookup(st.TakeEmbed(), cfg.Arena, features, res.Table)
 	if cfg.Cache != nil {
 		batch.CacheHits, batch.CacheMisses = cfg.Cache.CountResident(res.Table.OrigSlice(0, res.Table.Len()))
 	}

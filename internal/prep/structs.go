@@ -13,8 +13,8 @@ import (
 // dense host buffers (the embedding table); Structs recycles everything
 // else the producer builds per batch: the sampler result (hash table + hop
 // edge arrays), the per-layer graph structures (reindexed COO and its
-// CSR/CSC translations) and, via the Recycler hook, the data-parallel
-// sub-batch plan.
+// CSR/CSC translations), the batch and embedding-table headers and, via the
+// Recycler hook, the data-parallel sub-batch plan.
 //
 // Lifetime discipline mirrors the arena rotation exactly: a slot's Structs
 // is handed to at most one in-flight batch; the structures it retains are
@@ -32,6 +32,7 @@ type Structs struct {
 	data   []LayerData
 	labels []int32
 	batch  *Batch
+	embed  *graph.EmbeddingTable
 	plan   Recycler
 }
 
@@ -135,6 +136,18 @@ func (s *Structs) TakeBatch() *Batch {
 	return b
 }
 
+// TakeEmbed hands the retained embedding-table header to the next batch,
+// or nil (a nil pool, or none reclaimed yet): graph.EmbeddingTableInto then
+// makes a fresh one.
+func (s *Structs) TakeEmbed() *graph.EmbeddingTable {
+	if s == nil {
+		return nil
+	}
+	e := s.embed
+	s.embed = nil
+	return e
+}
+
 // TakePlan hands the recycled sub-batch plan (a Recycler the slot reclaimed
 // from its previous batch) to the producer, or nil. The caller type-asserts
 // it back to its concrete plan type and rebuilds it in place.
@@ -152,7 +165,7 @@ func (s *Structs) TakePlan() any {
 
 // ReleaseBatch reclaims a released batch's producer structures into the
 // pool: the sampler result, the label buffer, the layer-data backing, the
-// batch header and (via Recycle) the sub-batch plan. The per-layer graph
+// batch and embedding-table headers and (via Recycle) the sub-batch plan. The per-layer graph
 // structures need no reclaiming — they are retained in the pool itself and
 // were only lent to the batch. Must only be called once the batch is dead:
 // its storage is rewritten by the slot's next checkout.
@@ -177,22 +190,23 @@ func (s *Structs) ReleaseBatch(b *Batch) {
 		s.plan = r
 	}
 	b.SubBatches = nil
-	b.Embed = nil
+	if b.Embed != nil {
+		s.embed = b.Embed
+		b.Embed = nil
+	}
 	s.batch = b
 }
 
 // buildLayerReuse reindexes one sampled hop into new-VID space and emits it
 // in the requested device format, drawing all structure storage from lb
-// (nil falls back to fresh allocations — the behavior of ReindexCOO +
+// (nil falls back to a fresh one — the behavior of ReindexCOO +
 // BuildLayer). The emitted structures are bitwise identical to the
 // allocating path.
 func buildLayerReuse(hop *sampling.Hop, table *vidmap.Table, format Format, lb *layerBuf) (LayerData, error) {
-	var coo *graph.BCOO
-	if lb != nil {
-		coo = &lb.coo
-	} else {
-		coo = &graph.BCOO{}
+	if lb == nil {
+		lb = new(layerBuf)
 	}
+	coo := &lb.coo
 	coo.NumDst, coo.NumSrc = hop.NumDst, hop.NumSrc
 	coo.Src = graph.GrowVIDs(coo.Src, len(hop.SrcOrig))
 	coo.Dst = graph.GrowVIDs(coo.Dst, len(hop.DstOrig))
@@ -212,20 +226,12 @@ func buildLayerReuse(hop *sampling.Hop, table *vidmap.Table, format Format, lb *
 	case FormatCOO:
 		return LayerData{COO: coo}, nil
 	case FormatCSR:
-		csr := &graph.BCSR{}
-		if lb != nil {
-			csr = &lb.csr
-		}
-		graph.BCOOToBCSRInto(coo, csr)
-		return LayerData{CSR: csr}, nil
+		graph.BCOOToBCSRInto(coo, &lb.csr)
+		return LayerData{CSR: &lb.csr}, nil
 	case FormatCSRCSC:
-		csr, csc := &graph.BCSR{}, &graph.BCSC{}
-		if lb != nil {
-			csr, csc = &lb.csr, &lb.csc
-		}
-		graph.BCOOToBCSRInto(coo, csr)
-		graph.BCSRToBCSCInto(csr, csc)
-		return LayerData{CSR: csr, CSC: csc}, nil
+		graph.BCOOToBCSRInto(coo, &lb.csr)
+		graph.BCSRToBCSCInto(&lb.csr, &lb.csc)
+		return LayerData{CSR: &lb.csr, CSC: &lb.csc}, nil
 	}
 	panic(fmt.Sprintf("prep: unknown format %d", int(format)))
 }
