@@ -443,15 +443,12 @@ func BenchmarkCalibrate(b *testing.B) {
 }
 
 // BenchmarkPolicyDecide is the placement policy's hot path, paid once per
-// rearrangeable layer per forward/backward pass: a memoized shape-keyed
-// lookup that must cost one hash and zero locks — and hold at exactly 0
-// allocs/op (ratcheted in CI).
+// rearrangeable layer per forward/backward pass: the fitted cost model
+// evaluated directly, zero locks — and held at exactly 0 allocs/op
+// (ratcheted in CI).
 func BenchmarkPolicyDecide(b *testing.B) {
 	pol := dkp.NewPolicy(dkp.ProfileFor(gpusim.DefaultConfig()))
 	shapes := dkp.DefaultSweep()
-	for _, d := range shapes {
-		pol.Decide(d, false, 0) // warm the memo
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,9 +6,9 @@
 // least-squares fits the *modeled* kernel times — pure functions of shape
 // and device class, never wall time — so every replica that loads the same
 // Profile makes bit-identical placement decisions by construction. Policy
-// memoizes Decide in a lock-free shape-keyed table for the hot path, and
-// Recommend derives the serving batch/delay and gradient-shard knobs from
-// the same fitted cost model.
+// answers Decide straight from the fitted coefficients, and Recommend
+// derives the serving batch/delay and gradient-shard knobs from the same
+// fitted cost model.
 package dkp
 
 // Placement is a kernel execution order for one layer.

@@ -178,9 +178,9 @@ func TestRecommendDefaults(t *testing.T) {
 	}
 }
 
-// TestPolicyMemoConsistency checks the lock-free memo never changes an
-// answer: memoized decisions equal direct computation for every probed
-// shape, under concurrent access.
+// TestPolicyMemoConsistency holds Policy.Decide to Coeffs.Decide on the
+// policy's profile for every probed shape, under concurrent callers sharing
+// one Policy.
 func TestPolicyMemoConsistency(t *testing.T) {
 	pol := NewPolicy(nil)
 	shapes := make([]Dims, 0, 64)
@@ -200,7 +200,7 @@ func TestPolicyMemoConsistency(t *testing.T) {
 					got := pol.Decide(d, false, 0)
 					want := pol.Profile().Coeffs.Decide(d, false, 0)
 					if got != want {
-						t.Errorf("memoized decision %s != direct %s for %+v", got, want, d)
+						t.Errorf("policy decision %s != direct %s for %+v", got, want, d)
 						return
 					}
 				}

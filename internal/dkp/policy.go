@@ -1,30 +1,12 @@
 package dkp
 
-import "sync/atomic"
-
 // Policy answers placement queries for one profile. Decide is a pure
-// function of the profile and the layer shape, memoized in a lock-free
-// shape-keyed table (epoch-snapshot style, like internal/cache's read
-// path): the hot path pays one hash, zero locks and zero allocations.
-// Because the function is pure, the memo is only an accelerator — a lost
-// insert race or an evicted entry recomputes the identical answer — so
-// replicas sharing a profile agree on every placement whether or not they
-// share a Policy instance. Safe for concurrent use.
+// function of the profile and the layer shape — about twenty float
+// operations on the fitted coefficients, with no table in front of them —
+// so replicas sharing a profile agree on every placement whether or not
+// they share a Policy instance. Safe for concurrent use.
 type Policy struct {
-	prof  *Profile
-	table [policySlots]atomic.Pointer[policyEntry]
-}
-
-const (
-	policySlots = 1024 // power of two
-	policyProbe = 8    // linear-probe window before computing unmemoized
-)
-
-type policyEntry struct {
-	d          Dims
-	firstLayer bool
-	weightCols int
-	p          Placement
+	prof *Profile
 }
 
 // NewPolicy builds a policy over the profile. A nil profile falls back to
@@ -43,49 +25,5 @@ func (p *Policy) Profile() *Profile { return p.prof }
 // rearrangeability gate (modes that admit no exact rewrite) stays with the
 // caller — core.Model — because it depends on layer modes, not shape.
 func (p *Policy) Decide(d Dims, firstLayer bool, weightCols int) Placement {
-	h := hashKey(d, firstLayer, weightCols)
-	for i := 0; i < policyProbe; i++ {
-		slot := &p.table[(h+uint64(i))&(policySlots-1)]
-		e := slot.Load()
-		if e == nil {
-			ne := &policyEntry{d: d, firstLayer: firstLayer, weightCols: weightCols}
-			ne.p = p.prof.Coeffs.Decide(d, firstLayer, weightCols)
-			// A lost race just means another goroutine published this or a
-			// colliding key; fall through to the full-key check either way.
-			if slot.CompareAndSwap(nil, ne) {
-				return ne.p
-			}
-			e = slot.Load()
-		}
-		if e.d == d && e.firstLayer == firstLayer && e.weightCols == weightCols {
-			return e.p
-		}
-	}
-	// Probe window exhausted by colliding shapes: compute unmemoized.
 	return p.prof.Coeffs.Decide(d, firstLayer, weightCols)
-}
-
-// hashKey is FNV-1a over the decision key's fields.
-func hashKey(d Dims, firstLayer bool, weightCols int) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime
-	}
-	mix(uint64(d.NSrc))
-	mix(uint64(d.NDst))
-	mix(uint64(d.NEdge))
-	mix(uint64(d.NFeat))
-	mix(uint64(d.NHid))
-	if firstLayer {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	mix(uint64(weightCols))
-	return h
 }

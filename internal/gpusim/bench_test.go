@@ -31,8 +31,8 @@ func BenchmarkLRUTouch(b *testing.B) {
 }
 
 // BenchmarkKernelLaunchReset times an empty launch on the default device:
-// checking 82 SM contexts out of the pool, resetting each to a cold cache
-// and returning them — the fixed cost every one of a batch's ~13 launches
+// checking a set of 82 SM contexts out of the shared free list, resetting
+// each to a cold cache and returning them — the fixed cost every one of a batch's ~13 launches
 // pays before its first access.
 func BenchmarkKernelLaunchReset(b *testing.B) {
 	d := NewDevice(DefaultConfig())

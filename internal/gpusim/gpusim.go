@@ -20,6 +20,7 @@ package gpusim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,14 +80,16 @@ type Device struct {
 	// pcie is the device's one host→device link engine (see PCIe).
 	pcie PCIe
 
-	// smMu guards kFree, the pool of finished launches. Kernel launches are
-	// frequent (one per GNN stage per batch, per shard) and each needs a
-	// header and NumSMs contexts with their cache slots; recycling them
-	// across launches, header and set as one unit, removes every allocation
-	// of a warm launch while preserving the cold-cache-per-kernel semantics
-	// (contexts are reset at checkout).
-	smMu  sync.Mutex
+	// kMu guards kFree, the device's finished Kernel headers. A launch's
+	// SM set (NumSMs contexts with their caches) is not the device's: it
+	// comes from sets, the free list every device of this shape shares, so
+	// what the simulator retains follows the number of launches open at
+	// once, not the number of modeled devices. Recycling both removes every
+	// allocation of a warm launch while preserving the cold-cache-per-kernel
+	// semantics (contexts are reset at checkout).
+	kMu   sync.Mutex
 	kFree []*Kernel
+	sets  *smSets
 
 	// dead flips once when Kill is called (fault injection): every
 	// subsequent Alloc fails with *DeviceLostError. Kernels allocate
@@ -110,10 +113,11 @@ type Device struct {
 
 // NewDevice creates a simulated device.
 func NewDevice(cfg Config) *Device {
-	if cfg.NumSMs <= 0 || cfg.CacheLineBytes <= 0 {
+	// A cache links its slots by int16 index (lruSlot).
+	if cfg.NumSMs <= 0 || cfg.CacheLineBytes <= 0 || smLines(cfg) > math.MaxInt16 {
 		panic("gpusim: invalid config")
 	}
-	d := &Device{cfg: cfg}
+	d := &Device{cfg: cfg, sets: setsFor(cfg)}
 	d.pcie.dev = d
 	return d
 }

@@ -1,6 +1,9 @@
 package gpusim
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Kernel is one simulated GPU kernel launch. Obtain per-SM contexts with
 // SM(i), record accesses from (at most) one goroutine per context, then call
@@ -9,7 +12,7 @@ import "math/bits"
 type Kernel struct {
 	dev      *Device
 	name     string
-	sms      []*SMContext
+	sms      []*SMContext // the launch's SM set; nil once finished
 	finished bool
 	st       KernelStats
 }
@@ -24,30 +27,83 @@ type KernelStats struct {
 	CacheBytes   int64
 }
 
+// smShape is what makes two devices' SM sets interchangeable: as many
+// contexts, as many cache lines per context, lines of one size.
+type smShape struct {
+	numSMs, lines int
+	lineSize      int64
+}
+
+// smSets is the process-wide free list of SM sets of one shape. Every
+// kernel starts with a cold cache, so which set a launch gets cannot change
+// a counter, and a set is the launch's only for as long as it is open: the
+// list grows to the process's peak number of concurrently open launches of
+// the shape, whatever the number of devices. It is a plain retained list,
+// not a sync.Pool, so that bound holds while the program runs and a set is
+// never rebuilt because the collector dropped it. A set pins no Device.
+type smSets struct {
+	mu   sync.Mutex
+	free [][]*SMContext
+}
+
+var (
+	smSetsMu      sync.Mutex
+	smSetsByShape = map[smShape]*smSets{}
+)
+
+// smLines is the number of cache lines of one SM of cfg.
+func smLines(cfg Config) int {
+	return max(int(cfg.CacheBytesPerSM/cfg.CacheLineBytes), 1)
+}
+
+// setsFor returns the free list every device of cfg's shape shares.
+func setsFor(cfg Config) *smSets {
+	shape := smShape{numSMs: cfg.NumSMs, lines: smLines(cfg), lineSize: cfg.CacheLineBytes}
+	smSetsMu.Lock()
+	defer smSetsMu.Unlock()
+	s := smSetsByShape[shape]
+	if s == nil {
+		s = new(smSets)
+		smSetsByShape[shape] = s
+	}
+	return s
+}
+
 // StartKernel begins a kernel launch. Each SM starts with a cold cache,
-// which matches the paper's per-kernel Nsight measurements. A launch is one
-// pooled unit — the Kernel header and a whole set of NumSMs contexts — checked
-// out of the device's recycle pool (kernels open at once hold disjoint units)
-// and returned by Finish, so a warm launch allocates nothing. The Kernel and
-// its SM(i) results must not be retained past Finish.
+// which matches the paper's per-kernel Nsight measurements. The Kernel
+// header is the device's, recycled through its own free list; the NumSMs
+// contexts are a set checked out of the free list every device of this
+// shape shares (smSets) and reset here, so a warm launch allocates nothing
+// and kernels open at once hold disjoint sets. The Kernel and its SM(i)
+// results must not be retained past Finish.
 func (d *Device) StartKernel(name string) *Kernel {
 	d.launches.Add(1)
 	var k *Kernel
-	d.smMu.Lock()
+	d.kMu.Lock()
 	if n := len(d.kFree); n > 0 {
 		k, d.kFree[n-1] = d.kFree[n-1], nil
 		d.kFree = d.kFree[:n-1]
 	}
-	d.smMu.Unlock()
+	d.kMu.Unlock()
 	if k == nil {
-		k = &Kernel{dev: d, sms: make([]*SMContext, d.cfg.NumSMs)}
+		k = &Kernel{dev: d}
+	}
+	s := d.sets
+	s.mu.Lock()
+	if n := len(s.free); n > 0 {
+		k.sms, s.free[n-1] = s.free[n-1], nil
+		s.free = s.free[:n-1]
+	}
+	s.mu.Unlock()
+	if k.sms == nil {
+		k.sms = make([]*SMContext, d.cfg.NumSMs)
 		for i := range k.sms {
 			k.sms[i] = newSMContext(d.cfg)
 		}
 	}
 	k.name, k.finished, k.st = name, false, KernelStats{}
-	// A pooled set is reset at checkout, so the counters of a finished
-	// kernel stay readable until its contexts are handed out again.
+	// A set is reset at checkout, so a launch never sees what the set's
+	// previous launch, on whichever device, left in its caches.
 	for _, sm := range k.sms {
 		sm.reset()
 	}
@@ -57,14 +113,17 @@ func (d *Device) StartKernel(name string) *Kernel {
 // NumSMs returns the number of per-kernel SM contexts.
 func (k *Kernel) NumSMs() int { return len(k.sms) }
 
-// SM returns the context of streaming multiprocessor i.
+// SM returns the context of streaming multiprocessor i. It is valid only
+// between StartKernel and Finish: Finish hands the set to the next launch of
+// any device of this shape, so never retain a context.
 func (k *Kernel) SM(i int) *SMContext { return k.sms[i] }
 
 // Finish aggregates all SM contexts into the device counters, returns the
-// launch to the device recycle pool and returns the kernel's stats. A second
-// Finish by the same holder returns the same stats and does nothing else —
-// until the next StartKernel checks the unit out again, after which the
-// handle is another launch's.
+// SM set to the shared free list and the header to the device's, and
+// returns the kernel's stats. A second Finish by the same holder returns the
+// same stats and does nothing else — until the next StartKernel on the
+// device checks the header out again, after which the handle is another
+// launch's.
 func (k *Kernel) Finish() KernelStats {
 	if k.finished {
 		return k.st
@@ -84,9 +143,14 @@ func (k *Kernel) Finish() KernelStats {
 	d.cacheHits.Add(st.CacheHits)
 	d.cacheBytes.Add(st.CacheBytes)
 	k.st, k.finished = st, true
-	d.smMu.Lock()
+	s := d.sets
+	s.mu.Lock()
+	s.free = append(s.free, k.sms)
+	s.mu.Unlock()
+	k.sms = nil
+	d.kMu.Lock()
 	d.kFree = append(d.kFree, k)
-	d.smMu.Unlock()
+	d.kMu.Unlock()
 	return st
 }
 
@@ -118,12 +182,8 @@ type SMContext struct {
 }
 
 func newSMContext(cfg Config) *SMContext {
-	lines := int(cfg.CacheBytesPerSM / cfg.CacheLineBytes)
-	if lines < 1 {
-		lines = 1
-	}
 	return &SMContext{
-		cache:    newLRUCache(lines),
+		cache:    newLRUCache(smLines(cfg)),
 		lineSize: cfg.CacheLineBytes,
 		lineMask: ^(cfg.CacheLineBytes - 1),
 	}
@@ -349,10 +409,11 @@ func (sm *SMContext) AddFLOPs(n int64) { sm.flops += n }
 // capacity below len(slots) until the next reset. Cache touches
 // are the single hottest operation of the whole simulator (every modeled
 // load funnels through here), so the implementation is index-based and
-// pointer-free: slots live in one flat slice linked by int32 indices, and
-// lookup goes through an open hash table of bucket heads chained through
-// the slots. Nothing here allocates after construction and the garbage
-// collector never traverses the structure.
+// pointer-free: slots live in one flat slice linked by int16 indices (a
+// slot is 16 bytes; NewDevice rejects a cache of more than math.MaxInt16
+// lines), and lookup goes through an open hash table of bucket heads chained
+// through the slots. Nothing here allocates after construction and the
+// garbage collector never traverses the structure.
 //
 // reset is a generation bump, not a bucket clear: a bucket word is the
 // generation it was written in above the slot index of its chain head, a
@@ -361,8 +422,9 @@ func (sm *SMContext) AddFLOPs(n int64) { sm.flops += n }
 // wraps (every 2^32 / 2^idxBits resets — 8 M at 512 lines, whose indices
 // take 9 bits) are the buckets really cleared. The stamp shares the 4-byte
 // word the bare index used to have to itself; widening the word to 8 bytes
-// was measured at +6.6…+17 % of live_heap_mb (every device retains NumSMs
-// caches), which is why it is packed.
+// was measured at +6.6…+17 % of live_heap_mb when every device retained
+// its own NumSMs caches, which is why it is packed. What a cache retains is
+// still paid once per SM of every concurrently open launch (smSets).
 type lruCache struct {
 	capacity int
 	slots    []lruSlot // slot arena, len == capacity
@@ -370,17 +432,17 @@ type lruCache struct {
 	mask     uint32
 	idxMask  uint32 // low bits of a bucket word holding the slot index
 	tag      uint32 // current generation (≥ 1), already shifted above idxMask
-	used     int32  // slots in use; slots [0,used) are resident lines
-	head     int32  // most recently used, -1 when empty
-	tail     int32  // least recently used, -1 when empty
+	used     int16  // slots in use; slots [0,used) are resident lines
+	head     int16  // most recently used, -1 when empty
+	tail     int16  // least recently used, -1 when empty
 }
 
 // lruSlot is one resident cache line: doubly linked in LRU order via
 // prev/next and singly linked in its hash bucket via hnext.
 type lruSlot struct {
 	key        int64
-	prev, next int32
-	hnext      int32
+	prev, next int16
+	hnext      int16
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -409,39 +471,41 @@ func (c *lruCache) bucket(line int64) uint32 {
 
 // chain returns the first slot of bucket b's hash chain, -1 when the bucket
 // is empty or was last written in an earlier generation.
-func (c *lruCache) chain(b uint32) int32 {
+func (c *lruCache) chain(b uint32) int {
 	x := c.buckets[b] ^ c.tag
 	if x > c.idxMask {
 		return -1
 	}
-	return int32(x)
+	return int(x)
 }
 
 // touch marks line as most recently used, inserting (and evicting the LRU
-// line if full) when absent. It returns true on hit.
+// line if full) when absent. It returns true on hit. Indices are widened to
+// int as they are loaded and narrowed only where they are stored, which
+// keeps the int16 links free on the hot path.
 func (c *lruCache) touch(line int64) bool {
 	b := c.bucket(line)
 	first := c.chain(b)
-	for i := first; i >= 0; i = c.slots[i].hnext {
+	for i := first; i >= 0; i = int(c.slots[i].hnext) {
 		if c.slots[i].key == line {
-			if c.head != i {
+			if int(c.head) != i {
 				c.listRemove(i)
 				c.pushFront(i)
 			}
 			return true
 		}
 	}
-	var idx int32
-	if c.used >= int32(c.capacity) {
+	var idx int
+	if int(c.used) >= c.capacity {
 		// Reuse the evicted LRU slot for the incoming line: unlink it from
 		// the recency list and from its hash chain.
-		idx = c.tail
+		idx = int(c.tail)
 		c.listRemove(idx)
 		eb, next := c.bucket(c.slots[idx].key), c.slots[idx].hnext
 		// A resident line's bucket was written in this generation.
-		if i := int32(c.buckets[eb] & c.idxMask); i != idx {
-			for c.slots[i].hnext != idx {
-				i = c.slots[i].hnext
+		if i := int(c.buckets[eb] & c.idxMask); i != idx {
+			for int(c.slots[i].hnext) != idx {
+				i = int(c.slots[i].hnext)
 			}
 			c.slots[i].hnext = next
 		} else if next >= 0 {
@@ -453,12 +517,12 @@ func (c *lruCache) touch(line int64) bool {
 			first = c.chain(b)
 		}
 	} else {
-		idx = c.used
+		idx = int(c.used)
 		c.used++
 	}
 	s := &c.slots[idx]
 	s.key = line
-	s.hnext = first
+	s.hnext = int16(first)
 	c.buckets[b] = c.tag | uint32(idx)
 	c.pushFront(idx)
 	return false
@@ -478,28 +542,29 @@ func (c *lruCache) reset() {
 	c.capacity = len(c.slots)
 }
 
-func (c *lruCache) pushFront(idx int32) {
+func (c *lruCache) pushFront(idx int) {
 	s := &c.slots[idx]
 	s.prev = -1
 	s.next = c.head
-	if c.head >= 0 {
-		c.slots[c.head].prev = idx
+	if h := int(c.head); h >= 0 {
+		c.slots[h].prev = int16(idx)
 	}
-	c.head = idx
+	c.head = int16(idx)
 	if c.tail < 0 {
-		c.tail = idx
+		c.tail = int16(idx)
 	}
 }
 
-func (c *lruCache) listRemove(idx int32) {
+func (c *lruCache) listRemove(idx int) {
 	s := &c.slots[idx]
-	if s.prev >= 0 {
-		c.slots[s.prev].next = s.next
+	prev, next := int(s.prev), int(s.next)
+	if prev >= 0 {
+		c.slots[prev].next = s.next
 	} else {
 		c.head = s.next
 	}
-	if s.next >= 0 {
-		c.slots[s.next].prev = s.prev
+	if next >= 0 {
+		c.slots[next].prev = s.prev
 	} else {
 		c.tail = s.prev
 	}

@@ -7,7 +7,8 @@ import (
 )
 
 // TestLaunchAllocFree: on a warm Ctx a launch allocates nothing — the Kernel
-// header and its SM set come back from the device pool, the trace pass is a
+// header comes back from the device's free list and its SM set from the one
+// devices of its shape share (gpusim.smSets), the trace pass is a
 // top-level per-SM body reading the Ctx's argument block, and the dispatch
 // is the Ctx's own. Dense and sparse trace passes alike, at a width whose
 // rows straddle cache lines (12) and one whose rows are whole lines (544).
