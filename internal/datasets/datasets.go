@@ -131,12 +131,11 @@ func Generate(name string, sc Scale) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromSpec(spec, sc), nil
+	return fromSpec(spec, sc), nil
 }
 
-// FromSpec builds a dataset from an explicit spec (exported so tests can
-// construct edge cases).
-func FromSpec(spec Spec, sc Scale) *Dataset {
+// fromSpec builds the dataset of an explicit spec at the given scale.
+func fromSpec(spec Spec, sc Scale) *Dataset {
 	v := spec.Vertices / sc.VertexDivisor
 	// Floor small graphs so sampling does not saturate the whole graph,
 	// then honor the caps.

@@ -33,10 +33,10 @@ func PaperProfile() *Profile {
 	return &Profile{Class: "paper-rtx3090", Coeffs: PaperCoeffs()}
 }
 
-// DeviceClass derives the profile key from the device-class parameters the
+// deviceClass derives the profile key from the device-class parameters the
 // modeled kernel times depend on: SM count and cache geometry (the
 // KernelTimeModel rates are fixed per build).
-func DeviceClass(cfg gpusim.Config) string {
+func deviceClass(cfg gpusim.Config) string {
 	return fmt.Sprintf("sm%d-cache%d-line%d", cfg.NumSMs, cfg.CacheBytesPerSM, cfg.CacheLineBytes)
 }
 
@@ -49,7 +49,7 @@ var (
 // running Calibrate on first use and memoizing per class. A failed or
 // rejected calibration falls back to PaperCoeffs — never a zero profile.
 func ProfileFor(cfg gpusim.Config) *Profile {
-	class := DeviceClass(cfg)
+	class := deviceClass(cfg)
 	profMu.Lock()
 	defer profMu.Unlock()
 	if p, ok := profCache[class]; ok {
@@ -122,7 +122,7 @@ func Calibrate(cfg gpusim.Config) (*Profile, error) {
 	if _, err := sweep(cfg, DefaultSweep(), rec); err != nil {
 		return nil, err
 	}
-	p := &Profile{Class: DeviceClass(cfg), Coeffs: PaperCoeffs()}
+	p := &Profile{Class: deviceClass(cfg), Coeffs: PaperCoeffs()}
 	c, fitErr, err := rec.fit(p.Coeffs)
 	if err != nil {
 		return nil, err

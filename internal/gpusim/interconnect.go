@@ -157,7 +157,7 @@ type Interconnect struct {
 	// degradeFactor × bandwidth with degradeExtraNs added to every hop
 	// while a chaos plan declares a degradation window. Stored as atomics
 	// so the batch-boundary writer never races concurrent device workers
-	// reading Network(). Zero degradeFactor bits mean healthy (factor 1).
+	// reading network(). Zero degradeFactor bits mean healthy (factor 1).
 	degradeFactor  atomic.Uint64
 	degradeExtraNs atomic.Int64
 }
@@ -186,12 +186,12 @@ func (ic *Interconnect) linkParams() (bw, latNs float64) {
 	return bw, latNs
 }
 
-// Network resolves the effective inter-node tier parameters (zero-valued
+// network resolves the effective inter-node tier parameters (zero-valued
 // config fields fall back to DefaultNetworkLink), with any active link
 // degradation applied: bandwidth scaled down by the degradation factor and
 // the extra per-hop latency added. Degradation shapes modeled time only —
 // collective results and fold order never see it.
-func (ic *Interconnect) Network() NetworkLink {
+func (ic *Interconnect) network() NetworkLink {
 	net := ic.cfg.Network
 	def := DefaultNetworkLink()
 	if net.BytesPerSec <= 0 {
@@ -302,7 +302,7 @@ func (ic *Interconnect) AllReduceTiers(bytes int64, n int, pinned bool) (intra, 
 	}
 	nodes := (n + p - 1) / p
 	intra = time.Duration(ic.ringNs(bytes, p, pinned))
-	net := ic.Network()
+	net := ic.network()
 	chunk := float64(bytes) / float64(nodes)
 	inter = time.Duration(float64(2*(nodes-1)) * (net.HopLatencyNs + chunk/net.BytesPerSec*1e9))
 	ic.intraNs.Add(int64(intra))
@@ -328,7 +328,7 @@ func (ic *Interconnect) InterScatter(bytes int64, hops int) time.Duration {
 	if hops < 0 {
 		hops = 0
 	}
-	net := ic.Network()
+	net := ic.network()
 	d := time.Duration(float64(hops)*net.HopLatencyNs + float64(bytes)/net.BytesPerSec*1e9)
 	ic.interNs.Add(int64(d))
 	ic.interBytes.Add(bytes)
@@ -348,7 +348,7 @@ func (ic *Interconnect) Broadcast(bytes int64, crossNode, pinned bool) time.Dura
 		return 0
 	}
 	if crossNode {
-		net := ic.Network()
+		net := ic.network()
 		d := time.Duration(net.HopLatencyNs + float64(bytes)/net.BytesPerSec*1e9)
 		ic.interNs.Add(int64(d))
 		ic.interBytes.Add(bytes)

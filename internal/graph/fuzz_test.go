@@ -225,3 +225,73 @@ func TestBipartiteTranslationsMatchReference(t *testing.T) {
 		t.Fatal("no sampled input reached the parallel-sort threshold")
 	}
 }
+
+// decodeCOO is decodeBCOO on one vertex set: n vertices on both sides, so
+// an edge may be a self-loop.
+func decodeCOO(n, scale uint8, edges []byte) *COO {
+	b := decodeBCOO(n, n, scale, edges)
+	return &COO{NumVertices: int(n), Src: b.Src, Dst: b.Dst}
+}
+
+// checkCOOToCSR holds COOToCSR to the serial stable sort by dst and its
+// result to Validate. The input is never written.
+func checkCOOToCSR(t *testing.T, g *COO) {
+	t.Helper()
+	src, dst := slices.Clone(g.Src), slices.Clone(g.Dst)
+	ptr, srcs := refSortByKey(g.Dst, g.Src, g.NumVertices)
+	csr, _ := COOToCSR(g)
+	if csr.NumVertices != g.NumVertices || !slices.Equal(csr.Ptr, ptr) || !slices.Equal(csr.Srcs, srcs) {
+		t.Fatalf("COOToCSR of %d edges (%d vertices): got %d vertices ptr %v srcs %v, reference ptr %v srcs %v",
+			g.NumEdges(), g.NumVertices, csr.NumVertices, head(csr.Ptr), head(csr.Srcs), head(ptr), head(srcs))
+	}
+	if err := csr.Validate(); err != nil {
+		t.Fatalf("COOToCSR: %v", err)
+	}
+	if !slices.Equal(g.Src, src) || !slices.Equal(g.Dst, dst) {
+		t.Fatal("COOToCSR wrote its input edge list")
+	}
+}
+
+// FuzzUnipartiteCOOToCSR: whatever the edge list — empty, self-loops,
+// duplicate edges, isolated vertices, on either side of the parallel-sort
+// threshold — the unipartite COO→CSR translation equals the serial stable
+// sort and validates. The committed corpus (testdata/fuzz) holds one input
+// of each.
+func FuzzUnipartiteCOOToCSR(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n, scale uint8, edges []byte) {
+		checkCOOToCSR(t, decodeCOO(n, scale, edges))
+	})
+}
+
+// TestUnipartiteCOOToCSRMatchesReference is the fuzz target's property on a
+// fixed sample of its input space, for tier-1: the corner cases by name,
+// random inputs and one large pseudo-random graph, every one at one worker
+// and at four, on either side of the parallel-sort threshold.
+func TestUnipartiteCOOToCSRMatchesReference(t *testing.T) {
+	graphs := []*COO{
+		decodeCOO(0, 0, nil),
+		decodeCOO(4, 0, []byte{0, 0, 1, 1, 2, 2, 3, 3, 1, 1}), // self-loops
+		decodeCOO(5, 0, []byte{1, 2, 1, 2, 1, 2, 4, 0, 4, 0}), // duplicates
+		decodeCOO(200, 0, []byte{3, 7, 9, 7, 150, 60}),        // mostly isolated
+		decodeCOO(37, scaleUp+12, []byte{9, 3, 0, 6, 4, 1, 3, 0, 2, 5, 1, 4}),
+	}
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 60; trial++ {
+		edges := make([]byte, 2*rng.Intn(40))
+		rng.Read(edges)
+		scale := uint8(rng.Intn(256))
+		if trial%6 == 0 {
+			scale = scaleUp + 10 + uint8(rng.Intn(4)) // past the parallel-sort threshold
+		}
+		graphs = append(graphs, decodeCOO(uint8(rng.Intn(70)), scale, edges))
+	}
+	big := bigBCOO(2*parSortMinEdges, 900, 900)
+	graphs = append(graphs, &COO{NumVertices: 900, Src: big.Src, Dst: big.Dst})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, g := range graphs {
+			checkCOOToCSR(t, g)
+		}
+	}
+}

@@ -53,22 +53,6 @@ func TestParallelTranslationMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelUnipartiteTranslationMatchesSerial covers the unipartite
-// COO→CSR translation with the same bitwise requirement.
-func TestParallelUnipartiteTranslationMatchesSerial(t *testing.T) {
-	b := bigBCOO(2*parSortMinEdges, 900, 900)
-	g := &COO{NumVertices: 900, Src: b.Src, Dst: b.Dst}
-
-	prev := runtime.GOMAXPROCS(1)
-	serialCSR, _ := COOToCSR(g)
-	runtime.GOMAXPROCS(8)
-	parCSR, _ := COOToCSR(g)
-	runtime.GOMAXPROCS(prev)
-
-	requireSameI32(t, "CSR.Ptr", serialCSR.Ptr, parCSR.Ptr)
-	requireSameI32(t, "CSR.Srcs", serialCSR.Srcs, parCSR.Srcs)
-}
-
 func requireSameI32(t *testing.T, name string, a, b []int32) {
 	t.Helper()
 	if len(a) != len(b) {

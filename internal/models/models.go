@@ -91,9 +91,9 @@ func SAGEPoolModes() kernels.Modes {
 	return kernels.Modes{F: kernels.AggrMax, G: kernels.WeightNone, H: kernels.CombineIdentity}
 }
 
-// SAGEPool builds a GraphSAGE max-pooling model (extension): the engine
+// sagePool builds a GraphSAGE max-pooling model (extension): the engine
 // routes its non-linear aggregation through the dedicated pool kernel.
-func SAGEPool(p Params) (*core.Model, error) { return p.build(SAGEPoolModes()) }
+func sagePool(p Params) (*core.Model, error) { return p.build(SAGEPoolModes()) }
 
 // ByName builds a model from its lowercase name ("gcn", "ngcf",
 // "graphsage", "gat").
@@ -108,7 +108,7 @@ func ByName(name string, p Params) (*core.Model, error) {
 	case "gat":
 		return GAT(p)
 	case "sagepool":
-		return SAGEPool(p)
+		return sagePool(p)
 	}
 	return nil, fmt.Errorf("models: unknown model %q (want gcn|ngcf|graphsage|gat|sagepool)", name)
 }
