@@ -3,22 +3,17 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/fault"
 	"graphtensor/internal/frameworks"
-	"graphtensor/internal/graph"
 	"graphtensor/internal/serve"
 	"graphtensor/internal/train"
 )
-
-func init() {
-	register("chaos", "Fault injection: replica failover, device death, crash/restore — all bitwise", runChaos)
-}
 
 // runChaos is the chaos-engineering acceptance run: seeded fault plans kill
 // serving replicas mid-batch, kill training devices mid-run and crash a
@@ -26,30 +21,23 @@ func init() {
 // identical to its fault-free reference. A DIFF is returned as an error so
 // CI fails loudly — fault tolerance that changes numerics is a silent
 // correctness bug, not a degraded mode.
-func runChaos(cfg Config) (*Result, error) {
+func runChaos(cfg Config) (string, error) {
 	var sb strings.Builder
-	ds, err := loadDataset(cfg, "products")
+	ds, err := loadDataset("products")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 
 	// --- Serving: replica failover under a seeded kill schedule. ---
-	tr, err := newTrainer(cfg, frameworks.PreproGT, ds, "gcn")
+	tr, err := servingTrainer(cfg, ds)
 	if err != nil {
-		return nil, err
-	}
-	if _, _, err := tr.TrainEpoch(cfg.batches(6)); err != nil {
-		return nil, err
+		return "", err
 	}
 	nQueries := 48
 	if cfg.Quick {
 		nQueries = 24
 	}
-	const querySize = 16
-	queries := make([][]graph.VID, nQueries)
-	for q := range queries {
-		queries[q] = ds.BatchDsts(querySize, uint64(70_000+q))
-	}
+	queries := queryDsts(ds, nQueries, 70_000)
 
 	fmt.Fprintf(&sb, "%-26s %5s %6s %9s %8s %7s %7s\n",
 		"serving config", "nrep", "dead", "failovers", "rejoins", "p99", "logits")
@@ -73,115 +61,91 @@ func runChaos(cfg Config) (*Result, error) {
 		scfg := serve.DefaultConfig()
 		scfg.Replicas = k.replicas
 		scfg.FaultPlan = k.plan
-		sums, res, _, err := serveAll(tr, scfg, queries, true)
+		run, err := serveAll(tr, scfg, queries, true)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		verdict := "ref"
+		v := "ref"
 		if k.plan == nil {
-			refSums = sums
+			refSums = run.sums
 		} else {
-			verdict = "exact"
-			for q := range sums {
-				if sums[q] != refSums[q] {
-					verdict = "DIFF"
-				}
-			}
+			v = verdict(slices.Equal(run.sums, refSums))
 		}
 		fmt.Fprintf(&sb, "%-26s %5d %6d %9d %8d %7s %7s\n",
-			k.label, k.replicas, res.st.DeadReplicas, res.st.FailedOver, res.st.Rejoined,
-			res.st.Latency.P99.Round(10_000), verdict)
-		if verdict == "DIFF" {
-			return nil, fmt.Errorf("chaos: serving logits diverged under failover (%s)\nresolved fault schedule:\n%s",
+			k.label, k.replicas, run.st.DeadReplicas, run.st.FailedOver, run.st.Rejoined,
+			run.st.Latency.P99.Round(10_000), v)
+		if v == "DIFF" {
+			return "", fmt.Errorf("chaos: serving logits diverged under failover (%s)\nresolved fault schedule:\n%s",
 				k.label, k.plan.Describe(nQueries, k.replicas))
 		}
 	}
 	sb.WriteByte('\n')
 
-	// --- Training: device death mid-run shrinks the group bitwise. ---
+	// --- Training: device death mid-run shrinks the group bitwise; on the
+	// hierarchical fabric a whole node dies at one boundary, a degradation
+	// window slows the modeled network, and the dead node's devices rejoin
+	// (weight snapshot reinstalled over a modeled cross-node broadcast).
+	// Still bitwise vs the 1-device run.
 	nBatches := cfg.batches(6)
 	refW, _, err := chaosTrainRun(cfg, ds, 1, 0, nBatches, nil)
 	if err != nil {
-		return nil, err
-	}
-	killW, killTr, err := chaosTrainRun(cfg, ds, 2, 0, nBatches, fault.Schedule().Kill(1, 1))
-	if err != nil {
-		return nil, err
+		return "", err
 	}
 	fmt.Fprintf(&sb, "%-26s %8s %6s %8s %8s %8s\n", "training config", "devices", "dead", "retries", "rejoins", "weights")
 	fmt.Fprintf(&sb, "%-26s %8d %6d %8s %8s %8s\n", "fault-free reference", 1, 0, "-", "-", "ref")
-	verdict := "exact"
-	if killW != refW {
-		verdict = "DIFF"
-	}
-	g := killTr.Group()
-	fmt.Fprintf(&sb, "%-26s %8d %6d %8d %8d %8s\n",
-		"kill device 1 @ batch 1", 2, g.DeadDevices(), g.Retries(), g.Rejoined(), verdict)
-	if verdict == "DIFF" {
-		return nil, fmt.Errorf("chaos: training trajectory diverged after device death")
-	}
-
-	// --- Training: fault domains on the hierarchical fabric — a whole node
-	// dies at one boundary, a degradation window slows the modeled network,
-	// and the dead node's devices rejoin (weight snapshot reinstalled over a
-	// modeled cross-node broadcast). Still bitwise vs the 1-device run.
-	rejoinStep := 3 // after one re-noded batch; earlier when the run is short
-	if rejoinStep >= nBatches {
-		rejoinStep = nBatches - 1
-	}
-	nodePlan := fault.Schedule().
-		KillNode(1, 1).
-		Rejoin(2, rejoinStep).Rejoin(3, rejoinStep).
-		DegradeLink(rejoinStep-1, 1, 0.5, time.Millisecond)
-	nodeW, nodeTr, err := chaosTrainRun(cfg, ds, 4, 2, nBatches, nodePlan)
-	if err != nil {
-		return nil, err
-	}
-	verdict = "exact"
-	if nodeW != refW {
-		verdict = "DIFF"
-	}
-	g = nodeTr.Group()
-	fmt.Fprintf(&sb, "%-26s %8s %6d %8d %8d %8s\n",
-		"kill node 1 + rejoin both", "4(2/nd)", g.DeadDevices(), g.Retries(), g.Rejoined(), verdict)
-	if verdict == "DIFF" {
-		return nil, fmt.Errorf("chaos: trajectory diverged under node kill + link degrade + rejoin\nresolved fault schedule:\n%s",
-			nodePlan.Describe(nBatches, 4))
+	rejoinStep := min(3, nBatches-1) // after one re-noded batch; earlier when the run is short
+	for _, r := range []struct {
+		label, devices string
+		nDev, perNode  int
+		plan           *fault.Plan
+	}{
+		{"kill device 1 @ batch 1", "2", 2, 0, fault.Schedule().Kill(1, 1)},
+		{"kill node 1 + rejoin both", "4(2/nd)", 4, 2, fault.Schedule().KillNode(1, 1).
+			Rejoin(2, rejoinStep).Rejoin(3, rejoinStep).DegradeLink(rejoinStep-1, 1, 0.5, time.Millisecond)},
+	} {
+		w, tr, err := chaosTrainRun(cfg, ds, r.nDev, r.perNode, nBatches, r.plan)
+		if err != nil {
+			return "", err
+		}
+		g := tr.Group()
+		fmt.Fprintf(&sb, "%-26s %8s %6d %8d %8d %8s\n",
+			r.label, r.devices, g.DeadDevices(), g.Retries(), g.Rejoined(), verdict(w == refW))
+		if w != refW {
+			return "", fmt.Errorf("chaos: training trajectory diverged (%s)\nresolved fault schedule:\n%s",
+				r.label, r.plan.Describe(nBatches, r.nDev))
+		}
 	}
 
 	// --- Training: crash after a checkpoint, resume on fewer devices. ---
 	dir, err := os.MkdirTemp("", "gt-chaos-ckpt")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer os.RemoveAll(dir)
 	half := (nBatches + 1) / 2
 	crashed, err := chaosTrainer(cfg, ds, 2, 0, nil)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	dcfg := train.Config{Epochs: 1, BatchesPerEpoch: half, LearningRate: 0.05,
 		CheckpointDir: dir, CheckpointEvery: half}
 	if _, err := train.NewDriver(crashed, dcfg, nil).Run(); err != nil {
-		return nil, err
+		return "", err
 	}
 	resumed, err := chaosTrainer(cfg, ds, 1, 0, nil)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	dcfg = train.Config{Epochs: 1, BatchesPerEpoch: nBatches, LearningRate: 0.05,
 		CheckpointDir: dir, CheckpointEvery: nBatches, Resume: true}
 	if _, err := train.NewDriver(resumed, dcfg, nil).Run(); err != nil {
-		return nil, err
+		return "", err
 	}
-	verdict = "exact"
-	if weightSum(resumed) != refW {
-		verdict = "DIFF"
-	}
+	resumedW := weightSum(resumed)
 	fmt.Fprintf(&sb, "%-26s %8s %6s %8s %8s %8s\n",
-		fmt.Sprintf("crash@%d, resume on 1 dev", half), "2->1", "-", "-", "-", verdict)
-	if verdict == "DIFF" {
-		return nil, fmt.Errorf("chaos: crash-resumed trajectory diverged from uninterrupted run")
+		fmt.Sprintf("crash@%d, resume on 1 dev", half), "2->1", "-", "-", "-", verdict(resumedW == refW))
+	if resumedW != refW {
+		return "", fmt.Errorf("chaos: crash-resumed trajectory diverged from uninterrupted run")
 	}
 
 	sb.WriteString("\nEvery fault is drawn from a seeded plan — a pure function of\n" +
@@ -193,7 +157,7 @@ func runChaos(cfg Config) (*Result, error) {
 		"degradation scales modeled network time only — so the logits and the\n" +
 		"training trajectory must equal the fault-free reference bit for bit; a\n" +
 		"DIFF fails the experiment and prints the plan's resolved schedule.\n")
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }
 
 // chaosTrainer builds the data-parallel trainer the chaos training rows
@@ -201,14 +165,10 @@ func runChaos(cfg Config) (*Result, error) {
 // device count), optionally on a hierarchical fabric (devsPerNode > 0) and
 // optionally carrying a fault plan into the device group.
 func chaosTrainer(cfg Config, ds *datasets.Dataset, nDev, devsPerNode int, plan *fault.Plan) (*frameworks.Trainer, error) {
-	opt := frameworks.DefaultOptions()
-	opt.Device = cfg.device()
+	opt := trainerOptions(cfg, "gcn")
 	opt.NumDevices = nDev
 	opt.DevicesPerNode = devsPerNode
 	opt.FaultPlan = plan
-	if cfg.Quick {
-		opt.BatchSize = 100
-	}
 	return frameworks.New(frameworks.BaseGT, ds, opt)
 }
 
@@ -229,14 +189,16 @@ func chaosTrainRun(cfg Config, ds *datasets.Dataset, nDev, devsPerNode, nBatches
 func weightSum(tr *frameworks.Trainer) uint64 {
 	h := fnv.New64a()
 	for _, l := range tr.Model.Layers {
-		for _, v := range l.W.Data {
-			bits := math.Float32bits(v)
-			h.Write([]byte{byte(bits), byte(bits >> 8), byte(bits >> 16), byte(bits >> 24)})
-		}
-		for _, v := range l.B {
-			bits := math.Float32bits(v)
-			h.Write([]byte{byte(bits), byte(bits >> 8), byte(bits >> 16), byte(bits >> 24)})
-		}
+		hashFloats(h, l.W.Data)
+		hashFloats(h, l.B)
 	}
 	return h.Sum64()
+}
+
+// verdict is a faulted run's column against its fault-free reference.
+func verdict(same bool) string {
+	if same {
+		return "exact"
+	}
+	return "DIFF"
 }

@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"graphtensor/internal/dkp"
+	"graphtensor/internal/gpusim"
 )
-
-func init() {
-	register("dkpfit", "DKP v2: offline cost-model fit + placement policy vs pinned orders", runDKPFit)
-}
 
 // runDKPFit exercises the offline DKP calibration end to end: fit the cost
 // model from modeled kernel times over the calibration sweep, then replay
@@ -20,16 +17,16 @@ func init() {
 // better pinned order on any shape and must strictly beat pinned
 // aggregation-first somewhere; a violation is an error so regressions in
 // the fit or the decision rule fail loudly.
-func runDKPFit(cfg Config) (*Result, error) {
-	dev := cfg.device()
+func runDKPFit(Config) (string, error) {
+	dev := gpusim.DefaultConfig()
 	prof, err := dkp.Calibrate(dev)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	pol := dkp.NewPolicy(prof)
 	costs, err := dkp.MeasurePlacements(dev, dkp.DefaultSweep())
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 
 	var sb strings.Builder
@@ -45,16 +42,11 @@ func runDKPFit(cfg Config) (*Result, error) {
 		if choice == dkp.CombFirst {
 			tPol = sc.CombFirst
 		}
-		best := sc.AggrFirst
-		if sc.CombFirst < best {
-			best = sc.CombFirst
-		}
+		best := min(sc.AggrFirst, sc.CombFirst)
 		totAggr += sc.AggrFirst
 		totComb += sc.CombFirst
 		totPol += tPol
-		if tPol < sc.AggrFirst {
-			beatsAggr = true
-		}
+		beatsAggr = beatsAggr || tPol < sc.AggrFirst
 		if tPol > best {
 			violations = append(violations,
 				fmt.Sprintf("shape %+v: policy chose %s (%v) but %v was available", sc.Dims, choice, tPol, best))
@@ -68,12 +60,12 @@ func runDKPFit(cfg Config) (*Result, error) {
 	fmt.Fprintf(&sb, "derived defaults: serving MaxBatch=%d MaxDelay=%v, group GradShards=%d\n",
 		rec.MaxBatch, rec.MaxDelay, rec.GradShards)
 	if len(violations) > 0 {
-		return nil, fmt.Errorf("dkpfit: policy worse than best pinned order on %d shape(s):\n  %s",
+		return "", fmt.Errorf("dkpfit: policy worse than best pinned order on %d shape(s):\n  %s",
 			len(violations), strings.Join(violations, "\n  "))
 	}
 	if !beatsAggr {
-		return nil, fmt.Errorf("dkpfit: policy never strictly beat pinned aggregation-first over the sweep")
+		return "", fmt.Errorf("dkpfit: policy never strictly beat pinned aggregation-first over the sweep")
 	}
 	sb.WriteString("policy matched the better pinned order on every shape and strictly beat aggr-first on at least one.\n")
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }

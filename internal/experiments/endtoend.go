@@ -10,77 +10,28 @@ import (
 	"graphtensor/internal/pipeline"
 )
 
-func init() {
-	register("fig19", "Fig 19: end-to-end latency across frameworks (incl. preprocessing)", runFig19)
-	register("fig20", "Fig 20: preprocessing timeline, Prepro-GT vs prior scheduling", runFig20)
-}
-
-// e2eFrameworks is the comparison set of Fig 19.
-var e2eFrameworks = []frameworks.Kind{
-	frameworks.DGL, frameworks.PyGMT, frameworks.SALIENT, frameworks.DynamicGT, frameworks.PreproGT,
-}
-
-// runFig19 measures end-to-end training latency — preprocessing included,
-// with each framework's own overlap discipline — normalized to Dynamic-GT
-// as in the paper.
-func runFig19(cfg Config) (*Result, error) {
-	var sb strings.Builder
-	for _, model := range []string{"gcn", "ngcf"} {
-		fmt.Fprintf(&sb, "--- %s (normalized end-to-end latency, Dynamic-GT = 100) ---\n", strings.ToUpper(model))
-		fmt.Fprintf(&sb, "%-12s", "dataset")
-		for _, k := range e2eFrameworks {
-			fmt.Fprintf(&sb, "%12s", k)
+// fig19 measures end-to-end training latency — preprocessing included, with
+// each framework's own overlap discipline — normalized to Dynamic-GT as in
+// the paper.
+var fig19 = versus{
+	what: "end-to-end latency",
+	kinds: []frameworks.Kind{
+		frameworks.DGL, frameworks.PyGMT, frameworks.SALIENT, frameworks.DynamicGT, frameworks.PreproGT,
+	},
+	base: frameworks.DynamicGT,
+	measure: func(cfg Config, tr *frameworks.Trainer) (time.Duration, error) {
+		if tr.Kind == frameworks.DynamicGT || tr.Kind == frameworks.PreproGT {
+			if err := tr.Warmup(1); err != nil {
+				return 0, err
+			}
 		}
-		sb.WriteByte('\n')
-		for _, name := range allSets(cfg) {
-			ds, err := loadDataset(cfg, name)
-			if err != nil {
-				return nil, err
-			}
-			n := cfg.batches(4)
-			wall := map[frameworks.Kind]time.Duration{}
-			oom := map[frameworks.Kind]bool{}
-			for _, k := range e2eFrameworks {
-				tr, err := newTrainer(cfg, k, ds, model)
-				if err != nil {
-					return nil, err
-				}
-				if k == frameworks.DynamicGT || k == frameworks.PreproGT {
-					if err := tr.Warmup(1); err != nil {
-						if _, isOOM := unwrapOOM(err); isOOM {
-							oom[k] = true
-							continue
-						}
-						return nil, err
-					}
-				}
-				d, err := tr.SimulatedEpoch(n)
-				if err != nil {
-					if _, isOOM := unwrapOOM(err); isOOM {
-						oom[k] = true
-						continue
-					}
-					return nil, fmt.Errorf("%s/%s/%s: %w", name, model, k, err)
-				}
-				wall[k] = d / time.Duration(n)
-			}
-			base := wall[frameworks.DynamicGT]
-			fmt.Fprintf(&sb, "%-12s", name)
-			for _, k := range e2eFrameworks {
-				if oom[k] {
-					fmt.Fprintf(&sb, "%12s", "OOM")
-					continue
-				}
-				fmt.Fprintf(&sb, "%12.1f", 100*float64(wall[k])/float64(base))
-			}
-			sb.WriteByte('\n')
-		}
-		sb.WriteByte('\n')
-	}
-	sb.WriteString("Paper: SALIENT cuts end-to-end latency 19.7% (light) / 51.1% (heavy)\n")
-	sb.WriteString("below DGL/PyG-MT; Prepro-GT is a further 1.7x below Dynamic-GT on\n")
-	sb.WriteString("average (2.4x vs the multi-threaded baselines overall).\n")
-	return &Result{Text: sb.String()}, nil
+		n := cfg.batches(4)
+		d, err := tr.SimulatedEpoch(n)
+		return d / time.Duration(n), err
+	},
+	footer: "Paper: SALIENT cuts end-to-end latency 19.7% (light) / 51.1% (heavy)\n" +
+		"below DGL/PyG-MT; Prepro-GT is a further 1.7x below Dynamic-GT on\n" +
+		"average (2.4x vs the multi-threaded baselines overall).\n",
 }
 
 // runFig20 traces the modeled preprocessing timeline (per-task completion)
@@ -89,22 +40,22 @@ func runFig19(cfg Config) (*Result, error) {
 // times are the pipeline cost model's schedule (PrepCostModel.Schedule),
 // which places K overlapping the tail of S and T streaming behind K on
 // pinned buffers.
-func runFig20(cfg Config) (*Result, error) {
+func runFig20(cfg Config) (string, error) {
 	var sb strings.Builder
 	var shortenings []float64
 	cm := pipeline.DefaultPrepCostModel()
 	for _, name := range []string{"products", "wiki-talk"} {
-		ds, err := loadDataset(cfg, name)
+		ds, err := loadDataset(name)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		tr, err := newTrainer(cfg, frameworks.PreproGT, ds, "gcn")
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		b, err := tr.Prepare(ds.BatchDsts(tr.Opt.BatchSize, 1), nil)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		// Task times are shared up to the transfer buffers (prior: serial
 		// chain with hash contention, pageable; Prepro-GT: pinned); the
@@ -133,5 +84,5 @@ func runFig20(cfg Config) (*Result, error) {
 	sb.WriteString("Paper: Prepro-GT's sampling/reindexing complete later (cores shared)\n")
 	sb.WriteString("but lookup and transfer finish 14.9%/48.5% earlier; light graphs gain\n")
 	sb.WriteString("less because sampling bounds their pipeline.\n")
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,24 +21,15 @@ func quickCfg() Config {
 	return c
 }
 
-// hostClock names the experiments whose output carries a host-clock column
-// (wall time of this box, or a real mutex under real goroutines) and so does
-// not repeat: each is held to its layout (testdata/<id>.layout). Every other
-// experiment reads counters, memory and the modeled clock, prints the same
-// bytes on every run at any GOMAXPROCS, and its transcript under testdata/ is
-// its test.
-var hostClock = map[string]bool{
-	"fig14": true, "fig16": true, "serving": true, "abl-contention": true, "abl-translation": true,
-	"chaos": true, "fig12b": true,
-}
-
 // TestAllExperimentsRun runs every registered experiment at quick scale: each
-// must produce non-empty output without error, and each deterministic one
-// must print its committed transcript byte for byte (regenerate with -update,
-// for a change that names the figure it moves).
+// must produce non-empty output without error. A modeled one must print its
+// committed transcript byte for byte; a host-clock one, whose numbers move
+// from run to run, must print its committed layout (regenerate either with
+// -update, for a change that names the figure it moves).
 func TestAllExperimentsRun(t *testing.T) {
 	cfg := quickCfg()
-	for _, id := range IDs() {
+	for _, e := range registry {
+		id := e.id
 		t.Run(id, func(t *testing.T) {
 			res, err := Run(id, cfg)
 			if err != nil {
@@ -50,7 +42,7 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Errorf("result id %q != %q", res.ID, id)
 			}
 			path, got := filepath.Join("testdata", id+".txt"), res.Text
-			if hostClock[id] {
+			if e.clock == host {
 				path, got = filepath.Join("testdata", id+".layout"), layout(res.Text)
 			}
 			if *update {
@@ -179,14 +171,19 @@ func TestFig8DegreeRatioAboveOne(t *testing.T) {
 }
 
 func TestIDsStable(t *testing.T) {
-	a := IDs()
-	b := IDs()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Error("IDs() not stable")
+	ids := IDs()
+	if !slices.Equal(ids, IDs()) {
+		t.Error("IDs() not stable")
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			t.Errorf("IDs() not sorted without duplicates: %q before %q", ids[i-1], ids[i])
 		}
 	}
-	if len(a) < 10 {
-		t.Errorf("only %d experiments registered", len(a))
+	if len(ids) < 10 {
+		t.Errorf("only %d experiments registered", len(ids))
+	}
+	if got := Title("fig999"); got != "" {
+		t.Errorf("Title of an unknown id = %q, want empty", got)
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -13,97 +12,43 @@ import (
 	"graphtensor/internal/metrics"
 )
 
-func init() {
-	register("fig11b", "Fig 11b: per-layer computation reduction, aggr-first vs comb-first", runFig11b)
-	register("table1", "Table I: DKP cost model coefficient fitting", runTable1)
-	register("fig15", "Fig 15: training latency (GPU kernels) across frameworks", runFig15)
-	register("fig16", "Fig 16: GPU kernel execution breakdown (products, wiki-talk)", runFig16)
-	register("fig17", "Fig 17: NAPA GPU resource usage (memory + cache reduction)", runFig17)
-	register("fig18", "Fig 18: DKP impact on FLOPs and global memory accesses", runFig18)
-}
-
 // kernelFrameworks are the GPU-kernel comparison set of Fig 15/16.
 var kernelFrameworks = []frameworks.Kind{
 	frameworks.DGL, frameworks.PyG, frameworks.GNNAdvisor, frameworks.BaseGT, frameworks.DynamicGT,
 }
 
-// computeLatency trains batches batches of one framework on one dataset and
-// model and returns their GPU-kernel (compute-only) latency on the modeled
-// clock — the kernel-time model's estimate of each batch's device counters,
-// which excludes preprocessing and framework overhead as the paper's Nsight
-// measurement does, and repeats exactly from run to run. Every framework
-// draws the same dst sequence, so the sums compare like for like.
-func computeLatency(cfg Config, kind frameworks.Kind, ds *datasets.Dataset, model string, batches int) (time.Duration, *frameworks.Trainer, error) {
-	tr, err := newTrainer(cfg, kind, ds, model)
-	if err != nil {
-		return 0, nil, err
-	}
+// modeledCompute trains n batches and returns their GPU-kernel
+// (compute-only) latency on the modeled clock — the kernel-time model's
+// estimate of each batch's device counters, which excludes preprocessing and
+// framework overhead as the paper's Nsight measurement does, and repeats
+// exactly from run to run. Every framework draws the same dst sequence, so
+// the sums compare like for like.
+func modeledCompute(tr *frameworks.Trainer, n int) (time.Duration, error) {
 	var total time.Duration
-	for i := 0; i < batches; i++ {
+	for i := 0; i < n; i++ {
 		st, err := tr.TrainBatch()
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		total += st.ModeledCompute
 	}
-	return total, tr, nil
+	return total, nil
 }
 
-// runFig15 reproduces the training latency comparison: per dataset and
-// model, the GPU kernel latency of each framework normalized to Base-GT
-// (smaller is better; the paper's y-axis is also normalized to Base-GT).
-func runFig15(cfg Config) (*Result, error) {
-	var sb strings.Builder
-	for _, model := range []string{"gcn", "ngcf"} {
-		fmt.Fprintf(&sb, "--- %s (normalized modeled GPU kernel latency, Base-GT = 100) ---\n", strings.ToUpper(model))
-		fmt.Fprintf(&sb, "%-12s", "dataset")
-		for _, k := range kernelFrameworks {
-			fmt.Fprintf(&sb, "%12s", k)
-		}
-		sb.WriteByte('\n')
-		for _, name := range allSets(cfg) {
-			ds, err := loadDataset(cfg, name)
-			if err != nil {
-				return nil, err
-			}
-			batches := cfg.batches(3)
-			lat := map[frameworks.Kind]time.Duration{}
-			oom := map[frameworks.Kind]bool{}
-			for _, k := range kernelFrameworks {
-				d, _, err := computeLatency(cfg, k, ds, model, batches)
-				if err != nil {
-					if _, isOOM := unwrapOOM(err); isOOM {
-						oom[k] = true
-						continue
-					}
-					return nil, fmt.Errorf("%s/%s/%s: %w", name, model, k, err)
-				}
-				lat[k] = d
-			}
-			base := lat[frameworks.BaseGT]
-			fmt.Fprintf(&sb, "%-12s", name)
-			for _, k := range kernelFrameworks {
-				if oom[k] {
-					fmt.Fprintf(&sb, "%12s", "OOM")
-					continue
-				}
-				fmt.Fprintf(&sb, "%12.1f", 100*float64(lat[k])/float64(base))
-			}
-			sb.WriteByte('\n')
-		}
-		sb.WriteByte('\n')
-	}
-	sb.WriteString("Paper: Base-GT is 1.5x/1.3x faster than DGL/PyG on light graphs,\n")
-	sb.WriteString("1.3x on heavy graphs; Dynamic-GT improves Base-GT further (47.7% GCN,\n")
-	sb.WriteString("74.2% NGCF light; 31.0% GCN, 11.4% NGCF heavy). livejournal NGCF OOMs\n")
-	sb.WriteString("on PyG/GNNAdvisor (Sparse2Dense).\n")
-	return &Result{Text: sb.String()}, nil
-}
-
-func unwrapOOM(err error) (*gpusim.OOMError, bool) {
-	var oom *gpusim.OOMError
-	ok := errors.As(err, &oom)
-	return oom, ok
+// fig15 reproduces the training latency comparison: per dataset and model,
+// the GPU kernel latency of each framework normalized to Base-GT (smaller is
+// better; the paper's y-axis is also normalized to Base-GT).
+var fig15 = versus{
+	what:  "modeled GPU kernel latency",
+	kinds: kernelFrameworks,
+	base:  frameworks.BaseGT,
+	measure: func(cfg Config, tr *frameworks.Trainer) (time.Duration, error) {
+		return modeledCompute(tr, cfg.batches(3))
+	},
+	footer: "Paper: Base-GT is 1.5x/1.3x faster than DGL/PyG on light graphs,\n" +
+		"1.3x on heavy graphs; Dynamic-GT improves Base-GT further (47.7% GCN,\n" +
+		"74.2% NGCF light; 31.0% GCN, 11.4% NGCF heavy). livejournal NGCF OOMs\n" +
+		"on PyG/GNNAdvisor (Sparse2Dense).\n",
 }
 
 // runFig16 decomposes GPU kernel time into aggregation, edge weighting,
@@ -115,13 +60,13 @@ func unwrapOOM(err error) (*gpusim.OOMError, bool) {
 // rows are shares of Device.Estimate over each stage's device work
 // (Ctx.Work) and repeat byte for byte; the on-demand format translation
 // issues no device work yet, so it has no modeled time to take a share of.
-func runFig16(cfg Config) (*Result, error) {
+func runFig16(cfg Config) (string, error) {
 	var sb strings.Builder
 	ktm := gpusim.DefaultKernelTimeModel()
 	for _, name := range []string{"products", "wiki-talk"} {
-		ds, err := loadDataset(cfg, name)
+		ds, err := loadDataset(name)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		for _, model := range []string{"gcn", "ngcf"} {
 			fmt.Fprintf(&sb, "--- %s / %s (%% of framework kernel time) ---\n", name, strings.ToUpper(model))
@@ -131,13 +76,16 @@ func runFig16(cfg Config) (*Result, error) {
 			}
 			sb.WriteByte('\n')
 			for _, k := range kernelFrameworks {
-				_, tr, err := computeLatency(cfg, k, ds, model, cfg.batches(2))
+				tr, err := newTrainer(cfg, k, ds, model)
+				if err == nil {
+					_, err = modeledCompute(tr, cfg.batches(2))
+				}
+				if isOOM(err) {
+					fmt.Fprintf(&sb, "%-12s %s\n", k, "OOM")
+					continue
+				}
 				if err != nil {
-					if _, isOOM := unwrapOOM(err); isOOM {
-						fmt.Fprintf(&sb, "%-12s %s\n", k, "OOM")
-						continue
-					}
-					return nil, err
+					return "", err
 				}
 				ctx := tr.Engine.Ctx
 				shares(&sb, k.String(), "host", metrics.NumStages, func(p metrics.Stage) time.Duration { return ctx.Stages[p] })
@@ -152,17 +100,17 @@ func runFig16(cfg Config) (*Result, error) {
 	sb.WriteString("Sparse2Dense is 32.3% of PyG's NGCF time on heavy graphs; GraphTensor\n")
 	sb.WriteString("has neither phase. Translation launches no kernel here, so its modeled\n")
 	sb.WriteString("share is not charged yet (—) and its host share is this box's wall time.\n")
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }
 
 // shares prints one Fig 16 row: each kernel stage's share of the stages' total
 // on one clock, "—" for a stage that clock does not charge.
-func shares(sb *strings.Builder, who, clock string, uncharged metrics.Stage, of func(metrics.Stage) time.Duration) {
+func shares(sb *strings.Builder, who, clockName string, uncharged metrics.Stage, of func(metrics.Stage) time.Duration) {
 	var total time.Duration
 	for p := metrics.StageAggregation; p < metrics.NumStages; p++ {
 		total += of(p)
 	}
-	fmt.Fprintf(sb, "%-12s%-9s", who, clock)
+	fmt.Fprintf(sb, "%-12s%-9s", who, clockName)
 	for p := metrics.StageAggregation; p < metrics.NumStages; p++ {
 		if p == uncharged {
 			fmt.Fprintf(sb, "%14s", "—")
@@ -173,60 +121,35 @@ func shares(sb *strings.Builder, who, clock string, uncharged metrics.Stage, of 
 	sb.WriteByte('\n')
 }
 
-// runFig17 measures NAPA's device resource usage against the baselines:
-// memory footprint reduction vs the DL-approach (paper: 81.8% average) and
-// cache load reduction vs the Graph-approach (paper: 44.8% average), over
-// a full FWP+BWP training batch.
-func runFig17(cfg Config) (*Result, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %16s %16s\n", "dataset", "mem reduction", "cache reduction")
-	var memRed, cacheRed []float64
-	for _, name := range allSets(cfg) {
-		ds, err := loadDataset(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		type usage struct {
-			peak  int64
-			cache int64
-		}
-		measure := func(kind frameworks.Kind) (usage, error) {
-			devCfg := cfg.device()
-			devCfg.MemoryBytes = 0
-			optCfg := cfg
-			optCfg.Device = devCfg
-			tr, err := newTrainer(optCfg, kind, ds, "ngcf")
+// fig17 measures NAPA's device resource usage against the baselines over a
+// full FWP+BWP training batch: memory footprint reduction vs the
+// DL-approach (paper: 81.8% average) and cache load reduction vs the
+// Graph-approach (paper: 44.8% average).
+var fig17 = perDataset{
+	header: fmt.Sprintf("%-12s %16s %16s\n", "dataset", "mem reduction", "cache reduction"),
+	row:    "%15.1f%% %15.1f%%",
+	// One NGCF batch under NAPA (Base-GT), the DL-approach (PyG) and the
+	// Graph-approach (DGL), each on a device without a memory cap.
+	measure: func(cfg Config, ds *datasets.Dataset) ([]float64, error) {
+		var peak, cache [3]float64
+		for i, kind := range []frameworks.Kind{frameworks.BaseGT, frameworks.PyG, frameworks.DGL} {
+			opt := trainerOptions(cfg, "ngcf")
+			opt.Device.MemoryBytes = 0
+			tr, err := frameworks.New(kind, ds, opt)
 			if err != nil {
-				return usage{}, err
+				return nil, err
 			}
 			tr.Engine.Dev.ResetPeak()
 			st, err := tr.TrainBatch()
 			if err != nil {
-				return usage{}, err
+				return nil, err
 			}
-			return usage{peak: tr.Engine.Dev.MemPeak(), cache: st.Counters.CacheBytes}, nil
+			peak[i], cache[i] = float64(tr.Engine.Dev.MemPeak()), float64(st.Counters.CacheBytes)
 		}
-		napa, err := measure(frameworks.BaseGT)
-		if err != nil {
-			return nil, err
-		}
-		dl, err := measure(frameworks.PyG)
-		if err != nil {
-			return nil, err
-		}
-		ga, err := measure(frameworks.DGL)
-		if err != nil {
-			return nil, err
-		}
-		mr := 100 * (1 - float64(napa.peak)/float64(dl.peak))
-		cr := 100 * (1 - float64(napa.cache)/float64(ga.cache))
-		memRed = append(memRed, mr)
-		cacheRed = append(cacheRed, cr)
-		fmt.Fprintf(&sb, "%-12s %15.1f%% %15.1f%%\n", name, mr, cr)
-	}
-	fmt.Fprintf(&sb, "\naverage: memory footprint -%.1f%% (paper: -81.8%%), cache loads -%.1f%% (paper: -44.8%%)\n",
-		metrics.Mean(memRed), metrics.Mean(cacheRed))
-	return &Result{Text: sb.String()}, nil
+		return []float64{100 * (1 - peak[0]/peak[1]), 100 * (1 - cache[0]/cache[2])}, nil
+	},
+	summary: "\naverage: memory footprint -%.1[1]f%% (paper: -%.1[3]f%%), cache loads -%.1[2]f%% (paper: -%.1[4]f%%)\n",
+	paper:   []float64{81.8, 44.8},
 }
 
 // runFig18 compares Base-GT and Dynamic-GT on the FLOPs and global memory
@@ -235,36 +158,30 @@ func runFig17(cfg Config) (*Result, error) {
 // 1.4× on average). Dynamic-GT places kernels from the profile fitted for
 // the simulated device class at construction; the work counters themselves
 // are hardware-independent.
-func runFig18(cfg Config) (*Result, error) {
+func runFig18(cfg Config) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %-6s %14s %14s %12s %12s\n",
 		"dataset", "model", "Base FLOPs", "Dyn FLOPs", "Base mem", "Dyn mem")
 	var flopRatios, memRatios []float64
 	for _, name := range []string{"products", "wiki-talk"} {
-		ds, err := loadDataset(cfg, name)
+		ds, err := loadDataset(name)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		for _, model := range []string{"gcn", "ngcf"} {
-			counters := func(kind frameworks.Kind) (gpusim.Counters, error) {
+			var c [2]gpusim.Counters
+			for i, kind := range []frameworks.Kind{frameworks.BaseGT, frameworks.DynamicGT} {
 				tr, err := newTrainer(cfg, kind, ds, model)
 				if err != nil {
-					return gpusim.Counters{}, err
+					return "", err
 				}
 				if _, err := tr.TrainBatch(); err != nil {
-					return gpusim.Counters{}, err
+					return "", err
 				}
 				work := &tr.Engine.Ctx.Work
-				return work[metrics.StageAggregation].Add(work[metrics.StageEdgeWeight]), nil
+				c[i] = work[metrics.StageAggregation].Add(work[metrics.StageEdgeWeight])
 			}
-			base, err := counters(frameworks.BaseGT)
-			if err != nil {
-				return nil, err
-			}
-			dyn, err := counters(frameworks.DynamicGT)
-			if err != nil {
-				return nil, err
-			}
+			base, dyn := c[0], c[1]
 			baseMem := base.GlobalLoads + base.GlobalStores
 			dynMem := dyn.GlobalLoads + dyn.GlobalStores
 			fmt.Fprintf(&sb, "%-12s %-6s %14d %14d %12d %12d\n",
@@ -279,26 +196,26 @@ func runFig18(cfg Config) (*Result, error) {
 	}
 	fmt.Fprintf(&sb, "\naverage: FLOPs %.2fx lower with DKP (paper: 5.4x), global accesses %.2fx lower (paper: 1.4x)\n",
 		metrics.GeoMean(flopRatios), metrics.GeoMean(memRatios))
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }
 
 // runFig11b analyzes per-layer input-tensor reduction under each placement
 // for representative light and heavy workloads, the motivation for DKP.
-func runFig11b(cfg Config) (*Result, error) {
+func runFig11b(cfg Config) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %6s %12s %12s %14s\n", "dataset", "layer", "aggr-first", "comb-first", "better")
 	for _, name := range []string{"products", "amazon", "wiki-talk"} {
-		ds, err := loadDataset(cfg, name)
+		ds, err := loadDataset(name)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		tr, err := newTrainer(cfg, frameworks.BaseGT, ds, "gcn")
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		b, err := tr.Prepare(ds.BatchDsts(300, 1), nil)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		inDim := ds.FeatureDim
 		for li, l := range b.Layers {
@@ -306,11 +223,8 @@ func runFig11b(cfg Config) (*Result, error) {
 			if li == len(b.Layers)-1 {
 				outDim = 2
 			}
-			d := dkp.Dims{
-				NSrc: l.CSR.NumSrc, NDst: l.CSR.NumDst, NEdge: l.CSR.NumEdges(),
-				NFeat: inDim, NHid: outDim,
-			}
-			af, cf := dkp.ReductionRate(d)
+			af, cf := dkp.ReductionRate(dkp.Dims{
+				NSrc: l.CSR.NumSrc, NDst: l.CSR.NumDst, NEdge: l.CSR.NumEdges(), NFeat: inDim, NHid: outDim})
 			better := "aggr-first"
 			if cf > af {
 				better = "comb-first"
@@ -321,17 +235,17 @@ func runFig11b(cfg Config) (*Result, error) {
 		b.Release()
 	}
 	sb.WriteString("\nPaper Fig 11b: comb-first reduces wiki-talk's layer inputs by 31.7% on\naverage; light-feature layers keep the conventional order.\n")
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }
 
 // runTable1 fits the DKP cost model coefficients offline (least-squares
 // over modeled kernel times on a calibration sweep, §V-A) and reports the
 // fit error (paper: 12.5%). This is the same fit every Dynamic-GT trainer
 // runs at construction via dkp.ProfileFor.
-func runTable1(cfg Config) (*Result, error) {
-	prof, err := dkp.Calibrate(cfg.device())
+func runTable1(Config) (string, error) {
+	prof, err := dkp.Calibrate(gpusim.DefaultConfig())
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	c := prof.Coeffs
 	var sb strings.Builder
@@ -345,5 +259,5 @@ func runTable1(cfg Config) (*Result, error) {
 	rec := prof.Recommend()
 	fmt.Fprintf(&sb, "derived defaults: serving MaxBatch=%d MaxDelay=%v, group GradShards=%d\n",
 		rec.MaxBatch, rec.MaxDelay, rec.GradShards)
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }

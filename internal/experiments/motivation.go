@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"time"
@@ -10,6 +10,7 @@ import (
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/frameworks"
 	"graphtensor/internal/gpusim"
+	"graphtensor/internal/graph"
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/metrics"
 	"graphtensor/internal/pipeline"
@@ -17,54 +18,21 @@ import (
 	"graphtensor/internal/sampling"
 )
 
-func init() {
-	register("fig6a", "Fig 6a: DL-approach memory bloat (normalized footprint)", runFig6a)
-	register("fig6b", "Fig 6b: Graph-approach SDDMM cache bloat (normalized cache load)", runFig6b)
-	register("fig8", "Fig 8: degree distribution, original vs preprocessed graphs", runFig8)
-	register("fig12a", "Fig 12a: end-to-end latency breakdown (S/R/K/T vs FWP+BWP)", runFig12a)
-	register("fig12b", "Fig 12b: system resource utilization per preprocessing task", runFig12b)
-	register("fig14", "Fig 14a: hash-table lock contention in parallel preprocessing", runFig14)
-}
-
-// prepareKernelBatch samples and prepares one batch of a dataset with the
-// given format, returning the batch plus the uploaded embedding matrix.
-func prepareKernelBatch(cfg Config, ds *datasets.Dataset, ctx *kernels.Ctx,
-	format prep.Format) (*prep.Batch, *kernels.DeviceMatrix, error) {
-	scfg := samplerFor(ds)
-	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, ds.BatchDsts(300, 1), scfg,
-		prep.Config{Format: format})
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := kernels.WrapDeviceMatrix(ctx, b.Embed.Data, 0, "batch-x")
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, x, nil
-}
-
-// runFig6a measures the device memory footprint of the DL-approach's
+// fig6a measures the device memory footprint of the DL-approach's
 // NGCF-style aggregation + edge weighting, normalized by the input
 // embedding table size (the paper reports 5.8× average bloat). A footprint
 // at or below the table itself would mean the bloat mechanism is gone, so
 // the experiment errors instead of printing it.
-func runFig6a(cfg Config) (*Result, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %s\n", "dataset", "normalized memory footprint")
-	var ratios []float64
-	for _, name := range allSets(cfg) {
-		ds, err := loadDataset(cfg, name)
+var fig6a = perDataset{
+	header: fmt.Sprintf("%-12s %s\n", "dataset", "normalized memory footprint"),
+	row:    "%8.2f",
+	measure: func(_ Config, ds *datasets.Dataset) ([]float64, error) {
+		dev := unlimitedDevice()
+		ctx, b, x, err := prepareKernelBatch(ds, dev, prep.FormatCSR)
 		if err != nil {
 			return nil, err
 		}
-		devCfg := cfg.device()
-		devCfg.MemoryBytes = 0 // unlimited: we are measuring, not gating
-		dev := gpusim.NewDevice(devCfg)
-		ctx := kernels.NewCtx(dev)
-		b, x, err := prepareKernelBatch(cfg, ds, ctx, prep.FormatCSR)
-		if err != nil {
-			return nil, err
-		}
+		defer b.Release()
 		embedBytes := b.Embed.Bytes()
 		dev.ResetPeak()
 		base := dev.MemInUse()
@@ -76,106 +44,82 @@ func runFig6a(cfg Config) (*Result, error) {
 		out.Free()
 		footprint := float64(dev.MemPeak()-base+embedBytes) / float64(embedBytes)
 		if footprint <= 1 {
-			return nil, fmt.Errorf("fig6a: %s footprint %.2fx is not above the embedding table", name, footprint)
+			return nil, fmt.Errorf("footprint %.2fx is not above the embedding table", footprint)
 		}
-		ratios = append(ratios, footprint)
-		fmt.Fprintf(&sb, "%-12s %s\n", name, fmtRatio(footprint, 0))
-		b.Release()
-	}
-	fmt.Fprintf(&sb, "\naverage memory bloat: %.2fx   (paper: 5.8x)\n", metrics.Mean(ratios))
-	return &Result{Text: sb.String()}, nil
+		return []float64{footprint}, nil
+	},
+	summary: "\naverage memory bloat: %.2fx   (paper: %.1fx)\n",
+	paper:   []float64{5.8},
 }
 
-// runFig6b measures the bytes the Graph-approach's edge-wise SDDMM loads
-// into SM caches, normalized by the embedding table size (paper: 1.8×,
-// i.e. 81.9% more data than the table holds).
-func runFig6b(cfg Config) (*Result, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %s\n", "dataset", "normalized cache load (SDDMM)")
-	var ratios []float64
-	for _, name := range allSets(cfg) {
-		ds, err := loadDataset(cfg, name)
+// fig6b measures the bytes the Graph-approach's edge-wise SDDMM loads into
+// SM caches, normalized by the embedding table size (paper: 1.8×, i.e. 81.9%
+// more data than the table holds).
+var fig6b = perDataset{
+	header: fmt.Sprintf("%-12s %s\n", "dataset", "normalized cache load (SDDMM)"),
+	row:    "%8.2f",
+	measure: func(_ Config, ds *datasets.Dataset) ([]float64, error) {
+		dev := gpusim.NewDevice(gpusim.DefaultConfig())
+		ctx, b, x, err := prepareKernelBatch(ds, dev, prep.FormatCOO)
 		if err != nil {
 			return nil, err
 		}
-		dev := gpusim.NewDevice(cfg.device())
-		ctx := kernels.NewCtx(dev)
-		b, x, err := prepareKernelBatch(cfg, ds, ctx, prep.FormatCOO)
-		if err != nil {
-			return nil, err
-		}
+		defer b.Release()
 		before := dev.Snapshot()
 		w, err := kernels.GraphApproach{}.SDDMM(ctx, &b.Layers[0], x, kernels.NGCFModes())
 		if err != nil {
 			return nil, err
 		}
 		w.Free()
-		cacheBytes := dev.Snapshot().Sub(before).CacheBytes
-		ratio := float64(cacheBytes) / float64(b.Embed.Bytes())
-		ratios = append(ratios, ratio)
-		fmt.Fprintf(&sb, "%-12s %8.2f\n", name, ratio)
-		b.Release()
-	}
-	fmt.Fprintf(&sb, "\naverage cache load vs embedding table: %.2fx   (paper: 1.8x)\n", metrics.Mean(ratios))
-	return &Result{Text: sb.String()}, nil
+		return []float64{float64(dev.Snapshot().Sub(before).CacheBytes) / float64(b.Embed.Bytes())}, nil
+	},
+	summary: "\naverage cache load vs embedding table: %.2fx   (paper: %.1fx)\n",
+	paper:   []float64{1.8},
 }
 
-// runFig8 compares degree statistics of the original graphs against their
+// fig8 compares degree statistics of the original graphs against their
 // sampled (preprocessed) subgraphs: the sampled graphs have much lower and
-// much more even degrees (paper: 3.4× lower mean, 3.3 vs 150 stddev),
-// which is why edge-wise scheduling loses its advantage on GNN inputs.
-func runFig8(cfg Config) (*Result, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %10s %10s %10s %10s %7s\n",
-		"dataset", "orig mean", "orig std", "samp mean", "samp std", "ratio")
-	var ratios, origStds, sampStds []float64
-	for _, name := range allSets(cfg) {
-		ds, err := loadDataset(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		full := ds.Graph.Degrees()
-		smp := sampling.New(ds.Graph, samplerFor(ds))
-		res := smp.Sample(ds.BatchDsts(300, 1))
+// much more even degrees (paper: 3.4× lower mean, 3.3 vs 150 stddev), which
+// is why edge-wise scheduling loses its advantage on GNN inputs.
+var fig8 = perDataset{
+	header: fmt.Sprintf("%-12s %10s %10s %10s %10s %7s\n",
+		"dataset", "orig mean", "orig std", "samp mean", "samp std", "ratio"),
+	row: "%10.2f %10.2f %10.2f %10.2f %7.2f",
+	measure: func(_ Config, ds *datasets.Dataset) ([]float64, error) {
+		res := sampling.New(ds.Graph, samplerFor(ds)).Sample(ds.BatchDsts(300, 1))
 		hop := res.ForLayer(1)
 		// Per-vertex in-degree across the whole sampled subgraph, leaves
 		// included (this matches Table II's edges/vertices column).
-		sampDeg := make([]int, hop.NumSrc)
 		b, err := prep.ReindexCOO(hop, res.Table)
 		if err != nil {
 			return nil, err
 		}
+		sampDeg := make([]int, hop.NumSrc)
 		for _, d := range b.Dst {
 			sampDeg[d]++
 		}
-		fullStats := computeStats(full)
-		sampStats := computeStats(sampDeg)
-		ratio := fullStats.Mean / nonZero(sampStats.Mean)
-		ratios = append(ratios, ratio)
-		origStds = append(origStds, fullStats.StdDev)
-		sampStds = append(sampStds, sampStats.StdDev)
-		fmt.Fprintf(&sb, "%-12s %10.2f %10.2f %10.2f %10.2f %7.2f\n",
-			name, fullStats.Mean, fullStats.StdDev, sampStats.Mean, sampStats.StdDev, ratio)
-	}
-	fmt.Fprintf(&sb, "\nmean degree ratio original/preprocessed: %.2fx   (paper: 3.4x)\n", metrics.Mean(ratios))
-	fmt.Fprintf(&sb, "stddev original %.1f vs preprocessed %.1f   (paper: ~150 vs 3.3)\n",
-		metrics.Mean(origStds), metrics.Mean(sampStds))
-	return &Result{Text: sb.String()}, nil
+		full := graph.ComputeDegreeStats(ds.Graph.Degrees())
+		samp := graph.ComputeDegreeStats(sampDeg)
+		if samp.Mean == 0 {
+			return nil, errors.New("the sampled batch has no edges")
+		}
+		return []float64{full.Mean, full.StdDev, samp.Mean, samp.StdDev, full.Mean / samp.Mean}, nil
+	},
+	summary: "\nmean degree ratio original/preprocessed: %.2[5]fx   (paper: %.1[6]fx)\n" +
+		"stddev original %.1[2]f vs preprocessed %.1[4]f   (paper: ~%.0[7]f vs %.1[8]f)\n",
+	paper: []float64{3.4, 150, 3.3},
 }
 
-// runFig12a decomposes the end-to-end batch latency of a conventional
+// fig12a decomposes the end-to-end batch latency of a conventional
 // (serialized-preprocessing) framework into sampling, reindexing, lookup,
 // transfer and GPU compute. The paper observes preprocessing at 84.2% of
 // the total on average.
-func runFig12a(cfg Config) (*Result, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %7s %7s %7s %7s %9s\n", "dataset", "S%", "R%", "K%", "T%", "FWP+BWP%")
-	var prepShares []float64
-	for _, name := range allSets(cfg) {
-		ds, err := loadDataset(cfg, name)
-		if err != nil {
-			return nil, err
-		}
+var fig12a = perDataset{
+	header: fmt.Sprintf("%-12s %7s %7s %7s %7s %9s\n", "dataset", "S%", "R%", "K%", "T%", "FWP+BWP%"),
+	row:    "%7.1f %7.1f %7.1f %7.1f %9.1f",
+	// The S, R, K, T and compute shares of one batch's latency, then the
+	// share of all preprocessing (summary only).
+	measure: func(cfg Config, ds *datasets.Dataset) ([]float64, error) {
 		tr, err := newTrainer(cfg, frameworks.BaseGT, ds, "gcn")
 		if err != nil {
 			return nil, err
@@ -190,37 +134,35 @@ func runFig12a(cfg Config) (*Result, error) {
 		}
 		// Both preprocessing and GPU compute are modeled (the simulator's
 		// kernels and goroutine overlap run on the host CPU; see
-		// gpusim.KernelTimeModel and pipeline.PrepCostModel). The shares
-		// are of busy time: the serialized chain under a zero-contention
-		// cost model (a lock stall belongs to no task), then compute.
+		// gpusim.KernelTimeModel and pipeline.PrepCostModel). The shares are of
+		// busy time: the serialized chain under a zero-contention cost model (a
+		// lock stall belongs to no task), then compute.
 		tt := tr.ModeledTaskTimes(b)
 		b.Release()
 		busy := pipeline.PrepCostModel{}.Schedule(pipeline.SerialPrep, tt).Latency()
 		total := float64(pipeline.StepLatency(busy, st.ModeledCompute, false))
 		pct := func(d time.Duration) float64 { return 100 * float64(d) / total }
-		fmt.Fprintf(&sb, "%-12s %7.1f %7.1f %7.1f %7.1f %9.1f\n", name,
-			pct(tt.Sample), pct(tt.Reindex), pct(tt.Lookup), pct(tt.Transfer), pct(st.ModeledCompute))
-		prepShares = append(prepShares, pct(busy))
-	}
-	fmt.Fprintf(&sb, "\naverage preprocessing share: %.1f%%   (paper: 84.2%%)\n", metrics.Mean(prepShares))
-	return &Result{Text: sb.String()}, nil
+		return []float64{pct(tt.Sample), pct(tt.Reindex), pct(tt.Lookup), pct(tt.Transfer), pct(st.ModeledCompute), pct(busy)}, nil
+	},
+	printed: 5,
+	summary: "\naverage preprocessing share: %.1[6]f%%   (paper: %.1[7]f%%)\n",
+	paper:   []float64{84.2},
 }
 
 // runFig12b reports per-task system resource utilization on wiki-talk:
 // CPU cores busy and DMA (PCIe) bandwidth. S/R/K tasks never touch PCIe;
 // T uses one core and the link — the imbalance the tensor scheduler
 // exploits.
-func runFig12b(cfg Config) (*Result, error) {
-	ds, err := loadDataset(cfg, "wiki-talk")
+func runFig12b(Config) (string, error) {
+	ds, err := loadDataset("wiki-talk")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	dev := gpusim.NewDevice(cfg.device())
-	scfg := samplerFor(ds)
-	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, ds.BatchDsts(300, 1), scfg,
+	dev := gpusim.NewDevice(gpusim.DefaultConfig())
+	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, ds.BatchDsts(300, 1), samplerFor(ds),
 		prep.Config{Format: prep.FormatCSRCSC})
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer b.Release()
 	cores := runtime.GOMAXPROCS(0)
@@ -241,78 +183,34 @@ func runFig12b(cfg Config) (*Result, error) {
 	row(metrics.StageLookup, 1, 0)
 	row(metrics.StageTransfer, 1, dma)
 	sb.WriteString("\nS/R/K leave the PCIe link idle; T leaves all but one core idle (Fig 12b).\n")
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }
 
 // runFig14 measures hash-table lock contention: the share of preprocessing
 // time spent waiting on the shared VID table under the naive fully-shared
 // discipline, versus the A/H-split relaxed discipline (paper: 47.4% +
 // 39.0% of preprocessing time lost before relaxing).
-func runFig14(cfg Config) (*Result, error) {
-	ds, err := loadDataset(cfg, "products")
+func runFig14(Config) (string, error) {
+	ds, err := loadDataset("products")
 	if err != nil {
-		return nil, err
-	}
-	measure := func(relax bool) (time.Duration, time.Duration, error) {
-		pcfg := pipeline.DefaultConfig()
-		pcfg.Sampler = samplerFor(ds)
-		pcfg.RelaxContention = relax
-		sched := pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, pcfg)
-		t0 := time.Now()
-		b, err := sched.Prepare(ds.BatchDsts(300, 1), nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer b.Release()
-		return time.Since(t0), b.Sample.Table.LockWait(), nil
-	}
-	sharedWall, sharedWait, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	relaxedWall, relaxedWait, err := measure(true)
-	if err != nil {
-		return nil, err
+		return "", err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-22s %14s %14s %10s\n", "discipline", "host prep wall", "host lock wait", "wait share")
-	share := func(wait, wall time.Duration) float64 {
-		if wall == 0 {
-			return 0
+	for _, d := range []struct {
+		name  string
+		relax bool
+	}{{"shared (contended)", false}, {"A/H split (relaxed)", true}} {
+		wall, wait, err := lockWait(ds, d.relax)
+		if err != nil {
+			return "", err
 		}
-		return 100 * float64(wait) / float64(wall)
+		share := 0.0
+		if wall > 0 {
+			share = 100 * float64(wait) / float64(wall)
+		}
+		fmt.Fprintf(&sb, "%-22s %14v %14v %9.1f%%\n", d.name, wall.Round(time.Microsecond), wait.Round(time.Microsecond), share)
 	}
-	fmt.Fprintf(&sb, "%-22s %14v %14v %9.1f%%\n", "shared (contended)",
-		sharedWall.Round(time.Microsecond), sharedWait.Round(time.Microsecond), share(sharedWait, sharedWall))
-	fmt.Fprintf(&sb, "%-22s %14v %14v %9.1f%%\n", "A/H split (relaxed)",
-		relaxedWall.Round(time.Microsecond), relaxedWait.Round(time.Microsecond), share(relaxedWait, relaxedWall))
 	sb.WriteString("\nPaper Fig 14a: contention costs 47.4% (S subtasks) + 39.0% (S vs R) of\npreprocessing before the A (algorithm) / H (hash update) split serializes\ntable updates.\n")
-	return &Result{Text: sb.String()}, nil
-}
-
-type stats struct{ Mean, StdDev float64 }
-
-func computeStats(deg []int) stats {
-	if len(deg) == 0 {
-		return stats{}
-	}
-	var sum, sq float64
-	for _, d := range deg {
-		sum += float64(d)
-		sq += float64(d) * float64(d)
-	}
-	n := float64(len(deg))
-	mean := sum / n
-	v := sq/n - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return stats{Mean: mean, StdDev: math.Sqrt(v)}
-}
-
-func nonZero(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	return x
+	return sb.String(), nil
 }

@@ -10,10 +10,6 @@ import (
 	"graphtensor/internal/multigpu"
 )
 
-func init() {
-	register("multigpu", "Data-parallel training scaling to 64 modeled devices: flat vs hierarchical fabrics, per-tier comm (§VII)", runMultiGPU)
-}
-
 // multiGPUShards fixes the gradient-shard count of the scale-out sweep:
 // trajectories are comparable across device counts only at an identical
 // shard count, and the sweep's largest group is 64 devices.
@@ -31,22 +27,18 @@ const multiGPUShards = 64
 // deduplicated cross-node scatter bytes), the overlap efficiency and the
 // modeled step speedup. The loss column is the proof of exactness: bitwise
 // identical at every device count, node count and fabric.
-func runMultiGPU(cfg Config) (*Result, error) {
+func runMultiGPU(cfg Config) (string, error) {
 	datasets := []string{"products", "reddit2"}
 	if cfg.Quick {
 		datasets = datasets[:1]
 	}
-	batches := cfg.Batches
-	if batches <= 0 {
-		batches = 3
-	}
-	type fabric struct {
+	batches := cfg.batches(3)
+	fabrics := []struct {
 		name string
 		ic   gpusim.InterconnectConfig
 		dpn  int
 		nGPU []int
-	}
-	fabrics := []fabric{
+	}{
 		{"pcie-ring", gpusim.DefaultInterconnect(), 0, []int{1, 16, 32, 64}},
 		{"nvlink", gpusim.NVLinkInterconnect(), 0, []int{16, 32, 64}},
 		{"hier-4/node", gpusim.InterconnectConfig{}, 4, []int{16, 32, 64}},
@@ -56,18 +48,16 @@ func runMultiGPU(cfg Config) (*Result, error) {
 	fmt.Fprintf(&sb, "%-12s %-12s %5s %6s %8s %10s %10s %10s %10s %9s %8s %10s %8s %10s\n",
 		"dataset", "fabric", "nGPU", "nodes", "nodeimb", "compute", "comm", "intra", "inter", "xnode MB", "overlap", "step", "speedup", "loss")
 	for _, name := range datasets {
-		ds, err := loadDataset(cfg, name)
+		ds, err := loadDataset(name)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		var baseStep time.Duration
 		var refLoss float64
-		haveRef := false
-		var pcie64, hier64 time.Duration
+		step64 := map[string]time.Duration{} // fabric → step time at 64 devices
 		for _, fb := range fabrics {
 			for _, nGPU := range fb.nGPU {
 				opt := frameworks.DefaultOptions()
-				opt.Device = cfg.device()
 				opt.NumDevices = nGPU
 				opt.GradShards = multiGPUShards
 				if fb.dpn > 0 {
@@ -77,34 +67,27 @@ func runMultiGPU(cfg Config) (*Result, error) {
 				}
 				tr, err := frameworks.New(frameworks.BaseGT, ds, opt)
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				var loss float64
 				var st multigpu.GroupStats
 				for i := 0; i < batches; i++ {
 					bs, err := tr.TrainBatch()
 					if err != nil {
-						return nil, err
+						return "", err
 					}
 					loss = bs.Loss
 					st = tr.Group().LastStats()
 				}
-				if !haveRef {
-					refLoss, haveRef = loss, true
+				// The first row is the one-device baseline.
+				if nGPU == 1 {
+					baseStep, refLoss = st.StepTime, loss
 				} else if loss != refLoss {
-					return nil, fmt.Errorf("multigpu: %s loss diverged on %s at %d devices: %v != %v (exactness rule violated)",
+					return "", fmt.Errorf("multigpu: %s loss diverged on %s at %d devices: %v != %v (exactness rule violated)",
 						name, fb.name, nGPU, loss, refLoss)
 				}
-				if nGPU == 1 {
-					baseStep = st.StepTime
-				}
 				if nGPU == 64 {
-					switch fb.name {
-					case "pcie-ring":
-						pcie64 = st.StepTime
-					case "hier-8/node":
-						hier64 = st.StepTime
-					}
+					step64[fb.name] = st.StepTime
 				}
 				speedup := 0.0
 				if baseStep > 0 && st.StepTime > 0 {
@@ -121,8 +104,8 @@ func runMultiGPU(cfg Config) (*Result, error) {
 					st.StepTime.Round(time.Microsecond), speedup, loss)
 			}
 		}
-		if pcie64 > 0 && hier64 > 0 && hier64 >= pcie64 {
-			return nil, fmt.Errorf("multigpu: %s hierarchical step %v did not beat flat PCIe %v at 64 devices",
+		if pcie64, hier64 := step64["pcie-ring"], step64["hier-8/node"]; pcie64 > 0 && hier64 > 0 && hier64 >= pcie64 {
+			return "", fmt.Errorf("multigpu: %s hierarchical step %v did not beat flat PCIe %v at 64 devices",
 				name, hier64, pcie64)
 		}
 		sb.WriteByte('\n')
@@ -142,5 +125,5 @@ func runMultiGPU(cfg Config) (*Result, error) {
 		"ascending-shard fold order are fixed by the batch shape and the shard\n" +
 		"count alone; node assignment steers modeled scheduling and\n" +
 		"communication only.\n")
-	return &Result{Text: sb.String()}, nil
+	return sb.String(), nil
 }
