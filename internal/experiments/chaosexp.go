@@ -122,26 +122,20 @@ func runChaos(cfg Config) (string, error) {
 		return "", err
 	}
 	defer os.RemoveAll(dir)
+	// Two devices run half the batches and stop at a checkpoint; one device
+	// resumes from it and runs the rest.
 	half := (nBatches + 1) / 2
-	crashed, err := chaosTrainer(cfg, ds, 2, 0, nil)
-	if err != nil {
-		return "", err
+	for i, phase := range []struct{ nDev, batches int }{{2, half}, {1, nBatches}} {
+		if tr, err = chaosTrainer(cfg, ds, phase.nDev, 0, nil); err != nil {
+			return "", err
+		}
+		dcfg := train.Config{Epochs: 1, BatchesPerEpoch: phase.batches, LearningRate: 0.05,
+			CheckpointDir: dir, CheckpointEvery: phase.batches, Resume: i > 0}
+		if _, err := train.NewDriver(tr, dcfg, nil).Run(); err != nil {
+			return "", err
+		}
 	}
-	dcfg := train.Config{Epochs: 1, BatchesPerEpoch: half, LearningRate: 0.05,
-		CheckpointDir: dir, CheckpointEvery: half}
-	if _, err := train.NewDriver(crashed, dcfg, nil).Run(); err != nil {
-		return "", err
-	}
-	resumed, err := chaosTrainer(cfg, ds, 1, 0, nil)
-	if err != nil {
-		return "", err
-	}
-	dcfg = train.Config{Epochs: 1, BatchesPerEpoch: nBatches, LearningRate: 0.05,
-		CheckpointDir: dir, CheckpointEvery: nBatches, Resume: true}
-	if _, err := train.NewDriver(resumed, dcfg, nil).Run(); err != nil {
-		return "", err
-	}
-	resumedW := weightSum(resumed)
+	resumedW := weightSum(tr)
 	fmt.Fprintf(&sb, "%-26s %8s %6s %8s %8s %8s\n",
 		fmt.Sprintf("crash@%d, resume on 1 dev", half), "2->1", "-", "-", "-", verdict(resumedW == refW))
 	if resumedW != refW {
