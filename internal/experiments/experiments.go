@@ -158,12 +158,15 @@ func (c Config) batches(def int) int {
 // for the same handful dozens of times.
 var loaded sync.Map // name → *datasets.Dataset
 
-// loadDataset returns the named dataset generated at the default scale.
+// scale is the dataset scale every experiment runs at.
+var scale = datasets.DefaultScale()
+
+// loadDataset returns the named dataset generated at scale.
 func loadDataset(name string) (*datasets.Dataset, error) {
 	if ds, ok := loaded.Load(name); ok {
 		return ds.(*datasets.Dataset), nil
 	}
-	ds, err := datasets.Generate(name, datasets.DefaultScale())
+	ds, err := datasets.Generate(name, scale)
 	if err != nil {
 		return nil, err
 	}

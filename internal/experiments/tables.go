@@ -26,8 +26,10 @@ var table2 = perDataset{
 		return []float64{float64(ds.NumVertices()), float64(ds.NumEdges()), float64(ds.FeatureDim),
 			float64(res.NumVertices()), float64(len(hop.SrcOrig)), float64(hop.NumDst), ev, ds.Spec.PaperEdgesPerVertex}, nil
 	},
-	footer: "\nFull-graph columns are scaled by the documented divisors (see DESIGN.md);\n" +
+	footer: fmt.Sprintf("\nFull-graph columns are the paper's at the default scale: vertices ÷%d\n"+
+		"(at most %d), features ÷%d, edges at the paper's edges per vertex (at most %d);\n"+
 		"sampled columns come from one batch of 300 dst vertices, as in the paper.\n",
+		scale.VertexDivisor, scale.MaxVertices, scale.FeatureDivisor, scale.MaxEdges),
 }
 
 // cacheHitRate measures how much of each batch's embedding lookup a
