@@ -54,7 +54,7 @@ func runMultiGPU(cfg Config) (string, error) {
 		}
 		var baseStep time.Duration
 		var refLoss float64
-		step64 := map[string]time.Duration{} // fabric → step time at 64 devices
+		var pcie64, hier64 time.Duration
 		for _, fb := range fabrics {
 			for _, nGPU := range fb.nGPU {
 				opt := frameworks.DefaultOptions()
@@ -86,8 +86,11 @@ func runMultiGPU(cfg Config) (string, error) {
 					return "", fmt.Errorf("multigpu: %s loss diverged on %s at %d devices: %v != %v (exactness rule violated)",
 						name, fb.name, nGPU, loss, refLoss)
 				}
-				if nGPU == 64 {
-					step64[fb.name] = st.StepTime
+				switch {
+				case nGPU == 64 && fb.name == "pcie-ring":
+					pcie64 = st.StepTime
+				case nGPU == 64 && fb.name == "hier-8/node":
+					hier64 = st.StepTime
 				}
 				speedup := 0.0
 				if baseStep > 0 && st.StepTime > 0 {
@@ -104,7 +107,7 @@ func runMultiGPU(cfg Config) (string, error) {
 					st.StepTime.Round(time.Microsecond), speedup, loss)
 			}
 		}
-		if pcie64, hier64 := step64["pcie-ring"], step64["hier-8/node"]; pcie64 > 0 && hier64 > 0 && hier64 >= pcie64 {
+		if pcie64 > 0 && hier64 > 0 && hier64 >= pcie64 {
 			return "", fmt.Errorf("multigpu: %s hierarchical step %v did not beat flat PCIe %v at 64 devices",
 				name, hier64, pcie64)
 		}
