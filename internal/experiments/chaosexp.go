@@ -125,17 +125,18 @@ func runChaos(cfg Config) (string, error) {
 	// Two devices run half the batches and stop at a checkpoint; one device
 	// resumes from it and runs the rest.
 	half := (nBatches + 1) / 2
+	var job *frameworks.Trainer // the crashed run, then the resumed one
 	for i, phase := range []struct{ nDev, batches int }{{2, half}, {1, nBatches}} {
-		if tr, err = chaosTrainer(cfg, ds, phase.nDev, 0, nil); err != nil {
+		if job, err = chaosTrainer(cfg, ds, phase.nDev, 0, nil); err != nil {
 			return "", err
 		}
 		dcfg := train.Config{Epochs: 1, BatchesPerEpoch: phase.batches, LearningRate: 0.05,
 			CheckpointDir: dir, CheckpointEvery: phase.batches, Resume: i > 0}
-		if _, err := train.NewDriver(tr, dcfg, nil).Run(); err != nil {
+		if _, err := train.NewDriver(job, dcfg, nil).Run(); err != nil {
 			return "", err
 		}
 	}
-	resumedW := weightSum(tr)
+	resumedW := weightSum(job)
 	fmt.Fprintf(&sb, "%-26s %8s %6s %8s %8s %8s\n",
 		fmt.Sprintf("crash@%d, resume on 1 dev", half), "2->1", "-", "-", "-", verdict(resumedW == refW))
 	if resumedW != refW {
