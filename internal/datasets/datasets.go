@@ -210,17 +210,6 @@ func seedFor(name string) uint64 {
 	return h
 }
 
-// genPowerLaw builds a graph with heavy-tailed in-degrees: dst vertices are
-// drawn with probability ∝ rank^(−1/skew) (hub vertices collect many
-// edges), srcs nearly uniformly. Self loops are rewired; duplicate edges
-// are allowed, as in the raw SNAP graphs.
-func genPowerLaw(v, e int, skew float64, rng *tensor.RNG) *graph.CSR {
-	if skew <= 1 {
-		skew = 2
-	}
-	return genHomophilousPowerLaw(v, e, skew, nil, rng)
-}
-
 // genHomophilousPowerLaw builds a power-law graph with community homophily:
 // dst is strongly power-law (authority hubs), src is mildly power-law
 // (preferential attachment on both endpoints, so hubs recur as sampled

@@ -2,6 +2,7 @@ package frameworks
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -50,6 +51,53 @@ func TestAllFrameworksTrainABatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrainersLeaveNoGoroutines: a dropped trainer leaves no goroutine
+// behind — its prep subtasks and parallel regions run on the process's one
+// worker pool, and its prefetch rings join their producers on Stop — so
+// building, training and dropping trainers of every Table III kind does not
+// grow the goroutine count: after five rounds it is no higher than after
+// the first. Runs at GOMAXPROCS 1 and 4.
+func TestTrainersLeaveNoGoroutines(t *testing.T) {
+	ds := testDS(t)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		afterFirst := 0
+		for round := 1; round <= 5; round++ {
+			for _, k := range Kinds() {
+				tr, err := New(k, ds, quickOpts())
+				if err != nil {
+					t.Fatalf("%s new: %v", k, err)
+				}
+				if _, err := tr.TrainBatch(); err != nil {
+					t.Fatalf("%s batch: %v", k, err)
+				}
+				if _, _, err := tr.TrainEpoch(2); err != nil {
+					t.Fatalf("%s epoch: %v", k, err)
+				}
+			}
+			if round == 1 {
+				afterFirst = settledGoroutines(0)
+			}
+		}
+		if n := settledGoroutines(afterFirst); n > afterFirst {
+			t.Errorf("GOMAXPROCS=%d: %d goroutines after five rounds of trainers, %d after the first", procs, n, afterFirst)
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// settledGoroutines yields, a bounded number of times and without sleeping,
+// until the goroutine count is at most limit, and returns the count — so
+// goroutines already on their way out are not counted.
+func settledGoroutines(limit int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100000 && n > limit; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
 }
 
 func TestFrameworkFormats(t *testing.T) {

@@ -7,9 +7,11 @@
 //   - S subtasks chain hop-by-hop (S for hop t needs hop t-1's frontier),
 //     with the algorithm part (A) parallelized across workers and the hash
 //     table update part (H) serialized to relax lock contention (Fig 14c).
-//   - R and K subtasks for hop t start as soon as S_t completes and run
-//     concurrently with the sampling of later hops — they touch different
-//     data types (subgraphs vs embeddings), so they share no locks.
+//   - R and K subtasks for hop t start as soon as S_t completes and run on
+//     the process's worker pool (sched.Go) concurrently with the sampling of
+//     later hops — they touch different data types (subgraphs vs
+//     embeddings), so they share no locks. A subtask that panics ends its
+//     batch with ErrSubtaskPanic; the pool worker survives.
 //   - T subtasks wait on a barrier for the final S (the staging table needs
 //     the total vertex count), then stream: each embedding chunk gathered
 //     by K lands in the page-locked staging table as soon as it is ready, in
@@ -26,7 +28,6 @@
 package pipeline
 
 import (
-	"runtime"
 	"time"
 
 	"graphtensor/internal/cache"
@@ -34,6 +35,7 @@ import (
 	"graphtensor/internal/metrics"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/sampling"
+	"graphtensor/internal/sched"
 	"graphtensor/internal/tensor"
 )
 
@@ -67,18 +69,19 @@ func DefaultConfig() Config {
 const chunkVertices = 512
 
 // Scheduler prepares training batches with pipelined preprocessing. The
-// sampler is persistent (it owns the pooled per-hop worker scratch), the
-// subtask engine is persistent (a parked worker set executing pooled R/K
-// descriptors — see subtaskEngine), and the scheduler is safe for
-// concurrent Prepare calls, each drawing its own pooled run state.
+// sampler is persistent (it owns the pooled per-hop worker scratch), its R/K
+// subtasks are pooled descriptors run on the process's worker pool
+// (sched.Go), and the scheduler is safe for concurrent Prepare calls, each
+// drawing its own pooled run state. It owns no goroutine, so it needs no
+// Close.
 type Scheduler struct {
 	cfg      Config
 	full     *graph.CSR
 	features *graph.EmbeddingTable
 	labels   []int32
 	sampler  *sampling.Sampler
-	engine   *subtaskEngine
-	chunk    int // chunkVertices; a field only so tests can force many or one chunk
+	chunk    int              // chunkVertices; a field only so tests can force many or one chunk
+	spawn    func(sched.Task) // sched.Go; a field only so tests can hold subtasks back
 }
 
 // NewScheduler builds a scheduler over a dataset's full graph and features.
@@ -86,21 +89,13 @@ func NewScheduler(full *graph.CSR, features *graph.EmbeddingTable, labels []int3
 	if !cfg.RelaxContention {
 		cfg.Sampler.Mode = sampling.ModeShared
 	}
-	// The subtask engine — the persistent worker set all Prepare calls on
-	// the scheduler share — is sized to the processor count.
 	return &Scheduler{cfg: cfg, full: full, features: features, labels: labels,
-		sampler: sampling.New(full, cfg.Sampler), engine: newSubtaskEngine(runtime.GOMAXPROCS(0)),
-		chunk: chunkVertices}
+		sampler: sampling.New(full, cfg.Sampler), chunk: chunkVertices, spawn: sched.Go}
 }
 
 // SetCache installs (or, with nil, removes) the embedding cache the K/T
 // subtasks consult. Must not race a Prepare in flight.
 func (s *Scheduler) SetCache(c *cache.Cache) { s.cfg.Cache = c }
-
-// Close retires the scheduler's persistent subtask workers. Call it when a
-// short-lived scheduler (e.g. a serving engine's) is done; no Prepare may
-// be in flight or follow. Long-lived trainer schedulers never need it.
-func (s *Scheduler) Close() { s.engine.close() }
 
 // Prepare runs the pipelined preprocessing for one batch, drawing the
 // batch's storage from a prefetch-ring slot: the dense host buffers from the
@@ -115,12 +110,11 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 	L := s.cfg.Sampler.Layers
 	dim := s.features.Dim
 
-	// Per-prepare state comes from the engine's pool; the layer chain and
-	// its retained structure buffers are sized here, on the driving
-	// goroutine, before any R subtask spawns — afterwards each R subtask
-	// touches only its own layer's entry and retained buffer.
-	s.engine.start()
-	r := s.engine.getRun(s, bd, structs)
+	// Per-prepare state comes from the run pool; the layer chain and its
+	// retained structure buffers are sized here, on the driving goroutine,
+	// before any R subtask spawns — afterwards each R subtask touches only
+	// its own layer's entry and retained buffer.
+	r := getRun(s, bd, structs)
 	structs.EnsureLayers(L)
 	r.layers = structs.TakeLayerData(L)
 
@@ -129,7 +123,7 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 	r.table = res.Table
 
 	// --- S chain: hop-by-hop sampling on the preparing goroutine; R and K
-	// subtasks are handed to the persistent engine the moment their hop is
+	// subtasks are handed to the worker pool the moment their hop is
 	// available and overlap the sampling of later hops. Driving S inline
 	// costs no overlap: T cannot start before the final S anyway (§V-B —
 	// the staging table needs the total vertex count), so the old per-batch
@@ -201,11 +195,11 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, slot *Slot) (*prep.Batch, err
 	r.wg.Wait()
 	if err := r.takeErr(); err != nil {
 		r.releaseStaged()
-		s.engine.putRun(r)
+		putRun(r)
 		return nil, err
 	}
 	batch.Sample, batch.Layers, batch.Embed = res, r.layers, embed
-	s.engine.putRun(r)
+	putRun(r)
 	if s.cfg.Cache != nil {
 		batch.CacheHits, batch.CacheMisses = cacheHits, nTotal-cacheHits
 	}

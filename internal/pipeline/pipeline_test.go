@@ -13,6 +13,7 @@ import (
 	"graphtensor/internal/metrics"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/sampling"
+	"graphtensor/internal/sched"
 	"graphtensor/internal/tensor"
 )
 
@@ -110,7 +111,6 @@ func TestSchedulerLinkAccounting(t *testing.T) {
 		cfg.Cache = c
 		sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, cfg)
 		sched.chunk = 32
-		t.Cleanup(sched.Close)
 		b, err := sched.Prepare(dsts, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +152,6 @@ func TestPrepareRecordsStages(t *testing.T) {
 	ds := testDataset(t)
 	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, DefaultConfig())
 	sched.chunk = 32
-	t.Cleanup(sched.Close)
 	serialPrep, _ := producerFixture(t)
 	for name, prepare := range map[string]func([]graph.VID, *Slot) (*prep.Batch, error){
 		"serial": serialPrep, "scheduler": sched.Prepare,
@@ -192,27 +191,28 @@ func TestPrepareRecordsStages(t *testing.T) {
 
 // TestTransferLoopWakesOnFailure: the T loop blocks while nothing is staged,
 // so a subtask failure must wake it as surely as a landing chunk does. The
-// test plays the engine's workers itself: it withholds every subtask so the
-// loop parks with no chunk pending, records a failure, and only then stages
-// the K subtasks' chunks. Prepare has to come back with that error — not
-// hang — and every staged chunk has to be back in the tensor pool.
+// test plays the worker pool itself: it withholds every subtask so the loop
+// parks with no chunk pending, records a failure, and only then stages the
+// K subtasks' chunks. Prepare has to come back with that error — not hang —
+// and every staged chunk has to be back in the tensor pool.
 func TestTransferLoopWakesOnFailure(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	sched := NewScheduler(ds.Graph, ds.Features, ds.Labels, cfg)
-	sched.chunk = 1 << 30            // one K subtask per hop
-	sched.engine.spawn.Do(func() {}) // no workers: subtasks wait in the queue for the test
+	s := NewScheduler(ds.Graph, ds.Features, ds.Labels, cfg)
+	s.chunk = 1 << 30 // one K subtask per hop
+	held := make(chan *subtask, 2*cfg.Sampler.Layers)
+	s.spawn = func(t sched.Task) { held <- t.(*subtask) } // subtasks wait for the test
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := sched.Prepare(ds.BatchDsts(30, 1), nil)
+		_, err := s.Prepare(ds.BatchDsts(30, 1), nil)
 		done <- err
 	}()
 
 	// One R and one K subtask per hop, all queued before the T loop starts.
 	tasks := make([]*subtask, 2*cfg.Sampler.Layers)
 	for i := range tasks {
-		tasks[i] = <-sched.engine.tasks
+		tasks[i] = <-held
 	}
 	r := tasks[0].r
 	runtime.Gosched() // let the loop reach its wait where the scheduler allows
@@ -247,5 +247,31 @@ func TestTransferLoopWakesOnFailure(t *testing.T) {
 		if m.Data != nil {
 			t.Errorf("staged chunk %d was not returned to the tensor pool", i)
 		}
+	}
+}
+
+// TestSubtaskPanicIsBatchError: a K subtask that panics — here reading past
+// a one-row features table — ends its Prepare with ErrSubtaskPanic instead
+// of taking the process down with the pool worker it ran on, and the pool
+// stays usable: a valid scheduler's next prepares succeed. Runs at -cpu 1,4
+// under -race in CI.
+func TestSubtaskPanicIsBatchError(t *testing.T) {
+	ds := testDataset(t)
+	short := graph.NewEmbeddingTable(1, ds.Features.Dim)
+	bad := NewScheduler(ds.Graph, short, ds.Labels, DefaultConfig())
+	bad.chunk = 8 // many K subtasks, most of them on pool workers
+	for i := 0; i < 3; i++ {
+		if _, err := bad.Prepare(ds.BatchDsts(30, uint64(i+1)), nil); !errors.Is(err, ErrSubtaskPanic) {
+			t.Fatalf("prepare %d over a one-row table returned %v, want ErrSubtaskPanic", i, err)
+		}
+	}
+	good := NewScheduler(ds.Graph, ds.Features, ds.Labels, DefaultConfig())
+	good.chunk = 8
+	for i := 0; i < 3; i++ {
+		b, err := good.Prepare(ds.BatchDsts(30, uint64(i+1)), nil)
+		if err != nil {
+			t.Fatalf("prepare %d after the panics: %v", i, err)
+		}
+		b.Release()
 	}
 }

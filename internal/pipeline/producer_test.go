@@ -93,9 +93,10 @@ func TestSlotReuseNoAliasingAcrossSlots(t *testing.T) {
 // warm slot rotation, one more steady-state batch through the (synchronous)
 // ring — Next and Release — allocates nothing, so ring-driven epoch
 // allocs/op cannot grow with the schedule. It covers both producer
-// disciplines: the serial chain and the pipelined scheduler, whose
-// persistent subtask engine must leave no per-batch dispatch allocations
-// (no hop-done channels, semaphores or subtask closures). The floor of 0
+// disciplines: the serial chain and the pipelined scheduler, whose pooled
+// R/K descriptors handed to the worker pool (sched.Go) must leave no
+// per-batch dispatch allocations (no hop-done channels, semaphores or
+// subtask closures). The floor of 0
 // gates at GOMAXPROCS=1; with more procs (parallel sampling runs) the
 // figure is reported only.
 func TestRingProducerAllocFlat(t *testing.T) {

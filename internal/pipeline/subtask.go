@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -12,82 +14,22 @@ import (
 	"graphtensor/internal/vidmap"
 )
 
-// subtaskEngine is the scheduler's persistent subtask executor: a fixed set
-// of worker goroutines (spawned lazily on the first Prepare, parked on the
-// task channel for the scheduler's lifetime) plus pools for the per-subtask
-// descriptors and the per-prepare run state.
-//
-// Before the engine existed every Prepare allocated its dispatch state
-// fresh: one hop-done channel per layer, a semaphore channel, and one
-// goroutine + closure per R and K subtask — a few dozen allocations per
-// batch that survived all the producer-arena work. The engine replaces all
-// of it: concurrency is bounded structurally by the worker count (the old
-// semaphore's job), the T barrier needs no hop-done signals because the S
-// chain now runs inline on the preparing goroutine (T cannot start before
-// the final S anyway — device allocation needs the total vertex count), and
-// subtasks are pooled descriptors executed by the parked workers, so a
-// steady-state prepare performs no dispatch allocation at all.
-//
-// Multiple Prepare calls may run concurrently (the serving engine's
-// replicas share one scheduler); they share the worker set, each drawing
-// its own pooled run state.
-type subtaskEngine struct {
-	workers int
-	tasks   chan *subtask
-	spawn   sync.Once
-	subs    sync.Pool // *subtask
-	runs    sync.Pool // *prepRun
-}
+// subtasks and runs pool the R/K descriptors handed to the worker pool
+// (sched.Go) and the per-prepare run state, so a steady-state Prepare
+// performs no dispatch allocation. Concurrent Prepare calls (the serving
+// engine's replicas share one scheduler) each draw their own run state.
+var (
+	subtasks = sync.Pool{New: func() any { return new(subtask) }}
+	runs     = sync.Pool{New: func() any { return &prepRun{wake: make(chan struct{}, 1)} }}
+)
 
-func newSubtaskEngine(workers int) *subtaskEngine {
-	return &subtaskEngine{workers: workers, tasks: make(chan *subtask, 8*workers+32)}
-}
-
-// start spawns the persistent workers once. Workers never block on anything
-// but the task channel, so a preparing goroutine blocked handing off a
-// subtask (channel full) always makes progress.
-func (e *subtaskEngine) start() {
-	e.spawn.Do(func() {
-		for i := 0; i < e.workers; i++ {
-			go func() {
-				for t := range e.tasks {
-					r := t.r
-					t.exec()
-					e.recycle(t)
-					r.wg.Done()
-				}
-			}()
-		}
-	})
-}
-
-// close retires the worker set. No Prepare may be in flight or follow; a
-// scheduler that was never used shuts down trivially (the workers were
-// never spawned, and closing the channel also keeps a later stray start
-// from parking goroutines forever).
-func (e *subtaskEngine) close() {
-	close(e.tasks)
-}
-
-func (e *subtaskEngine) get() *subtask {
-	t, _ := e.subs.Get().(*subtask)
-	if t == nil {
-		t = &subtask{}
-	}
-	return t
-}
-
-func (e *subtaskEngine) recycle(t *subtask) {
-	*t = subtask{}
-	e.subs.Put(t)
-}
+// ErrSubtaskPanic is the error a Prepare returns when one of its R or K
+// subtasks panicked; it wraps the panic value's text.
+var ErrSubtaskPanic = errors.New("pipeline: prep subtask panicked")
 
 // getRun checks out a reset per-prepare run state.
-func (e *subtaskEngine) getRun(s *Scheduler, bd *metrics.Stages, structs *prep.Structs) *prepRun {
-	r, _ := e.runs.Get().(*prepRun)
-	if r == nil {
-		r = &prepRun{wake: make(chan struct{}, 1)}
-	}
+func getRun(s *Scheduler, bd *metrics.Stages, structs *prep.Structs) *prepRun {
+	r := runs.Get().(*prepRun)
 	r.s, r.bd, r.structs = s, bd, structs
 	r.chunks, r.drain = r.chunks[:0], r.drain[:0]
 	r.err = nil
@@ -96,7 +38,7 @@ func (e *subtaskEngine) getRun(s *Scheduler, bd *metrics.Stages, structs *prep.S
 
 // putRun returns the run state to the pool. Only call once wg has drained —
 // no subtask may still hold the run.
-func (e *subtaskEngine) putRun(r *prepRun) {
+func putRun(r *prepRun) {
 	r.s, r.bd, r.structs, r.table, r.layers = nil, nil, nil, nil, nil
 	for i := range r.chunks {
 		r.chunks[i] = embedChunk{}
@@ -104,7 +46,7 @@ func (e *subtaskEngine) putRun(r *prepRun) {
 	for i := range r.drain {
 		r.drain[i] = embedChunk{}
 	}
-	e.runs.Put(r)
+	runs.Put(r)
 }
 
 // prepRun is the shared state of one in-flight Prepare: the layer chain the
@@ -194,17 +136,17 @@ func (r *prepRun) releaseStaged() {
 }
 
 func (r *prepRun) spawnReindex(li int, hop *sampling.Hop) {
-	t := r.s.engine.get()
+	t := subtasks.Get().(*subtask)
 	t.r, t.kind, t.li, t.hop = r, taskReindex, li, hop
 	r.wg.Add(1)
-	r.s.engine.tasks <- t
+	r.s.spawn(t)
 }
 
 func (r *prepRun) spawnLookup(origs []graph.VID, lo, hi int) {
-	t := r.s.engine.get()
+	t := subtasks.Get().(*subtask)
 	t.r, t.kind, t.origs, t.lo, t.hi = r, taskLookup, origs, lo, hi
 	r.wg.Add(1)
-	r.s.engine.tasks <- t
+	r.s.spawn(t)
 }
 
 const (
@@ -222,7 +164,20 @@ type subtask struct {
 	lo, hi int
 }
 
-func (t *subtask) exec() {
+// Run executes the subtask on whichever goroutine the pool hands it to. A
+// panic becomes the run's error instead of unwinding a pool worker (no
+// dispatcher re-raises a sched.Go task's panic); either way the descriptor
+// is recycled and the run's wait group released.
+func (t *subtask) Run() {
+	r := t.r
+	defer func() {
+		if p := recover(); p != nil {
+			r.setErr(fmt.Errorf("%w: %v", ErrSubtaskPanic, p))
+		}
+		*t = subtask{}
+		subtasks.Put(t)
+		r.wg.Done()
+	}()
 	if t.kind == taskReindex {
 		t.reindex()
 	} else {

@@ -330,6 +330,27 @@ func (s *Sampler) admitSplit(table *vidmap.Table, srcs []graph.VID) []graph.VID 
 	return table.OrigSlice(before, table.Len())
 }
 
+// admitCtx is the dispatch context of one admitShared call: chunk lo/per
+// of srcs admits into fresh[lo/per].
+type admitCtx struct {
+	table *vidmap.Table
+	srcs  []graph.VID
+	per   int
+	fresh [][]graph.VID
+}
+
+// admitTask is admitShared's worker-pool entry: each claimed chunk admits
+// its srcs through the contended per-src GetOrAssign.
+func admitTask(ctx any, lo, hi int) {
+	a := ctx.(*admitCtx)
+	fresh := &a.fresh[lo/a.per]
+	for _, src := range a.srcs[lo:hi] {
+		if _, isFresh := a.table.GetOrAssign(src); isFresh {
+			*fresh = append(*fresh, src)
+		}
+	}
+}
+
 func (s *Sampler) admitShared(table *vidmap.Table, srcs []graph.VID) []graph.VID {
 	workers := s.cfg.Workers
 	if workers > len(srcs) {
@@ -338,30 +359,11 @@ func (s *Sampler) admitShared(table *vidmap.Table, srcs []graph.VID) []graph.VID
 	if workers < 1 {
 		workers = 1
 	}
-	fresh := make([][]graph.VID, workers)
-	var wg sync.WaitGroup
 	per := (len(srcs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > len(srcs) {
-			hi = len(srcs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for _, src := range srcs[lo:hi] {
-				if _, isFresh := table.GetOrAssign(src); isFresh {
-					fresh[w] = append(fresh[w], src)
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	a := &admitCtx{table: table, srcs: srcs, per: per, fresh: make([][]graph.VID, workers)}
+	sched.RunChunk(len(srcs), per, workers, a, admitTask)
 	var out []graph.VID
-	for _, f := range fresh {
+	for _, f := range a.fresh {
 		out = append(out, f...)
 	}
 	return out

@@ -1,5 +1,8 @@
-// Package sched is the substrate's persistent worker pool: the steady-state
-// execution engine every parallel region in the repository dispatches onto.
+// Package sched is the substrate's persistent worker pool: the one host
+// executor of the process. Every parallel region in the repository (RunChunk,
+// Run) and every prep subtask the pipelined scheduler issues (Go) runs on
+// it, so the number of host goroutines follows GOMAXPROCS, not the number of
+// trainers, schedulers or servers ever built.
 //
 // Before this package existed, each parallel kernel invocation spawned fresh
 // goroutines and allocated a sync.WaitGroup — cheap individually, but a
@@ -8,7 +11,9 @@
 // long-lived workers fed through one channel: dispatching a region costs a
 // pooled job checkout, a few atomic operations and one channel receive, and
 // performs no heap allocation on the steady-state path when the caller
-// passes a pooled context object and a top-level function (see Run).
+// passes a pooled context object and a top-level function (see Run). Go
+// hands the same workers one task at a time; a pointer task costs no
+// allocation either.
 //
 // Determinism contract: every index in [0, n) is processed by exactly one
 // participant, so any kernel whose per-index work is independent of the
@@ -25,15 +30,19 @@
 // Deadlock freedom: the dispatching goroutine always participates in its own
 // region, and handing work to the pool is non-blocking — if every worker is
 // busy (including nested dispatch from inside a worker), the caller simply
-// executes all chunks itself. The pool can therefore never deadlock, only
-// degrade to the serial path under saturation.
+// executes all chunks itself. Go likewise runs its task on the caller when
+// the queue is full. The pool can therefore never deadlock, only degrade to
+// the serial path under saturation; a Go task must not block on work that
+// only a later queued task would do.
 //
 // Panics: a chunk body that panics, on whichever participant runs it, is
 // recovered there; the chunks not yet started are skipped, and once every
 // participant has left the region the dispatcher re-raises the first panic
 // value on its own goroutine — what the serial path does by itself. The
 // caller's recovery boundary therefore sees a panic at any worker count, no
-// worker dies with it, and the pool stays usable.
+// worker dies with it, and the pool stays usable. A Go task has no
+// dispatcher waiting on it: nothing re-raises its panic, so a task must
+// recover its own (a panic that escapes one ends the process).
 package sched
 
 import (
@@ -71,9 +80,14 @@ type job struct {
 
 var jobPool = sync.Pool{New: func() any { return &job{wake: make(chan struct{}, 1)} }}
 
-// work is the shared dispatch channel. Its capacity only bounds how many
-// handoffs can be queued ahead of worker pickup; Run never blocks on it.
-var work = make(chan *job, maxWorkers)
+// Task is one unit of work handed to the pool by Go. *job is one too: a
+// region's handoff is a task that joins the region.
+type Task interface{ Run() }
+
+// work is the shared dispatch channel of region handoffs and Go tasks. Its
+// capacity only bounds how many can be queued ahead of worker pickup;
+// neither RunChunk nor Go ever blocks on it.
+var work = make(chan Task, maxWorkers)
 
 var (
 	spawnMu sync.Mutex
@@ -97,9 +111,31 @@ func ensure(n int) {
 }
 
 func worker() {
-	for j := range work {
-		j.run()
-		j.release()
+	for t := range work {
+		t.Run()
+	}
+}
+
+// Run is a pool worker's share of a handed-off region: claim chunks until
+// none remain, then drop the worker's reference.
+func (j *job) Run() {
+	j.run()
+	j.release()
+}
+
+// Go hands t to the pool and returns at once: a worker runs it
+// concurrently with the caller. If the queue is full, Go runs t on the
+// caller before returning; it never blocks. The pool keeps at least
+// GOMAXPROCS workers for Go tasks. Completion is the caller's to track (a
+// sync.WaitGroup the task signals), and so is a panic: no dispatcher
+// re-raises one, so t must recover its own. Pass a pointer task to keep
+// the handoff allocation-free.
+func Go(t Task) {
+	ensure(runtime.GOMAXPROCS(0))
+	select {
+	case work <- t:
+	default:
+		t.Run()
 	}
 }
 

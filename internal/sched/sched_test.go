@@ -2,6 +2,7 @@ package sched
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -113,6 +114,70 @@ func TestRunZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Run allocates %.1f times per dispatch, want 0", allocs)
+	}
+	// A pointer task costs Go nothing either.
+	task := &countTask{}
+	task.wg.Add(4)
+	for i := 0; i < 4; i++ {
+		Go(task)
+	}
+	task.wg.Wait()
+	allocs = testing.AllocsPerRun(50, func() {
+		task.wg.Add(1)
+		Go(task)
+		task.wg.Wait()
+	})
+	if allocs != 0 {
+		t.Errorf("Go allocates %.1f times per pointer task, want 0", allocs)
+	}
+}
+
+// countTask is a Go task that counts its runs.
+type countTask struct {
+	runs atomic.Int64
+	wg   sync.WaitGroup
+}
+
+func (c *countTask) Run() {
+	c.runs.Add(1)
+	c.wg.Done()
+}
+
+// TestGoRunsEveryTaskOnce: every task handed to Go runs exactly once — from
+// a plain goroutine and from inside a RunChunk region, and past the queue's
+// capacity, where Go runs the overflow on its caller. Run it at -cpu 1,4.
+func TestGoRunsEveryTaskOnce(t *testing.T) {
+	const perCaller = 4 * maxWorkers // more than the queue holds at once
+	issue := func(tasks []countTask) {
+		for i := range tasks {
+			Go(&tasks[i])
+		}
+	}
+	direct := make([]countTask, perCaller)
+	for i := range direct {
+		direct[i].wg.Add(1)
+	}
+	issue(direct)
+
+	// Four chunks of a region each issue their own batch of tasks.
+	nested := make([]countTask, 4*perCaller)
+	for i := range nested {
+		nested[i].wg.Add(1)
+	}
+	RunChunk(4, 1, Workers(4), &nested, func(ctx any, lo, hi int) {
+		all := *ctx.(*[]countTask)
+		for c := lo; c < hi; c++ {
+			issue(all[c*perCaller : (c+1)*perCaller])
+		}
+	})
+
+	for _, tasks := range [][]countTask{direct, nested} {
+		for i := range tasks {
+			tasks[i].wg.Wait()
+			if n := tasks[i].runs.Load(); n != 1 {
+				t.Fatalf("task %d ran %d times, want once", i, n)
+			}
+		}
 	}
 }
 

@@ -23,9 +23,10 @@
 //     first-admission stamp is a CAS. Rings and counters merge only inside
 //     Stats/Latencies.
 //   - Inference fast path: replicas prepare through a shared
-//     pipeline.Scheduler (persistent subtask engine, warm pipeline.Slot per
-//     replica) and run FWP only — no gradient shards, no backward
-//     workspaces — so a warm served batch allocates a small constant.
+//     pipeline.Scheduler (R/K subtasks on the sched worker pool, warm
+//     pipeline.Slot per replica) and run FWP only — no gradient shards, no
+//     backward workspaces — so a warm served batch allocates a small
+//     constant.
 //   - Cache-aware prep: an optional PaGraph-style embedding cache
 //     (internal/cache) lets resident vertices skip the modeled host→device
 //     transfer; residency reads ride the cache's lock-free epoch snapshot,
@@ -265,8 +266,8 @@ type Server struct {
 	placements []dkp.Placement
 
 	// sched is the replicas' shared preprocessing engine: its
-	// persistent sampler and subtask workers serve concurrent Prepare
-	// calls, one per replica draining a batch.
+	// persistent sampler serves concurrent Prepare calls, one per replica
+	// draining a batch, and their subtasks run on the sched worker pool.
 	sched    *pipeline.Scheduler
 	replicas []*replica
 	shards   []*shard
@@ -278,11 +279,10 @@ type Server struct {
 	stop      chan struct{}
 	// admDone closes once every admission shard has drained and exited;
 	// replicas then sweep the batch queues one final time and exit.
-	admDone     chan struct{}
-	closed      sync.Once
-	schedClosed sync.Once
-	admWG       sync.WaitGroup
-	wg          sync.WaitGroup
+	admDone chan struct{}
+	closed  sync.Once
+	admWG   sync.WaitGroup
+	wg      sync.WaitGroup
 
 	// closeMu fences admission against Close: Submit holds the read side
 	// across its queue send, so once Close flips closing (under the write
@@ -378,7 +378,6 @@ func NewServer(tr *frameworks.Trainer, cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Replicas; i++ {
 		r, err := newReplica(s, i)
 		if err != nil {
-			s.schedClosed.Do(s.sched.Close)
 			return nil, err
 		}
 		s.replicas = append(s.replicas, r)
@@ -903,9 +902,9 @@ func (s *Server) timeDegraded() time.Duration {
 }
 
 // Close stops admission (subsequent Submits fail with ErrClosed), serves
-// everything already queued, waits for the admission shards and replicas to
-// exit, and retires the preprocessing scheduler's worker set (a process
-// cycling servers leaks nothing). Idempotent.
+// everything already queued and waits for the admission shards and replicas
+// to exit, after which the server holds no goroutine (a process cycling
+// servers leaks nothing). Idempotent.
 func (s *Server) Close() {
 	s.closed.Do(func() {
 		s.closeMu.Lock()
@@ -914,7 +913,6 @@ func (s *Server) Close() {
 		close(s.stop)
 	})
 	s.wg.Wait()
-	s.schedClosed.Do(s.sched.Close)
 }
 
 // ShardStats is one admission shard's completed-work report.

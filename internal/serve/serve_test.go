@@ -453,6 +453,53 @@ func TestCloseDrainsQueuedQueries(t *testing.T) {
 	}
 }
 
+// TestServersLeaveNoGoroutines: a closed server leaves no goroutine behind —
+// Close joins its admission shards and replicas, and the preprocessing
+// subtasks ran on the process's one worker pool — so cycling servers that
+// each serve a query does not grow the goroutine count: after five rounds
+// it is no higher than after the first. Runs at GOMAXPROCS 1 and 4.
+func TestServersLeaveNoGoroutines(t *testing.T) {
+	ds := testDS(t)
+	tr := testTrainer(t, frameworks.PreproGT, ds)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		afterFirst := 0
+		for round := 1; round <= 5; round++ {
+			s, err := NewServer(tr, Config{Replicas: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk, err := s.Submit(ds.BatchDsts(8, uint64(round)), make([]float32, 8*s.OutDim()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if round == 1 {
+				afterFirst = settledGoroutines(0)
+			}
+		}
+		if n := settledGoroutines(afterFirst); n > afterFirst {
+			t.Errorf("GOMAXPROCS=%d: %d goroutines after five rounds of servers, %d after the first", procs, n, afterFirst)
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// settledGoroutines yields, a bounded number of times and without sleeping,
+// until the goroutine count is at most limit, and returns the count — so
+// goroutines already on their way out are not counted.
+func settledGoroutines(limit int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100000 && n > limit; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
 // stallServing installs the test hook that blocks every replica at the head
 // of serveBatch until the returned release func runs. Must be called before
 // NewServer; the returned cleanup resets the hook (call it after Close).
